@@ -13,9 +13,16 @@ Ball configurations get dedicated radial reductions (single-ball perimeter
 through the ray-exit tail, self-interaction through pair-distance
 densities, pairwise interactions through chord moments) that are much
 faster and more accurate than the generic grid engines; voxel and sliced
-shapes go through the quadrature module.  Decomposition checks evaluate
-every term on one shared grid and padded box so the identities cancel at
-machine precision instead of quadrature accuracy.
+shapes go through the quadrature module.  The ball evaluator is one
+function per term (``_balls_perimeter``, ``_balls_riesz``,
+``_balls_background``, and ``_balls_cross`` for the pairwise
+interactions), shared with the families and slicing modules.  Its error
+is the sum over parts (single balls and ball pairs) of |v(n) - v(n/2)|,
+the change from halving that part's node count, plus 1e-12 |V| on the
+single-ball riesz terms, which have no node count; the 3-D Coulomb pair
+term is exact.  Decomposition checks evaluate every term on one shared
+grid and padded box so the identities cancel at machine precision
+instead of quadrature accuracy.
 """
 
 from __future__ import annotations
@@ -280,6 +287,69 @@ def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> flo
     return float(np.sum(w * r ** (-beta) * area))
 
 
+def _refined_sum(f, n: int, calls) -> tuple:
+    """(sum of f(*args, n=n), sum of |f(*args, n=n) - f(*args, n=n/2)|) over
+    the argument tuples in ``calls``: each part is charged the change from
+    halving its node count."""
+    total = err = 0.0
+    for args in calls:
+        val = f(*args, n=n)
+        total += val
+        err += abs(val - f(*args, n=n // 2))
+    return total, err
+
+
+def _balls_cross(g, U: BallConfig, W: BallConfig | None = None) -> tuple:
+    """(value, error) of the cross terms int_{B_i} int_{B_j} g(|x-y|), summed
+    over the ball pairs i < j of U, or over every pair (i in U, j in W)."""
+    N = U.dimension
+    if W is None:
+        W = U
+        pairs = [(i, j) for i in range(U.count) for j in range(i + 1, U.count)]
+    else:
+        pairs = [(i, j) for i in range(U.count) for j in range(W.count)]
+    args = [
+        (U.centers[i], float(U.radii[i]), W.centers[j], float(W.radii[j]))
+        for i, j in pairs
+    ]
+    if not isinstance(g, KernelSpec) and N == 3 and abs(float(g) - 1.0) < 1e-12:
+        # two disjoint balls with a 1/|x-y| interaction behave as point
+        # masses at their centers (harmonic exterior value)
+        total = 0.0
+        for c1, r1, c2, r2 in args:
+            d = float(np.linalg.norm(c2 - c1))
+            total += geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
+        return total, 0.0
+    return _refined_sum(_ball_pair_interaction, 96, [(g, N) + a for a in args])
+
+
+def _balls_perimeter(kernel: KernelSpec, E: BallConfig) -> tuple:
+    """(value, error) of P_K over disjoint balls: single-ball perimeters
+    minus twice the pairwise kernel interactions."""
+    total, err = _refined_sum(
+        _single_ball_perimeter, 192, [(kernel, float(r)) for r in E.radii]
+    )
+    cross, cross_err = _balls_cross(kernel, E)
+    return total - 2.0 * cross, err + 2.0 * cross_err
+
+
+def _balls_riesz(alpha: float, E: BallConfig, cross: tuple | None = None) -> tuple:
+    """(value, error) of V_alpha over disjoint balls: single-ball terms plus
+    pairwise interactions.  ``cross`` passes in the pair part when the
+    caller has already evaluated ``_balls_cross(alpha, E)``."""
+    total = 0.0
+    for r in E.radii:
+        total += _ball_self_riesz(E.dimension, alpha, float(r))
+    cross_val, cross_err = cross if cross is not None else _balls_cross(alpha, E)
+    return total + cross_val, 1e-12 * abs(total) + cross_err
+
+
+def _balls_background(beta: float, E: BallConfig) -> tuple:
+    """(value, error) of int_E |x|^{-beta} over a union of balls."""
+    calls = [(E.dimension, beta, c, float(r)) for c, r in zip(E.centers, E.radii)]
+    return _refined_sum(_ball_background, 512, calls)
+
+
 # ---------------------------------------------------------------------------
 # Public energy terms
 
@@ -294,24 +364,7 @@ def perimeter(E: Shape, params_or_kernel, spec: QuadratureSpec, box=None) -> Int
         and spec.method == "tensor-midpoint"
         and box is None
     ):
-        vals = [
-            _single_ball_perimeter(kernel, float(r)) for r in E.radii
-        ]
-        halves = [
-            _single_ball_perimeter(kernel, float(r), n=96) for r in E.radii
-        ]
-        total = sum(vals)
-        err = abs(total - sum(halves))
-        for i in range(E.count):
-            for j in range(i + 1, E.count):
-                cross = _ball_pair_interaction(
-                    kernel, E.dimension, E.centers[i], float(E.radii[i]), E.centers[j], float(E.radii[j])
-                )
-                cross2 = _ball_pair_interaction(
-                    kernel, E.dimension, E.centers[i], float(E.radii[i]), E.centers[j], float(E.radii[j]), n=48
-                )
-                total -= 2.0 * cross
-                err += 2.0 * abs(cross - cross2)
+        total, err = _balls_perimeter(kernel, E)
         return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     return quadrature.complement_double_integral(E, kernel, spec, box=box)
 
@@ -324,23 +377,7 @@ def riesz(E: Shape, alpha: float, spec: QuadratureSpec) -> IntegralEstimate:
     if geometry.is_empty(E):
         return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
     if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
-        total = sum(_ball_self_riesz(N, alpha, float(r)) for r in E.radii)
-        err = 1e-12 * abs(total)
-        for i in range(E.count):
-            for j in range(i + 1, E.count):
-                c1, r1 = E.centers[i], float(E.radii[i])
-                c2, r2 = E.centers[j], float(E.radii[j])
-                d = float(np.linalg.norm(c2 - c1))
-                if N == 3 and abs(alpha - 1.0) < 1e-12:
-                    # two disjoint balls with a 1/|x-y| interaction behave as
-                    # point masses at their centers (harmonic exterior value)
-                    cross = geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
-                    err += 0.0
-                else:
-                    cross = _ball_pair_interaction(alpha, N, c1, r1, c2, r2)
-                    cross2 = _ball_pair_interaction(alpha, N, c1, r1, c2, r2, n=48)
-                    err += abs(cross - cross2)
-                total += cross
+        total, err = _balls_riesz(alpha, E)
         return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     est = quadrature.double_integral(E, E, alpha, spec)
     return IntegralEstimate(
@@ -356,15 +393,8 @@ def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
     if geometry.is_empty(E):
         return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
     if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
-        total = sum(
-            _ball_background(N, beta, E.centers[i], float(E.radii[i]))
-            for i in range(E.count)
-        )
-        half = sum(
-            _ball_background(N, beta, E.centers[i], float(E.radii[i]), n=256)
-            for i in range(E.count)
-        )
-        return IntegralEstimate(total, abs(total - half), 0, "radial-reduction", spec.seed)
+        total, err = _balls_background(beta, E)
+        return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     sing = quadrature.PointSingularity(np.zeros(N), beta)
     return quadrature.integral_over(E, sing, spec)
 
@@ -387,15 +417,6 @@ def _overlap_volume(U: Shape, W: Shape) -> float:
     if isinstance(U, VoxelShape) and isinstance(W, VoxelShape) and U.same_grid(W):
         both = np.logical_and(U.occupancy, W.occupancy)
         return float(np.count_nonzero(both)) * U.spacing ** U.dimension
-    if isinstance(U, BallConfig) and isinstance(W, BallConfig):
-        for i in range(U.count):
-            for j in range(W.count):
-                d = float(np.linalg.norm(U.centers[i] - W.centers[j]))
-                r = float(U.radii[i] + W.radii[j])
-                if d < r:
-                    cap = min(float(U.radii[i]), float(W.radii[j]), 0.5 * (r - d))
-                    return geometry.unit_ball_volume(U.dimension) * cap ** U.dimension
-        return 0.0
     loU, hiU = U.bounding_box()
     loW, hiW = W.bounding_box()
     lo, hi = np.maximum(loU, loW), np.minimum(hiU, hiW)
@@ -414,38 +435,30 @@ def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate
     """Cross term int_U int_W g(x-y) for essentially disjoint shapes."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    vol = _overlap_volume(U, W)
-    tol = 1e-9 * max(1.0, geometry.volume(U), geometry.volume(W))
-    if vol > tol:
-        raise PreconditionError(
-            f"shapes overlap (intersection volume ~ {vol:.3e}); interaction "
-            "requires essentially disjoint sets"
-        )
+    if isinstance(U, BallConfig) and isinstance(W, BallConfig):
+        d = np.linalg.norm(U.centers[:, None, :] - W.centers[None, :, :], axis=-1)
+        rs = U.radii[:, None] + W.radii[None, :]
+        if np.any(d <= rs):
+            i, j = np.argwhere(d <= rs)[0]
+            raise PreconditionError(
+                f"ball {i} of the first shape and ball {j} of the second are not "
+                f"disjoint (center distance {d[i, j]:.6g} <= radius sum {rs[i, j]:.6g})"
+            )
+    else:
+        vol = _overlap_volume(U, W)
+        tol = 1e-9 * max(1.0, geometry.volume(U), geometry.volume(W))
+        if vol > tol:
+            raise PreconditionError(
+                f"shapes overlap (intersection volume ~ {vol:.3e}); interaction "
+                "requires essentially disjoint sets"
+            )
     if (
         isinstance(U, BallConfig)
         and isinstance(W, BallConfig)
         and spec.method == "tensor-midpoint"
         and (isinstance(g, KernelSpec) or isinstance(g, (int, float)))
     ):
-        N = U.dimension
-        total = 0.0
-        err = 0.0
-        for i in range(U.count):
-            for j in range(W.count):
-                c1, r1 = U.centers[i], float(U.radii[i])
-                c2, r2 = W.centers[j], float(W.radii[j])
-                if (
-                    not isinstance(g, KernelSpec)
-                    and N == 3
-                    and abs(float(g) - 1.0) < 1e-12
-                ):
-                    d = float(np.linalg.norm(c2 - c1))
-                    total += geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
-                else:
-                    val = _ball_pair_interaction(g, N, c1, r1, c2, r2)
-                    val2 = _ball_pair_interaction(g, N, c1, r1, c2, r2, n=48)
-                    total += val
-                    err += abs(val - val2)
+        total, err = _balls_cross(g, U, W)
         return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     return quadrature.double_integral(U, W, g, spec)
 

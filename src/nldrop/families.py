@@ -83,78 +83,33 @@ def single_ball_energy(m: float, params: EnergyParams, spec: QuadratureSpec) -> 
     return energy_mod.total_energy(geometry.ball_of_volume(N, m), params, spec)
 
 
-def _pair_cross_terms(
-    params: EnergyParams, N: int, c1, r1: float, c2, r2: float
-) -> Tuple[float, float, float]:
-    """(cross riesz, cross kernel, error) between two disjoint balls."""
-    d = float(np.linalg.norm(np.asarray(c2, float) - np.asarray(c1, float)))
-    if N == 3 and abs(params.alpha - 1.0) < 1e-12:
-        cross_r = geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
-        err_r = 0.0
-    else:
-        cross_r = energy_mod._ball_pair_interaction(params.alpha, N, c1, r1, c2, r2)
-        err_r = abs(
-            cross_r - energy_mod._ball_pair_interaction(params.alpha, N, c1, r1, c2, r2, n=48)
-        )
-    cross_k = energy_mod._ball_pair_interaction(params.kernel, N, c1, r1, c2, r2)
-    err_k = abs(
-        cross_k - energy_mod._ball_pair_interaction(params.kernel, N, c1, r1, c2, r2, n=48)
-    )
-    return cross_r, cross_k, err_r + 2.0 * err_k
-
-
-def _multi_ball_energy(
-    entries: Sequence[Tuple[np.ndarray, float]],
-    params: EnergyParams,
-    spec: QuadratureSpec,
-    a_indices: Sequence[int],
+def _ball_system_energy(
+    E: BallConfig, params: EnergyParams, spec: QuadratureSpec, charged: int
 ) -> Tuple[EnergyReport, float]:
-    """Assemble the energy of a disjoint union of balls from single-ball
-    terms and pairwise interactions.  Only the balls listed in
-    ``a_indices`` contribute background attraction.  Returns the report
-    and the total cross riesz term (used by the far-separation bound)."""
-    N = params.kernel.dimension
-    k = len(entries)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = float(np.linalg.norm(entries[j][0] - entries[i][0]))
-            if d <= entries[i][1] + entries[j][1]:
-                raise PreconditionError("balls overlap in the composite configuration")
-    p_total = v_total = r_total = 0.0
-    p_err = v_err = r_err = 0.0
-    for i, (c, r) in enumerate(entries):
-        p = energy_mod._single_ball_perimeter(params.kernel, r)
-        p_half = energy_mod._single_ball_perimeter(params.kernel, r, n=96)
-        v = energy_mod._ball_self_riesz(N, params.alpha, r)
-        p_total += p
-        p_err += abs(p - p_half)
-        v_total += v
-        if i in a_indices:
-            b = energy_mod._ball_background(N, params.beta, c, r)
-            b_half = energy_mod._ball_background(N, params.beta, c, r, n=256)
-            r_total += b
-            r_err += abs(b - b_half)
-    cross_r_total = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            cr, ck, err = _pair_cross_terms(
-                params, N, entries[i][0], entries[i][1], entries[j][0], entries[j][1]
-            )
-            v_total += cr
-            cross_r_total += cr
-            p_total -= 2.0 * ck
-            v_err += err
-    total = p_total + v_total - params.A * r_total
-    err = p_err + v_err + params.A * r_err
+    """Energy of a disjoint union of balls from the radial reductions
+    (single-ball terms plus pairwise interactions), under any
+    ``spec.method``.  Only the first ``charged`` balls contribute
+    background attraction.  Returns the report and the total cross riesz
+    term (used by the far-separation bound)."""
+    charged_balls = BallConfig(E.dimension, E.centers[:charged], E.radii[:charged])
+    cross_r = energy_mod._balls_cross(params.alpha, E)
+    p, v, r = (
+        IntegralEstimate(value, err, 0, "radial-reduction", spec.seed)
+        for value, err in (
+            energy_mod._balls_perimeter(params.kernel, E),
+            energy_mod._balls_riesz(params.alpha, E, cross_r),
+            energy_mod._balls_background(params.beta, charged_balls),
+        )
+    )
     report = EnergyReport(
-        perimeter=IntegralEstimate(p_total, p_err, 0, "radial-reduction", spec.seed),
-        riesz=IntegralEstimate(v_total, v_err, 0, "radial-reduction", spec.seed),
-        background=IntegralEstimate(r_total, r_err, 0, "radial-reduction", spec.seed),
-        total=total,
-        error=err,
+        perimeter=p,
+        riesz=v,
+        background=r,
+        total=p.value + v.value - params.A * r.value,
+        error=p.error + v.error + params.A * r.error,
         params=params,
     )
-    return report, cross_r_total
+    return report, cross_r[0]
 
 
 def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
@@ -164,18 +119,14 @@ def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSp
     N = params.kernel.dimension
     if cfg.dimension != N:
         raise ParameterError("configuration dimension does not match the kernel")
+    report, cross_r = _ball_system_energy(cfg.shape(), params, spec, charged=1)
     r1, r2 = cfg.radii
-    entries = [
-        (np.zeros(N), r1),
-        (np.array([cfg.d] + [0.0] * (N - 1)), r2),
-    ]
-    report, cross_r = _multi_ball_energy(entries, params, spec, a_indices=(0,))
-    set_distance = cfg.d - r1 - r2
-    if set_distance >= 0.5 * cfg.d:
+    if cfg.d - r1 - r2 >= 0.5 * cfg.d:
         bound = 2.0 * cfg.m1 * cfg.m2 / cfg.d
-        assert cross_r <= bound * (1.0 + 1e-9) + 3.0 * report.error, (
-            f"cross riesz {cross_r} exceeds the far-separation bound {bound}"
-        )
+        if not cross_r <= bound * (1.0 + 1e-9) + 3.0 * report.error:
+            raise PreconditionError(
+                f"cross riesz {cross_r} exceeds the far-separation bound {bound}"
+            )
     return report
 
 
@@ -254,11 +205,10 @@ def split_advantage(
         touching = 2.0 * _ball_radius(N, mk)
         d_grid = np.geomspace(1.02 * touching, d_max_factor * diam, d_count)
         for d in d_grid:
-            entries = [
-                (np.array([i * float(d)] + [0.0] * (N - 1)), _ball_radius(N, mk))
-                for i in range(kk)
-            ]
-            rep, _ = _multi_ball_energy(entries, params, spec, a_indices=(0,))
+            centers = np.zeros((kk, N))
+            centers[:, 0] = np.arange(kk) * float(d)
+            chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))
+            rep, _ = _ball_system_energy(chain, params, spec, charged=1)
             consider(mk, m - mk, float(d), rep.total, rep.error)
     family_min = min(ref.total, best["total"])
     return FamilySearchResult(
@@ -291,18 +241,11 @@ class SubadditivityProbe:
         return self.residual
 
 
-def _best_entries(m: float, params: EnergyParams, spec: QuadratureSpec, result: FamilySearchResult):
+def _best_balls(m: float, N: int, result: FamilySearchResult) -> BallConfig:
     """Ball layout realizing a family minimum."""
-    N = params.kernel.dimension
     if result.family_min >= result.reference_energy:
-        return [(np.zeros(N), _ball_radius(N, m))]
-    return [
-        (np.zeros(N), _ball_radius(N, result.best_m1)),
-        (
-            np.array([result.best_d] + [0.0] * (N - 1)),
-            _ball_radius(N, result.best_m2),
-        ),
-    ]
+        return geometry.ball_of_volume(N, m)
+    return TwoBallConfig(N, result.best_m1, result.best_m2, result.best_d).shape()
 
 
 def weak_subadditivity_probe(
@@ -330,24 +273,26 @@ def weak_subadditivity_probe(
     fractions = tuple(f for f in fractions if 0.0 < f < 1.0)
     res_sum = split_advantage(m1 + m2, params, spec, fractions=fractions)
 
-    entries1 = _best_entries(m1, params, spec, res1)
-    entries2 = _best_entries(m2, params0, spec, res2)
-    extent = max(float(c[0]) + r for c, r in entries1) + max(
-        float(c[0]) + r for c, r in entries2
+    balls1 = _best_balls(m1, N, res1)
+    balls2 = _best_balls(m2, N, res2)
+    extent = float(np.max(balls1.centers[:, 0] + balls1.radii)) + float(
+        np.max(balls2.centers[:, 0] + balls2.radii)
     )
     D = _FAR_FACTOR * max(extent, 2.0 * _ball_radius(N, m1 + m2))
     shift = np.zeros(N)
     shift[0] = D
-    shifted2 = [(c + shift, r) for c, r in entries2]
-    composite = entries1 + shifted2
-    a_indices = tuple(range(len(entries1)))
-    comp_report, _ = _multi_ball_energy(composite, params, spec, a_indices=a_indices)
+    shifted2 = BallConfig(N, balls2.centers + shift, balls2.radii)
+    composite = BallConfig(
+        N,
+        np.vstack([balls1.centers, shifted2.centers]),
+        np.concatenate([balls1.radii, shifted2.radii]),
+    )
+    comp_report, _ = _ball_system_energy(composite, params, spec, charged=balls1.count)
 
-    inter_gap = 0.0
-    for c1, r1 in entries1:
-        for c2, r2 in shifted2:
-            cr, ck, _ = _pair_cross_terms(params, N, c1, r1, c2, r2)
-            inter_gap += cr + 2.0 * ck
+    inter_gap = (
+        energy_mod._balls_cross(params.alpha, balls1, shifted2)[0]
+        + 2.0 * energy_mod._balls_cross(params.kernel, balls1, shifted2)[0]
+    )
 
     family_min_sum = min(res_sum.family_min, comp_report.total)
     lhs = family_min_sum
@@ -531,8 +476,10 @@ def voxel_local_search(
     # guard against drift in the incrementally tracked pair sums
     phi_fresh = quadrature._pair_field(occ, T_r)
     s_fresh = float(np.sum(phi_fresh[occ]))
-    assert abs(s_fresh - s_r) <= 1e-6 * (1.0 + abs(s_fresh)), "pair-sum drift"
-    assert int(np.count_nonzero(occ)) == count, "volume constraint violated"
+    if not abs(s_fresh - s_r) <= 1e-6 * (1.0 + abs(s_fresh)):
+        raise PreconditionError(f"pair-sum drift: tracked {s_r}, recomputed {s_fresh}")
+    if int(np.count_nonzero(occ)) != count:
+        raise PreconditionError("volume constraint violated")
     best = VoxelShape(
         dimension=2, origin=E0.origin, spacing=E0.spacing, occupancy=best_occ
     )

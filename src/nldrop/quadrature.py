@@ -333,6 +333,23 @@ def _dyadic_stack_integral(boxes, fvec, N, depth) -> float:
     return total
 
 
+def _grid_boxes(axis_edges):
+    """Boxes of the tensor grid with per-axis breakpoints ``axis_edges``,
+    as (lo, hi) pairs with the first axis varying fastest."""
+    N = len(axis_edges)
+    counts = [len(e) - 1 for e in axis_edges]
+    for flat in range(int(np.prod(counts))):
+        lo = np.empty(N)
+        hi = np.empty(N)
+        rem = flat
+        for ax in range(N):
+            k = rem % counts[ax]
+            rem //= counts[ax]
+            lo[ax] = axis_edges[ax][k]
+            hi[ax] = axis_edges[ax][k + 1]
+        yield lo, hi
+
+
 def _axis_breaks(d: float, h: float) -> list:
     """Breakpoints of [d-h, d+h] at the weight apex d and at 0 if interior."""
     pts = [d - h, d, d + h]
@@ -357,19 +374,7 @@ def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, depth: int = _PAI
         return gvec(pts) * w
 
     axis_edges = [_axis_breaks(d[i], h) for i in range(N)]
-    boxes = []
-    counts = [len(e) - 1 for e in axis_edges]
-    for flat in range(int(np.prod(counts))):
-        lo = np.empty(N)
-        hi = np.empty(N)
-        rem = flat
-        for ax in range(N):
-            k = rem % counts[ax]
-            rem //= counts[ax]
-            lo[ax] = axis_edges[ax][k]
-            hi[ax] = axis_edges[ax][k + 1]
-        boxes.append((lo, hi))
-    return _dyadic_stack_integral(boxes, fvec, N, depth)
+    return _dyadic_stack_integral(_grid_boxes(axis_edges), fvec, N, depth)
 
 
 def point_singularity_cell_integral(
@@ -392,25 +397,13 @@ def point_singularity_cell_integral(
         r = np.sqrt(np.sum(pts ** 2, axis=-1))
         return r ** (-exponent)
 
-    boxes = []
     axis_edges = []
     for i in range(N):
         pts = [lo[i], hi[i]]
         if lo[i] < 0.0 < hi[i]:
             pts.insert(1, 0.0)
         axis_edges.append(pts)
-    counts = [len(e) - 1 for e in axis_edges]
-    for flat in range(int(np.prod(counts))):
-        blo = np.empty(N)
-        bhi = np.empty(N)
-        rem = flat
-        for ax in range(N):
-            k = rem % counts[ax]
-            rem //= counts[ax]
-            blo[ax] = axis_edges[ax][k]
-            bhi[ax] = axis_edges[ax][k + 1]
-        boxes.append((blo, bhi))
-    return _dyadic_stack_integral(boxes, fvec, N, depth)
+    return _dyadic_stack_integral(_grid_boxes(axis_edges), fvec, N, depth)
 
 
 # ---------------------------------------------------------------------------

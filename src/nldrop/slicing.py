@@ -567,15 +567,8 @@ def averaged_mass_bound(E: Shape, params: EnergyParams, spec: QuadratureSpec) ->
 
     b_exp = params.beta - 1.0
     if isinstance(E, geometry.BallConfig) and spec.method == "tensor-midpoint":
-        total = sum(
-            energy_mod._ball_background(N, b_exp, E.centers[i], float(E.radii[i]))
-            for i in range(E.count)
-        )
-        half = sum(
-            energy_mod._ball_background(N, b_exp, E.centers[i], float(E.radii[i]), n=256)
-            for i in range(E.count)
-        )
-        b_est = IntegralEstimate(total, abs(total - half), 0, "radial-reduction", spec.seed)
+        total, err = energy_mod._balls_background(b_exp, E)
+        b_est = IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     else:
         b_est = quadrature.integral_over(E, PointSingularity(np.zeros(N), b_exp), spec)
 

@@ -227,7 +227,11 @@ class TestInteraction:
     def test_overlap_rejected(self):
         U = geometry.BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([1.0]))
         W = geometry.BallConfig(dimension=2, centers=np.array([[0.5, 0.0]]), radii=np.array([1.0]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError,
+            match=r"ball 0 of the first shape and ball 0 of the second are not "
+            r"disjoint \(center distance 0\.5 <= radius sum 2\)",
+        ):
             interaction(U, W, 1.0, QuadratureSpec())
 
     def test_empty_factor_gives_zero(self):

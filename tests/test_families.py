@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nldrop import energy as energy_mod
 from nldrop import geometry
 from nldrop.energy import EnergyParams, background, perimeter, riesz
 from nldrop.errors import ParameterError, PreconditionError
@@ -99,6 +100,45 @@ class TestTwoBallEnergy:
         cfg = TwoBallConfig(dimension=2, m1=1.0, m2=1.0, d=3.0)
         with pytest.raises(ParameterError):
             two_ball_energy(cfg, make_params(), QuadratureSpec())
+
+    def test_far_separation_bound_violation_raises(self, monkeypatch):
+        # an explicit error, not an assert that python -O strips
+        real_cross = energy_mod._balls_cross
+
+        def inflated_cross(g, U, W=None):
+            value, err = real_cross(g, U, W)
+            return (value if isinstance(g, KernelSpec) else 1e6, err)
+
+        monkeypatch.setattr(energy_mod, "_balls_cross", inflated_cross)
+        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
+        with pytest.raises(PreconditionError, match="far-separation bound"):
+            two_ball_energy(cfg, make_params(A=0.0), QuadratureSpec())
+
+    @pytest.mark.parametrize("N, expected", [(2, 4), (3, 2)])
+    def test_pair_integral_evaluations(self, monkeypatch, N, expected):
+        # kernel cross term at n and n/2, riesz likewise unless the 3-D
+        # alpha = 1 point-mass closed form applies
+        calls = []
+        real_pair = energy_mod._ball_pair_interaction
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_pair(*args, **kwargs)
+
+        monkeypatch.setattr(energy_mod, "_ball_pair_interaction", counted)
+        kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
+        params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
+        two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params, QuadratureSpec())
+        assert len(calls) == expected
+
+    def test_radial_reduction_under_any_spec(self):
+        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
+        params = make_params()
+        default = two_ball_energy(cfg, params, QuadratureSpec())
+        mc = two_ball_energy(cfg, params, QuadratureSpec(method="monte-carlo", seed=4))
+        for est in (mc.perimeter, mc.riesz, mc.background):
+            assert est.method == "radial-reduction"
+        assert mc.total == default.total
 
 
 class TestSplitAdvantage:
