@@ -52,7 +52,6 @@ _QUAD = {
     "quad.method": "str",
     "quad.budget": "int",
     "quad.padding": "float",
-    "quad.diagonal_rule": "str",
 }
 _KERNEL = {
     "kernel.kind": "str",
@@ -127,7 +126,6 @@ _DEFAULTS: Dict[str, object] = {
     "quad.method": "tensor-midpoint",
     "quad.budget": 0,
     "quad.padding": 2.0,
-    "quad.diagonal_rule": "pair-offset",
     "kernel.kind": "fractional",
     "kernel.dimension": 2,
     "kernel.s": 0.5,
@@ -364,7 +362,6 @@ def _build_spec(config) -> QuadratureSpec:
         budget=int(budget) if budget else None,
         seed=int(config.get("seed", 0)),
         padding=float(config.get("quad.padding", 2.0)),
-        diagonal_rule=config.get("quad.diagonal_rule", "pair-offset"),
     )
 
 

@@ -479,23 +479,9 @@ class DecompositionCheck:
 
 
 def _common_voxel_pair(U: Shape, W: Shape, spec: QuadratureSpec):
-    if (
-        isinstance(U, VoxelShape)
-        and isinstance(W, VoxelShape)
-        and abs(U.spacing - W.spacing) <= 1e-12 * U.spacing
-    ):
-        occU, occW, origin, h = quadrature._common_grid(U, W)
-        vU = VoxelShape(U.dimension, origin, h, occU)
-        vW = VoxelShape(W.dimension, origin, h, occW)
-        return vU, vW
     N = U.dimension
-    loU, hiU = U.bounding_box()
-    loW, hiW = W.bounding_box()
-    lo, hi = np.minimum(loU, loW), np.maximum(hiU, hiW)
-    n = max(4, int(round(spec.resolved_budget(N) ** (1.0 / N))))
-    vU = quadrature.voxelize(U, cells_per_axis=n, box=(lo, hi))
-    vW = quadrature.voxelize(W, cells_per_axis=n, box=(lo, hi))
-    return vU, vW
+    occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(N), False)
+    return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW)
 
 
 def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> DecompositionCheck:

@@ -115,14 +115,15 @@ def _ball_system_energy(
 def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
     """Energy of the two-ball configuration; the origin ball carries the
     background term.  When the set distance is at least d/2 the cross
-    riesz term is checked against the far-separation bound 2 m1 m2 / d."""
+    riesz term is checked against the far-separation bound
+    m1 m2 (2 / d)^alpha."""
     N = params.kernel.dimension
     if cfg.dimension != N:
         raise ParameterError("configuration dimension does not match the kernel")
     report, cross_r = _ball_system_energy(cfg.shape(), params, spec, charged=1)
     r1, r2 = cfg.radii
     if cfg.d - r1 - r2 >= 0.5 * cfg.d:
-        bound = 2.0 * cfg.m1 * cfg.m2 / cfg.d
+        bound = cfg.m1 * cfg.m2 * (2.0 / cfg.d) ** params.alpha
         if not cross_r <= bound * (1.0 + 1e-9) + 3.0 * report.error:
             raise PreconditionError(
                 f"cross riesz {cross_r} exceeds the far-separation bound {bound}"
@@ -364,10 +365,8 @@ def voxel_local_search(
     h = E0.spacing
     igd_k = quadrature.kernel_integrand(params.kernel)
     igd_r = quadrature.riesz_integrand(N, params.alpha)
-    T_k = quadrature._stencil(dims, h, igd_k, spec.diagonal_rule)
-    T_r = quadrature._stencil(dims, h, igd_r, spec.diagonal_rule)
-    t0_k = float(T_k[tuple(d - 1 for d in dims)])
-    t0_r = float(T_r[tuple(d - 1 for d in dims)])
+    T_k = quadrature._stencil(dims, h, igd_k)
+    T_r = quadrature._stencil(dims, h, igd_r)
 
     box_lo = E0.origin
     box_hi = E0.origin + np.array(dims) * h
@@ -379,21 +378,10 @@ def voxel_local_search(
     col_k = quadrature._pair_field(np.ones(dims, dtype=bool), T_k)
     a_field = col_k + tail
 
-    r_cells = np.linalg.norm(all_centers, axis=1).reshape(dims)
-    with np.errstate(divide="ignore"):
-        b_field = np.where(r_cells > 0, r_cells ** (-params.beta), 0.0) * h ** N
-    d_inf = np.max(np.abs(all_centers), axis=1).reshape(dims)
-    sing = np.argwhere(d_inf <= 0.5 * h + 1e-12 * h)
-    for cell in sing:
-        cl = box_lo + cell * h
-        if params.beta >= N:
-            b_field[tuple(cell)] = 0.0
-        elif params.beta != 0.0:
-            b_field[tuple(cell)] = quadrature.point_singularity_cell_integral(
-                cl, cl + h, np.zeros(N), params.beta, N
-            )
-        else:
-            b_field[tuple(cell)] = h ** N
+    b_means, _ = quadrature._singular_cell_means(
+        all_centers, h, quadrature.PointSingularity(np.zeros(N), params.beta)
+    )
+    b_field = b_means.reshape(dims) * h ** N
     lin = a_field - params.A * b_field
 
     phi_k = quadrature._pair_field(occ, T_k)
@@ -403,12 +391,6 @@ def voxel_local_search(
 
     def current_energy():
         return float(np.sum(lin[occ])) - s_k + 0.5 * s_r
-
-    def window(cell):
-        return tuple(
-            slice(dims[ax] - 1 - cell[ax], 2 * dims[ax] - 1 - cell[ax])
-            for ax in range(N)
-        )
 
     rng = np.random.default_rng(seed)
     energy_now = current_energy()
@@ -421,11 +403,13 @@ def voxel_local_search(
         emp_list = np.argwhere(emp_b if np.any(emp_b) else ~occ)
         u = tuple(occ_list[rng.integers(len(occ_list))])
         v = tuple(emp_list[rng.integers(len(emp_list))])
-        off = tuple(v[ax] - u[ax] + dims[ax] - 1 for ax in range(N))
         # moving a cell removes u's pair terms (including its diagonal T0)
-        # and adds v's against E - {u}: dS = 2 phi(v) - 2 phi(u) - 2 T[v-u] + 2 T0
-        d_sk = 2.0 * (float(phi_k[v]) - float(phi_k[u]) - float(T_k[off]) + t0_k)
-        d_sr = 2.0 * (float(phi_r[v]) - float(phi_r[u]) - float(T_r[off]) + t0_r)
+        # and adds v's against E - {u}: dS = 2 phi(v) - 2 phi(u) - 2 T[v-u] + 2 T0,
+        # where u's stencil window holds T[v-u] at v and T0 at u
+        w_k = quadrature._stencil_window(T_k, u)
+        w_r = quadrature._stencil_window(T_r, u)
+        d_sk = 2.0 * (float(phi_k[v]) - float(phi_k[u]) - float(w_k[v]) + float(w_k[u]))
+        d_sr = 2.0 * (float(phi_r[v]) - float(phi_r[u]) - float(w_r[v]) + float(w_r[u]))
         delta = float(lin[v]) - float(lin[u]) - d_sk + 0.5 * d_sr
         return u, v, d_sk, d_sr, delta
 
@@ -441,10 +425,10 @@ def voxel_local_search(
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
             occ[u] = False
             occ[v] = True
-            phi_k += T_k[window(v)]
-            phi_k -= T_k[window(u)]
-            phi_r += T_r[window(v)]
-            phi_r -= T_r[window(u)]
+            phi_k += quadrature._stencil_window(T_k, v)
+            phi_k -= quadrature._stencil_window(T_k, u)
+            phi_r += quadrature._stencil_window(T_r, v)
+            phi_r -= quadrature._stencil_window(T_r, u)
             s_k += d_sk
             s_r += d_sr
             energy_now += delta

@@ -22,6 +22,7 @@ batch standard errors (Monte Carlo).  They are proxies, not bounds.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -56,13 +57,10 @@ class QuadratureSpec:
     budget: Optional[int] = None
     seed: int = 0
     padding: float = 2.0
-    diagonal_rule: str = "pair-offset"
 
     def __post_init__(self):
         if self.method not in ("tensor-midpoint", "monte-carlo"):
             raise ParameterError(f"unknown quadrature method {self.method!r}")
-        if self.diagonal_rule not in ("pair-offset", "skip-and-bound"):
-            raise ParameterError(f"unknown diagonal rule {self.diagonal_rule!r}")
         if self.budget is not None and self.budget < 1000:
             raise ParameterError(f"budget must be >= 1000, got {self.budget}")
         if self.padding < 0:
@@ -131,10 +129,10 @@ class OffsetIntegrand:
     """A stationary pair integrand g evaluated at the offset z = y - x.
 
     ``sigma`` is the strength of the |z|^-sigma behavior at z = 0 (0 for
-    bounded integrands); it controls near-diagonal refinement.  Radial
-    integrands set ``ray_tail`` (per-steradian tail integral of
-    g(r) r^(N-1) from rho to infinity) to enable complement tails, and
-    ``near_moment`` (the same integral from 0 to rho) for diagonal bounds.
+    bounded integrands); it sets how many near-diagonal stencil offsets get
+    exact cell-pair integrals.  Radial integrands set ``ray_tail``
+    (per-steradian tail integral of g(r) r^(N-1) from rho to infinity) to
+    enable complement tails.
     """
 
     dimension: int
@@ -142,7 +140,6 @@ class OffsetIntegrand:
     vec: Callable[[np.ndarray], np.ndarray]
     cache_token: object
     ray_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    near_moment: Optional[Callable[[float], float]] = None
 
 
 def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
@@ -153,7 +150,6 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
 
     if kernel.kind == "fractional":
         ray_tail = lambda rho: np.asarray(rho, dtype=float) ** (-s) / s
-        near = lambda rho: math.inf
     elif kernel.kind == "truncated-fractional":
         r_cap = kernel.cap ** (-1.0 / (N + s))
 
@@ -162,11 +158,6 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
             frac = np.maximum(rho, r_cap) ** (-s) / s
             flat = kernel.cap * np.clip(r_cap ** N - rho ** N, 0.0, None) / N
             return frac + flat
-
-        def near(rho):
-            if rho <= r_cap:
-                return kernel.cap * rho ** N / N
-            return kernel.cap * r_cap ** N / N + (r_cap ** (-s) - rho ** (-s)) / s
 
     else:  # tabulated: interpolate the tail integral on a log grid
         _tail_cache = {}
@@ -188,24 +179,12 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
             grid, vals = _tail_cache[key]
             return np.interp(np.log(rho), np.log(grid), vals)
 
-        def near(rho):
-            from scipy import integrate
-
-            val, _ = integrate.quad(
-                lambda r: float(kernels.eval_kernel_radial(kernel, r)) * r ** (N - 1),
-                0.0,
-                rho,
-                limit=100,
-            )
-            return val
-
     return OffsetIntegrand(
         dimension=N,
         sigma=N + s,
         vec=vec,
         cache_token=kernel.cache_token,
         ray_tail=ray_tail,
-        near_moment=near,
     )
 
 
@@ -222,8 +201,6 @@ def riesz_integrand(N: int, alpha: float) -> OffsetIntegrand:
         sigma=alpha,
         vec=vec,
         cache_token=("riesz", N, alpha),
-        ray_tail=None,
-        near_moment=lambda rho: rho ** (N - alpha) / (N - alpha),
     )
 
 
@@ -241,8 +218,6 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=kernel.sigma - 1.0,
         vec=vec,
         cache_token=("moment1",) + (kernel.cache_token,),
-        ray_tail=None,
-        near_moment=None,
     )
 
 
@@ -264,8 +239,6 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
         sigma=0.0,
         vec=vec,
         cache_token=("dirpos", N) + tuple(float(v) for v in nu),
-        ray_tail=None,
-        near_moment=None,
     )
 
 
@@ -383,7 +356,8 @@ def point_singularity_cell_integral(
     """Integral of |x - center|^(-exponent) over the box [lo, hi].
 
     Handles the singular point inside the box by dyadic refinement; the
-    exponent must be below N for convergence.
+    exponent must be below N for convergence.  A singular point within
+    rounding (1e-12 of the box side) of a face counts as on that face.
     """
     if exponent >= N:
         raise ParameterError(
@@ -392,6 +366,9 @@ def point_singularity_cell_integral(
         )
     lo = np.asarray(lo, dtype=float) - np.asarray(center, dtype=float)
     hi = np.asarray(hi, dtype=float) - np.asarray(center, dtype=float)
+    tol = 1e-12 * (hi - lo)
+    lo = np.where(np.abs(lo) <= tol, 0.0, lo)
+    hi = np.where(np.abs(hi) <= tol, 0.0, hi)
 
     def fvec(pts):
         r = np.sqrt(np.sum(pts ** 2, axis=-1))
@@ -406,22 +383,57 @@ def point_singularity_cell_integral(
     return _dyadic_stack_integral(_grid_boxes(axis_edges), fvec, N, depth)
 
 
+def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
+    """Per-cell mean of |x - center|^(-exponent) over the cubic cells of
+    side h centered at ``centers`` (shape (k, N)).
+
+    Ordinary cells take the midpoint value.  Every cell touching the
+    singular point (a point on a face or corner belongs to each touching
+    cell, so the per-cell integrals add up consistently across any
+    partition of a shape) is integrated by dyadic refinement; when the
+    exponent is at least N that integral diverges, the cell is excluded
+    (mean 0) and a warning is returned.  Returns (means, warning).
+    """
+    N = centers.shape[-1]
+    vals = sing.vec(centers)
+    if sing.exponent == 0:  # constant integrand: the midpoint value is exact
+        return vals, None
+    d_inf = np.max(np.abs(centers - sing.center), axis=-1)
+    warn = None
+    for i in np.nonzero(d_inf <= 0.5 * h + 1e-12 * h)[0]:
+        if sing.exponent >= N:
+            vals[i] = 0.0
+            warn = (
+                "singular cell excluded: exponent >= dimension makes the "
+                "cell integral divergent"
+            )
+        else:
+            vals[i] = point_singularity_cell_integral(
+                centers[i] - 0.5 * h, centers[i] + 0.5 * h, sing.center, sing.exponent, N
+            ) / h ** N
+    return vals, warn
+
+
 # ---------------------------------------------------------------------------
 # Stencils and FFT pair sums
 
-_STENCIL_CACHE: dict = {}
+# Least recently used tables are evicted once the cache holds more bytes
+# than this; the largest table (_MAX_CONV_CELLS doubles) always fits.
+_STENCIL_CACHE_BYTES = 512 << 20
+_STENCIL_CACHE: OrderedDict = OrderedDict()
 
 
-def _stencil(dims, h: float, igd: OffsetIntegrand, rule: str) -> np.ndarray:
+def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     """Pair-sum table T indexed by cell offset (shifted by dims - 1):
     T[off] = integral of g(y - x) over an ordered pair of cells with center
     offset off * h.  Far offsets use the midpoint value g(off*h) h^(2N);
     near offsets (inf-norm <= 2 for strongly singular g, <= 1 otherwise)
-    use exact cell-pair integrals under the "pair-offset" rule."""
+    and, for sigma < N, the zero offset use exact cell-pair integrals."""
     N = igd.dimension
-    key = (igd.cache_token, tuple(dims), float(h), rule)
+    key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)
     if hit is not None:
+        _STENCIL_CACHE.move_to_end(key)
         return hit
     shape = tuple(2 * d - 1 for d in dims)
     if np.prod(shape) > _MAX_CONV_CELLS:
@@ -448,16 +460,17 @@ def _stencil(dims, h: float, igd: OffsetIntegrand, rule: str) -> np.ndarray:
             T[sl] = vals
 
     near_width = 2 if igd.sigma >= N - 0.5 else 1
-    if rule == "pair-offset":
-        near_sel = np.nonzero((r0 <= near_width) & (r0 > 0))[0]
-        for i in near_sel:
-            T[i] = cell_pair_integral(offsets[i] * h, h, igd.vec, N)
-        if igd.sigma < N:
-            center = np.nonzero(r0 == 0)[0]
-            T[center] = cell_pair_integral(np.zeros(N), h, igd.vec, N)
+    near_sel = np.nonzero((r0 <= near_width) & (r0 > 0))[0]
+    for i in near_sel:
+        T[i] = cell_pair_integral(offsets[i] * h, h, igd.vec, N)
+    if igd.sigma < N:
+        center = np.nonzero(r0 == 0)[0]
+        T[center] = cell_pair_integral(np.zeros(N), h, igd.vec, N)
     T = T.reshape(shape)
     T.setflags(write=False)
     _STENCIL_CACHE[key] = T
+    while sum(t.nbytes for t in _STENCIL_CACHE.values()) > _STENCIL_CACHE_BYTES:
+        _STENCIL_CACHE.popitem(last=False)
     return T
 
 
@@ -467,6 +480,13 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     conv = signal.fftconvolve(occ.astype(float), rev, mode="full")
     sl = tuple(slice(d - 1, 2 * d - 1) for d in occ.shape)
     return conv[sl]
+
+
+def _stencil_window(T: np.ndarray, cell) -> np.ndarray:
+    """View of T over the grid: entry i is T[(i - cell) + dims - 1], the
+    pair-sum contribution of ``cell`` to cell i.  Its entry at ``cell``
+    is the zero-offset (same-cell) value."""
+    return T[tuple(slice(n // 2 - c, n - c) for n, c in zip(T.shape, cell))]
 
 
 def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
@@ -671,31 +691,10 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
         if grid.count == 0:
             return 0.0, None
         h = grid.spacing
-        centers = grid.cell_centers()
-        vals = fvec(centers)
-        warn = None
         if sing is not None:
-            d_inf = np.max(np.abs(centers - sing.center), axis=-1)
-            # a point on a face or corner belongs to every touching cell,
-            # so correct each of them; the per-cell integrals then add up
-            # consistently across any partition of the shape
-            inside = d_inf <= 0.5 * h + 1e-12 * h
-            for i in np.nonzero(inside)[0]:
-                cell_lo = centers[i] - 0.5 * h
-                cell_hi = centers[i] + 0.5 * h
-                if sing.exponent >= N:
-                    vals[i] = 0.0
-                    warn = (
-                        "singular cell excluded: exponent >= dimension makes the "
-                        "cell integral divergent"
-                    )
-                else:
-                    vals[i] = (
-                        point_singularity_cell_integral(
-                            cell_lo, cell_hi, sing.center, sing.exponent, N
-                        )
-                        / h ** N
-                    )
+            vals, warn = _singular_cell_means(grid.cell_centers(), h, sing)
+        else:
+            vals, warn = fvec(grid.cell_centers()), None
         return float(np.sum(vals)) * h ** N, warn
 
     fine = _as_grid(E, budget)
@@ -748,26 +747,13 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
         return _generic_tensor_double(E, F, g, spec, budget)
 
     def tensor_value(coarse: bool):
-        gE, gF, origin, h, union_box = _pair_grids(E, F, budget, coarse)
-        T = _stencil(gE.shape, h, igd, spec.diagonal_rule)
-        val = _fft_pair_sum(gE, gF, T)
-        bound = 0.0
-        if spec.diagonal_rule == "skip-and-bound":
-            overlap = int(np.count_nonzero(gE & gF))
-            if overlap:
-                rho = math.sqrt(N) * h
-                m = igd.near_moment(rho) if igd.near_moment is not None else math.inf
-                bound = overlap * geometry.unit_sphere_area(N) * m
-        cells = int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
-        return val, bound, cells
+        gE, gF, _, h = _pair_grids(E, F, budget, coarse)
+        val = _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd))
+        return val, int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
 
-    value, bound, cells = tensor_value(False)
-    value2, _, _ = tensor_value(True)
-    err = abs(value - value2) + bound
-    warn = "diagonal cells skipped; analytic bound added to the error" if bound else None
-    if bound == math.inf:
-        warn = "diagonal bound divergent for this integrand; value excludes coincident cells"
-    return IntegralEstimate(value, err, cells, "tensor-midpoint", spec.seed, warn)
+    value, cells = tensor_value(False)
+    value2, _ = tensor_value(True)
+    return IntegralEstimate(value, abs(value - value2), cells, "tensor-midpoint", spec.seed)
 
 
 def _safe_offset_eval(igd: OffsetIntegrand, z: np.ndarray) -> np.ndarray:
@@ -781,7 +767,9 @@ def _safe_offset_eval(igd: OffsetIntegrand, z: np.ndarray) -> np.ndarray:
 
 
 def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
-    """Common-grid occupancy views of E and F plus the shared box."""
+    """Occupancies of E and F on one common grid, with its origin and
+    spacing: same-spacing voxel shapes keep their cells, anything else is
+    voxelized on the union of the bounding boxes."""
     if (
         isinstance(E, VoxelShape)
         and isinstance(F, VoxelShape)
@@ -789,9 +777,7 @@ def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
     ):
         vE = _coarse_voxel(E) if coarse else E
         vF = _coarse_voxel(F) if coarse else F
-        occE, occF, origin, h = _common_grid(vE, vF)
-        hi = origin + np.array(occE.shape) * h
-        return occE, occF, origin, h, (origin, hi)
+        return _common_grid(vE, vF)
     loE, hiE = E.bounding_box()
     loF, hiF = F.bounding_box()
     lo = np.minimum(loE, loF)
@@ -801,7 +787,7 @@ def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
         n = max(4, n // 2)
     gE = voxelize(E, cells_per_axis=n, box=(lo, hi))
     gF = voxelize(F, cells_per_axis=n, box=(lo, hi))
-    return gE.occupancy, gF.occupancy, gE.origin, gE.spacing, (lo, hi)
+    return gE.occupancy, gF.occupancy, gE.origin, gE.spacing
 
 
 def _generic_tensor_double(E, F, g, spec, budget) -> IntegralEstimate:
@@ -873,7 +859,7 @@ def complement_double_integral(
         )
         occE[sl] = grid.occupancy
         occC = ~occE
-        T = _stencil(dims, h, igd, spec.diagonal_rule)
+        T = _stencil(dims, h, igd)
         near = _fft_pair_sum(occE, occC, T)
         box_lo = blo
         box_hi = blo + np.array(dims) * h

@@ -152,23 +152,17 @@ class _SweepData:
         order = np.argsort(-proj, kind="stable")
         n = len(order)
         dims = self.vox.occupancy.shape
-        ndim = len(dims)
         phi = {name: np.zeros(dims) for name in self.stencils}
         s_uu = {name: 0.0 for name in self.stencils}
         cum_ue = {name: np.zeros(n + 1) for name in self.stencils}
         cross = {name: np.zeros(n + 1) for name in self.stencils}
         cum_cells = {name: np.zeros(n + 1) for name, _ in self.cell_fields.items()}
-        center_index = tuple(d - 1 for d in dims)
         for k, ci in enumerate(order):
             cell = tuple(self.idx[ci])
             for name, T in self.stencils.items():
-                t0 = float(T[center_index])
-                s_uu[name] += 2.0 * float(phi[name][cell]) + t0
-                window = tuple(
-                    slice(dims[ax] - 1 - cell[ax], 2 * dims[ax] - 1 - cell[ax])
-                    for ax in range(ndim)
-                )
-                phi[name] += T[window]
+                window = quadrature._stencil_window(T, cell)
+                s_uu[name] += 2.0 * float(phi[name][cell]) + float(window[cell])
+                phi[name] += window
                 cum_ue[name][k + 1] = cum_ue[name][k] + float(
                     self.field_totals[name][cell]
                 )
@@ -185,37 +179,15 @@ class _SweepData:
         return len(asc) - int(np.searchsorted(asc, l, side="left"))
 
 
-def _background_cell_field(vox: VoxelShape, beta: float):
-    """Per-cell integrals of |x|^{-beta} (midpoint; exact on the cell that
-    contains the origin).  Returns (field over the grid, warning)."""
-    N = vox.dimension
-    h = vox.spacing
+def _background_cell_field(vox: VoxelShape, beta: float) -> np.ndarray:
+    """Per-cell integrals of |x|^{-beta} over the occupied cells of ``vox``
+    (zero elsewhere)."""
     fld = np.zeros(vox.occupancy.shape)
-    idx = np.argwhere(vox.occupancy)
-    if len(idx) == 0:
-        return fld, None
-    centers = vox.origin + (idx + 0.5) * h
-    r = np.linalg.norm(centers, axis=1)
-    warn = None
-    vals = np.zeros(len(idx))
-    pos = r > 0.5 * h * 1e-9
-    vals[pos] = r[pos] ** (-beta) * h ** N
-    d_inf = np.max(np.abs(centers), axis=1)
-    inside = d_inf <= 0.5 * h + 1e-12 * h
-    for i in np.nonzero(inside)[0]:
-        lo = centers[i] - 0.5 * h
-        hi = centers[i] + 0.5 * h
-        if beta >= N:
-            vals[i] = 0.0
-            warn = "singular cell excluded: background exponent >= dimension"
-        elif beta != 0.0:
-            vals[i] = quadrature.point_singularity_cell_integral(
-                lo, hi, np.zeros(N), beta, N
-            )
-        else:
-            vals[i] = h ** N
-    fld[tuple(idx.T)] = vals
-    return fld, warn
+    if vox.count:
+        sing = PointSingularity(np.zeros(vox.dimension), beta)
+        means, _ = quadrature._singular_cell_means(vox.cell_centers(), vox.spacing, sing)
+        fld[vox.occupancy] = means * vox.spacing ** vox.dimension
+    return fld
 
 
 def default_direction_grid(N: int, count: Optional[int] = None) -> np.ndarray:
@@ -296,21 +268,13 @@ def scan(
     def sweep_tables(v: VoxelShape):
         h = v.spacing
         dims = v.occupancy.shape
-        T_r = quadrature._stencil(
-            dims, h, quadrature.riesz_integrand(N, params.alpha), spec.diagonal_rule
-        )
-        T_k = quadrature._stencil(
-            dims, h, quadrature.kernel_integrand(params.kernel), spec.diagonal_rule
-        )
-        bfield, warn = _background_cell_field(v, params.beta)
-        data = _SweepData(
-            v, {"riesz": T_r, "kernel": T_k}, {"background": bfield}
-        )
-        return data, warn
+        T_r = quadrature._stencil(dims, h, quadrature.riesz_integrand(N, params.alpha))
+        T_k = quadrature._stencil(dims, h, quadrature.kernel_integrand(params.kernel))
+        bfield = _background_cell_field(v, params.beta)
+        return _SweepData(v, {"riesz": T_r, "kernel": T_k}, {"background": bfield})
 
-    data, _ = sweep_tables(vox)
-    coarse_vox = quadrature._coarse_voxel(vox)
-    data_c, _ = sweep_tables(coarse_vox)
+    data = sweep_tables(vox)
+    data_c = sweep_tables(quadrature._coarse_voxel(vox))
 
     for nu in nu_grid:
         levels = (
@@ -420,10 +384,8 @@ def layer_cake_checks(
         E, budget=spec.resolved_budget(N)
     )
     h = vox.spacing
-    T_r = quadrature._stencil(
-        vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0), spec.diagonal_rule
-    )
-    bfield, _ = _background_cell_field(vox, beta)
+    T_r = quadrature._stencil(vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0))
+    bfield = _background_cell_field(vox, beta)
     data = _SweepData(vox, {"riesz": T_r}, {"background": bfield})
     proj, cross, cells = data.sweep(nu)
     if len(proj) == 0:

@@ -114,6 +114,13 @@ class TestTwoBallEnergy:
         with pytest.raises(PreconditionError, match="far-separation bound"):
             two_ball_energy(cfg, make_params(A=0.0), QuadratureSpec())
 
+    def test_far_separation_bound_holds_for_alpha_below_one(self):
+        # for |x - y| >= d/2 the cross riesz term is at most m1 m2 (2/d)^alpha;
+        # the alpha = 1 bound 2 m1 m2 / d is too small when alpha < 1
+        params = EnergyParams(kernel=kernel3(), A=1.0, alpha=0.5, beta=1.0)
+        result = split_advantage(2.0, params, QuadratureSpec(), d_count=3)
+        assert math.isfinite(result.margin)
+
     @pytest.mark.parametrize("N, expected", [(2, 4), (3, 2)])
     def test_pair_integral_evaluations(self, monkeypatch, N, expected):
         # kernel cross term at n and n/2, riesz likewise unless the 3-D

@@ -6,12 +6,13 @@ frozen here; the engine must reproduce them without sharing code paths.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from nldrop.errors import ParameterError
-from nldrop import geometry
+from nldrop import geometry, quadrature
 from nldrop.kernels import KernelSpec
 from nldrop.quadrature import (
     IntegralEstimate,
@@ -38,6 +39,8 @@ ADJACENT_N2_SIGMA1_H025 = 0.01737701077889105
 DIAGONAL_N2_FRAC_HALF_H025 = 0.08450104983574339
 POINTSING_BOX_N2 = 4.744602115449199
 POINTSING_SMOOTH_N2 = 0.29887985952395063
+# |x|^-1 over [-0.7, 0.3] x [-1, 0], the singular point on the top face
+POINTSING_FACE_N2 = 2.3321427312412855
 
 # high-accuracy radial reduction value for the fractional boundary energy
 # of the unit disk at s = 1/2 (checked against two independent quadratures)
@@ -60,10 +63,6 @@ class TestSpecValidation:
     def test_negative_padding(self):
         with pytest.raises(ParameterError):
             QuadratureSpec(padding=-1.0)
-
-    def test_unknown_diagonal_rule(self):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(diagonal_rule="ignore")
 
     def test_riesz_exponent_range(self):
         with pytest.raises(ParameterError):
@@ -109,6 +108,12 @@ class TestPointSingularityCell:
         got = point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], -1.5, 2)
         assert got == pytest.approx(POINTSING_SMOOTH_N2, rel=1e-9)
 
+    def test_singular_point_within_rounding_of_a_face(self):
+        # a face computed as (-h/2) + h/2 can land 1e-17 beside the singular
+        # point; the box must still be refined as if the point were on it
+        got = point_singularity_cell_integral([-0.7, -1.0], [0.3, -1e-17], [0, 0], 1.0, 2)
+        assert got == pytest.approx(POINTSING_FACE_N2, rel=1e-5)
+
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ParameterError):
             point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 2.0, 2)
@@ -117,8 +122,25 @@ class TestPointSingularityCell:
 class TestStencilAndPairSum:
     def test_stencil_is_symmetric(self):
         rz = riesz_integrand(2, 1.0)
-        T = _stencil((6, 5), 0.2, rz, "pair-offset")
+        T = _stencil((6, 5), 0.2, rz)
         assert np.allclose(T, T[::-1, ::-1], rtol=1e-12, atol=0)
+
+    def test_cache_is_bounded_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_STENCIL_CACHE", OrderedDict())
+        # room for two 7 x 7 tables of doubles
+        monkeypatch.setattr(quadrature, "_STENCIL_CACHE_BYTES", 2 * 49 * 8)
+        igd = quadrature.directional_positive_integrand(np.array([1.0, 0.0]))
+        keys = [(igd.cache_token, (4, 4), h) for h in (0.1, 0.2, 0.3)]
+        tables = [_stencil((4, 4), h, igd) for _, _, h in keys]
+        cache = quadrature._STENCIL_CACHE
+        assert sum(t.nbytes for t in cache.values()) <= quadrature._STENCIL_CACHE_BYTES
+        assert keys[0] not in cache
+        assert list(cache) == keys[1:]
+        assert _stencil((4, 4), 0.3, igd) is tables[-1]
+        # a hit makes its table the most recently used one
+        _stencil((4, 4), 0.2, igd)
+        _stencil((4, 4), 0.4, igd)
+        assert list(cache) == [keys[1], (igd.cache_token, (4, 4), 0.4)]
 
     def test_fft_pair_sum_matches_direct_loop(self):
         rng = np.random.default_rng(7)
@@ -126,7 +148,7 @@ class TestStencilAndPairSum:
         b = rng.random((6, 5)) < 0.5
         rz = riesz_integrand(2, 1.0)
         h = 0.3
-        T = _stencil((6, 5), h, rz, "pair-offset")
+        T = _stencil((6, 5), h, rz)
         got = _fft_pair_sum(a, b, T)
         direct = 0.0
         for i in np.argwhere(a):
