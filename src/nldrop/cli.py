@@ -51,7 +51,6 @@ _COMMON = {
 _QUAD = {
     "quad.method": "str",
     "quad.budget": "int",
-    "quad.padding": "float",
 }
 _KERNEL = {
     "kernel.kind": "str",
@@ -125,7 +124,6 @@ _DEFAULTS: Dict[str, object] = {
     "output_dir": "",
     "quad.method": "tensor-midpoint",
     "quad.budget": 0,
-    "quad.padding": 2.0,
     "kernel.kind": "fractional",
     "kernel.dimension": 2,
     "kernel.s": 0.5,
@@ -361,7 +359,6 @@ def _build_spec(config) -> QuadratureSpec:
         method=config.get("quad.method", "tensor-midpoint"),
         budget=int(budget) if budget else None,
         seed=int(config.get("seed", 0)),
-        padding=float(config.get("quad.padding", 2.0)),
     )
 
 
@@ -549,7 +546,7 @@ def _run_verify(config, outdir):
     grid_n = int(config["verify.grid"])
     pairs = int(config["verify.pairs"])
     blobs = int(config["verify.blobs"])
-    spec = QuadratureSpec(seed=seed, padding=1.0)
+    spec = QuadratureSpec(seed=seed)
     kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75)
     params = EnergyParams(kernel=kernel, A=1.0)
     rng = np.random.default_rng(seed)
@@ -577,8 +574,7 @@ def _run_verify(config, outdir):
         tol_r = max(3.0 * res_r.combined_error, 1e-9 * max(1.0, abs(res_r.terms.get("V_union", 1.0))))
         check("riesz-decomposition", f"pair-{i}", res_r.residual, tol_r, abs(res_r.residual) <= tol_r)
 
-    iso_spec = QuadratureSpec(seed=seed, padding=1.0)
-    for chk in isoperimetry.run_suite(kernel, iso_spec, count=blobs, seed=seed, grid_n=grid_n):
+    for chk in isoperimetry.run_suite(kernel, spec, count=blobs, seed=seed, grid_n=grid_n):
         check(
             "isoperimetry",
             chk.shape_id,

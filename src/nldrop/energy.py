@@ -20,9 +20,11 @@ interactions), shared with the families and slicing modules.  Its error
 is the sum over parts (single balls and ball pairs) of |v(n) - v(n/2)|,
 the change from halving that part's node count, plus 1e-12 |V| on the
 single-ball riesz terms, which have no node count; the 3-D Coulomb pair
-term is exact.  Decomposition checks evaluate every term on one shared
-grid and padded box so the identities cancel at machine precision
-instead of quadrature accuracy.
+term is exact.  A voxel perimeter is count(E) a(h) - S(E, E), the kernel
+mass of one cell against all of space per occupied cell minus the kernel
+pair sum over E x E.  Decomposition checks evaluate every term on one
+shared grid so the identities cancel at machine precision instead of
+quadrature accuracy.
 """
 
 from __future__ import annotations
@@ -354,19 +356,15 @@ def _balls_background(beta: float, E: BallConfig) -> tuple:
 # Public energy terms
 
 
-def perimeter(E: Shape, params_or_kernel, spec: QuadratureSpec, box=None) -> IntegralEstimate:
+def perimeter(E: Shape, params_or_kernel, spec: QuadratureSpec) -> IntegralEstimate:
     """Nonlocal perimeter P_K(E) = int_E int_{E^c} K(x-y)."""
     kernel = _params_kernel(params_or_kernel)
     if geometry.is_empty(E):
         return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    if (
-        isinstance(E, BallConfig)
-        and spec.method == "tensor-midpoint"
-        and box is None
-    ):
+    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
         total, err = _balls_perimeter(kernel, E)
         return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
-    return quadrature.complement_double_integral(E, kernel, spec, box=box)
+    return quadrature.complement_double_integral(E, kernel, spec)
 
 
 def riesz(E: Shape, alpha: float, spec: QuadratureSpec) -> IntegralEstimate:
@@ -486,8 +484,9 @@ def _common_voxel_pair(U: Shape, W: Shape, spec: QuadratureSpec):
 
 def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> DecompositionCheck:
     """Residual of P_K(U) + P_K(W) - P_K(U u W) - 2 I_K(U, W) for disjoint
-    U, W.  All terms are evaluated on one shared grid and padded box, so
-    the identity cancels at machine precision."""
+    U, W.  All terms are evaluated on one shared grid, so the three
+    perimeters share one stencil and one cell kernel mass and the identity
+    cancels at machine precision."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
     if spec.method == "monte-carlo":
@@ -505,13 +504,9 @@ def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: 
     if np.any(vU.occupancy & vW.occupancy):
         raise PreconditionError("shapes overlap on the shared grid")
     vUW = VoxelShape(vU.dimension, vU.origin, vU.spacing, vU.occupancy | vW.occupancy)
-    lo, hi = vUW.bounding_box()
-    diam = float(np.linalg.norm(hi - lo))
-    pad = spec.padding * diam
-    box = (lo - pad, hi + pad)
-    pU = quadrature.complement_double_integral(vU, kernel, spec, box=box)
-    pW = quadrature.complement_double_integral(vW, kernel, spec, box=box)
-    pUW = quadrature.complement_double_integral(vUW, kernel, spec, box=box)
+    pU = quadrature.complement_double_integral(vU, kernel, spec)
+    pW = quadrature.complement_double_integral(vW, kernel, spec)
+    pUW = quadrature.complement_double_integral(vUW, kernel, spec)
     cross = quadrature.double_integral(vU, vW, kernel, spec)
     residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
     err = pU.error + pW.error + pUW.error + 2.0 * cross.error

@@ -345,9 +345,10 @@ def voxel_local_search(
     Each move removes one occupied boundary cell and adds one empty
     boundary cell (the occupied count never changes); acceptance follows
     the Metropolis rule with a geometric temperature schedule (ratio per
-    epoch).  The energy model matches the grid engines: pair sums with
-    the near-refined stencils, the exact directional tail outside the
-    grid box for the perimeter, and exact origin-cell background.
+    epoch).  The energy is the grid engines' ``total_energy``: the
+    perimeter count(E) a(h) - S(E, E) with the shared cell kernel mass
+    a(h), pair sums with the near-refined stencils, and exact origin-cell
+    background.
     Returns the best shape seen and a per-epoch trace; deterministic for
     a fixed seed.
     """
@@ -368,21 +369,13 @@ def voxel_local_search(
     T_k = quadrature._stencil(dims, h, igd_k)
     T_r = quadrature._stencil(dims, h, igd_r)
 
-    box_lo = E0.origin
-    box_hi = E0.origin + np.array(dims) * h
+    _, a = quadrature._cell_kernel_mass(dims, h, igd_k)
     all_idx = np.indices(dims).reshape(N, -1).T
-    all_centers = box_lo + (all_idx + 0.5) * h
-    tail = quadrature._tail_per_cell(
-        all_centers, box_lo, box_hi, igd_k, quadrature._TAIL_DIRECTIONS[N]
-    ).reshape(dims) * h ** N
-    col_k = quadrature._pair_field(np.ones(dims, dtype=bool), T_k)
-    a_field = col_k + tail
-
+    all_centers = E0.origin + (all_idx + 0.5) * h
     b_means, _ = quadrature._singular_cell_means(
         all_centers, h, quadrature.PointSingularity(np.zeros(N), params.beta)
     )
-    b_field = b_means.reshape(dims) * h ** N
-    lin = a_field - params.A * b_field
+    lin = a - params.A * b_means.reshape(dims) * h ** N
 
     phi_k = quadrature._pair_field(occ, T_k)
     phi_r = quadrature._pair_field(occ, T_r)

@@ -7,13 +7,17 @@ Two engine families are provided behind one interface:
   stencil evaluated by FFT.  Cell pairs near the singular diagonal use
   exact cell-pair integrals (difference-variable form with a triangular
   weight, dyadic Gauss-Legendre refinement toward the singularity, and
-  geometric extrapolation of the truncated corner series).  Complement
-  integrals add an exact directional tail: for every cell center the
-  kernel mass outside the padded box is the direction-grid integral of the
-  closed-form radial tail from the ray-box exit distance.
+  geometric extrapolation of the truncated corner series).  A complement
+  integral is count(E) a(h) - S(E, E): S is the pair sum over E x E and
+  a(h) is the kernel mass of one cell against all of space, the stencil
+  sum plus the exact directional tail beyond the stencil box (the
+  direction-grid integral of the closed-form radial tail from the ray-box
+  exit distance).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
   batch structure; per-batch seeds derive from one SeedSequence so results
-  are bit-reproducible for a fixed spec.
+  are bit-reproducible for a fixed spec.  Complement integrals sample the
+  bounding box padded by ``_MC_PADDING`` diameters and add the directional
+  tail outside it.
 
 Error fields are refinement deltas (tensor, |result(h) - result(2h)|) or
 batch standard errors (Monte Carlo).  They are proxies, not bounds.
@@ -41,6 +45,13 @@ _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
 _PAIR_DEPTH = 40
 _POINT_DEPTH = 30
+# Complement integrals pad a shape's grid with empty cells to at least this
+# many cells per axis: the stencil then holds every near offset, and the
+# directional tail starts well away from the centre cell.
+_MIN_STENCIL_CELLS = 32
+# Monte Carlo complement integrals sample the bounding box padded by this
+# many diameters on each side.
+_MC_PADDING = 2.0
 
 
 @dataclass(frozen=True)
@@ -49,22 +60,18 @@ class QuadratureSpec:
 
     ``budget`` is the Monte Carlo sample (pair) count, or the target number
     of cells covering the shape's bounding box for tensor grids; ``None``
-    resolves to 10^5 samples or 64^N cells.  ``padding`` is measured in
-    bounding-box diameters and only affects complement integrals.
+    resolves to 10^5 samples or 64^N cells.
     """
 
     method: str = "tensor-midpoint"
     budget: Optional[int] = None
     seed: int = 0
-    padding: float = 2.0
 
     def __post_init__(self):
         if self.method not in ("tensor-midpoint", "monte-carlo"):
             raise ParameterError(f"unknown quadrature method {self.method!r}")
         if self.budget is not None and self.budget < 1000:
             raise ParameterError(f"budget must be >= 1000, got {self.budget}")
-        if self.padding < 0:
-            raise ParameterError(f"padding must be nonnegative, got {self.padding}")
 
     def resolved_budget(self, N: int) -> int:
         if self.budget is not None:
@@ -439,7 +446,7 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     if np.prod(shape) > _MAX_CONV_CELLS:
         raise ParameterError(
             "tensor grid too large for the FFT pair sum; reduce the quadrature "
-            "budget or the box padding"
+            "budget"
         )
     axes = [np.arange(-(d - 1), d) for d in dims]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -475,10 +482,11 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
 
 
 def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """field[i] = sum over occupied j of T[(j - i) + dims - 1]."""
+    """field[i] = sum over occupied j of T at offset j - i.  T may be the
+    stencil of a grid at least as large as ``occ``."""
     rev = T[tuple(slice(None, None, -1) for _ in range(T.ndim))]
     conv = signal.fftconvolve(occ.astype(float), rev, mode="full")
-    sl = tuple(slice(d - 1, 2 * d - 1) for d in occ.shape)
+    sl = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T.shape, occ.shape))
     return conv[sl]
 
 
@@ -527,9 +535,9 @@ def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
     return t.min(axis=-1)
 
 
-def _tail_per_cell(pts: np.ndarray, lo, hi, igd: OffsetIntegrand, n_dirs: int) -> np.ndarray:
+def _tail_per_cell(pts: np.ndarray, lo, hi, igd: OffsetIntegrand) -> np.ndarray:
     """Per-point integral of g over the complement of the box [lo, hi]."""
-    dirs, w = _direction_grid(igd.dimension, n_dirs)
+    dirs, w = _direction_grid(igd.dimension, _TAIL_DIRECTIONS[igd.dimension])
     out = np.empty(pts.shape[0])
     chunk = 2048
     for start in range(0, pts.shape[0], chunk):
@@ -537,6 +545,21 @@ def _tail_per_cell(pts: np.ndarray, lo, hi, igd: OffsetIntegrand, n_dirs: int) -
         rho = _ray_exit(pts[sl], lo, hi, dirs)
         out[sl] = igd.ray_tail(rho) @ w
     return out
+
+
+def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
+    """Stencil T of the grid ``dims`` padded with empty cells to at least
+    ``_MIN_STENCIL_CELLS`` per axis, and a(h), the pair integral of g over
+    one cell times all of space: the sum of T plus h^N times the
+    directional tail beyond T's box, seen from the centre cell.  For a
+    shape E on the grid, the complement integral is count(E) a(h) minus
+    the pair sum of T over E x E.  Returns (T, a)."""
+    N = igd.dimension
+    dims = np.maximum(dims, _MIN_STENCIL_CELLS)
+    T = _stencil(tuple(int(d) for d in dims), h, igd)
+    half = (dims - 0.5) * h
+    tail = _tail_per_cell(np.zeros((1, N)), -half, half, igd)
+    return T, float(np.sum(T)) + float(tail[0]) * h ** N
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +650,14 @@ def _coarse_voxel(vox: VoxelShape) -> VoxelShape:
     )
 
 
-def _as_grid(shape: Shape, budget: int, box=None, coarse: bool = False) -> VoxelShape:
+def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
     """Voxel view of any shape for the tensor engines."""
     if isinstance(shape, VoxelShape):
         return _coarse_voxel(shape) if coarse else shape
     n = max(4, int(round(budget ** (1.0 / shape.dimension))))
     if coarse:
         n = max(4, n // 2)
-    return voxelize(shape, cells_per_axis=n, box=box)
+    return voxelize(shape, cells_per_axis=n)
 
 
 def _batch_rngs(seed: int):
@@ -817,17 +840,13 @@ def _generic_tensor_double(E, F, g, spec, budget) -> IntegralEstimate:
     )
 
 
-def complement_double_integral(
-    E: Shape, kernel: KernelSpec, spec: QuadratureSpec, box=None
-) -> IntegralEstimate:
+def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate the pair integral of K(x - y) over E x (complement of E).
 
-    The near part runs over E x (box minus E) for a padded bounding box;
-    the remainder is the exact directional tail: for each cell center (or
-    sample point) the kernel mass outside the box is integrated over a
-    direction grid using the closed-form radial tail from the ray-box exit
-    distance.  Passing ``box`` pins the padded box, which makes sums over
-    related shapes cancel exactly in decomposition identities.
+    On tensor grids this is count(E) a(h) - S(E, E) (see
+    ``_cell_kernel_mass``).  Monte Carlo samples E x (box minus E) for the
+    bounding box padded by ``_MC_PADDING`` diameters and adds, for each
+    sample point, the exact directional tail outside that box.
     """
     N = E.dimension
     if geometry.is_empty(E):
@@ -835,61 +854,31 @@ def complement_double_integral(
     igd = kernel_integrand(kernel)
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
-    lo, hi = E.bounding_box()
-    diam = float(np.linalg.norm(hi - lo))
-    if box is None:
-        pad = spec.padding * diam
-        box = (lo - pad, hi + pad)
-
     if spec.method == "monte-carlo":
-        return _mc_complement(E, igd, spec, box)
+        return _mc_complement(E, igd, spec)
 
     budget = spec.resolved_budget(N)
 
     def tensor_value(coarse: bool):
         grid = _as_grid(E, budget, coarse=coarse)
-        h = grid.spacing
-        blo = grid.origin - np.ceil(np.clip(grid.origin - box[0], 0, None) / h - 1e-9) * h
-        n_lo = np.rint((grid.origin - blo) / h).astype(int)
-        n_hi = np.ceil(np.clip(box[1] - (grid.origin + np.array(grid.occupancy.shape) * h), 0, None) / h - 1e-9).astype(int)
-        dims = tuple(np.array(grid.occupancy.shape) + n_lo + n_hi)
-        occE = np.zeros(dims, dtype=bool)
-        sl = tuple(
-            slice(n_lo[i], n_lo[i] + grid.occupancy.shape[i]) for i in range(N)
-        )
-        occE[sl] = grid.occupancy
-        occC = ~occE
-        T = _stencil(dims, h, igd)
-        near = _fft_pair_sum(occE, occC, T)
-        box_lo = blo
-        box_hi = blo + np.array(dims) * h
-        idx = np.argwhere(occE)
-        centers = box_lo + (idx + 0.5) * h
-        tails = _tail_per_cell(centers, box_lo, box_hi, igd, _TAIL_DIRECTIONS[N])
-        tail_term = float(np.sum(tails)) * h ** N
-        cells = int(np.count_nonzero(occE)) + int(np.prod(dims))
-        return near + tail_term, tail_term, cells
+        T, a = _cell_kernel_mass(grid.occupancy.shape, grid.spacing, igd)
+        return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
 
-    value, tail_term, cells = tensor_value(False)
-    value2, _, _ = tensor_value(True)
-    warn = None
-    if tail_term > 0.2 * abs(value):
-        warn = f"tail fraction {tail_term / value:.2f} exceeds 20%; increase padding"
-    return IntegralEstimate(
-        value, abs(value - value2), cells, "tensor-midpoint", spec.seed, warn
-    )
+    value, cells = tensor_value(False)
+    value2, _ = tensor_value(True)
+    return IntegralEstimate(value, abs(value - value2), cells, "tensor-midpoint", spec.seed)
 
 
-def _mc_complement(E, igd, spec, box) -> IntegralEstimate:
+def _mc_complement(E, igd, spec) -> IntegralEstimate:
     N = igd.dimension
     lo, hi = E.bounding_box()
-    box_lo, box_hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    pad = _MC_PADDING * float(np.linalg.norm(hi - lo))
+    box_lo, box_hi = lo - pad, hi + pad
     volE_box = float(np.prod(hi - lo))
     vol_box = float(np.prod(box_hi - box_lo))
     budget = spec.resolved_budget(N)
     per = max(1, budget // _NB_BATCHES)
     means = []
-    tail_frac = 0.0
     for rng in _batch_rngs(spec.seed):
         x = rng.uniform(lo, hi, size=(per, N))
         y = rng.uniform(box_lo, box_hi, size=(per, N))
@@ -899,18 +888,13 @@ def _mc_complement(E, igd, spec, box) -> IntegralEstimate:
         near = float(np.mean(vals)) * volE_box * vol_box
         tails = np.zeros(per)
         if np.any(in_e):
-            tails[in_e] = _tail_per_cell(
-                x[in_e], box_lo, box_hi, igd, _TAIL_DIRECTIONS[N]
-            )
+            tails[in_e] = _tail_per_cell(x[in_e], box_lo, box_hi, igd)
         tail = float(np.mean(tails)) * volE_box
         means.append(near + tail)
-        tail_frac = max(tail_frac, tail / (near + tail) if near + tail > 0 else 0.0)
     value, err = _mc_combine(np.array(means))
     warn = None
     if 2.0 * igd.sigma >= N:
         warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
-    elif tail_frac > 0.2:
-        warn = f"tail fraction {tail_frac:.2f} exceeds 20%; increase padding"
     return IntegralEstimate(value, err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn)
 
 

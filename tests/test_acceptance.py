@@ -107,7 +107,7 @@ class TestDecompositionIdentities:
     def test_fifty_seeded_disjoint_pairs(self):
         t0 = time.monotonic()
         kernel = kernel_n2()
-        spec = QuadratureSpec(padding=1.0)
+        spec = QuadratureSpec()
         rng = np.random.default_rng(42)
         checked = 0
         failures = []
@@ -189,7 +189,7 @@ class TestIsoperimetricSuite:
         t0 = time.monotonic()
         kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.7, lam=1.0, kind="fractional")
         checks = isoperimetry.run_suite(
-            kernel, QuadratureSpec(padding=1.0), count=100, seed=0, grid_n=48
+            kernel, QuadratureSpec(), count=100, seed=0, grid_n=48
         )
         elapsed = time.monotonic() - t0
         assert len(checks) == 100

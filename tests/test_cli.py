@@ -4,6 +4,7 @@ determinism, and exit codes."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,23 @@ class TestConfigParsing:
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
             cli.load_config("energy", overrides=["seed"])
+
+
+class TestReadmeConfigKeys:
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    def test_readme_documents_exactly_the_schema_keys(self):
+        with open(self.README, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        keys = set().union(*cli.SCHEMAS.values())
+        missing = sorted(k for k in keys if not re.search(f"`{re.escape(k)}[` ]", text))
+        assert missing == []
+        sections = {k.split(".")[0] for k in keys if "." in k}
+        documented = {
+            k for k in re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)[` ]", text)
+            if k.split(".")[0] in sections
+        }
+        assert sorted(documented - keys) == []
 
 
 class TestOutputDirResolution:

@@ -101,6 +101,12 @@ class TestBallPerimeter:
         dev = abs(radial.value - grid.value)
         assert dev <= 4.0 * (radial.error + grid.error)
 
+    def test_fine_voxel_disk_runs_at_default_settings(self):
+        # the pair sum runs on the shape's own grid, so 512^2 cells fit
+        # the FFT size limit
+        est = perimeter(voxelize(disk(), cells_per_axis=512), frac(), QuadratureSpec())
+        assert est.value == pytest.approx(UNIT_DISK_PERIM_HALF, rel=0.01)
+
     def test_grid_route_residual_shrinks_with_refinement(self):
         b = disk()
         spec = QuadratureSpec()

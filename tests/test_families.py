@@ -243,6 +243,13 @@ class TestVoxelLocalSearch:
         assert trace[-1]["best_energy"] < trace[0]["energy"]
         assert not np.array_equal(best.occupancy, start.occupancy)
 
+    def test_best_energy_is_the_engine_energy(self):
+        start = self.scattered_start()
+        params = self.params2()
+        best, trace = voxel_local_search(start, params, steps=400, seed=1)
+        engine = energy_mod.total_energy(best, params, QuadratureSpec()).total
+        assert trace[-1]["best_energy"] == pytest.approx(engine, rel=1e-9)
+
     def test_three_dimensional_grid_rejected(self):
         occ = np.zeros((4, 4, 4), dtype=bool)
         occ[1:3, 1:3, 1:3] = True
