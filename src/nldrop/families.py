@@ -338,7 +338,6 @@ def voxel_local_search(
     t0: Optional[float] = None,
     ratio: float = 0.95,
     seed: int = 0,
-    spec: Optional[QuadratureSpec] = None,
 ) -> Tuple[VoxelShape, List[dict]]:
     """Volume-preserving annealing on a voxel grid (N = 2).
 
@@ -354,7 +353,6 @@ def voxel_local_search(
     """
     if E0.dimension != 2:
         raise ParameterError("the local search supports N = 2 voxel shapes")
-    spec = spec or QuadratureSpec()
     if steps <= 0:
         return E0, []
     N = 2

@@ -7,7 +7,10 @@ Two engine families are provided behind one interface:
   stencil evaluated by FFT.  Cell pairs near the singular diagonal use
   exact cell-pair integrals (difference-variable form with a triangular
   weight, dyadic Gauss-Legendre refinement toward the singularity, and
-  geometric extrapolation of the truncated corner series).  A complement
+  geometric extrapolation of the truncated corner series).  They are kept
+  in near tables, one integral per symmetry orbit of cell offsets, shared
+  by every grid of one spacing; power-law integrands keep one table at
+  unit spacing for all spacings.  A complement
   integral is count(E) a(h) - S(E, E): S is the pair sum over E x E and
   a(h) is the kernel mass of one cell against all of space, the stencil
   sum plus the exact directional tail beyond the stencil box (the
@@ -140,6 +143,14 @@ class OffsetIntegrand:
     exact cell-pair integrals.  Radial integrands set ``ray_tail``
     (per-steradian tail integral of g(r) r^(N-1) from rho to infinity) to
     enable complement tails.
+
+    Two properties, set by the constructors below, let the stencils share
+    those exact integrals (see ``_near_values``).  ``radial``: g depends on
+    |z| alone, so a cell offset's integral depends only on its sorted
+    absolute components.  ``homogeneous``: g(t z) = t^(-sigma) g(z) for
+    t > 0, so the integral at spacing h is the spacing-1 value times
+    h^(2N - sigma).  An integrand built directly leaves both False and
+    gets one exact integral per offset and per spacing.
     """
 
     dimension: int
@@ -147,6 +158,8 @@ class OffsetIntegrand:
     vec: Callable[[np.ndarray], np.ndarray]
     cache_token: object
     ray_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    radial: bool = False
+    homogeneous: bool = False
 
 
 def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
@@ -192,6 +205,8 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         vec=vec,
         cache_token=kernel.cache_token,
         ray_tail=ray_tail,
+        radial=True,
+        homogeneous=kernel.kind == "fractional",
     )
 
 
@@ -208,6 +223,8 @@ def riesz_integrand(N: int, alpha: float) -> OffsetIntegrand:
         sigma=alpha,
         vec=vec,
         cache_token=("riesz", N, alpha),
+        radial=True,
+        homogeneous=True,
     )
 
 
@@ -225,6 +242,8 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=kernel.sigma - 1.0,
         vec=vec,
         cache_token=("moment1",) + (kernel.cache_token,),
+        radial=True,
+        homogeneous=kernel.kind == "fractional",
     )
 
 
@@ -246,6 +265,7 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
         sigma=0.0,
         vec=vec,
         cache_token=("dirpos", N) + tuple(float(v) for v in nu),
+        homogeneous=True,
     )
 
 
@@ -267,45 +287,51 @@ def _coerce_integrand(g, N: int) -> Optional[OffsetIntegrand]:
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
 
-def _gl_axis(lo: float, hi: float):
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
+def _box_nodes(lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Legendre tensor nodes and weights of the boxes [lo_k, hi_k]
+    (rows of the (k, N) arrays), flattened to (k G^N, N) and (k G^N,)."""
+    k, N = lo.shape
+    G = _GL_ORDER
+    half = 0.5 * (hi - lo)
+    ax = (0.5 * (hi + lo))[:, :, None] + half[:, :, None] * _GL_NODES
+    aw = half[:, :, None] * _GL_WEIGHTS
+    pts = np.empty((k,) + (G,) * N + (N,))
+    w = np.ones((k,) + (G,) * N)
+    for i in range(N):
+        shape = (k,) + (1,) * i + (G,) + (1,) * (N - 1 - i)
+        pts[..., i] = ax[:, i].reshape(shape)
+        w = w * aw[:, i].reshape(shape)
+    return pts.reshape(-1, N), w.ravel()
 
 
-def _box_quad(lo, hi, fvec, N) -> float:
-    """Gauss-Legendre tensor quadrature of fvec over the box [lo, hi]."""
-    axes, wts = zip(*(_gl_axis(lo[i], hi[i]) for i in range(N)))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return float(np.sum(fvec(pts) * w))
+def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, depth: int) -> float:
+    """Sum of integrals of fvec over the boxes [lo_k, hi_k], level by level.
 
-
-def _dyadic_stack_integral(boxes, fvec, N, depth) -> float:
-    """Sum of integrals over boxes, splitting any box containing the origin.
-
-    Per-depth contributions are tracked and the truncated series from the
-    shrinking origin box is completed by geometric extrapolation.
+    At each level one Gauss-Legendre call integrates every box clear of
+    the origin, and every box touching it is split into its 2^N halves for
+    the next level, down to ``depth``.  Per-level contributions are
+    tracked and the truncated series from the shrinking origin boxes is
+    completed by geometric extrapolation.
     """
+    N = lo.shape[1]
+    # upper[c, ax]: child c of a split box takes the upper half along ax
+    upper = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1).astype(bool)
     contrib = np.zeros(depth + 1)
-    stack = [(lo, hi, 0) for lo, hi in boxes]
-    while stack:
-        lo, hi, dep = stack.pop()
-        if np.any(hi <= lo):
-            continue
-        if np.any((lo > 0.0) | (hi < 0.0)):
-            contrib[dep] += _box_quad(lo, hi, fvec, N)
-        elif dep < depth:
-            mids = 0.5 * (lo + hi)
-            for corner in range(2 ** N):
-                clo, chi = lo.copy(), hi.copy()
-                for ax in range(N):
-                    if corner >> ax & 1:
-                        clo[ax] = mids[ax]
-                    else:
-                        chi[ax] = mids[ax]
-                stack.append((clo, chi, dep + 1))
+    keep = np.all(hi > lo, axis=1)
+    lo, hi = lo[keep], hi[keep]
+    for dep in range(depth + 1):
+        away = np.any((lo > 0.0) | (hi < 0.0), axis=1)
+        if np.any(away):
+            pts, w = _box_nodes(lo[away], hi[away])
+            contrib[dep] = float(np.sum(fvec(pts) * w))
+        lo, hi = lo[~away], hi[~away]
+        if dep == depth or lo.shape[0] == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (
+            np.where(upper, mid[:, None], lo[:, None]).reshape(-1, N),
+            np.where(upper, hi[:, None], mid[:, None]).reshape(-1, N),
+        )
     total = float(contrib.sum())
     if contrib[depth] > 0.0 and contrib[depth - 1] > 0.0:
         ratio = min(contrib[depth] / contrib[depth - 1], 0.95)
@@ -315,19 +341,14 @@ def _dyadic_stack_integral(boxes, fvec, N, depth) -> float:
 
 def _grid_boxes(axis_edges):
     """Boxes of the tensor grid with per-axis breakpoints ``axis_edges``,
-    as (lo, hi) pairs with the first axis varying fastest."""
-    N = len(axis_edges)
-    counts = [len(e) - 1 for e in axis_edges]
-    for flat in range(int(np.prod(counts))):
-        lo = np.empty(N)
-        hi = np.empty(N)
-        rem = flat
-        for ax in range(N):
-            k = rem % counts[ax]
-            rem //= counts[ax]
-            lo[ax] = axis_edges[ax][k]
-            hi[ax] = axis_edges[ax][k + 1]
-        yield lo, hi
+    as (lo, hi) arrays of shape (k, N) with the first axis varying
+    fastest."""
+    def corners(edges):
+        grids = np.meshgrid(*edges, indexing="ij")
+        return np.stack([g.ravel(order="F") for g in grids], axis=-1)
+
+    edges = [np.asarray(e, dtype=float) for e in axis_edges]
+    return corners([e[:-1] for e in edges]), corners([e[1:] for e in edges])
 
 
 def _axis_breaks(d: float, h: float) -> list:
@@ -354,7 +375,7 @@ def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, depth: int = _PAI
         return gvec(pts) * w
 
     axis_edges = [_axis_breaks(d[i], h) for i in range(N)]
-    return _dyadic_stack_integral(_grid_boxes(axis_edges), fvec, N, depth)
+    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, depth)
 
 
 def point_singularity_cell_integral(
@@ -387,7 +408,7 @@ def point_singularity_cell_integral(
         if lo[i] < 0.0 < hi[i]:
             pts.insert(1, 0.0)
         axis_edges.append(pts)
-    return _dyadic_stack_integral(_grid_boxes(axis_edges), fvec, N, depth)
+    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, depth)
 
 
 def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
@@ -428,6 +449,42 @@ def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
 # than this; the largest table (_MAX_CONV_CELLS doubles) always fits.
 _STENCIL_CACHE_BYTES = 512 << 20
 _STENCIL_CACHE: OrderedDict = OrderedDict()
+# Near tables (at most 5^N exact cell-pair integrals each, keyed by
+# integrand and spacing); least recently used ones are evicted beyond this
+# many tables.
+_NEAR_CACHE_TABLES = 64
+_NEAR_CACHE: OrderedDict = OrderedDict()
+
+
+def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndarray:
+    """Exact cell-pair integrals of g for cells of side h at the integer
+    cell offsets ``offsets`` (shape (k, N)).
+
+    Each value comes from a near table that holds one integral per orbit:
+    the sorted absolute offset for a radial g, the offset itself otherwise.
+    A homogeneous g keeps its table at spacing 1 and rescales it by
+    h^(2N - sigma), so one table serves every spacing and grid; any other
+    g keeps one table per spacing.  Integrals are computed on first use.
+    """
+    N = igd.dimension
+    base = 1.0 if igd.homogeneous else float(h)
+    key = (igd.cache_token, base)
+    table = _NEAR_CACHE.get(key)
+    if table is None:
+        table = _NEAR_CACHE[key] = {}
+        while len(_NEAR_CACHE) > _NEAR_CACHE_TABLES:
+            _NEAR_CACHE.popitem(last=False)
+    else:
+        _NEAR_CACHE.move_to_end(key)
+    orbits = np.rint(offsets).astype(int)
+    if igd.radial:
+        orbits = np.sort(np.abs(orbits), axis=1)
+    out = np.empty(orbits.shape[0])
+    for i, orbit in enumerate(map(tuple, orbits)):
+        if orbit not in table:
+            table[orbit] = cell_pair_integral(np.array(orbit) * base, base, igd.vec, N)
+        out[i] = table[orbit]
+    return out * (h / base) ** (2 * N - igd.sigma)
 
 
 def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
@@ -435,7 +492,11 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     T[off] = integral of g(y - x) over an ordered pair of cells with center
     offset off * h.  Far offsets use the midpoint value g(off*h) h^(2N);
     near offsets (inf-norm <= 2 for strongly singular g, <= 1 otherwise)
-    and, for sigma < N, the zero offset use exact cell-pair integrals."""
+    and, for sigma < N, the zero offset use exact cell-pair integrals from
+    the near tables of ``_near_values``: one integral per symmetry orbit
+    when g is radial, computed once at spacing 1 for every h when g is
+    homogeneous.  A cold 3-D fractional kernel stencil thus costs 9
+    integrals, and its fine and coarse grids share them."""
     N = igd.dimension
     key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)
@@ -467,12 +528,8 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
             T[sl] = vals
 
     near_width = 2 if igd.sigma >= N - 0.5 else 1
-    near_sel = np.nonzero((r0 <= near_width) & (r0 > 0))[0]
-    for i in near_sel:
-        T[i] = cell_pair_integral(offsets[i] * h, h, igd.vec, N)
-    if igd.sigma < N:
-        center = np.nonzero(r0 == 0)[0]
-        T[center] = cell_pair_integral(np.zeros(N), h, igd.vec, N)
+    near = (r0 <= near_width) & (far | (igd.sigma < N))
+    T[near] = _near_values(offsets[near], h, igd)
     T = T.reshape(shape)
     T.setflags(write=False)
     _STENCIL_CACHE[key] = T

@@ -18,11 +18,14 @@ from nldrop.quadrature import (
     IntegralEstimate,
     PointSingularity,
     QuadratureSpec,
+    OffsetIntegrand,
     cell_pair_integral,
     complement_double_integral,
+    directional_positive_integrand,
     double_integral,
     integral_over,
     kernel_integrand,
+    kernel_moment_integrand,
     point_singularity_cell_integral,
     riesz_integrand,
     sphere_average,
@@ -41,6 +44,12 @@ POINTSING_BOX_N2 = 4.744602115449199
 POINTSING_SMOOTH_N2 = 0.29887985952395063
 # |x|^-1 over [-0.7, 0.3] x [-1, 0], the singular point on the top face
 POINTSING_FACE_N2 = 2.3321427312412855
+
+# 3-D values frozen from the engine's earlier box-by-box dyadic recursion
+# (no independent reference): the level-batched recursion must keep them
+SAME_CELL_N3_RIESZ1_UNIT = 1.8823126437327702
+FACE_N3_FRAC_HALF_UNIT = 4.985085792845331
+POINTSING_BOX_N3 = 3.4472763690597166
 
 # high-accuracy radial reduction value for the fractional boundary energy
 # of the unit disk at s = 1/2 (checked against two independent quadratures)
@@ -85,6 +94,16 @@ class TestCellPairIntegral:
         got = cell_pair_integral(np.array([0.25, 0.25]), 0.25, ki.vec, 2)
         assert got == pytest.approx(DIAGONAL_N2_FRAC_HALF_H025, rel=1e-7)
 
+    def test_same_cell_riesz_3d(self):
+        rz = riesz_integrand(3, 1.0)
+        got = cell_pair_integral(np.zeros(3), 1.0, rz.vec, 3)
+        assert got == pytest.approx(SAME_CELL_N3_RIESZ1_UNIT, rel=1e-9)
+
+    def test_face_adjacent_kernel_3d(self):
+        ki = kernel_integrand(frac_kernel(N=3))
+        got = cell_pair_integral(np.array([0.0, 0.0, 1.0]), 1.0, ki.vec, 3)
+        assert got == pytest.approx(FACE_N3_FRAC_HALF_UNIT, rel=1e-9)
+
     def test_far_pair_matches_midpoint(self):
         # smooth regime: the exact pair integral approaches the midpoint value
         rz = riesz_integrand(2, 1.0)
@@ -99,6 +118,10 @@ class TestPointSingularityCell:
     def test_interior_singularity(self):
         got = point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 1.2, 2)
         assert got == pytest.approx(POINTSING_BOX_N2, rel=1e-7)
+
+    def test_interior_singularity_3d(self):
+        got = point_singularity_cell_integral([0, 0, 0], [1, 1, 1], [0.3, 0.4, 0.2], 1.5, 3)
+        assert got == pytest.approx(POINTSING_BOX_N3, rel=1e-9)
 
     def test_negative_exponent_smooth(self):
         got = point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], -1.5, 2)
@@ -154,6 +177,103 @@ class TestStencilAndPairSum:
         assert got == pytest.approx(direct, rel=1e-12)
 
 
+def _fresh_caches(monkeypatch):
+    monkeypatch.setattr(quadrature, "_STENCIL_CACHE", OrderedDict())
+    monkeypatch.setattr(quadrature, "_NEAR_CACHE", OrderedDict())
+
+
+def trunc_kernel(N=2):
+    # truncated inside the near field at h = 0.2 (|x| < 50^(-1/(N+s)))
+    return KernelSpec(dimension=N, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=50.0)
+
+
+# (integrand, radial, homogeneous) for each constructor, in dimension N
+NEAR_CASES = {
+    "fractional": lambda N: (kernel_integrand(frac_kernel(N=N)), True, True),
+    "truncated": lambda N: (kernel_integrand(trunc_kernel(N)), True, False),
+    "moment": lambda N: (kernel_moment_integrand(frac_kernel(N=N)), True, True),
+    "riesz": lambda N: (riesz_integrand(N, 1.0), True, True),
+    "dirpos": lambda N: (
+        directional_positive_integrand(np.arange(1.0, N + 1) / np.linalg.norm(np.arange(1.0, N + 1))),
+        False,
+        True,
+    ),
+    "direct": lambda N: (
+        OffsetIntegrand(
+            dimension=N,
+            sigma=0.0,
+            vec=lambda z: 1.0 / (1.0 + np.sum(z ** 2, axis=-1)),
+            cache_token=("test-lorentz", N),
+        ),
+        False,
+        False,
+    ),
+}
+
+
+class TestNearTables:
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("case", sorted(NEAR_CASES))
+    def test_near_entries_match_direct_integrals(self, monkeypatch, N, case):
+        _fresh_caches(monkeypatch)
+        igd, radial, homogeneous = NEAR_CASES[case](N)
+        assert (igd.radial, igd.homogeneous) == (radial, homogeneous)
+        h = 0.2
+        T = _stencil((3,) * N, h, igd)
+        width = 2 if igd.sigma >= N - 0.5 else 1
+        near = [
+            np.array(off) - width
+            for off in np.ndindex(*(2 * width + 1,) * N)
+            if igd.sigma < N or any(o != width for o in off)
+        ]
+        for off in near:
+            direct = cell_pair_integral(off * h, h, igd.vec, N)
+            assert T[tuple(off + 2)] == pytest.approx(direct, rel=1e-9)
+        # the fallbacks: one table per spacing, one integral per signed offset
+        base = 1.0 if homogeneous else h
+        assert list(quadrature._NEAR_CACHE) == [(igd.cache_token, base)]
+        table = quadrature._NEAR_CACHE[(igd.cache_token, base)]
+        orbits = {tuple(sorted(np.abs(off))) for off in near}
+        assert len(table) == (len(orbits) if radial else len(near))
+
+    def test_cold_stencils_cost_one_integral_per_orbit(self, monkeypatch):
+        _fresh_caches(monkeypatch)
+        calls = []
+        exact = quadrature.cell_pair_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "cell_pair_integral", counted)
+        ki = kernel_integrand(frac_kernel(N=3))
+        _stencil((3, 3, 3), 0.5, ki)
+        _stencil((5, 4, 3), 0.3, ki)
+        assert len(calls) == 9
+        del calls[:]
+        _stencil((4, 4, 4), 0.25, riesz_integrand(3, 1.0))
+        assert len(calls) == 4
+
+    def test_near_cache_is_bounded(self, monkeypatch):
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(quadrature, "_NEAR_CACHE_TABLES", 2)
+        igd = kernel_integrand(trunc_kernel())
+        tok = igd.cache_token
+        for h in (0.1, 0.2, 0.3):
+            _stencil((4, 4), h, igd)
+        cache = quadrature._NEAR_CACHE
+        assert list(cache) == [(tok, 0.2), (tok, 0.3)]
+        # a hit makes its table the most recently used one
+        _stencil((5, 5), 0.2, igd)
+        _stencil((4, 4), 0.4, igd)
+        assert list(cache) == [(tok, 0.2), (tok, 0.4)]
+        # a homogeneous integrand keeps one table for every spacing
+        ki = kernel_integrand(frac_kernel())
+        for h in (0.1, 0.2, 0.3):
+            _stencil((4, 4), h, ki)
+        assert list(cache) == [(tok, 0.4), (ki.cache_token, 1.0)]
+
+
 class TestIntegralOver:
     def test_singular_integrand_on_disk(self):
         # int over B_R of |x|^-beta = area(S^{N-1}) R^(N-beta) / (N-beta)
@@ -198,8 +318,6 @@ class TestDoubleIntegral:
 
         def g_pair(x, y):
             return 1.0 / (1.0 + np.sum((x - y) ** 2, axis=-1))
-
-        from nldrop.quadrature import OffsetIntegrand
 
         igd = OffsetIntegrand(
             dimension=2,
