@@ -166,12 +166,6 @@ def _parse_value(key: str, raw: str, kind: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc

@@ -88,6 +88,21 @@ class EnergyReport:
         }
         return rec
 
+    @classmethod
+    def assemble(
+        cls, p: IntegralEstimate, v: IntegralEstimate, r: IntegralEstimate, params: EnergyParams
+    ) -> EnergyReport:
+        """F = P + V - A R from the three terms, with error
+        P_err + V_err + A R_err."""
+        return cls(
+            perimeter=p,
+            riesz=v,
+            background=r,
+            total=p.value + v.value - params.A * r.value,
+            error=p.error + v.error + params.A * r.error,
+            params=params,
+        )
+
 
 def _params_kernel(params_or_kernel) -> KernelSpec:
     if isinstance(params_or_kernel, EnergyParams):
@@ -402,9 +417,7 @@ def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> Energy
     p = perimeter(E, params.kernel, spec)
     v = riesz(E, params.alpha, spec)
     r = background(E, params.beta, spec)
-    total = p.value + v.value - params.A * r.value
-    err = p.error + v.error + params.A * r.error
-    return EnergyReport(perimeter=p, riesz=v, background=r, total=total, error=err, params=params)
+    return EnergyReport.assemble(p, v, r, params)
 
 
 # ---------------------------------------------------------------------------
@@ -476,38 +489,38 @@ class DecompositionCheck:
         return self.residual
 
 
-def _common_voxel_pair(U: Shape, W: Shape, spec: QuadratureSpec):
+def _decomposition_parts(U: Shape, W: Shape, spec: QuadratureSpec):
+    """(U, W, U u W) for the decomposition checks.  The tensor engine gets
+    all three on the grid shared by U and W, so the three perimeters share
+    one stencil and one cell kernel mass and the identities cancel at
+    machine precision; Monte Carlo samples the shapes themselves."""
+    if spec.method == "monte-carlo" and isinstance(U, BallConfig) and isinstance(W, BallConfig):
+        union = BallConfig(
+            dimension=U.dimension,
+            centers=np.vstack([U.centers, W.centers]),
+            radii=np.concatenate([U.radii, W.radii]),
+        )
+        return U, W, union
     N = U.dimension
     occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(N), False)
-    return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW)
+    union = VoxelShape(N, origin, h, occU | occW)
+    if spec.method == "monte-carlo":
+        return U, W, union
+    if np.any(occU & occW):
+        raise PreconditionError("shapes overlap on the shared grid")
+    return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW), union
 
 
 def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> DecompositionCheck:
     """Residual of P_K(U) + P_K(W) - P_K(U u W) - 2 I_K(U, W) for disjoint
-    U, W.  All terms are evaluated on one shared grid, so the three
-    perimeters share one stencil and one cell kernel mass and the identity
-    cancels at machine precision."""
+    U, W, with the parts of ``_decomposition_parts``."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    if spec.method == "monte-carlo":
-        pU = perimeter(U, kernel, spec)
-        pW = perimeter(W, kernel, spec)
-        union = _union_shape(U, W, spec)
-        pUW = perimeter(union, kernel, spec)
-        cross = interaction(U, W, kernel, spec)
-        residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
-        err = pU.error + pW.error + pUW.error + 2.0 * cross.error
-        return DecompositionCheck(residual, err, {
-            "P_U": pU.value, "P_W": pW.value, "P_union": pUW.value, "cross": cross.value,
-        })
-    vU, vW = _common_voxel_pair(U, W, spec)
-    if np.any(vU.occupancy & vW.occupancy):
-        raise PreconditionError("shapes overlap on the shared grid")
-    vUW = VoxelShape(vU.dimension, vU.origin, vU.spacing, vU.occupancy | vW.occupancy)
-    pU = quadrature.complement_double_integral(vU, kernel, spec)
-    pW = quadrature.complement_double_integral(vW, kernel, spec)
-    pUW = quadrature.complement_double_integral(vUW, kernel, spec)
-    cross = quadrature.double_integral(vU, vW, kernel, spec)
+    U, W, union = _decomposition_parts(U, W, spec)
+    pU = perimeter(U, kernel, spec)
+    pW = perimeter(W, kernel, spec)
+    pUW = perimeter(union, kernel, spec)
+    cross = interaction(U, W, kernel, spec)
     residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
     err = pU.error + pW.error + pUW.error + 2.0 * cross.error
     return DecompositionCheck(residual, err, {
@@ -517,45 +530,19 @@ def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: 
 
 def check_riesz_decomposition(U: Shape, W: Shape, spec: QuadratureSpec, alpha: float = 1.0) -> DecompositionCheck:
     """Residual of V(U u W) - V(U) - V(W) - I(U, W) with the riesz pair
-    integrand; same shared-grid strategy as the perimeter check."""
+    integrand, with the parts of ``_decomposition_parts``."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    if spec.method == "monte-carlo":
-        vUs = riesz(U, alpha, spec)
-        vWs = riesz(W, alpha, spec)
-        union = _union_shape(U, W, spec)
-        vUWs = riesz(union, alpha, spec)
-        cross = interaction(U, W, alpha, spec)
-        residual = vUWs.value - vUs.value - vWs.value - cross.value
-        err = vUs.error + vWs.error + vUWs.error + cross.error
-        return DecompositionCheck(residual, err, {
-            "V_U": vUs.value, "V_W": vWs.value, "V_union": vUWs.value, "cross": cross.value,
-        })
-    vU, vW = _common_voxel_pair(U, W, spec)
-    if np.any(vU.occupancy & vW.occupancy):
-        raise PreconditionError("shapes overlap on the shared grid")
-    vUW = VoxelShape(vU.dimension, vU.origin, vU.spacing, vU.occupancy | vW.occupancy)
-    eU = quadrature.double_integral(vU, vU, alpha, spec)
-    eW = quadrature.double_integral(vW, vW, alpha, spec)
-    eUW = quadrature.double_integral(vUW, vUW, alpha, spec)
-    cross = quadrature.double_integral(vU, vW, alpha, spec)
-    residual = 0.5 * eUW.value - 0.5 * eU.value - 0.5 * eW.value - cross.value
-    err = 0.5 * (eU.error + eW.error + eUW.error) + cross.error
+    U, W, union = _decomposition_parts(U, W, spec)
+    vU = riesz(U, alpha, spec)
+    vW = riesz(W, alpha, spec)
+    vUW = riesz(union, alpha, spec)
+    cross = interaction(U, W, alpha, spec)
+    residual = vUW.value - vU.value - vW.value - cross.value
+    err = vU.error + vW.error + vUW.error + cross.error
     return DecompositionCheck(residual, err, {
-        "V_U": 0.5 * eU.value, "V_W": 0.5 * eW.value, "V_union": 0.5 * eUW.value,
-        "cross": cross.value,
+        "V_U": vU.value, "V_W": vW.value, "V_union": vUW.value, "cross": cross.value,
     })
-
-
-def _union_shape(U: Shape, W: Shape, spec: QuadratureSpec) -> Shape:
-    if isinstance(U, BallConfig) and isinstance(W, BallConfig):
-        return BallConfig(
-            dimension=U.dimension,
-            centers=np.vstack([U.centers, W.centers]),
-            radii=np.concatenate([U.radii, W.radii]),
-        )
-    vU, vW = _common_voxel_pair(U, W, spec)
-    return VoxelShape(vU.dimension, vU.origin, vU.spacing, vU.occupancy | vW.occupancy)
 
 
 @dataclass(frozen=True)

@@ -101,15 +101,7 @@ def _ball_system_energy(
             energy_mod._balls_background(params.beta, charged_balls),
         )
     )
-    report = EnergyReport(
-        perimeter=p,
-        riesz=v,
-        background=r,
-        total=p.value + v.value - params.A * r.value,
-        error=p.error + v.error + params.A * r.error,
-        params=params,
-    )
-    return report, cross_r[0]
+    return EnergyReport.assemble(p, v, r, params), cross_r[0]
 
 
 def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:

@@ -12,7 +12,7 @@ expected behavior is slack >= -3 error on admissible shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -22,8 +22,13 @@ Two engine families are provided behind one interface:
   bounding box padded by ``_MC_PADDING`` diameters and add the directional
   tail outside it.
 
-Error fields are refinement deltas (tensor, |result(h) - result(2h)|) or
-batch standard errors (Monte Carlo).  They are proxies, not bounds.
+Every estimate an engine returns is built by one of two helpers.
+``_tensor_estimate`` evaluates on the fine grid and on the half-resolution
+grid and reports |fine - coarse| as the error.  ``_mc_estimate`` splits
+the budget over 32 seeded batches and reports the standard error of the
+batch means, with a warning when the integrand's |z|^-sigma singularity
+makes the variance infinite (2 sigma >= N).  Both errors are proxies, not
+bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,7 +44,7 @@ from scipy import signal
 
 from . import geometry, kernels
 from .errors import ParameterError
-from .geometry import BallConfig, Shape, SlicedShape, VoxelShape
+from .geometry import Shape, VoxelShape
 from .kernels import KernelSpec
 
 _NB_BATCHES = 32
@@ -623,14 +628,18 @@ def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
 # Voxelization and grid utilities
 
 
-def voxelize(
-    shape: Shape,
-    cells_per_axis: Optional[int] = None,
-    box=None,
-    budget: Optional[int] = None,
-) -> VoxelShape:
+def _cells_per_axis(budget: int, N: int, coarse: bool = False) -> int:
+    """Cells per axis of a tensor grid of about ``budget`` cells (at least
+    4), halved on the coarse grid."""
+    n = max(4, int(round(budget ** (1.0 / N))))
+    return max(4, n // 2) if coarse else n
+
+
+def voxelize(shape: Shape, cells_per_axis: Optional[int] = None, box=None) -> VoxelShape:
     """Sample a shape onto a cubic-cell grid covering ``box`` (default: the
-    shape's bounding box).  Cells are classified by their centers."""
+    shape's bounding box), 64 cells across its longest side unless
+    ``cells_per_axis`` says otherwise.  Cells are classified by their
+    centers."""
     if isinstance(shape, VoxelShape) and box is None and cells_per_axis is None:
         return shape
     N = shape.dimension
@@ -641,8 +650,7 @@ def voxelize(
             dimension=N, origin=lo, spacing=1.0, occupancy=np.zeros((1,) * N, dtype=bool)
         )
     if cells_per_axis is None:
-        budget = budget or 64 ** N
-        cells_per_axis = max(4, int(round(budget ** (1.0 / N))))
+        cells_per_axis = _cells_per_axis(64 ** N, N)
     h = float(np.max(extent)) / cells_per_axis
     dims = tuple(max(1, int(math.ceil(extent[i] / h - 1e-9))) for i in range(N))
     if np.prod(dims) > 1.0e8:
@@ -711,10 +719,20 @@ def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
     """Voxel view of any shape for the tensor engines."""
     if isinstance(shape, VoxelShape):
         return _coarse_voxel(shape) if coarse else shape
-    n = max(4, int(round(budget ** (1.0 / shape.dimension))))
-    if coarse:
-        n = max(4, n // 2)
-    return voxelize(shape, cells_per_axis=n)
+    return voxelize(shape, cells_per_axis=_cells_per_axis(budget, shape.dimension, coarse))
+
+
+# ---------------------------------------------------------------------------
+# Estimates (see the module docstring)
+
+
+def _tensor_estimate(spec: QuadratureSpec, value_at) -> IntegralEstimate:
+    """Tensor estimate from ``value_at(coarse)`` -> (value, samples,
+    warning): the value, samples and warning of the fine grid, and as
+    error the change from the coarse (half-resolution) grid."""
+    value, samples, warn = value_at(False)
+    coarse, _, _ = value_at(True)
+    return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint", spec.seed, warn)
 
 
 def _batch_rngs(seed: int):
@@ -722,13 +740,22 @@ def _batch_rngs(seed: int):
     return [np.random.default_rng(s) for s in seqs]
 
 
-def _mc_combine(batch_means: np.ndarray):
-    value = float(np.mean(batch_means))
-    if len(batch_means) > 1:
-        err = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
-    else:
-        err = float("nan")
-    return value, err
+def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma=None) -> IntegralEstimate:
+    """Monte Carlo estimate from ``_NB_BATCHES`` seeded batches that share
+    the budget: ``batch_mean(rng, count)`` returns one batch's estimate of
+    the integral.  The value is the mean of the batch estimates and the
+    error their standard error.  An integrand with a |z|^-sigma
+    singularity has infinite variance when 2 sigma >= N, and the estimate
+    then carries a warning."""
+    per = max(1, spec.resolved_budget(N) // _NB_BATCHES)
+    means = np.array([batch_mean(rng, per) for rng in _batch_rngs(spec.seed)])
+    err = float(np.std(means, ddof=1) / math.sqrt(_NB_BATCHES))
+    warn = None
+    if sigma is not None and 2.0 * sigma >= N:
+        warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
+    return IntegralEstimate(
+        float(np.mean(means)), err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -749,41 +776,30 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
     fvec = sing.vec if sing is not None else f
 
     if spec.method == "monte-carlo":
-        budget = spec.resolved_budget(N)
         lo, hi = E.bounding_box()
         box_vol = float(np.prod(hi - lo))
-        per = max(1, budget // _NB_BATCHES)
-        means = []
-        for rng in _batch_rngs(spec.seed):
-            pts = rng.uniform(lo, hi, size=(per, N))
-            inside = geometry.indicator(E, pts)
-            vals = np.where(inside, fvec(pts), 0.0)
-            means.append(float(np.mean(vals)) * box_vol)
-        value, err = _mc_combine(np.array(means))
-        warn = None
-        if sing is not None and 2.0 * sing.exponent >= N:
-            warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
-        return IntegralEstimate(value, err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn)
+
+        def batch_mean(rng, count):
+            pts = rng.uniform(lo, hi, size=(count, N))
+            vals = np.where(geometry.indicator(E, pts), fvec(pts), 0.0)
+            return float(np.mean(vals)) * box_vol
+
+        return _mc_estimate(spec, N, batch_mean, sing.exponent if sing is not None else None)
 
     budget = spec.resolved_budget(N)
 
-    def tensor_value(grid: VoxelShape):
+    def value_at(coarse: bool):
+        grid = _as_grid(E, budget, coarse)
         if grid.count == 0:
-            return 0.0, None
+            return 0.0, 0, None
         h = grid.spacing
         if sing is not None:
             vals, warn = _singular_cell_means(grid.cell_centers(), h, sing)
         else:
             vals, warn = fvec(grid.cell_centers()), None
-        return float(np.sum(vals)) * h ** N, warn
+        return float(np.sum(vals)) * h ** N, grid.count, warn
 
-    fine = _as_grid(E, budget)
-    coarse = _as_grid(E, budget, coarse=True)
-    value, warn = tensor_value(fine)
-    value2, _ = tensor_value(coarse)
-    return IntegralEstimate(
-        value, abs(value - value2), fine.count, "tensor-midpoint", spec.seed, warn
-    )
+    return _tensor_estimate(spec, value_at)
 
 
 def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
@@ -801,39 +817,29 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
     igd = _coerce_integrand(g, N)
 
     if spec.method == "monte-carlo":
-        budget = spec.resolved_budget(N)
         loE, hiE = E.bounding_box()
         loF, hiF = F.bounding_box()
         vol = float(np.prod(hiE - loE)) * float(np.prod(hiF - loF))
-        per = max(1, budget // _NB_BATCHES)
-        means = []
-        for rng in _batch_rngs(spec.seed):
-            x = rng.uniform(loE, hiE, size=(per, N))
-            y = rng.uniform(loF, hiF, size=(per, N))
+
+        def batch_mean(rng, count):
+            x = rng.uniform(loE, hiE, size=(count, N))
+            y = rng.uniform(loF, hiF, size=(count, N))
             keep = geometry.indicator(E, x) & geometry.indicator(F, y)
-            if igd is not None:
-                vals = np.where(keep, _safe_offset_eval(igd, y - x), 0.0)
-            else:
-                vals = np.where(keep, g(x, y), 0.0)
-            means.append(float(np.mean(vals)) * vol)
-        value, err = _mc_combine(np.array(means))
-        warn = None
-        if igd is not None and 2.0 * igd.sigma >= N:
-            warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
-        return IntegralEstimate(value, err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn)
+            vals = _safe_offset_eval(igd, y - x) if igd is not None else g(x, y)
+            return float(np.mean(np.where(keep, vals, 0.0))) * vol
+
+        return _mc_estimate(spec, N, batch_mean, igd.sigma if igd is not None else None)
 
     budget = spec.resolved_budget(N)
     if igd is None:
-        return _generic_tensor_double(E, F, g, spec, budget)
+        return _tensor_estimate(spec, lambda coarse: _generic_pair_sum(E, F, g, budget, coarse))
 
-    def tensor_value(coarse: bool):
+    def value_at(coarse: bool):
         gE, gF, _, h = _pair_grids(E, F, budget, coarse)
-        val = _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd))
-        return val, int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
+        cells = int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
+        return _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd)), cells, None
 
-    value, cells = tensor_value(False)
-    value2, _ = tensor_value(True)
-    return IntegralEstimate(value, abs(value - value2), cells, "tensor-midpoint", spec.seed)
+    return _tensor_estimate(spec, value_at)
 
 
 def _safe_offset_eval(igd: OffsetIntegrand, z: np.ndarray) -> np.ndarray:
@@ -862,39 +868,28 @@ def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
     loF, hiF = F.bounding_box()
     lo = np.minimum(loE, loF)
     hi = np.maximum(hiE, hiF)
-    n = max(4, int(round(budget ** (1.0 / E.dimension))))
-    if coarse:
-        n = max(4, n // 2)
+    n = _cells_per_axis(budget, E.dimension, coarse)
     gE = voxelize(E, cells_per_axis=n, box=(lo, hi))
     gF = voxelize(F, cells_per_axis=n, box=(lo, hi))
     return gE.occupancy, gF.occupancy, gE.origin, gE.spacing
 
 
-def _generic_tensor_double(E, F, g, spec, budget) -> IntegralEstimate:
-    def value_at(coarse):
-        gE = _as_grid(E, budget, coarse=coarse)
-        gF = _as_grid(F, budget, coarse=coarse)
-        cE, cF = gE.cell_centers(), gF.cell_centers()
-        scale = gE.spacing ** gE.dimension * gF.spacing ** gF.dimension
-        total = 0.0
-        chunk = max(1, (1 << 22) // max(1, cF.shape[0]))
-        for start in range(0, cE.shape[0], chunk):
-            xs = cE[start : start + chunk]
-            xx = np.repeat(xs, cF.shape[0], axis=0)
-            yy = np.tile(cF, (xs.shape[0], 1))
-            total += float(np.sum(g(xx, yy)))
-        return total * scale, cE.shape[0] + cF.shape[0]
-
-    value, cells = value_at(False)
-    value2, _ = value_at(True)
-    return IntegralEstimate(
-        value,
-        abs(value - value2),
-        cells,
-        "tensor-midpoint",
-        spec.seed,
-        "generic integrand: midpoint rule without near-diagonal refinement",
-    )
+def _generic_pair_sum(E, F, g, budget: int, coarse: bool):
+    """Midpoint pair sum of a generic callable g(x, y) over the grids of E
+    and F: (value, cells, warning)."""
+    gE = _as_grid(E, budget, coarse=coarse)
+    gF = _as_grid(F, budget, coarse=coarse)
+    cE, cF = gE.cell_centers(), gF.cell_centers()
+    scale = gE.spacing ** gE.dimension * gF.spacing ** gF.dimension
+    total = 0.0
+    chunk = max(1, (1 << 22) // max(1, cF.shape[0]))
+    for start in range(0, cE.shape[0], chunk):
+        xs = cE[start : start + chunk]
+        xx = np.repeat(xs, cF.shape[0], axis=0)
+        yy = np.tile(cF, (xs.shape[0], 1))
+        total += float(np.sum(g(xx, yy)))
+    warn = "generic integrand: midpoint rule without near-diagonal refinement"
+    return total * scale, cE.shape[0] + cF.shape[0], warn
 
 
 def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> IntegralEstimate:
@@ -911,48 +906,36 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     igd = kernel_integrand(kernel)
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
+
     if spec.method == "monte-carlo":
-        return _mc_complement(E, igd, spec)
+        lo, hi = E.bounding_box()
+        pad = _MC_PADDING * float(np.linalg.norm(hi - lo))
+        box_lo, box_hi = lo - pad, hi + pad
+        volE_box = float(np.prod(hi - lo))
+        vol_box = float(np.prod(box_hi - box_lo))
+
+        def batch_mean(rng, count):
+            x = rng.uniform(lo, hi, size=(count, N))
+            y = rng.uniform(box_lo, box_hi, size=(count, N))
+            in_e = geometry.indicator(E, x)
+            keep = in_e & ~geometry.indicator(E, y)
+            vals = np.where(keep, _safe_offset_eval(igd, y - x), 0.0)
+            near = float(np.mean(vals)) * volE_box * vol_box
+            tails = np.zeros(count)
+            if np.any(in_e):
+                tails[in_e] = _tail_per_cell(x[in_e], box_lo, box_hi, igd)
+            return near + float(np.mean(tails)) * volE_box
+
+        return _mc_estimate(spec, N, batch_mean, igd.sigma)
 
     budget = spec.resolved_budget(N)
 
-    def tensor_value(coarse: bool):
+    def value_at(coarse: bool):
         grid = _as_grid(E, budget, coarse=coarse)
         T, a = _cell_kernel_mass(grid.occupancy.shape, grid.spacing, igd)
-        return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
+        return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count, None
 
-    value, cells = tensor_value(False)
-    value2, _ = tensor_value(True)
-    return IntegralEstimate(value, abs(value - value2), cells, "tensor-midpoint", spec.seed)
-
-
-def _mc_complement(E, igd, spec) -> IntegralEstimate:
-    N = igd.dimension
-    lo, hi = E.bounding_box()
-    pad = _MC_PADDING * float(np.linalg.norm(hi - lo))
-    box_lo, box_hi = lo - pad, hi + pad
-    volE_box = float(np.prod(hi - lo))
-    vol_box = float(np.prod(box_hi - box_lo))
-    budget = spec.resolved_budget(N)
-    per = max(1, budget // _NB_BATCHES)
-    means = []
-    for rng in _batch_rngs(spec.seed):
-        x = rng.uniform(lo, hi, size=(per, N))
-        y = rng.uniform(box_lo, box_hi, size=(per, N))
-        in_e = geometry.indicator(E, x)
-        keep = in_e & ~geometry.indicator(E, y)
-        vals = np.where(keep, _safe_offset_eval(igd, y - x), 0.0)
-        near = float(np.mean(vals)) * volE_box * vol_box
-        tails = np.zeros(per)
-        if np.any(in_e):
-            tails[in_e] = _tail_per_cell(x[in_e], box_lo, box_hi, igd)
-        tail = float(np.mean(tails)) * volE_box
-        means.append(near + tail)
-    value, err = _mc_combine(np.array(means))
-    warn = None
-    if 2.0 * igd.sigma >= N:
-        warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
-    return IntegralEstimate(value, err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn)
+    return _tensor_estimate(spec, value_at)
 
 
 def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
@@ -964,22 +947,17 @@ def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
         raise ParameterError(f"sphere integrals support N in {{2, 3}}, got {N}")
     area = geometry.unit_sphere_area(N)
     if spec.method == "monte-carlo":
-        budget = spec.resolved_budget(N)
-        per = max(1, budget // _NB_BATCHES)
-        means = []
-        for rng in _batch_rngs(spec.seed):
-            v = rng.standard_normal((per, N))
+
+        def batch_mean(rng, count):
+            v = rng.standard_normal((count, N))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            means.append(float(np.mean(f(v))) * area)
-        value, err = _mc_combine(np.array(means))
-        return IntegralEstimate(value, err, per * _NB_BATCHES, "monte-carlo", spec.seed)
-    count = spec.resolved_budget(N)
-    count = max(16, min(count, 1 << 20))
+            return float(np.mean(f(v))) * area
 
-    def value_at(m):
-        dirs, w = _direction_grid(N, m)
-        return float(np.sum(f(dirs) * w))
+        return _mc_estimate(spec, N, batch_mean)
+    count = max(16, min(spec.resolved_budget(N), 1 << 20))
 
-    value = value_at(count)
-    value2 = value_at(max(8, count // 2))
-    return IntegralEstimate(value, abs(value - value2), count, "tensor-midpoint", spec.seed)
+    def value_at(coarse: bool):
+        dirs, w = _direction_grid(N, max(8, count // 2) if coarse else count)
+        return float(np.sum(f(dirs) * w)), count, None
+
+    return _tensor_estimate(spec, value_at)

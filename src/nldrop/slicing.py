@@ -97,8 +97,8 @@ def splitting_defect(
     nu = _unit(nu)
     hs = Halfspace(nu=nu, l=float(l))
     work = E
-    if spec.method == "tensor-midpoint" and not isinstance(E, VoxelShape):
-        work = quadrature.voxelize(E, budget=spec.resolved_budget(E.dimension))
+    if spec.method == "tensor-midpoint":
+        work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
     upper, lower = geometry.slice_shape(work, hs)
     if geometry.is_empty(upper) or geometry.is_empty(lower):
         lhs = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
@@ -243,74 +243,63 @@ def scan(
         nu_grid = default_direction_grid(N, nu_count)
     nu_grid = [np.asarray(_unit(nu)) for nu in nu_grid]
     if spec.method == "monte-carlo":
-        records = []
-        integrated = []
-        for nu in nu_grid:
-            levels = (
-                np.asarray(l_grid, dtype=float)
-                if l_grid is not None
-                else default_level_grid(E, nu, l_count)
-            )
-            row = [splitting_defect(E, nu, float(l), params, spec) for l in levels]
-            records.extend(row)
-            integrated.append(
-                (nu, float(np.trapezoid([r.defect for r in row], levels)))
-            )
-        best = min(records, key=lambda r: r.defect)
-        return ScanResult(records, integrated, best.defect, best)
+        work = E
 
-    vox = E if isinstance(E, VoxelShape) else quadrature.voxelize(
-        E, budget=spec.resolved_budget(N)
-    )
+        def cuts(nu, levels):
+            return [splitting_defect(E, nu, float(l), params, spec) for l in levels]
+
+    else:
+        work = quadrature._as_grid(E, spec.resolved_budget(N))
+
+        def sweep_tables(v: VoxelShape):
+            h = v.spacing
+            dims = v.occupancy.shape
+            T_r = quadrature._stencil(dims, h, quadrature.riesz_integrand(N, params.alpha))
+            T_k = quadrature._stencil(dims, h, quadrature.kernel_integrand(params.kernel))
+            bfield = _background_cell_field(v, params.beta)
+            return _SweepData(v, {"riesz": T_r, "kernel": T_k}, {"background": bfield})
+
+        data = sweep_tables(work)
+        data_c = sweep_tables(quadrature._coarse_voxel(work))
+
+        def cut_terms(sweep, l):
+            """(lhs, cross kernel, lower background, rhs) of one swept cut."""
+            proj, cross, cells = sweep
+            k = _SweepData.prefix_count(proj, l)
+            ck = cross["kernel"][k]
+            bm = cells["background"][-1] - cells["background"][k]
+            return cross["riesz"][k], ck, bm, 2.0 * ck + params.A * bm
+
+        def cuts(nu, levels):
+            fine, coarse = data.sweep(nu), data_c.sweep(nu)
+            row = []
+            for l in levels:
+                lhs, ck, bm, rhs = cut_terms(fine, float(l))
+                lhs_c, _, _, rhs_c = cut_terms(coarse, float(l))
+                row.append(
+                    SliceDefectRecord(
+                        nu=nu,
+                        l=float(l),
+                        lhs=float(lhs),
+                        cross_kernel=float(ck),
+                        background_minus=float(bm),
+                        rhs=float(rhs),
+                        defect=float(rhs - lhs),
+                        lhs_error=float(abs(lhs - lhs_c)),
+                        rhs_error=float(abs(rhs - rhs_c)),
+                    )
+                )
+            return row
+
     records: List[SliceDefectRecord] = []
     integrated: List[Tuple[np.ndarray, float]] = []
-
-    def sweep_tables(v: VoxelShape):
-        h = v.spacing
-        dims = v.occupancy.shape
-        T_r = quadrature._stencil(dims, h, quadrature.riesz_integrand(N, params.alpha))
-        T_k = quadrature._stencil(dims, h, quadrature.kernel_integrand(params.kernel))
-        bfield = _background_cell_field(v, params.beta)
-        return _SweepData(v, {"riesz": T_r, "kernel": T_k}, {"background": bfield})
-
-    data = sweep_tables(vox)
-    data_c = sweep_tables(quadrature._coarse_voxel(vox))
-
     for nu in nu_grid:
         levels = (
             np.asarray(l_grid, dtype=float)
             if l_grid is not None
-            else default_level_grid(vox, nu, l_count)
+            else default_level_grid(work, nu, l_count)
         )
-        proj, cross, cells = data.sweep(nu)
-        proj_c, cross_c, cells_c = data_c.sweep(nu)
-        b_total = cells["background"][-1]
-        b_total_c = cells_c["background"][-1]
-        row = []
-        for l in levels:
-            k = _SweepData.prefix_count(proj, float(l))
-            kc = _SweepData.prefix_count(proj_c, float(l))
-            lhs = cross["riesz"][k]
-            lhs_c = cross_c["riesz"][kc]
-            ck = cross["kernel"][k]
-            ck_c = cross_c["kernel"][kc]
-            bm = b_total - cells["background"][k]
-            bm_c = b_total_c - cells_c["background"][kc]
-            rhs = 2.0 * ck + params.A * bm
-            rhs_c = 2.0 * ck_c + params.A * bm_c
-            row.append(
-                SliceDefectRecord(
-                    nu=nu,
-                    l=float(l),
-                    lhs=float(lhs),
-                    cross_kernel=float(ck),
-                    background_minus=float(bm),
-                    rhs=float(rhs),
-                    defect=float(rhs - lhs),
-                    lhs_error=float(abs(lhs - lhs_c)),
-                    rhs_error=float(abs(rhs - rhs_c)),
-                )
-            )
+        row = cuts(nu, levels)
         records.extend(row)
         integrated.append((nu, float(np.trapezoid([r.defect for r in row], levels))))
     best = min(records, key=lambda r: r.defect)
@@ -380,9 +369,7 @@ def layer_cake_checks(
     """
     nu = _unit(nu)
     N = E.dimension
-    vox = E if isinstance(E, VoxelShape) else quadrature.voxelize(
-        E, budget=spec.resolved_budget(N)
-    )
+    vox = quadrature._as_grid(E, spec.resolved_budget(N))
     h = vox.spacing
     T_r = quadrature._stencil(vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0))
     bfield = _background_cell_field(vox, beta)

@@ -271,6 +271,48 @@ class TestDecompositions:
         cp = check_perimeter_decomposition(U, W, frac(), spec)
         assert abs(cp.residual) <= 4.0 * cp.combined_error
 
+    # Monte Carlo (residual, combined error, terms) of both identities,
+    # frozen before the two checks shared one body
+    MC_PINNED = {
+        "balls": (
+            (-7.192854045748137, 21.29168433836765, {
+                "P_U": 24.314578113175354, "P_W": 30.639870322186304,
+                "P_union": 61.49336863922281, "cross": 0.32696692094349206,
+            }),
+            (-0.08793532386586045, 0.22371869273220682, {
+                "V_U": 1.1049852598122754, "V_W": 1.8662747035015403,
+                "V_union": 4.028659836151531, "cross": 1.145335196703576,
+            }),
+        ),
+        "voxels": (
+            (-0.009109886541812221, 0.6448623414114957, {
+                "P_U": 1.2839202590122614, "P_W": 0.2504861557907051,
+                "P_union": 1.5344064148029666, "cross": 0.0045549432709059996,
+            }),
+            (0.00017807601938328197, 0.007101712777178743, {
+                "V_U": 0.005371772321594419, "V_W": 0.00043745333042118496,
+                "V_union": 0.007403157478967222, "cross": 0.0014158558075683364,
+            }),
+        ),
+    }
+
+    @pytest.mark.parametrize("inputs", sorted(MC_PINNED))
+    def test_monte_carlo_checks_are_pinned(self, inputs):
+        if inputs == "balls":
+            U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
+            W = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
+        else:
+            U, W = geometry.random_disjoint_pair(2, np.random.default_rng(12), grid_n=24)
+        spec = QuadratureSpec(method="monte-carlo", budget=4000, seed=3)
+        checks = (
+            check_perimeter_decomposition(U, W, frac(), spec),
+            check_riesz_decomposition(U, W, spec, alpha=0.6),
+        )
+        for check, (residual, error, terms) in zip(checks, self.MC_PINNED[inputs]):
+            assert check.residual == pytest.approx(residual, rel=1e-12)
+            assert check.combined_error == pytest.approx(error, rel=1e-12)
+            assert check.terms == pytest.approx(terms, rel=1e-12)
+
     def test_residual_coerces_to_float(self):
         rng = np.random.default_rng(5)
         U, W = geometry.random_disjoint_pair(2, rng, grid_n=32)

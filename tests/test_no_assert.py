@@ -1,5 +1,6 @@
 """The package validates with explicit raises: ``python -O`` strips
-``assert`` statements, so none may guard package code."""
+``assert`` statements, so none may guard package code.  Package modules
+also import nothing they do not use."""
 
 import ast
 from pathlib import Path
@@ -19,3 +20,27 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads (``from __future__``
+    imports excluded)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_modules_use_every_import():
+    # __init__.py imports to re-export, so it is exempt
+    sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    found = [entry for path in sources for entry in _unused_imports(path)]
+    assert not found, f"unused imports in the package: {found}"

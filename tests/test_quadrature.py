@@ -442,3 +442,54 @@ class TestEstimateRecord:
             "seed": 0,
             "warning": "",
         }
+
+
+# (value, error, samples, warning) of each public operation on small fixed
+# shapes, frozen from the engines before their fine/coarse refinement and
+# their Monte Carlo batch loops were shared: a swapped coarse grid, a
+# changed batch layout or a dropped warning moves one of them
+_PIN_DISK = geometry.BallConfig(dimension=2, centers=np.array([[0.1, 0.05]]), radii=np.array([0.9]))
+_PIN_U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
+_PIN_W = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
+_PIN_OPS = {
+    "integral_over": lambda spec: integral_over(
+        _PIN_DISK, PointSingularity(center=np.zeros(2), exponent=1.0), spec
+    ),
+    "double_stationary": lambda spec: double_integral(_PIN_U, _PIN_W, 1.0, spec),
+    "double_generic": lambda spec: double_integral(
+        _PIN_U, _PIN_W, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)), spec
+    ),
+    "complement": lambda spec: complement_double_integral(_PIN_DISK, frac_kernel(), spec),
+    "sphere_average": lambda spec: sphere_average(
+        lambda v: np.clip(v[:, 0], 0.0, None) + v[:, 2] ** 2, 3, spec
+    ),
+}
+_PIN_SPECS = {
+    "tensor-midpoint": QuadratureSpec(budget=1024),
+    "monte-carlo": QuadratureSpec(method="monte-carlo", budget=2048, seed=5),
+}
+_HEAVY = "heavy-tailed integrand; Monte Carlo stderr unreliable"
+_GENERIC = "generic integrand: midpoint rule without near-diagonal refinement"
+PINNED_ESTIMATES = {
+    ("integral_over", "tensor-midpoint"): (5.626504759797939, 0.049407088708621316, 812, None),
+    ("integral_over", "monte-carlo"): (5.437496669139129, 0.11583249580634675, 2048, _HEAVY),
+    ("double_stationary", "tensor-midpoint"): (0.8444047113279975, 0.0904679684829155, 237, None),
+    ("double_stationary", "monte-carlo"): (0.8285492003465506, 0.016684154380760978, 2048, _HEAVY),
+    ("double_generic", "tensor-midpoint"): (0.055347304760639815, 0.003580701517670884, 1624, _GENERIC),
+    ("double_generic", "monte-carlo"): (0.051551151367662806, 0.0031635950007630398, 2048, None),
+    ("complement", "tensor-midpoint"): (54.45873406034755, 1.31961293052899, 812, None),
+    ("complement", "monte-carlo"): (41.45907916505635, 5.591094624206583, 2048, _HEAVY),
+    ("sphere_average", "tensor-midpoint"): (7.326345326665783, 0.00784589714590922, 1024, None),
+    ("sphere_average", "monte-carlo"): (7.31550578383898, 0.11921999578048444, 2048, None),
+}
+
+
+@pytest.mark.parametrize("op, method", sorted(PINNED_ESTIMATES))
+def test_engine_outputs_are_pinned(op, method):
+    est = _PIN_OPS[op](_PIN_SPECS[method])
+    value, error, samples, warning = PINNED_ESTIMATES[(op, method)]
+    assert est.method == method
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.error == pytest.approx(error, rel=1e-12)
+    assert est.samples == samples
+    assert est.warning == warning
