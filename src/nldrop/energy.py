@@ -29,6 +29,7 @@ quadrature accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,8 +117,26 @@ def _params_kernel(params_or_kernel) -> KernelSpec:
 # Radial reductions for ball configurations
 
 
-def _gl(n: int, lo: float, hi: float):
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
     x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_rule(n: int, s: float):
+    """Read-only n-point Gauss-Jacobi rule with weight (1 + x)^{-s} on [-1, 1]."""
+    x, w = special.roots_jacobi(n, 0.0, -s)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gl(n: int, lo: float, hi: float):
+    x, w = _legendre_rule(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -154,7 +173,7 @@ def _single_ball_perimeter(kernel: KernelSpec, R: float, n: int = 192) -> float:
     omega = geometry.unit_sphere_area(N)
     vol_r = geometry.unit_ball_volume(N) * R ** N
     s = kernel.s
-    x, w = special.roots_jacobi(n, 0.0, -s)
+    x, w = _jacobi_rule(n, s)
     t = R * (1.0 + x)
     deficit = R ** (2 * N - 1) * _deficit_pair_measure(N, t / R)
     f = kernels.eval_kernel_radial(kernel, t) * t ** s * deficit
@@ -259,7 +278,11 @@ def _ball_pair_interaction(g, N: int, c1, R1: float, c2, R2: float, n: int = 96)
         RR = r_grid[:, None, None]
         PP = rho[None, :, None]
         CC = np.cos(phi)[None, None, :]
-        t = np.sqrt(np.clip(RR ** 2 + PP ** 2 - 2.0 * RR * PP * CC, 1e-300, None))
+        # |x - y| on the (r, rho, phi) tensor, built in one buffer.
+        t = 2.0 * RR * PP * CC
+        np.subtract(RR ** 2 + PP ** 2, t, out=t)
+        np.maximum(t, 1e-300, out=t)
+        np.sqrt(t, out=t)
         u_grid = ((gfn(t) @ wphi) * rho[None, :]) @ wrho
 
     a, wa = _gl(n, 0.0, R1)

@@ -167,12 +167,25 @@ def split_advantage(
         raise ParameterError(f"mass must be positive, got {m}")
     if k < 2:
         raise ParameterError(f"family needs at least 2 balls, got k = {k}")
+    if d_count < 1:
+        raise ParameterError(f"family needs at least 1 separation, got d_count = {d_count}")
+    fractions = tuple(fractions) if fractions is not None else _DEFAULT_FRACTIONS
+    if k == 2 and not any(0.0 < f < 1.0 for f in fractions):
+        raise ParameterError(f"family needs a split fraction in (0, 1), got {fractions}")
     N = params.kernel.dimension
     ref = single_ball_energy(m, params, spec)
     diam = 2.0 * _ball_radius(N, m)
-    fractions = tuple(fractions) if fractions is not None else _DEFAULT_FRACTIONS
     trace: List[dict] = []
     best = None
+
+    def d_grid(touching):
+        near, far = 1.02 * touching, d_max_factor * diam
+        if not far >= near:
+            raise ParameterError(
+                f"d_max_factor = {d_max_factor} puts the largest separation {far:.6g} "
+                f"below the smallest, 1.02 x touching = {near:.6g}"
+            )
+        return np.geomspace(near, far, d_count)
 
     def consider(m1, m2, d, total, err):
         nonlocal best
@@ -187,17 +200,13 @@ def split_advantage(
         m2 = (1.0 - f) * m
         if m1 <= 0 or m2 <= 0:
             continue
-        touching = _ball_radius(N, m1) + _ball_radius(N, m2)
-        d_grid = np.geomspace(1.02 * touching, d_max_factor * diam, d_count)
-        for d in d_grid:
+        for d in d_grid(_ball_radius(N, m1) + _ball_radius(N, m2)):
             cfg = TwoBallConfig(dimension=N, m1=m1, m2=m2, d=float(d))
             rep = two_ball_energy(cfg, params, spec)
             consider(m1, m2, float(d), rep.total, rep.error)
     for kk in range(3, k + 1):
         mk = m / kk
-        touching = 2.0 * _ball_radius(N, mk)
-        d_grid = np.geomspace(1.02 * touching, d_max_factor * diam, d_count)
-        for d in d_grid:
+        for d in d_grid(2.0 * _ball_radius(N, mk)):
             centers = np.zeros((kk, N))
             centers[:, 0] = np.arange(kk) * float(d)
             chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))

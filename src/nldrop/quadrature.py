@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import signal
+from scipy import fft as sp_fft
 
 from . import geometry, kernels
 from .errors import ParameterError
@@ -547,7 +547,18 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     """field[i] = sum over occupied j of T at offset j - i.  T may be the
     stencil of a grid at least as large as ``occ``."""
     rev = T[tuple(slice(None, None, -1) for _ in range(T.ndim))]
-    conv = signal.fftconvolve(occ.astype(float), rev, mode="full")
+    occ = occ.astype(float)
+    # Full linear convolution occ * rev, sized as scipy.signal.fftconvolve
+    # sizes it (so the bits match): axes where either array has length 1
+    # convolve by broadcasting, the others are padded to a fast real-FFT
+    # length of at least s1 + s2 - 1.
+    axes = [a for a in range(occ.ndim) if occ.shape[a] != 1 and T.shape[a] != 1]
+    if axes:
+        fshape = [sp_fft.next_fast_len(occ.shape[a] + T.shape[a] - 1, True) for a in axes]
+        spec = sp_fft.rfftn(occ, fshape, axes=axes) * sp_fft.rfftn(rev, fshape, axes=axes)
+        conv = sp_fft.irfftn(spec, fshape, axes=axes)
+    else:
+        conv = occ * rev
     sl = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T.shape, occ.shape))
     return conv[sl]
 

@@ -263,6 +263,23 @@ class TestSubcommandRuns:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["family.d_count=0"], "family.d_count"),
+            (["family.d_count=0", "family.k=3"], "family.d_count"),
+            (["family.d_max_factor=0.1"], "family.d_max_factor"),
+        ],
+    )
+    def test_family_bad_grid_exits_two(self, tmp_path, capsys, overrides, key):
+        args = ["family", "--output-dir", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item]
+        assert self.run(args) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParameterError"
+        assert key.split(".", 1)[1] in record["message"]
+
     def test_kernel_check_passing(self, tmp_path):
         out = str(tmp_path / "out")
         rc = self.run(["kernel-check", "--output-dir", out])
@@ -317,6 +334,22 @@ class TestSubcommandRuns:
         record = json.loads(err.strip())
         assert record["error"] == "ConfigError"
         assert "bogus" in record["message"]
+
+
+class TestImportWeight:
+    def test_cli_import_skips_signal_and_stats(self):
+        # every CLI run is a fresh process, so import cost is paid per run
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, nldrop.cli; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestDeterminism:

@@ -6,11 +6,13 @@ reference numbers computed independently with scipy.integrate on the
 radial/polar reductions.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from nldrop import energy as energy_mod
 from nldrop import geometry
 from nldrop.energy import (
     EnergyParams,
@@ -25,6 +27,7 @@ from nldrop.energy import (
     total_energy,
 )
 from nldrop.errors import ParameterError, PreconditionError
+from nldrop.families import split_advantage
 from nldrop.kernels import KernelSpec
 from nldrop.quadrature import QuadratureSpec, voxelize
 
@@ -58,6 +61,46 @@ class TestParams:
     def test_beta_range(self):
         with pytest.raises(ParameterError):
             EnergyParams(kernel=frac(), beta=3.0)
+
+
+class TestGaussRuleCaches:
+    def test_caches_are_bounded(self):
+        for rule in (energy_mod._legendre_rule, energy_mod._jacobi_rule):
+            maxsize = rule.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0
+
+    def test_rules_are_read_only(self):
+        for x, w in (energy_mod._legendre_rule(8), energy_mod._jacobi_rule(8, 0.5)):
+            for arr in (x, w):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_each_rule_is_built_once_per_search(self, monkeypatch):
+        built = collections.Counter()
+        real_leggauss = energy_mod.leggauss
+        real_jacobi = energy_mod.special.roots_jacobi
+
+        def leggauss(n):
+            built["legendre", n] += 1
+            return real_leggauss(n)
+
+        def roots_jacobi(n, a, b):
+            built["jacobi", n, b] += 1
+            return real_jacobi(n, a, b)
+
+        monkeypatch.setattr(energy_mod, "leggauss", leggauss)
+        monkeypatch.setattr(energy_mod.special, "roots_jacobi", roots_jacobi)
+        energy_mod._legendre_rule.cache_clear()
+        energy_mod._jacobi_rule.cache_clear()
+        try:
+            params = EnergyParams(kernel=frac(N=3), A=1.0, alpha=0.5, beta=1.0)
+            split_advantage(2.0, params, QuadratureSpec(), d_count=3)
+        finally:
+            energy_mod._legendre_rule.cache_clear()
+            energy_mod._jacobi_rule.cache_clear()
+        assert any(key[0] == "legendre" for key in built)
+        assert any(key[0] == "jacobi" for key in built)
+        assert set(built.values()) == {1}
 
 
 class TestBallPerimeter:

@@ -138,6 +138,38 @@ class TestTwoBallEnergy:
         two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params, QuadratureSpec())
         assert len(calls) == expected
 
+    # values and errors at m1 = 2, m2 = 1, d = 4 (s = 1/2, epsilon = 3/4,
+    # A = 1, beta = 1), pinned bit for bit: perimeter, riesz and background
+    # (value, error) each, then total and error
+    @pytest.mark.parametrize(
+        "N, alpha, expected",
+        [
+            (2, 1.0, [
+                "0x1.19eaae11b2356p+6", "0x1.e5f8ac0000000p-33",
+                "0x1.90e0e61d562e6p+2", "0x1.457f6f3a10350p-34",
+                "0x1.40d931ff62706p+2", "0x0.0p+0",
+                "0x1.1eeb295391714p+6", "0x1.445c31ce840d4p-32",
+            ]),
+            (3, 0.5, [
+                "0x1.2d373b8efb9b4p+7", "0x1.dfddce0000000p-33",
+                "0x1.040c4c1d72d04p+2", "0x1.dbfdfbb5f9d3ap-32",
+                "0x1.eb4df536e5a97p+1", "0x0.0p+0",
+                "0x1.2daa661b0b9b2p+7", "0x1.65f6715afce9dp-31",
+            ]),
+        ],
+    )
+    def test_values_are_pinned(self, N, alpha, expected):
+        kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
+        params = EnergyParams(kernel=kernel, A=1.0, alpha=alpha, beta=1.0)
+        rep = two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params, QuadratureSpec())
+        got = [
+            rep.perimeter.value, rep.perimeter.error,
+            rep.riesz.value, rep.riesz.error,
+            rep.background.value, rep.background.error,
+            rep.total, rep.error,
+        ]
+        assert got == [float.fromhex(v) for v in expected]
+
     def test_radial_reduction_under_any_spec(self):
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
         params = make_params()
@@ -177,6 +209,16 @@ class TestSplitAdvantage:
             split_advantage(-1.0, make_params(), QuadratureSpec())
         with pytest.raises(ParameterError):
             split_advantage(1.0, make_params(), QuadratureSpec(), k=1)
+
+    def test_empty_search_grids(self):
+        with pytest.raises(ParameterError, match="d_count"):
+            split_advantage(2.0, make_params(), QuadratureSpec(), d_count=0)
+        with pytest.raises(ParameterError, match="d_count"):
+            split_advantage(2.0, make_params(), QuadratureSpec(), d_count=0, k=3)
+        with pytest.raises(ParameterError, match="d_max_factor"):
+            split_advantage(2.0, make_params(), QuadratureSpec(), d_max_factor=0.5)
+        with pytest.raises(ParameterError, match="fraction"):
+            split_advantage(2.0, make_params(), QuadratureSpec(), fractions=(0.0, 1.0))
 
     def test_record_keys(self):
         rec = split_advantage(2.0, make_params(), QuadratureSpec()).as_record()

@@ -10,6 +10,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from nldrop.errors import ParameterError
 from nldrop import geometry, quadrature
@@ -31,6 +32,7 @@ from nldrop.quadrature import (
     sphere_average,
     voxelize,
     _fft_pair_sum,
+    _pair_field,
     _stencil,
 )
 
@@ -175,6 +177,27 @@ class TestStencilAndPairSum:
                 off = j - i
                 direct += T[off[0] + 5, off[1] + 4]
         assert got == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "occ_shape, T_shape",
+        [
+            ((7, 5), (13, 9)),  # 2-D, the grid's own stencil
+            ((4, 5, 3), (7, 9, 5)),  # 3-D
+            ((1, 6), (1, 11)),  # a length-1 axis in both
+            ((1, 6), (3, 11)),  # a length-1 occupancy axis under a longer stencil
+            ((5, 1, 4), (9, 1, 7)),
+            ((5, 6), (21, 17)),  # a stencil larger than the grid
+            ((3, 4, 2), (9, 9, 9)),
+            ((1, 1), (3, 5)),  # one cell: no FFT axis at all
+        ],
+    )
+    def test_pair_field_matches_fftconvolve(self, occ_shape, T_shape):
+        rng = np.random.default_rng(sum(occ_shape) + sum(T_shape))
+        occ = rng.random(occ_shape) < 0.6
+        T = rng.random(T_shape)
+        ref = signal.fftconvolve(occ.astype(float), T[(slice(None, None, -1),) * T.ndim], mode="full")
+        crop = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T_shape, occ_shape))
+        assert np.array_equal(_pair_field(occ, T), ref[crop])
 
 
 def _fresh_caches(monkeypatch):
