@@ -494,7 +494,13 @@ def _run_family(config, outdir):
         return 0
     if mode == "probe":
         probe = families.weak_subadditivity_probe(
-            float(config["family.m1"]), float(config["family.m2"]), params, spec
+            float(config["family.m1"]),
+            float(config["family.m2"]),
+            params,
+            spec,
+            d_count=int(config["family.d_count"]),
+            d_max_factor=float(config["family.d_max_factor"]),
+            k=int(config["family.k"]),
         )
         row = {
             "m1": config["family.m1"],

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
 
 from . import geometry, kernels, quadrature
 from .errors import ParameterError, PreconditionError
@@ -129,6 +128,8 @@ def _legendre_rule(n: int):
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(n: int, s: float):
     """Read-only n-point Gauss-Jacobi rule with weight (1 + x)^{-s} on [-1, 1]."""
+    from scipy import special
+
     x, w = special.roots_jacobi(n, 0.0, -s)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -194,6 +195,8 @@ def _ball_self_riesz(N: int, alpha: float, R: float) -> float:
         )
         vol = geometry.unit_ball_volume(3)
     else:
+        from scipy import integrate
+
         # density 2 t A_ov(t) / pi with the two-disk overlap area A_ov
         def f(t):
             a_ov = 2.0 * math.acos(t / 2.0) - (t / 2.0) * math.sqrt(4.0 - t * t)
@@ -231,6 +234,8 @@ def _radial_moment1(kernel_or_alpha, N: int):
                 return flat + frac
 
             return M
+
+        from scipy import integrate
 
         def M(T):
             T = np.atleast_1d(np.asarray(T, dtype=float))

@@ -125,11 +125,15 @@ def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSp
 
 @dataclass(frozen=True)
 class FamilySearchResult:
-    """Best split found, the single-ball reference, and the search trace."""
+    """Best split found, the single-ball reference, and the search trace.
+
+    ``best_balls`` is the layout of the best split: two balls, or a chain
+    of equal balls (``best_m1`` one link, ``best_m2`` the rest)."""
 
     best_m1: float
     best_m2: float
     best_d: float
+    best_balls: BallConfig
     best_energy: float
     reference_energy: float
     family_min: float
@@ -176,7 +180,7 @@ def split_advantage(
     ref = single_ball_energy(m, params, spec)
     diam = 2.0 * _ball_radius(N, m)
     trace: List[dict] = []
-    best = None
+    best = best_balls = None
 
     def d_grid(touching):
         near, far = 1.02 * touching, d_max_factor * diam
@@ -187,11 +191,11 @@ def split_advantage(
             )
         return np.geomspace(near, far, d_count)
 
-    def consider(m1, m2, d, total, err):
-        nonlocal best
+    def consider(m1, m2, d, balls, total, err):
+        nonlocal best, best_balls
         entry = {"m1": m1, "m2": m2, "d": d, "total": total, "error": err}
         if best is None or total < best["total"]:
-            best = entry
+            best, best_balls = entry, balls
         entry["best_so_far"] = best["total"]
         trace.append(entry)
 
@@ -203,7 +207,7 @@ def split_advantage(
         for d in d_grid(_ball_radius(N, m1) + _ball_radius(N, m2)):
             cfg = TwoBallConfig(dimension=N, m1=m1, m2=m2, d=float(d))
             rep = two_ball_energy(cfg, params, spec)
-            consider(m1, m2, float(d), rep.total, rep.error)
+            consider(m1, m2, float(d), cfg.shape(), rep.total, rep.error)
     for kk in range(3, k + 1):
         mk = m / kk
         for d in d_grid(2.0 * _ball_radius(N, mk)):
@@ -211,12 +215,13 @@ def split_advantage(
             centers[:, 0] = np.arange(kk) * float(d)
             chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))
             rep, _ = _ball_system_energy(chain, params, spec, charged=1)
-            consider(mk, m - mk, float(d), rep.total, rep.error)
+            consider(mk, m - mk, float(d), chain, rep.total, rep.error)
     family_min = min(ref.total, best["total"])
     return FamilySearchResult(
         best_m1=best["m1"],
         best_m2=best["m2"],
         best_d=best["d"],
+        best_balls=best_balls,
         best_energy=best["total"],
         reference_energy=ref.total,
         family_min=family_min,
@@ -247,13 +252,23 @@ def _best_balls(m: float, N: int, result: FamilySearchResult) -> BallConfig:
     """Ball layout realizing a family minimum."""
     if result.family_min >= result.reference_energy:
         return geometry.ball_of_volume(N, m)
-    return TwoBallConfig(N, result.best_m1, result.best_m2, result.best_d).shape()
+    return result.best_balls
 
 
 def weak_subadditivity_probe(
-    m1: float, m2: float, params: EnergyParams, spec: QuadratureSpec
+    m1: float,
+    m2: float,
+    params: EnergyParams,
+    spec: QuadratureSpec,
+    d_count: int = _DEFAULT_D_COUNT,
+    d_max_factor: float = _D_MAX_FACTOR,
+    k: int = 2,
 ) -> SubadditivityProbe:
     """Probe familyMin(m1+m2) <= familyMin_A(m1) + familyMin_0(m2).
+
+    ``d_count``, ``d_max_factor`` and ``k`` set the separation grid and
+    the longest chain of the three family searches, as in
+    ``split_advantage``.
 
     The combined family explicitly contains the far-apart union of the two
     component minimizers (translated by 10^6 diameters), mirroring the
@@ -267,13 +282,14 @@ def weak_subadditivity_probe(
         raise ParameterError("masses must be positive")
     N = params.kernel.dimension
     params0 = replace(params, A=0.0)
-    res1 = split_advantage(m1, params, spec)
-    res2 = split_advantage(m2, params0, spec)
+    grid = dict(d_count=d_count, d_max_factor=d_max_factor, k=k)
+    res1 = split_advantage(m1, params, spec, **grid)
+    res2 = split_advantage(m2, params0, spec, **grid)
 
     extra = m1 / (m1 + m2)
     fractions = tuple(sorted(set(_DEFAULT_FRACTIONS) | {extra, 1.0 - extra}))
     fractions = tuple(f for f in fractions if 0.0 < f < 1.0)
-    res_sum = split_advantage(m1 + m2, params, spec, fractions=fractions)
+    res_sum = split_advantage(m1 + m2, params, spec, fractions=fractions, **grid)
 
     balls1 = _best_balls(m1, N, res1)
     balls2 = _best_balls(m2, N, res2)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ParameterError
 
@@ -283,6 +282,8 @@ def _tabulated_tail_integral(kernel: KernelSpec, rho: float) -> float:
 
 def _segment_moment(kernel: KernelSpec, lo: float, hi: float, power: int) -> float:
     """Integral of K(r) r^power over [lo, hi] for a tabulated kernel segment."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda r: float(eval_kernel_radial(kernel, r)) * r ** power, lo, hi, limit=100
     )
@@ -400,6 +401,8 @@ def validate_conditions(
                 breaks.insert(1, r_cap)
         if kernel.kind == "tabulated" and 1.0 < float(kernel.radii[-1]) < cutoff:
             breaks.insert(-1, float(kernel.radii[-1]))
+        from scipy import integrate
+
         partial = 0.0
         for a, b in zip(breaks[:-1], breaks[1:]):
             val, _ = integrate.quad(f, a, b, limit=200)

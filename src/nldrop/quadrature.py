@@ -40,7 +40,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sp_fft
 
 from . import geometry, kernels
 from .errors import ParameterError
@@ -551,9 +550,13 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     # Full linear convolution occ * rev, sized as scipy.signal.fftconvolve
     # sizes it (so the bits match): axes where either array has length 1
     # convolve by broadcasting, the others are padded to a fast real-FFT
-    # length of at least s1 + s2 - 1.
+    # length of at least s1 + s2 - 1.  The transforms stay on scipy.fft,
+    # which fftconvolve uses: numpy.fft differs in the last bits on most
+    # shapes, and the energies must stay bit-identical to fftconvolve's.
     axes = [a for a in range(occ.ndim) if occ.shape[a] != 1 and T.shape[a] != 1]
     if axes:
+        from scipy import fft as sp_fft
+
         fshape = [sp_fft.next_fast_len(occ.shape[a] + T.shape[a] - 1, True) for a in axes]
         spec = sp_fft.rfftn(occ, fshape, axes=axes) * sp_fft.rfftn(rev, fshape, axes=axes)
         conv = sp_fft.irfftn(spec, fshape, axes=axes)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-import mpmath as mp
-
 from .errors import BracketError, DomainError, ParameterError
 from .kernels import epsilon_min
 
@@ -45,6 +43,8 @@ class DimensionConstants:
 
     @classmethod
     def for_dimension(cls, N: int) -> "DimensionConstants":
+        import mpmath as mp
+
         if N < 2:
             raise ParameterError(f"dimension must be at least 2, got {N}")
         with mp.workdps(_DPS):
@@ -132,6 +132,8 @@ def general_constants(
     N: int, s: float, epsilon: float, beta: float, convention: str = "theorem"
 ) -> GeneralConstants:
     """Constants (C1, C2, C3, p) of the generalized threshold equation."""
+    import mpmath as mp
+
     if not (0.0 < s < 1.0):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
     if not (0.0 <= beta < N + 1):
@@ -163,6 +165,8 @@ def phi(x: float, constants: GeneralConstants, A: float) -> float:
 
 def critical_mass(N: int, s: float, epsilon: float, A: float) -> ThresholdRecord:
     """Closed-form critical mass for the Coulomb background (beta = 1)."""
+    import mpmath as mp
+
     _validate_inputs(N, s, epsilon, A)
     consts = general_constants(N, s, epsilon, 1.0, "theorem")
     with mp.workdps(_DPS):
@@ -205,6 +209,8 @@ def general_critical_mass(
     The sign of phi is re-checked at 2 m_p and 10 m_p as a cheap
     uniqueness falsification.
     """
+    import mpmath as mp
+
     _validate_inputs(N, s, epsilon, A)
     consts = general_constants(N, s, epsilon, beta, convention)
     with mp.workdps(_DPS):

@@ -13,6 +13,7 @@ import pytest
 
 from nldrop import cli
 from nldrop.errors import ConfigError
+from nldrop.geometry import VoxelShape, save_voxel
 
 
 def read_csv_meta(path):
@@ -251,6 +252,22 @@ class TestSubcommandRuns:
         probe = payload["summary"]["probe"]
         assert probe["residual"] <= 3.0 * probe["combined_error"]
 
+    def test_family_probe_uses_the_grid_keys(self, tmp_path):
+        def rows(*overrides):
+            out = str(tmp_path / f"out{len(overrides)}")
+            args = ["family", "--output-dir", out,
+                    "--set", "kernel.dimension=3",
+                    "--set", "family.mode=probe",
+                    "--set", "family.m1=60.0",
+                    "--set", "family.m2=40.0"]
+            for item in overrides:
+                args += ["--set", item]
+            assert self.run(args) == 0
+            with open(os.path.join(out, "family.csv")) as fh:
+                return [line for line in fh if not line.startswith("#")]
+
+        assert rows("family.d_count=1") != rows()
+
     def test_family_bad_mode(self, tmp_path):
         rc = self.run(
             [
@@ -337,19 +354,54 @@ class TestSubcommandRuns:
 
 
 class TestImportWeight:
-    def test_cli_import_skips_signal_and_stats(self):
-        # every CLI run is a fresh process, so import cost is paid per run
+    """Every CLI run is a fresh process, so import cost is paid per run:
+    the package imports only numpy, and each run loads the scipy and
+    mpmath parts it executes."""
+
+    @staticmethod
+    def loaded(argv=None):
+        """scipy and mpmath modules in a fresh interpreter after importing
+        ``nldrop.cli`` and, given ``argv``, running ``cli.main(argv)``."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         code = (
-            "import sys, nldrop.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+            "import sys; from nldrop import cli; "
+            f"argv = {argv!r}; "
+            "rc = cli.main(argv) if argv else 0; "
+            "print(rc, *sorted(m for m in sys.modules "
+            "if m == 'mpmath' or m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        rc, *modules = proc.stdout.split()
+        assert rc == "0"
+        return set(modules)
+
+    def test_cli_import_loads_no_scipy_or_mpmath(self):
+        assert self.loaded() == set()
+
+    def test_critical_mass_loads_no_scipy(self, tmp_path):
+        modules = self.loaded(
+            ["critical-mass", "--output-dir", str(tmp_path / "out"),
+             "--set", "kernel.dimension=3", "--set", "kernel.epsilon=0.5"]
+        )
+        assert "mpmath" in modules
+        assert not any(m.split(".")[0] == "scipy" for m in modules)
+
+    def test_voxel_energy_loads_scipy_fft_only(self, tmp_path):
+        ii, jj = np.indices((12, 12))
+        occ = (ii - 5.5) ** 2 + (jj - 5.5) ** 2 < 20.0
+        path = str(tmp_path / "disk.vox")
+        save_voxel(VoxelShape(2, np.array([-1.0, -1.0]), 2.0 / 12, occ), path)
+        modules = self.loaded(
+            ["energy", "--output-dir", str(tmp_path / "out"),
+             "--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
+        )
+        assert "scipy.fft" in modules
+        assert "scipy.integrate" not in modules
+        assert "scipy.optimize" not in modules
 
 
 class TestDeterminism:

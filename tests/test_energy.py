@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from nldrop import energy as energy_mod
 from nldrop import geometry
@@ -78,7 +79,7 @@ class TestGaussRuleCaches:
     def test_each_rule_is_built_once_per_search(self, monkeypatch):
         built = collections.Counter()
         real_leggauss = energy_mod.leggauss
-        real_jacobi = energy_mod.special.roots_jacobi
+        real_jacobi = scipy.special.roots_jacobi
 
         def leggauss(n):
             built["legendre", n] += 1
@@ -89,7 +90,7 @@ class TestGaussRuleCaches:
             return real_jacobi(n, a, b)
 
         monkeypatch.setattr(energy_mod, "leggauss", leggauss)
-        monkeypatch.setattr(energy_mod.special, "roots_jacobi", roots_jacobi)
+        monkeypatch.setattr(scipy.special, "roots_jacobi", roots_jacobi)
         energy_mod._legendre_rule.cache_clear()
         energy_mod._jacobi_rule.cache_clear()
         try:

@@ -240,6 +240,17 @@ class TestSubadditivityProbe:
         )
         assert probe.residual <= 3.0 * probe.combined_error
 
+    def test_chain_minimizers_enter_the_composite(self):
+        # at these masses a 3-ball chain beats every two-ball split, so the
+        # far-apart union must be built from the chains themselves
+        params = make_params(A=0.0)
+        best = split_advantage(200.0, params, QuadratureSpec(), d_count=3, k=3)
+        assert best.best_balls.count == 3
+        probe = weak_subadditivity_probe(
+            200.0, 100.0, params, QuadratureSpec(), d_count=3, k=3
+        )
+        assert probe.residual <= 3.0 * probe.combined_error
+
     def test_float_coercion(self):
         probe = weak_subadditivity_probe(5.0, 3.0, make_params(), QuadratureSpec())
         assert float(probe) == probe.residual

@@ -1,8 +1,12 @@
 """The package validates with explicit raises: ``python -O`` strips
 ``assert`` statements, so none may guard package code.  Package modules
-also import nothing they do not use."""
+also import nothing they do not use, and at module level nothing but the
+standard library, numpy and the package itself: every CLI run is a fresh
+process, so scipy and mpmath are imported inside the functions that call
+them."""
 
 import ast
+import sys
 from pathlib import Path
 
 import nldrop
@@ -44,3 +48,24 @@ def test_package_modules_use_every_import():
     assert sources
     found = [entry for path in sources for entry in _unused_imports(path)]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_package_modules_import_only_stdlib_and_numpy_at_top_level():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert not found, f"module-level imports outside stdlib and numpy: {found}"
