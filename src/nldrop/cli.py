@@ -317,19 +317,24 @@ def _build_kernel(config) -> KernelSpec:
         radii = []
         values = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line or line.startswith("r,"):
                     continue
-                r_str, v_str = line.split(",", 1)
-                radii.append(float(r_str))
-                values.append(float(v_str))
+                try:
+                    r_str, v_str = line.split(",", 1)
+                    radii.append(float(r_str))
+                    values.append(float(v_str))
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected 'radius,value', got {line!r}"
+                    ) from None
         tail_raw = config["kernel.tail"]
         tail = None
         if tail_raw == "zero":
             tail = ("zero",)
         elif tail_raw.startswith("power:"):
-            tail = ("power", float(tail_raw.split(":", 1)[1]))
+            tail = ("power", _parse_value("kernel.tail", tail_raw.split(":", 1)[1], "float"))
         elif tail_raw:
             raise ConfigError(
                 f"kernel.tail must be 'zero' or 'power:<p>', got {tail_raw!r}"
@@ -368,22 +373,19 @@ def _build_params(config, kernel: KernelSpec) -> EnergyParams:
 def _build_shape(config, N: int):
     kind = config["shape.kind"]
     if kind == "ball":
+        center = np.zeros(N)
+        if config["shape.center"]:
+            parts = [
+                _parse_value("shape.center", p, "float")
+                for p in str(config["shape.center"]).split(",")
+            ]
+            if len(parts) != N:
+                raise ConfigError(f"shape.center needs {N} comma-separated components")
+            center = np.asarray(parts)
+        radii = np.array([float(config["shape.radius"])])
         if config["shape.volume"]:
-            shape = geometry.ball_of_volume(N, float(config["shape.volume"]))
-        else:
-            r = float(config["shape.radius"])
-            center = np.zeros(N)
-            if config["shape.center"]:
-                parts = [float(p) for p in str(config["shape.center"]).split(",")]
-                if len(parts) != N:
-                    raise ConfigError(
-                        f"shape.center needs {N} comma-separated components"
-                    )
-                center = np.asarray(parts)
-            shape = BallConfig(
-                dimension=N, centers=center[None, :], radii=np.array([r])
-            )
-        return shape
+            radii = geometry.ball_of_volume(N, float(config["shape.volume"])).radii
+        return BallConfig(dimension=N, centers=center[None, :], radii=radii)
     if kind == "balls-file":
         path = config["shape.path"]
         if not path or not os.path.exists(path):

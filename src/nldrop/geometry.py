@@ -322,6 +322,8 @@ def random_blob(
     When ``volume_cap`` is given the grid spacing is rescaled (exactly, see
     ``scale``) so the voxel volume lands at 90% of the cap or below.
     """
+    if grid_n < 1:
+        raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
     k = int(rng.integers(1, 6))
     centers = rng.uniform(-0.28 * extent, 0.28 * extent, size=(k, N))
     radii = rng.uniform(0.10 * extent, 0.22 * extent, size=k)
@@ -404,21 +406,26 @@ def voxel_from_text(text: str) -> VoxelShape:
     if not lines or lines[0].strip() != _VOXEL_MAGIC:
         raise ShapeFormatError(f"expected header {_VOXEL_MAGIC!r}")
 
-    def field_line(i, name, count=None):
-        parts = lines[i].split()
+    def field_line(i, name, count, kind):
+        parts = lines[i].split() if i < len(lines) else []
         if not parts or parts[0] != name:
             raise ShapeFormatError(f"line {i + 1}: expected {name!r}")
         vals = parts[1:]
-        if count is not None and len(vals) != count:
+        if len(vals) != count:
             raise ShapeFormatError(f"line {i + 1}: {name} needs {count} values")
-        return vals
+        try:
+            return [kind(v) for v in vals]
+        except ValueError:
+            raise ShapeFormatError(
+                f"line {i + 1}: {name} values must be {kind.__name__}s, got {vals}"
+            ) from None
 
-    N = int(field_line(1, "dimension", 1)[0])
+    N = field_line(1, "dimension", 1, int)[0]
     if N not in (2, 3):
         raise ShapeFormatError(f"dimension must be 2 or 3, got {N}")
-    dims = tuple(int(v) for v in field_line(2, "dims", N))
-    origin = np.array([float(v) for v in field_line(3, "origin", N)])
-    spacing = float(field_line(4, "spacing", 1)[0])
+    dims = tuple(field_line(2, "dims", N, int))
+    origin = np.array(field_line(3, "origin", N, float))
+    spacing = field_line(4, "spacing", 1, float)[0]
     body = [ln for ln in lines[5:]]
     rows_needed = dims[0] if N == 2 else dims[0] * dims[1]
     rows = [ln for ln in body if ln.strip() != ""]
@@ -465,11 +472,15 @@ def balls_from_csv(text: str, disjoint: bool = True) -> BallConfig:
     if N not in (2, 3):
         raise ShapeFormatError(f"ball CSV dimension must be 2 or 3, got {N}")
     centers, radii = [], []
-    for r in rows[1:]:
+    for i, r in enumerate(rows[1:], start=1):
         if len(r) != N + 1:
             raise ShapeFormatError(f"ball CSV row has {len(r)} fields, expected {N + 1}")
-        centers.append([float(v) for v in r[:N]])
-        radii.append(float(r[N]))
+        try:
+            vals = [float(v) for v in r]
+        except ValueError:
+            raise ShapeFormatError(f"ball CSV row {i}: non-numeric field in {r}") from None
+        centers.append(vals[:N])
+        radii.append(vals[N])
     if not centers:
         return empty_ball_config(N)
     return BallConfig(

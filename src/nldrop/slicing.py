@@ -9,9 +9,13 @@ kernel interaction plus the background mass of the lower part (RHS); a
 negative defect RHS - LHS means separating the two parts strictly lowers
 the energy, the signature used by the nonexistence experiments.
 
-Scans sweep the level l by sorting grid cells along nu and maintaining the
-pair-sum fields incrementally, so a full (nu, l) table costs little more
-than one pass over the cells per direction.
+On a tensor grid one sweep serves every level of a direction: the occupied
+cells are sorted by descending projection on nu (``_sweep_order``, which
+also counts the cells above each level), ``_prefix_cross`` adds them one at
+a time to give the cross pair sum between the first k cells and the rest
+for every k, and per-cell fields such as the background become prefix sums.
+The scan on the fine and the coarse grid and the layer-cake checks all read
+their cuts from these prefix arrays.
 
 The closed form used for the sphere integral of (x.nu)_+ is
 omega_{N-2} |x| / (N-1); the variant without the 1/(N-1) polar Jacobian
@@ -123,60 +127,43 @@ def splitting_defect(
 
 
 # ---------------------------------------------------------------------------
-# Incremental sweep machinery (tensor grids)
+# Incremental sweep (tensor grids)
 
 
-class _SweepData:
-    """Prefix pair sums along a direction on a fixed voxel grid.
+def _sweep_order(vox: VoxelShape, nu: np.ndarray, levels) -> Tuple[np.ndarray, np.ndarray]:
+    """Occupied cells of ``vox`` by descending projection on ``nu``, and per
+    level the number of those cells with projection >= level: the cut at
+    ``levels[i]`` puts the first ``counts[i]`` swept cells on the upper side."""
+    idx = np.argwhere(vox.occupancy)
+    proj = (vox.origin + (idx + 0.5) * vox.spacing) @ nu
+    order = np.argsort(-proj, kind="stable")
+    ascending = proj[order][::-1]
+    counts = len(order) - np.searchsorted(ascending, levels, side="left")
+    return idx[order], counts
 
-    Adding occupied cells in descending projection order while maintaining
-    the potential fields of the growing upper set makes every (nu, l) cut
-    available from prefix arrays.
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """[0, v0, v0 + v1, ...]: the running sums over the first k swept cells."""
+    return np.concatenate(([0.0], np.cumsum(values)))
+
+
+def _prefix_cross(T: np.ndarray, field: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """cross[k] = S_T(U_k, E - U_k), the pair sum of stencil T between the
+    first k of ``cells`` (occupied cells of E in sweep order) and the rest;
+    ``field`` is the pair field of E under T (``quadrature._pair_field``).
+
+    Adding cells one at a time while keeping the potential field phi of the
+    growing set U gives S_T(U, U) incrementally; S_T(U, E) is a prefix sum
+    of ``field``.  Each step adds one grid-sized window, so a sweep costs
+    O(cells x grid cells).
     """
-
-    def __init__(self, vox: VoxelShape, stencils: dict, cell_fields: dict):
-        self.vox = vox
-        self.idx = np.argwhere(vox.occupancy)
-        self.centers = vox.origin + (self.idx + 0.5) * vox.spacing
-        self.stencils = stencils
-        self.cell_fields = cell_fields
-        self.field_totals = {
-            name: quadrature._pair_field(vox.occupancy, T) for name, T in stencils.items()
-        }
-
-    def sweep(self, nu: np.ndarray):
-        """Returns projections sorted descending and, per stencil name,
-        prefix arrays of cross sums S(U_k x (E - U_k)); per cell field
-        name, prefix sums over U_k."""
-        proj = self.centers @ nu
-        order = np.argsort(-proj, kind="stable")
-        n = len(order)
-        dims = self.vox.occupancy.shape
-        phi = {name: np.zeros(dims) for name in self.stencils}
-        s_uu = {name: 0.0 for name in self.stencils}
-        cum_ue = {name: np.zeros(n + 1) for name in self.stencils}
-        cross = {name: np.zeros(n + 1) for name in self.stencils}
-        cum_cells = {name: np.zeros(n + 1) for name, _ in self.cell_fields.items()}
-        for k, ci in enumerate(order):
-            cell = tuple(self.idx[ci])
-            for name, T in self.stencils.items():
-                window = quadrature._stencil_window(T, cell)
-                s_uu[name] += 2.0 * float(phi[name][cell]) + float(window[cell])
-                phi[name] += window
-                cum_ue[name][k + 1] = cum_ue[name][k] + float(
-                    self.field_totals[name][cell]
-                )
-                cross[name][k + 1] = cum_ue[name][k + 1] - s_uu[name]
-            for name, fld in self.cell_fields.items():
-                cum_cells[name][k + 1] = cum_cells[name][k] + float(fld[cell])
-        proj_sorted = proj[order]
-        return proj_sorted, cross, cum_cells
-
-    @staticmethod
-    def prefix_count(proj_sorted_desc: np.ndarray, l: float) -> int:
-        """Number of cells with projection >= l."""
-        asc = proj_sorted_desc[::-1]
-        return len(asc) - int(np.searchsorted(asc, l, side="left"))
+    phi = np.zeros(field.shape)
+    inside = np.zeros(len(cells) + 1)
+    for k, cell in enumerate(map(tuple, cells)):
+        window = quadrature._stencil_window(T, cell)
+        inside[k + 1] = inside[k] + (2.0 * phi[cell] + window[cell])
+        phi += window
+    return _prefix_sums(field[tuple(cells.T)]) - inside
 
 
 def _background_cell_field(vox: VoxelShape, beta: float) -> np.ndarray:
@@ -240,8 +227,14 @@ def scan(
     direction (trapezoid over the level grid)."""
     N = E.dimension
     if nu_grid is None:
+        if nu_count is not None and nu_count < 0:
+            raise ParameterError(f"nu_count must be >= 0 (0: the default), got {nu_count}")
         nu_grid = default_direction_grid(N, nu_count)
+    if l_grid is None and l_count < 1:
+        raise ParameterError(f"l_count must be >= 1, got {l_count}")
     nu_grid = [np.asarray(_unit(nu)) for nu in nu_grid]
+    if not nu_grid or (l_grid is not None and len(l_grid) == 0):
+        raise ParameterError("scan needs a nonempty nu_grid and l_grid")
     if spec.method == "monte-carlo":
         work = E
 
@@ -250,46 +243,49 @@ def scan(
 
     else:
         work = quadrature._as_grid(E, spec.resolved_budget(N))
+        integrands = (
+            quadrature.riesz_integrand(N, params.alpha),
+            quadrature.kernel_integrand(params.kernel),
+        )
 
-        def sweep_tables(v: VoxelShape):
-            h = v.spacing
-            dims = v.occupancy.shape
-            T_r = quadrature._stencil(dims, h, quadrature.riesz_integrand(N, params.alpha))
-            T_k = quadrature._stencil(dims, h, quadrature.kernel_integrand(params.kernel))
-            bfield = _background_cell_field(v, params.beta)
-            return _SweepData(v, {"riesz": T_r, "kernel": T_k}, {"background": bfield})
+        def sweep_grid(v: VoxelShape):
+            """The grid with its (stencil, pair field) per integrand and its
+            background cell field."""
+            occ = v.occupancy
+            stencils = [quadrature._stencil(occ.shape, v.spacing, igd) for igd in integrands]
+            fields = [(T, quadrature._pair_field(occ, T)) for T in stencils]
+            return v, fields, _background_cell_field(v, params.beta)
 
-        data = sweep_tables(work)
-        data_c = sweep_tables(quadrature._coarse_voxel(work))
+        grids = [sweep_grid(v) for v in (work, quadrature._coarse_voxel(work))]
 
-        def cut_terms(sweep, l):
-            """(lhs, cross kernel, lower background, rhs) of one swept cut."""
-            proj, cross, cells = sweep
-            k = _SweepData.prefix_count(proj, l)
-            ck = cross["kernel"][k]
-            bm = cells["background"][-1] - cells["background"][k]
-            return cross["riesz"][k], ck, bm, 2.0 * ck + params.A * bm
+        def cut_terms(grid, nu, levels):
+            """(lhs, cross kernel, lower background, rhs) at every level."""
+            v, fields, bfield = grid
+            cells, k = _sweep_order(v, nu, levels)
+            lhs, ck = (_prefix_cross(T, fld, cells)[k] for T, fld in fields)
+            bkg = _prefix_sums(bfield[tuple(cells.T)])
+            bm = bkg[-1] - bkg[k]
+            return lhs, ck, bm, 2.0 * ck + params.A * bm
 
         def cuts(nu, levels):
-            fine, coarse = data.sweep(nu), data_c.sweep(nu)
-            row = []
-            for l in levels:
-                lhs, ck, bm, rhs = cut_terms(fine, float(l))
-                lhs_c, _, _, rhs_c = cut_terms(coarse, float(l))
-                row.append(
-                    SliceDefectRecord(
-                        nu=nu,
-                        l=float(l),
-                        lhs=float(lhs),
-                        cross_kernel=float(ck),
-                        background_minus=float(bm),
-                        rhs=float(rhs),
-                        defect=float(rhs - lhs),
-                        lhs_error=float(abs(lhs - lhs_c)),
-                        rhs_error=float(abs(rhs - rhs_c)),
-                    )
+            lhs, ck, bm, rhs = cut_terms(grids[0], nu, levels)
+            lhs_c, _, _, rhs_c = cut_terms(grids[1], nu, levels)
+            return [
+                SliceDefectRecord(
+                    nu=nu,
+                    l=float(l),
+                    lhs=float(a),
+                    cross_kernel=float(b),
+                    background_minus=float(c),
+                    rhs=float(d),
+                    defect=float(d - a),
+                    lhs_error=float(ea),
+                    rhs_error=float(ed),
                 )
-            return row
+                for l, a, b, c, d, ea, ed in zip(
+                    levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
+                )
+            ]
 
     records: List[SliceDefectRecord] = []
     integrated: List[Tuple[np.ndarray, float]] = []
@@ -370,46 +366,34 @@ def layer_cake_checks(
     nu = _unit(nu)
     N = E.dimension
     vox = quadrature._as_grid(E, spec.resolved_budget(N))
-    h = vox.spacing
-    T_r = quadrature._stencil(vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0))
-    bfield = _background_cell_field(vox, beta)
-    data = _SweepData(vox, {"riesz": T_r}, {"background": bfield})
-    proj, cross, cells = data.sweep(nu)
-    if len(proj) == 0:
+    if not vox.count:
         return LayerCakeChecks(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    pmin, pmax = float(proj.min()), float(proj.max())
-    b_total = cells["background"][-1]
-
-    def lower_background(l):
-        k = _SweepData.prefix_count(proj, float(l))
-        return b_total - cells["background"][k]
-
-    def cross_riesz(l):
-        k = _SweepData.prefix_count(proj, float(l))
-        return cross["riesz"][k]
-
-    def trap(fn, levels):
-        return float(np.trapezoid([fn(l) for l in levels], levels))
-
-    # identity 1: integral over l in (-inf, 0] of the lower-side background
-    span = h + pmax - pmin
-    levels1 = np.linspace(min(pmin, 0.0) - 0.05 * span - h, 0.0, l_count)
-    lhs1 = trap(lower_background, levels1)
-    lhs1_half = trap(lower_background, levels1[::2])
-
-    centers = data.centers
-    r = np.linalg.norm(centers, axis=1)
+    h = vox.spacing
+    centers = vox.cell_centers()
     p = centers @ nu
+    pmin, pmax = float(p.min()), float(p.max())
+    span = h + pmax - pmin
+    # identity 1 integrates over l in (-inf, 0], identity 2 over all l
+    levels1 = np.linspace(min(pmin, 0.0) - 0.05 * span - h, 0.0, l_count)
+    levels2 = np.linspace(pmin - 0.05 * span - h, pmax + 0.05 * span + h, 2 * l_count)
+    cells, k = _sweep_order(vox, nu, np.concatenate((levels1, levels2)))
+    bkg = _prefix_sums(_background_cell_field(vox, beta)[tuple(cells.T)])
+    lower_background = bkg[-1] - bkg[k[:l_count]]
+    T_r = quadrature._stencil(vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0))
+    field_r = quadrature._pair_field(vox.occupancy, T_r)
+    cross_riesz = _prefix_cross(T_r, field_r, cells)[k[l_count:]]
+
+    lhs1 = float(np.trapezoid(lower_background, levels1))
+    lhs1_half = float(np.trapezoid(lower_background[::2], levels1[::2]))
+    r = np.linalg.norm(centers, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(r > 0, np.clip(-p, 0.0, None) * r ** (-beta), 0.0)
     rhs1 = float(np.sum(integrand)) * h ** N
     res1 = abs(lhs1 - rhs1)
     err1 = abs(lhs1 - lhs1_half)
 
-    # identity 2: integral over all l of the cross riesz interaction
-    levels2 = np.linspace(pmin - 0.05 * span - h, pmax + 0.05 * span + h, 2 * l_count)
-    lhs2 = trap(cross_riesz, levels2)
-    lhs2_half = trap(cross_riesz, levels2[::2])
+    lhs2 = float(np.trapezoid(cross_riesz, levels2))
+    lhs2_half = float(np.trapezoid(cross_riesz[::2], levels2[::2]))
     rhs2_est = quadrature.double_integral(
         vox, vox, quadrature.directional_positive_integrand(nu), spec
     )

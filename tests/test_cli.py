@@ -353,6 +353,97 @@ class TestSubcommandRuns:
         assert "bogus" in record["message"]
 
 
+    @pytest.mark.parametrize(
+        "sub, overrides, key",
+        [
+            ("slice-scan", ["scan.nu_count=-2"], "scan.nu_count"),
+            ("slice-scan", ["scan.l_count=0"], "scan.l_count"),
+            ("slice-scan", ["scan.l_count=-3"], "scan.l_count"),
+            ("energy", ["shape.kind=blob", "shape.grid=0"], "shape.grid"),
+            ("energy", ["shape.kind=blob", "shape.grid=-4"], "shape.grid"),
+        ],
+    )
+    def test_empty_grids_exit_two(self, tmp_path, capsys, sub, overrides, key):
+        args = [sub, "--output-dir", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item]
+        assert self.run(args) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParameterError"
+        assert key.split(".", 1)[1] in record["message"]
+
+    @pytest.mark.parametrize(
+        "files, overrides, error, needle",
+        [
+            (
+                {"table": "r,value\n0.0,1.0\n0.1,abc\n"},
+                ["kernel.kind=tabulated", "kernel.table={table}"],
+                "ConfigError",
+                "{table}:3",
+            ),
+            (
+                {"table": "r,value\n0.0,1.0\n0.1\n"},
+                ["kernel.kind=tabulated", "kernel.table={table}"],
+                "ConfigError",
+                "{table}:3",
+            ),
+            (
+                {"table": "r,value\n0.0,1.0\n0.1,0.5\n"},
+                ["kernel.kind=tabulated", "kernel.table={table}", "kernel.tail=power:abc"],
+                "ConfigError",
+                "kernel.tail",
+            ),
+            ({}, ["shape.center=a,b"], "ConfigError", "shape.center"),
+            (
+                {"vox": "nldrop-voxel 1\ndimension 2\ndims 2 x\norigin 0 0\nspacing 1\n"},
+                ["shape.kind=voxel-file", "shape.path={vox}"],
+                "ShapeFormatError",
+                "line 3",
+            ),
+            (
+                {"vox": "nldrop-voxel 1\ndimension 2\n"},
+                ["shape.kind=voxel-file", "shape.path={vox}"],
+                "ShapeFormatError",
+                "line 3",
+            ),
+            (
+                {"balls": "c0,c1,radius\n0,0,0.5\n3,zero,0.5\n"},
+                ["shape.kind=balls-file", "shape.path={balls}"],
+                "ShapeFormatError",
+                "row 2",
+            ),
+        ],
+    )
+    def test_malformed_inputs_exit_two(self, tmp_path, capsys, files, overrides, error, needle):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = str(tmp_path / name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        args = ["energy", "--output-dir", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item.format(**paths)]
+        assert self.run(args) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == error
+        assert needle.format(**paths) in record["message"]
+
+    def test_volume_keeps_the_center(self, tmp_path):
+        # volume pi is the unit disk: the off-center ball must match the
+        # radius-1 ball at the same center, not the centered one
+        reports = []
+        for size in ("shape.volume=3.141592653589793", "shape.radius=1.0"):
+            out = str(tmp_path / size)
+            args = ["energy", "--output-dir", out, "--set", size]
+            args += ["--set", "shape.center=5,0", "--set", "energy.A=1"]
+            assert self.run(args) == 0
+            reports.append(self.check_outputs(out, "energy")["summary"]["report"])
+        by_volume, by_radius = reports
+        assert by_volume["background"] == pytest.approx(by_radius["background"], rel=1e-12)
+        assert by_volume["background"] == pytest.approx(0.6315, abs=1e-4)
+        assert by_volume["total"] == pytest.approx(by_radius["total"], rel=1e-12)
+
+
 class TestImportWeight:
     """Every CLI run is a fresh process, so import cost is paid per run:
     the package imports only numpy, and each run loads the scipy and

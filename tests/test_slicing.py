@@ -124,6 +124,48 @@ class TestScan:
         assert rec.cross_kernel == pytest.approx(direct.cross_kernel, rel=1e-10)
         assert rec.background_minus == pytest.approx(direct.background_minus, rel=1e-10)
 
+    # (lhs, cross_kernel, background_minus, rhs, lhs_error, rhs_error) of
+    # the tensor scan of the seed-8 test blob with A = 1 over 2 directions
+    # x 5 levels, frozen so a rewrite of the sweep cannot move them.  The
+    # first cut leaves the lower side empty: its values are cancellation
+    # noise, pinned by the absolute tolerance only.
+    PINNED_SCAN = [
+        (1.1102230246251565e-16, -7.105427357601002e-15, 0.0, -1.4210854715202004e-14, 1.1102230246251565e-16, 3.552713678800501e-15),
+        (0.0067800750718604585, 0.3216400315804435, 0.03610557202314335, 0.6793856351840304, 0.013463591190484347, 0.6821064504226708),
+        (0.034536443460750355, 0.6547500565257867, 0.6241882752231215, 1.9336883882746947, 0.010669882814655446, 0.277567947461308),
+        (0.039063931477674244, 0.7197183528271598, 1.0385338777831763, 2.4779705834374957, 0.009945907753893868, 0.13175700726307715),
+        (0.01854034651314241, 0.48093284210046106, 1.3078969572339731, 2.2697626414348955, 0.005464963022682637, 0.2960747308187677),
+        (0.00323113101550776, 0.15549108769114994, 0.011637818881313544, 0.32261999426361343, 0.0034034256900243864, 0.1027120326997053),
+        (0.03501238674179982, 0.8358421328543439, 0.22212615399712288, 1.8938104197058108, 0.014258263033618435, 0.5109474560340184),
+        (0.037415822401680496, 0.7834867081684678, 0.8305318921435002, 2.3975053084804356, 0.012262147748903718, 0.2420625475178042),
+        (0.022384239364521167, 0.39558974193989815, 1.234447675497103, 2.0256271593768993, 0.00923380156962485, 0.20060365616448905),
+        (0.0023408648455726373, 0.11652919868668929, 1.3690668133880661, 1.6021252107614448, 0.0008702633509557636, 0.12186835848032729),
+    ]
+
+    def test_pinned_values(self):
+        res = scan(
+            seeded_blob(),
+            make_params(A=1.0),
+            QuadratureSpec(),
+            nu_grid=default_direction_grid(2, 2),
+            l_grid=np.linspace(-0.3, 0.3, 5),
+        )
+        assert len(res.records) == len(self.PINNED_SCAN)
+        for rec, want in zip(res.records, self.PINNED_SCAN):
+            got = (
+                rec.lhs, rec.cross_kernel, rec.background_minus,
+                rec.rhs, rec.lhs_error, rec.rhs_error,
+            )
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"nu_grid": []}, {"l_grid": []}, {"nu_count": -2}, {"l_count": 0}, {"l_count": -3}],
+    )
+    def test_empty_grids_are_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            scan(seeded_blob(), make_params(), QuadratureSpec(), **kwargs)
+
     def test_monte_carlo_route_runs(self):
         b = geometry.ball_of_volume(2, 1.0)
         spec = QuadratureSpec(method="monte-carlo", budget=4000, seed=2)
@@ -187,6 +229,24 @@ class TestLayerCake:
         checks = layer_cake_checks(shifted, np.array([1.0, 0.0]), QuadratureSpec(), l_count=16)
         assert checks.residual_background == 0.0
         assert checks.lhs_background == 0.0 and checks.rhs_background == 0.0
+
+
+    def test_pinned_values(self):
+        checks = layer_cake_checks(
+            seeded_blob(), np.array([0.6, 0.8]), QuadratureSpec(), l_count=16
+        )
+        want = dict(
+            residual_background=0.0010611902379150107,
+            residual_riesz=2.0895554875700884e-05,
+            lhs_background=0.0684169042295868,
+            rhs_background=0.06735571399167178,
+            lhs_riesz=0.016689830313759722,
+            rhs_riesz=0.016710725868635423,
+            error_background=0.015951377377761727,
+            error_riesz=0.005381299527446096,
+        )
+        for key, value in want.items():
+            assert getattr(checks, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 class TestAveragedBound:
