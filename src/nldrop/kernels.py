@@ -36,10 +36,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ParameterError
 
 _EPS_REL = 1e-9  # relative slack for pointwise sandwich checks
+# Radial integrals: Gauss-Legendre panels, geometric in r
+_PANELS_PER_DECADE = 8
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(24)
 
 
 def epsilon_min(N: int, s: float) -> float:
@@ -258,16 +262,8 @@ def _tabulated_tail_integral(kernel: KernelSpec, rho: float) -> float:
         raise DomainError("tabulated kernel has no tail rule; tail integral undefined")
     N = kernel.dimension
     rt = kernel.radii
-    total = 0.0
-    # sampled part from rho to the last sample, piecewise power segments
-    lo = rho
-    while lo < rt[-1]:
-        idx = min(np.searchsorted(rt, lo, side="right"), rt.size - 1)
-        hi = min(float(rt[idx]), float(rt[-1]))
-        if hi <= lo:
-            break
-        total += _segment_moment(kernel, lo, hi, N - 1)
-        lo = hi
+    # sampled part from rho to the last sample
+    total = _radial_moment(kernel, rho, float(rt[-1]), N - 1) if rho < rt[-1] else 0.0
     # tail rule beyond the last sample
     if kernel.tail == ("zero",):
         return total
@@ -280,14 +276,30 @@ def _tabulated_tail_integral(kernel: KernelSpec, rho: float) -> float:
     return total
 
 
-def _segment_moment(kernel: KernelSpec, lo: float, hi: float, power: int) -> float:
-    """Integral of K(r) r^power over [lo, hi] for a tabulated kernel segment."""
-    from scipy import integrate
+def _radial_moment(kernel: KernelSpec, lo: float, hi: float, power: int) -> float:
+    """Integral of K(r) r^power over [lo, hi], 0 < lo < hi.
 
-    val, _ = integrate.quad(
-        lambda r: float(eval_kernel_radial(kernel, r)) * r ** power, lo, hi, limit=100
-    )
-    return val
+    Gauss-Legendre on geometric panels, ``_PANELS_PER_DECADE`` per decade,
+    with panel edges also at every radius inside (lo, hi) where K has a
+    kink: the cap radius of a truncated kernel and each radius of a table.
+    Between kinks K r^power is a power law (or, next to a zero table value,
+    linear), which each panel integrates to rounding.
+    """
+    knots = [lo, hi]
+    if kernel.kind == "truncated-fractional":
+        knots.append(kernel.cap ** (-1.0 / kernel.sigma))
+    elif kernel.kind == "tabulated":
+        knots.extend(kernel.radii.tolist())
+    knots = np.unique([k for k in knots if lo <= k <= hi])
+    edges = [
+        np.geomspace(a, b, max(1, math.ceil(_PANELS_PER_DECADE * math.log10(b / a))) + 1)[:-1]
+        for a, b in zip(knots[:-1], knots[1:])
+    ]
+    edges = np.append(np.concatenate(edges), hi)
+    half = 0.5 * np.diff(edges)
+    r = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _PANEL_NODES
+    f = eval_kernel_radial(kernel, r.ravel()).reshape(r.shape) * r ** power
+    return float(np.sum((f @ _PANEL_WEIGHTS) * half))
 
 
 @dataclass(frozen=True)
@@ -394,19 +406,7 @@ def validate_conditions(
             # window out far enough to see it
             cutoff = max(cutoff, 100.0 * float(kernel.radii[-1]))
         f = lambda r: float(eval_kernel_radial(kernel, r)) * r ** (N - 1)
-        breaks = [1.0, cutoff]
-        if kernel.kind == "truncated-fractional":
-            r_cap = kernel.cap ** (-1.0 / (N + s))
-            if 1.0 < r_cap < cutoff:
-                breaks.insert(1, r_cap)
-        if kernel.kind == "tabulated" and 1.0 < float(kernel.radii[-1]) < cutoff:
-            breaks.insert(-1, float(kernel.radii[-1]))
-        from scipy import integrate
-
-        partial = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            val, _ = integrate.quad(f, a, b, limit=200)
-            partial += val
+        partial = _radial_moment(kernel, 1.0, cutoff, N - 1)
         tail_integral = partial
         f2 = f(cutoff)
         if f2 == 0.0:

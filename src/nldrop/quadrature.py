@@ -33,6 +33,7 @@ bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -542,24 +543,33 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     return T
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the real FFT transforms fast
+    (scipy.fft.next_fast_len(n, True))."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p35 = 1
+    while p35 < best:
+        p3 = p35
+        while p3 < best:
+            best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+            p3 *= 3
+        p35 *= 5
+    return best
+
+
 def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     """field[i] = sum over occupied j of T at offset j - i.  T may be the
     stencil of a grid at least as large as ``occ``."""
     rev = T[tuple(slice(None, None, -1) for _ in range(T.ndim))]
     occ = occ.astype(float)
-    # Full linear convolution occ * rev, sized as scipy.signal.fftconvolve
-    # sizes it (so the bits match): axes where either array has length 1
-    # convolve by broadcasting, the others are padded to a fast real-FFT
-    # length of at least s1 + s2 - 1.  The transforms stay on scipy.fft,
-    # which fftconvolve uses: numpy.fft differs in the last bits on most
-    # shapes, and the energies must stay bit-identical to fftconvolve's.
+    # Full linear convolution occ * rev: axes where either array has
+    # length 1 convolve by broadcasting, the others are padded to a fast
+    # real-FFT length of at least s1 + s2 - 1.
     axes = [a for a in range(occ.ndim) if occ.shape[a] != 1 and T.shape[a] != 1]
     if axes:
-        from scipy import fft as sp_fft
-
-        fshape = [sp_fft.next_fast_len(occ.shape[a] + T.shape[a] - 1, True) for a in axes]
-        spec = sp_fft.rfftn(occ, fshape, axes=axes) * sp_fft.rfftn(rev, fshape, axes=axes)
-        conv = sp_fft.irfftn(spec, fshape, axes=axes)
+        fshape = [_fast_len(occ.shape[a] + T.shape[a] - 1) for a in axes]
+        spec = np.fft.rfftn(occ, fshape, axes=axes) * np.fft.rfftn(rev, fshape, axes=axes)
+        conv = np.fft.irfftn(spec, fshape, axes=axes)
     else:
         conv = occ * rev
     sl = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T.shape, occ.shape))
@@ -581,21 +591,25 @@ def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
 # Directional tails for complement integrals
 
 
+@functools.lru_cache(maxsize=8)
 def _direction_grid(N: int, count: int):
-    """Exact-measure midpoint direction grid: weights sum to the sphere area."""
+    """Read-only exact-measure midpoint direction grid: weights sum to the
+    sphere area."""
     if N == 2:
         ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         w = np.full(count, 2.0 * math.pi / count)
-        return dirs, w
-    nu = max(4, int(round(math.sqrt(count / 2.0))))
-    nphi = 2 * nu
-    u = -1.0 + (np.arange(nu) + 0.5) * (2.0 / nu)
-    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    su = np.sqrt(1.0 - uu ** 2)
-    dirs = np.stack([su * np.cos(pp), su * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-    w = np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
+    else:
+        nu = max(4, int(round(math.sqrt(count / 2.0))))
+        nphi = 2 * nu
+        u = -1.0 + (np.arange(nu) + 0.5) * (2.0 / nu)
+        phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+        uu, pp = np.meshgrid(u, phi, indexing="ij")
+        su = np.sqrt(1.0 - uu ** 2)
+        dirs = np.stack([su * np.cos(pp), su * np.sin(pp), uu], axis=-1).reshape(-1, 3)
+        w = np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
+    dirs.setflags(write=False)
+    w.setflags(write=False)
     return dirs, w
 
 

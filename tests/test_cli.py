@@ -481,18 +481,26 @@ class TestImportWeight:
         assert "mpmath" in modules
         assert not any(m.split(".")[0] == "scipy" for m in modules)
 
-    def test_voxel_energy_loads_scipy_fft_only(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy"],
+            ["slice-scan", "--set", "scan.nu_count=2", "--set", "scan.l_count=4"],
+            ["verify", "--set", "verify.grid=8", "--set", "verify.pairs=1",
+             "--set", "verify.blobs=1"],
+            ["kernel-check"],
+        ],
+        ids=["energy", "slice-scan", "verify", "kernel-check"],
+    )
+    def test_voxel_and_audit_runs_load_no_scipy(self, tmp_path, argv):
         ii, jj = np.indices((12, 12))
         occ = (ii - 5.5) ** 2 + (jj - 5.5) ** 2 < 20.0
         path = str(tmp_path / "disk.vox")
         save_voxel(VoxelShape(2, np.array([-1.0, -1.0]), 2.0 / 12, occ), path)
-        modules = self.loaded(
-            ["energy", "--output-dir", str(tmp_path / "out"),
-             "--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
-        )
-        assert "scipy.fft" in modules
-        assert "scipy.integrate" not in modules
-        assert "scipy.optimize" not in modules
+        if argv[0] in ("energy", "slice-scan"):
+            argv = argv + ["--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
+        modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
+        assert not any(m.split(".")[0] == "scipy" for m in modules), sorted(modules)[:5]
 
 
 class TestDeterminism:

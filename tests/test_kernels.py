@@ -197,3 +197,62 @@ class TestConditionAudit:
             n: v.status for n, v in r2.conditions.items()
         }
         assert r1.tail_integral == r2.tail_integral
+
+
+def kinked_table():
+    # r^-2.5 up to r = 10, r^-3.5 (continued) beyond: a kink inside [1, 1e3]
+    r = np.geomspace(1e-2, 1e2, 17)
+    v = np.where(r <= 10.0, r ** -2.5, 10.0 ** -2.5 * (r / 10.0) ** -3.5)
+    return frac(kind="tabulated", radii=r, values=v, tail=("power", 3.5))
+
+
+class TestRadialIntegralPins:
+    """Values of the (K2) partial integral and the tabulated tail integral
+    computed with adaptive scipy quadrature, frozen here: the panel Gauss
+    rule must reproduce them.  The kinked table's exact tail integral is
+    2 (1 - 10^-1/2) + 10^-1/2 / 1.5 = 1.5783629786442...; the adaptive
+    value is 1e-11 low, the panel rule hits it."""
+
+    AUDITS = {
+        "fractional-2d": (lambda: frac(), 2.0000000000000036, "pass"),
+        "fractional-3d": (lambda: frac(N=3, eps=0.5), 2.0000000000000036, "pass"),
+        "truncated": (lambda: frac(kind="truncated-fractional", cap=2.0), 2.0000000000000036, "fail"),
+        # cap < 1 puts the cap radius 0.5^(-1/2.5) = 1.32 inside [1, 1e3]
+        "truncated-break": (
+            lambda: frac(kind="truncated-fractional", cap=0.5), 1.9263764082403103, "fail"
+        ),
+        "tabulated-kink": (kinked_table, 1.5783629786273519, "fail"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(AUDITS))
+    def test_audit_tail_integral(self, case):
+        make, tail, k4p = self.AUDITS[case]
+        rep = validate_conditions(make())
+        assert rep.tail_integral == pytest.approx(tail, rel=1e-10)
+        assert {n: v.status for n, v in rep.conditions.items()} == {
+            "K1": "pass", "K2": "pass", "K3": "pass", "K4": "pass", "K4'": k4p,
+        }
+
+    def test_kinked_table_is_exact(self):
+        exact = 2.0 * (1.0 - 10.0 ** -0.5) + 10.0 ** -0.5 / 1.5
+        assert validate_conditions(kinked_table()).tail_integral == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "make, pinned",
+        [
+            (kinked_table, (8.522634888643374, 1.968820197313003, 0.16037507477489601)),
+            (
+                lambda: frac(
+                    kind="tabulated",
+                    radii=np.geomspace(1e-3, 1e3, 600),
+                    values=np.geomspace(1e-3, 1e3, 600) ** -2.5,
+                    tail=("power", 2.5),
+                ),
+                (8.944271909999173, 2.390457218668789, 0.577350269189626),
+            ),
+        ],
+    )
+    def test_tabulated_tail_integral(self, make, pinned):
+        k = make()
+        for rho, value in zip((0.05, 0.7, 12.0), pinned):
+            assert radial_tail_integral(k, rho) == pytest.approx(value, rel=1e-10)

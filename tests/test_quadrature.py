@@ -192,12 +192,28 @@ class TestStencilAndPairSum:
         ],
     )
     def test_pair_field_matches_fftconvolve(self, occ_shape, T_shape):
+        # The reference is the definition, a direct sum over occupied j of
+        # T at offset j - i; the FFT route agrees with scipy's fftconvolve
+        # to rounding, not bit for bit.
         rng = np.random.default_rng(sum(occ_shape) + sum(T_shape))
         occ = rng.random(occ_shape) < 0.6
         T = rng.random(T_shape)
+        field = _pair_field(occ, T)
+        centre = np.array(T_shape) // 2
+        occupied = np.argwhere(occ)
+        direct = np.zeros(occ_shape)
+        for i in np.ndindex(*occ_shape):
+            direct[i] = np.sum(T[tuple((occupied - i + centre).T)])
+        assert np.allclose(field, direct, rtol=1e-12, atol=0)
         ref = signal.fftconvolve(occ.astype(float), T[(slice(None, None, -1),) * T.ndim], mode="full")
         crop = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T_shape, occ_shape))
-        assert np.array_equal(_pair_field(occ, T), ref[crop])
+        assert np.allclose(field, ref[crop], rtol=1e-12, atol=0)
+
+    def test_fast_len_matches_scipy(self):
+        from scipy import fft
+
+        for n in range(1, 4097):
+            assert quadrature._fast_len(n) == fft.next_fast_len(n, True), n
 
 
 def _fresh_caches(monkeypatch):
@@ -434,6 +450,24 @@ class TestSphereIntegrals:
     def test_unsupported_dimension(self):
         with pytest.raises(ParameterError):
             sphere_average(lambda v: np.ones(v.shape[0]), 4, QuadratureSpec())
+
+
+class TestDirectionGridCache:
+    def test_cache_is_bounded(self):
+        maxsize = quadrature._direction_grid.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_grids_are_read_only(self):
+        for N in (2, 3):
+            for arr in quadrature._direction_grid(N, 64):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_hit_returns_the_same_arrays(self):
+        quadrature._direction_grid.cache_clear()
+        first = quadrature._direction_grid(3, 200)
+        assert quadrature._direction_grid(3, 200) is first
+        assert quadrature._direction_grid.cache_info().hits == 1
 
 
 class TestVoxelize:
