@@ -125,12 +125,42 @@ def _legendre_rule(n: int):
     return x, w
 
 
+def _gauss_jacobi(n: int, s: float):
+    """n-point Gauss-Jacobi nodes and weights for the weight (1 + x)^{-s} on
+    [-1, 1], 0 < s < 1, by Golub-Welsch: the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (a = 0, b = -s), one Newton step on the
+    orthonormal three-term recurrence, and Christoffel weights
+    1 / sum_j p_j(x)^2 rescaled to the weight's mass 2^{1-s} / (1 - s)."""
+    b = -s
+    c = 2.0 * np.arange(n + 1) + b
+    k = np.arange(1, n + 1)
+    # x p_j = off[j] p_{j+1} + diag[j] p_j + off[j-1] p_{j-1}
+    diag = b * b / (c[:-1] * (c[:-1] + 2.0))
+    off = 2.0 * k * (k + b) / (c[1:] * np.sqrt(c[1:] ** 2 - 1.0))
+
+    def recurrence(x):
+        """(p_n, p_n', sum_{j<n} p_j^2) at x, from p_0 = 1."""
+        p_prev, p, dp_prev, dp, norm2 = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
+        for j in range(n):
+            norm2 += p * p
+            back = off[j - 1] if j else 0.0
+            p_prev, p, dp_prev, dp = (
+                p, ((x - diag[j]) * p - back * p_prev) / off[j],
+                dp, (p + (x - diag[j]) * dp - back * dp_prev) / off[j],
+            )
+        return p, dp, norm2
+
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1), UPLO="U")
+    p, dp, _ = recurrence(x)
+    x -= p / dp
+    w = 1.0 / recurrence(x)[2]
+    return x, w * (2.0 ** (1.0 - s) / (1.0 - s) / w.sum())
+
+
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(n: int, s: float):
     """Read-only n-point Gauss-Jacobi rule with weight (1 + x)^{-s} on [-1, 1]."""
-    from scipy import special
-
-    x, w = special.roots_jacobi(n, 0.0, -s)
+    x, w = _gauss_jacobi(n, s)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -184,8 +214,9 @@ def _single_ball_perimeter(kernel: KernelSpec, R: float, n: int = 192) -> float:
 
 
 def _ball_self_riesz(N: int, alpha: float, R: float) -> float:
-    """(1/2) of the pair integral of |x-y|^{-alpha} over one ball, via the
-    pair-distance density of two uniform points."""
+    """(1/2) of the pair integral of |x-y|^{-alpha} over one ball: the
+    t^{-alpha} moment of the pair-distance density of two uniform points,
+    in closed form."""
     if N == 3:
         # density p(t) = 3 t^2 - (9/4) t^3 + (3/16) t^5 on [0, 2] (unit ball)
         moment = (
@@ -195,70 +226,55 @@ def _ball_self_riesz(N: int, alpha: float, R: float) -> float:
         )
         vol = geometry.unit_ball_volume(3)
     else:
-        from scipy import integrate
-
         # density 2 t A_ov(t) / pi with the two-disk overlap area A_ov
-        def f(t):
-            a_ov = 2.0 * math.acos(t / 2.0) - (t / 2.0) * math.sqrt(4.0 - t * t)
-            return t ** (-alpha) * 2.0 * t * a_ov / math.pi
-
-        moment, _ = integrate.quad(f, 0.0, 2.0, limit=200)
+        moment = (
+            2.0 ** (4.0 - alpha) * math.gamma((3.0 - alpha) / 2.0) * math.gamma(1.5)
+            / (math.pi * (2.0 - alpha) * math.gamma(3.0 - 0.5 * alpha))
+        )
         vol = geometry.unit_ball_volume(2)
     return 0.5 * vol ** 2 * moment * R ** (2 * N - alpha)
 
 
-def _radial_moment1(kernel_or_alpha, N: int):
+def _radial_moment1(g):
     """Vectorized antiderivative M(T) = int g(t) t dt for a radial pair
-    integrand g, pinned so only differences are used."""
-    if isinstance(kernel_or_alpha, KernelSpec):
-        kernel = kernel_or_alpha
-        if kernel.kind == "fractional":
-            sig = kernel.sigma
+    integrand g (a kernel or a riesz exponent), pinned so only differences
+    are used."""
+    kernel = g if isinstance(g, KernelSpec) else None
+    if kernel is not None and kernel.kind == "truncated-fractional":
+        sig = kernel.sigma
+        r_cap = kernel.cap ** (-1.0 / sig)
 
-            def M(T):
-                return np.asarray(T, dtype=float) ** (2.0 - sig) / (2.0 - sig)
+        def M(T):
+            T = np.asarray(T, dtype=float)
+            flat = kernel.cap * np.minimum(T, r_cap) ** 2 / 2.0
+            frac = np.where(
+                T > r_cap,
+                (T ** (2.0 - sig) - r_cap ** (2.0 - sig)) / (2.0 - sig),
+                0.0,
+            )
+            return flat + frac
 
-            return M
-        if kernel.kind == "truncated-fractional":
-            sig = kernel.sigma
-            r_cap = kernel.cap ** (-1.0 / sig)
-
-            def M(T):
-                T = np.asarray(T, dtype=float)
-                flat = kernel.cap * np.minimum(T, r_cap) ** 2 / 2.0
-                frac = np.where(
-                    T > r_cap,
-                    (T ** (2.0 - sig) - r_cap ** (2.0 - sig)) / (2.0 - sig),
-                    0.0,
-                )
-                return flat + frac
-
-            return M
-
-        from scipy import integrate
+        return M
+    if kernel is not None and kernel.kind != "fractional":
 
         def M(T):
             T = np.atleast_1d(np.asarray(T, dtype=float))
             grid = np.linspace(0.5 * float(T.min()), float(T.max()), 4096)
             vals = kernels.eval_kernel_radial(kernel, grid) * grid
-            cum = integrate.cumulative_trapezoid(vals, grid, initial=0.0)
-            return np.interp(T, grid, cum)
+            steps = np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
+            return np.interp(T, grid, np.concatenate(([0.0], np.cumsum(steps))))
 
         return M
-    alpha = float(kernel_or_alpha)
-    if abs(alpha - 2.0) < 1e-12:
+    sig = kernel.sigma if kernel is not None else float(g)
+    if abs(sig - 2.0) < 1e-12:
         return lambda T: np.log(np.asarray(T, dtype=float))
-
-    def M(T):
-        return np.asarray(T, dtype=float) ** (2.0 - alpha) / (2.0 - alpha)
-
-    return M
+    return lambda T: np.asarray(T, dtype=float) ** (2.0 - sig) / (2.0 - sig)
 
 
-def _radial_eval(kernel_or_alpha, N: int):
-    if isinstance(kernel_or_alpha, KernelSpec):
-        return lambda t: kernels.eval_kernel_radial(kernel_or_alpha, t)
-    alpha = float(kernel_or_alpha)
+def _radial_eval(g):
+    if isinstance(g, KernelSpec):
+        return lambda t: kernels.eval_kernel_radial(g, t)
+    alpha = float(g)
     return lambda t: np.asarray(t, dtype=float) ** (-alpha)
 
 
@@ -272,13 +288,13 @@ def _ball_pair_interaction(g, N: int, c1, R1: float, c2, R2: float, n: int = 96)
     r_grid = np.linspace(r_lo * (1 - 1e-12), r_hi * (1 + 1e-12), 512)
     rho, wrho = _gl(n, 0.0, R2)
     if N == 3:
-        Mfn = _radial_moment1(g, N)
+        Mfn = _radial_moment1(g)
         RR = r_grid[:, None]
         PP = rho[None, :]
         vals = (Mfn(RR + PP) - Mfn(RR - PP)) * PP
         u_grid = (2.0 * math.pi / r_grid) * (vals @ wrho)
     else:
-        gfn = _radial_eval(g, N)
+        gfn = _radial_eval(g)
         phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
         RR = r_grid[:, None, None]
         PP = rho[None, :, None]

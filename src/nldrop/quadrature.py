@@ -274,7 +274,7 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
     )
 
 
-def _coerce_integrand(g, N: int) -> Optional[OffsetIntegrand]:
+def _coerce_integrand(g, N: int) -> OffsetIntegrand:
     if isinstance(g, OffsetIntegrand):
         return g
     if isinstance(g, KernelSpec):
@@ -283,7 +283,10 @@ def _coerce_integrand(g, N: int) -> Optional[OffsetIntegrand]:
         return kernel_integrand(g)
     if isinstance(g, (int, float)) and not isinstance(g, bool):
         return riesz_integrand(N, float(g))
-    return None
+    raise ParameterError(
+        "pair integrand must be a KernelSpec, a riesz exponent or an OffsetIntegrand, "
+        f"got {type(g).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +836,10 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
 def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate the pair integral of g over E x F.
 
-    ``g`` may be a KernelSpec, a riesz exponent (float), an
-    ``OffsetIntegrand`` (stationary, evaluated at z = y - x), or a generic
-    callable g(x, y).  Stationary integrands use FFT pair sums on a common
-    grid with near-diagonal cell-pair integrals; generic callables fall
-    back to direct midpoint sums or Monte Carlo.
+    ``g`` is a KernelSpec, a riesz exponent (float) or an
+    ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  The tensor
+    engine takes FFT pair sums on a common grid with near-diagonal
+    cell-pair integrals.
     """
     N = E.dimension
     if geometry.is_empty(E) or geometry.is_empty(F):
@@ -853,14 +855,12 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
             x = rng.uniform(loE, hiE, size=(count, N))
             y = rng.uniform(loF, hiF, size=(count, N))
             keep = geometry.indicator(E, x) & geometry.indicator(F, y)
-            vals = _safe_offset_eval(igd, y - x) if igd is not None else g(x, y)
+            vals = _safe_offset_eval(igd, y - x)
             return float(np.mean(np.where(keep, vals, 0.0))) * vol
 
-        return _mc_estimate(spec, N, batch_mean, igd.sigma if igd is not None else None)
+        return _mc_estimate(spec, N, batch_mean, igd.sigma)
 
     budget = spec.resolved_budget(N)
-    if igd is None:
-        return _tensor_estimate(spec, lambda coarse: _generic_pair_sum(E, F, g, budget, coarse))
 
     def value_at(coarse: bool):
         gE, gF, _, h = _pair_grids(E, F, budget, coarse)
@@ -900,24 +900,6 @@ def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
     gE = voxelize(E, cells_per_axis=n, box=(lo, hi))
     gF = voxelize(F, cells_per_axis=n, box=(lo, hi))
     return gE.occupancy, gF.occupancy, gE.origin, gE.spacing
-
-
-def _generic_pair_sum(E, F, g, budget: int, coarse: bool):
-    """Midpoint pair sum of a generic callable g(x, y) over the grids of E
-    and F: (value, cells, warning)."""
-    gE = _as_grid(E, budget, coarse=coarse)
-    gF = _as_grid(F, budget, coarse=coarse)
-    cE, cF = gE.cell_centers(), gF.cell_centers()
-    scale = gE.spacing ** gE.dimension * gF.spacing ** gF.dimension
-    total = 0.0
-    chunk = max(1, (1 << 22) // max(1, cF.shape[0]))
-    for start in range(0, cE.shape[0], chunk):
-        xs = cE[start : start + chunk]
-        xx = np.repeat(xs, cF.shape[0], axis=0)
-        yy = np.tile(cF, (xs.shape[0], 1))
-        total += float(np.sum(g(xx, yy)))
-    warn = "generic integrand: midpoint rule without near-diagonal refinement"
-    return total * scale, cE.shape[0] + cF.shape[0], warn
 
 
 def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> IntegralEstimate:

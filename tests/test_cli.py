@@ -446,8 +446,8 @@ class TestSubcommandRuns:
 
 class TestImportWeight:
     """Every CLI run is a fresh process, so import cost is paid per run:
-    the package imports only numpy, and each run loads the scipy and
-    mpmath parts it executes."""
+    the package imports only numpy, a run loads mpmath only when it
+    executes it, and no run loads scipy."""
 
     @staticmethod
     def loaded(argv=None):
@@ -499,6 +499,19 @@ class TestImportWeight:
         save_voxel(VoxelShape(2, np.array([-1.0, -1.0]), 2.0 / 12, occ), path)
         if argv[0] in ("energy", "slice-scan"):
             argv = argv + ["--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
+        modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
+        assert not any(m.split(".")[0] == "scipy" for m in modules), sorted(modules)[:5]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy"],
+            ["family", "--set", "family.d_count=1"],
+            ["energy", "--set", "kernel.dimension=3"],
+        ],
+        ids=["disk-energy", "disk-family-split", "ball-energy-3d"],
+    )
+    def test_ball_runs_load_no_scipy(self, tmp_path, argv):
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
         assert not any(m.split(".")[0] == "scipy" for m in modules), sorted(modules)[:5]
 

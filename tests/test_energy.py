@@ -9,6 +9,7 @@ radial/polar reductions.
 import collections
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -79,18 +80,18 @@ class TestGaussRuleCaches:
     def test_each_rule_is_built_once_per_search(self, monkeypatch):
         built = collections.Counter()
         real_leggauss = energy_mod.leggauss
-        real_jacobi = scipy.special.roots_jacobi
+        real_jacobi = energy_mod._gauss_jacobi
 
         def leggauss(n):
             built["legendre", n] += 1
             return real_leggauss(n)
 
-        def roots_jacobi(n, a, b):
-            built["jacobi", n, b] += 1
-            return real_jacobi(n, a, b)
+        def gauss_jacobi(n, s):
+            built["jacobi", n, s] += 1
+            return real_jacobi(n, s)
 
         monkeypatch.setattr(energy_mod, "leggauss", leggauss)
-        monkeypatch.setattr(scipy.special, "roots_jacobi", roots_jacobi)
+        monkeypatch.setattr(energy_mod, "_gauss_jacobi", gauss_jacobi)
         energy_mod._legendre_rule.cache_clear()
         energy_mod._jacobi_rule.cache_clear()
         try:
@@ -102,6 +103,28 @@ class TestGaussRuleCaches:
         assert any(key[0] == "legendre" for key in built)
         assert any(key[0] == "jacobi" for key in built)
         assert set(built.values()) == {1}
+
+
+def test_gauss_jacobi_rule_matches_scipy_and_is_exact():
+    # the Golub-Welsch rule for (1 + x)^{-s} against scipy's, and exact on
+    # x^k, k <= 2n - 1, against the Beta-function moments at 30 digits
+    for n in (8, 96, 192):
+        for s in (0.1, 0.5, 0.9):
+            x, w = energy_mod._jacobi_rule(n, s)
+            x_ref, _ = scipy.special.roots_jacobi(n, 0.0, -s)
+            assert np.max(np.abs(x - x_ref)) <= 1e-14
+            assert w.sum() == pytest.approx(2.0 ** (1.0 - s) / (1.0 - s), rel=1e-14)
+    for s in (0.1, 0.5, 0.9):
+        x, w = energy_mod._jacobi_rule(8, s)
+        for k in range(16):
+            # int (1 + x)^{-s} x^k = sum_j C(k, j) (-1)^{k-j} 2^{j+1-s} B(j+1-s, 1)
+            with mpmath.workdps(30):
+                b = 1 - mpmath.mpf(s)
+                exact = float(mpmath.fsum(
+                    mpmath.binomial(k, j) * (-1) ** (k - j) * 2 ** (j + b) * mpmath.beta(j + b, 1)
+                    for j in range(k + 1)
+                ))
+            assert float(w @ x ** k) == pytest.approx(exact, rel=1e-14)
 
 
 class TestBallPerimeter:
@@ -175,7 +198,23 @@ class TestBallRiesz:
 
     def test_unit_disk_inverse_distance(self):
         est = riesz(disk(), 1.0, QuadratureSpec())
-        assert est.value == pytest.approx(8.0 * math.pi / 3.0, rel=1e-10)
+        assert est.value == pytest.approx(8.0 * math.pi / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+    def test_disk_self_energy_closed_form(self, alpha):
+        # (1/2) |B|^2 int_0^2 t^{-alpha} p(t) dt with the pair-distance
+        # density p(t) = 2 t A_ov(t) / pi, by mpmath at 30 digits after
+        # u = t^{2 - alpha}, which removes the t^{1 - alpha} endpoint
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+
+            def density(u):
+                t = min(u ** (1 / (2 - a)), mpmath.mpf(2))
+                overlap = 2 * mpmath.acos(t / 2) - (t / 2) * mpmath.sqrt(4 - t * t)
+                return 2 * overlap / (mpmath.pi * (2 - a))
+
+            exact = float(mpmath.pi ** 2 * mpmath.quad(density, [0, 2 ** (2 - a)]) / 2)
+        assert riesz(disk(), alpha, QuadratureSpec()).value == pytest.approx(exact, rel=1e-14)
 
     def test_exact_scaling(self):
         b = geometry.ball_of_volume(2, 1.3)

@@ -145,16 +145,16 @@ class TestTwoBallEnergy:
         "N, alpha, expected",
         [
             (2, 1.0, [
-                "0x1.19eaae11b2356p+6", "0x1.e5f8ac0000000p-33",
-                "0x1.90e0e61d562e6p+2", "0x1.457f6f3a10350p-34",
+                "0x1.19eaae11b238dp+6", "0x1.e486ac0000000p-33",
+                "0x1.90e0e61d62966p+2", "0x1.457f6f3a110f4p-34",
                 "0x1.40d931ff62706p+2", "0x0.0p+0",
-                "0x1.1eeb295391714p+6", "0x1.445c31ce840d4p-32",
+                "0x1.1eeb2953923b3p+6", "0x1.43a331ce8443dp-32",
             ]),
             (3, 0.5, [
-                "0x1.2d373b8efb9b4p+7", "0x1.dfddce0000000p-33",
+                "0x1.2d373b8efba26p+7", "0x1.d9f5ce0000000p-33",
                 "0x1.040c4c1d72d04p+2", "0x1.dbfdfbb5f9d3ap-32",
                 "0x1.eb4df536e5a97p+1", "0x0.0p+0",
-                "0x1.2daa661b0b9b2p+7", "0x1.65f6715afce9dp-31",
+                "0x1.2daa661b0ba24p+7", "0x1.647c715afce9dp-31",
             ]),
         ],
     )

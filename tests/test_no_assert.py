@@ -2,8 +2,8 @@
 ``assert`` statements, so none may guard package code.  Package modules
 also import nothing they do not use, and at module level nothing but the
 standard library, numpy and the package itself: every CLI run is a fresh
-process, so scipy and mpmath are imported inside the functions that call
-them."""
+process, so mpmath is imported inside the functions that call it.  scipy
+is a test-only reference and no package module imports it."""
 
 import ast
 import sys
@@ -14,13 +14,17 @@ import nldrop
 PACKAGE_DIR = Path(nldrop.__file__).resolve().parent
 
 
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_package_has_no_assert_statements():
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
     found = [
         f"{path.name}:{node.lineno}"
         for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
@@ -29,7 +33,7 @@ def test_package_has_no_assert_statements():
 def _unused_imports(path):
     """Names a module imports but never reads (``from __future__``
     imports excluded)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -50,22 +54,36 @@ def test_package_modules_use_every_import():
     assert not found, f"unused imports in the package: {found}"
 
 
+def _absolute_imports(nodes):
+    """(line, module name) of each absolute import statement in ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_package_modules_import_only_stdlib_and_numpy_at_top_level():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
-    found = []
-    for path in sources:
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in allowed
-            ]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in _absolute_imports(_parse(path).body)
+        if name.split(".")[0] not in allowed
+    ]
     assert not found, f"module-level imports outside stdlib and numpy: {found}"
+
+
+def test_package_never_imports_scipy():
+    # at any nesting level, function bodies included
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in _absolute_imports(ast.walk(_parse(path)))
+        if name.split(".")[0] == "scipy"
+    ]
+    assert not found, f"scipy imports in the package: {found}"

@@ -350,23 +350,12 @@ class TestDoubleIntegral:
         d2 = double_integral(b, a, 0.6, QuadratureSpec())
         assert d1.value == pytest.approx(d2.value, rel=1e-12)
 
-    def test_generic_callable_matches_stationary_when_separated(self):
-        rng = np.random.default_rng(3)
-        a = geometry.random_blob(2, rng, grid_n=16)
-        b = geometry.translate(a, np.array([80 * a.spacing, 0.0]))
-
-        def g_pair(x, y):
-            return 1.0 / (1.0 + np.sum((x - y) ** 2, axis=-1))
-
-        igd = OffsetIntegrand(
-            dimension=2,
-            sigma=0.0,
-            vec=lambda z: 1.0 / (1.0 + np.sum(z ** 2, axis=-1)),
-            cache_token=("test-lorentz",),
-        )
-        d_gen = double_integral(a, b, g_pair, QuadratureSpec())
-        d_sta = double_integral(a, b, igd, QuadratureSpec())
-        assert d_gen.value == pytest.approx(d_sta.value, rel=1e-10)
+    @pytest.mark.parametrize("method", ["tensor-midpoint", "monte-carlo"])
+    def test_unsupported_integrand_is_rejected(self, method):
+        a = geometry.ball_of_volume(2, 1.0)
+        b = geometry.translate(a, np.array([3.0, 0.0]))
+        with pytest.raises(ParameterError, match="KernelSpec, a riesz exponent or an OffsetIntegrand"):
+            double_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec(method=method))
 
     def test_mc_repeat_is_bit_identical(self):
         ball = geometry.ball_of_volume(2, math.pi)
@@ -513,9 +502,6 @@ _PIN_OPS = {
         _PIN_DISK, PointSingularity(center=np.zeros(2), exponent=1.0), spec
     ),
     "double_stationary": lambda spec: double_integral(_PIN_U, _PIN_W, 1.0, spec),
-    "double_generic": lambda spec: double_integral(
-        _PIN_U, _PIN_W, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)), spec
-    ),
     "complement": lambda spec: complement_double_integral(_PIN_DISK, frac_kernel(), spec),
     "sphere_average": lambda spec: sphere_average(
         lambda v: np.clip(v[:, 0], 0.0, None) + v[:, 2] ** 2, 3, spec
@@ -526,14 +512,11 @@ _PIN_SPECS = {
     "monte-carlo": QuadratureSpec(method="monte-carlo", budget=2048, seed=5),
 }
 _HEAVY = "heavy-tailed integrand; Monte Carlo stderr unreliable"
-_GENERIC = "generic integrand: midpoint rule without near-diagonal refinement"
 PINNED_ESTIMATES = {
     ("integral_over", "tensor-midpoint"): (5.626504759797939, 0.049407088708621316, 812, None),
     ("integral_over", "monte-carlo"): (5.437496669139129, 0.11583249580634675, 2048, _HEAVY),
     ("double_stationary", "tensor-midpoint"): (0.8444047113279975, 0.0904679684829155, 237, None),
     ("double_stationary", "monte-carlo"): (0.8285492003465506, 0.016684154380760978, 2048, _HEAVY),
-    ("double_generic", "tensor-midpoint"): (0.055347304760639815, 0.003580701517670884, 1624, _GENERIC),
-    ("double_generic", "monte-carlo"): (0.051551151367662806, 0.0031635950007630398, 2048, None),
     ("complement", "tensor-midpoint"): (54.45873406034755, 1.31961293052899, 812, None),
     ("complement", "monte-carlo"): (41.45907916505635, 5.591094624206583, 2048, _HEAVY),
     ("sphere_average", "tensor-midpoint"): (7.326345326665783, 0.00784589714590922, 1024, None),
