@@ -16,7 +16,9 @@ faster and more accurate than the generic grid engines; voxel and sliced
 shapes go through the quadrature module.  The ball evaluator is one
 function per term (``_balls_perimeter``, ``_balls_riesz``,
 ``_balls_background``, and ``_balls_cross`` for the pairwise
-interactions), shared with the families and slicing modules.  Its error
+interactions), shared with the families and slicing modules;
+``_balls_energy`` assembles a ball system's energy from them with one
+cross-term pass for the kernel and the riesz exponent.  Its error
 is the sum over parts (single balls and ball pairs) of |v(n) - v(n/2)|,
 the change from halving that part's node count, plus 1e-12 |V| on the
 single-ball riesz terms, which have no node count; the 3-D Coulomb pair
@@ -278,9 +280,23 @@ def _radial_eval(g):
     return lambda t: np.asarray(t, dtype=float) ** (-alpha)
 
 
-def _ball_pair_interaction(g, N: int, c1, R1: float, c2, R2: float, n: int = 96) -> float:
-    """int_{B1} int_{B2} g(|x-y|) for disjoint balls, via an inner radial
-    potential u(r) tabulated on a Gauss grid and an outer 2-D reduction."""
+# Rows of r_grid per block of the 2-D pair table: a (rows, n, 128) distance
+# block stays in cache where the whole (512, n, 128) tensor took 50 MB.  The
+# result does not depend on it: each row's phi sums are the same products.
+_PAIR_ROW_BLOCK = 8
+
+
+def _ball_pair_interaction(gs, N: int, c1, R1: float, c2, R2: float, n: int = 96) -> np.ndarray:
+    """int_{B1} int_{B2} g(|x-y|) for disjoint balls, one value per radial
+    integrand g in ``gs``.
+
+    The inner potential u(r) = int_{B2} g(|x - y|) dy, with r = |x - c2|,
+    is tabulated on a 512-point linear grid over [d - R1, d + R1] (an
+    n-point Gauss rule in the B2 radius; in 2-D also 128 Gauss angles) and
+    read back with ``np.interp`` at the nodes of the outer n x n Gauss rule
+    over B1.  The integrands share the grid, the distance tables and the
+    outer nodes.  The callers' n against n/2 error does not see the
+    interpolation error of the fixed 512-point table."""
     d = float(np.linalg.norm(np.asarray(c2, float) - np.asarray(c1, float)))
     if d <= R1 + R2:
         raise PreconditionError("balls overlap; interaction requires disjoint sets")
@@ -288,23 +304,30 @@ def _ball_pair_interaction(g, N: int, c1, R1: float, c2, R2: float, n: int = 96)
     r_grid = np.linspace(r_lo * (1 - 1e-12), r_hi * (1 + 1e-12), 512)
     rho, wrho = _gl(n, 0.0, R2)
     if N == 3:
-        Mfn = _radial_moment1(g)
         RR = r_grid[:, None]
         PP = rho[None, :]
-        vals = (Mfn(RR + PP) - Mfn(RR - PP)) * PP
-        u_grid = (2.0 * math.pi / r_grid) * (vals @ wrho)
+        u_grids = []
+        for g in gs:
+            Mfn = _radial_moment1(g)
+            vals = (Mfn(RR + PP) - Mfn(RR - PP)) * PP
+            u_grids.append((2.0 * math.pi / r_grid) * (vals @ wrho))
     else:
-        gfn = _radial_eval(g)
+        gfns = [_radial_eval(g) for g in gs]
         phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
-        RR = r_grid[:, None, None]
         PP = rho[None, :, None]
         CC = np.cos(phi)[None, None, :]
-        # |x - y| on the (r, rho, phi) tensor, built in one buffer.
-        t = 2.0 * RR * PP * CC
-        np.subtract(RR ** 2 + PP ** 2, t, out=t)
-        np.maximum(t, 1e-300, out=t)
-        np.sqrt(t, out=t)
-        u_grid = ((gfn(t) @ wphi) * rho[None, :]) @ wrho
+        phi_sums = np.empty((len(gs), r_grid.size, n))
+        for i in range(0, r_grid.size, _PAIR_ROW_BLOCK):
+            rows = slice(i, i + _PAIR_ROW_BLOCK)
+            RR = r_grid[rows, None, None]
+            # |x - y| on the (r, rho, phi) block, built in one buffer.
+            t = 2.0 * RR * PP * CC
+            np.subtract(RR ** 2 + PP ** 2, t, out=t)
+            np.maximum(t, 1e-300, out=t)
+            np.sqrt(t, out=t)
+            for k, gfn in enumerate(gfns):
+                phi_sums[k, rows] = gfn(t) @ wphi
+        u_grids = [(sums * rho[None, :]) @ wrho for sums in phi_sums]
 
     a, wa = _gl(n, 0.0, R1)
     if N == 3:
@@ -316,9 +339,8 @@ def _ball_pair_interaction(g, N: int, c1, R1: float, c2, R2: float, n: int = 96)
     AA = a[:, None]
     UU = u[None, :]
     r = np.sqrt(np.clip(AA ** 2 + d ** 2 - 2.0 * AA * d * UU, 0.0, None))
-    u_vals = np.interp(r, r_grid, u_grid)
-    inner = u_vals @ ang_w
-    return float(np.sum(wa * a ** (N - 1) * inner))
+    wr = wa * a ** (N - 1)
+    return np.array([float(np.sum(wr * (np.interp(r, r_grid, ug) @ ang_w))) for ug in u_grids])
 
 
 def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> float:
@@ -351,7 +373,8 @@ def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> flo
 def _refined_sum(f, n: int, calls) -> tuple:
     """(sum of f(*args, n=n), sum of |f(*args, n=n) - f(*args, n=n/2)|) over
     the argument tuples in ``calls``: each part is charged the change from
-    halving its node count."""
+    halving its node count.  An f that returns an array is summed element by
+    element."""
     total = err = 0.0
     for args in calls:
         val = f(*args, n=n)
@@ -360,9 +383,12 @@ def _refined_sum(f, n: int, calls) -> tuple:
     return total, err
 
 
-def _balls_cross(g, U: BallConfig, W: BallConfig | None = None) -> tuple:
-    """(value, error) of the cross terms int_{B_i} int_{B_j} g(|x-y|), summed
-    over the ball pairs i < j of U, or over every pair (i in U, j in W)."""
+def _balls_cross(gs, U: BallConfig, W: BallConfig | None = None) -> tuple:
+    """(values, errors) arrays, in the order of the radial integrands ``gs``,
+    of the cross terms int_{B_i} int_{B_j} g(|x-y|) summed over the ball
+    pairs i < j of U, or over every pair (i in U, j in W).  The integrands
+    that need quadrature share one ``_ball_pair_interaction`` pass per pair
+    and node count."""
     N = U.dimension
     if W is None:
         W = U
@@ -373,35 +399,48 @@ def _balls_cross(g, U: BallConfig, W: BallConfig | None = None) -> tuple:
         (U.centers[i], float(U.radii[i]), W.centers[j], float(W.radii[j]))
         for i, j in pairs
     ]
-    if not isinstance(g, KernelSpec) and N == 3 and abs(float(g) - 1.0) < 1e-12:
+    values, errors = np.zeros(len(gs)), np.zeros(len(gs))
+    quad = []
+    for k, g in enumerate(gs):
+        if isinstance(g, KernelSpec) or N != 3 or abs(float(g) - 1.0) >= 1e-12:
+            quad.append(k)
+            continue
         # two disjoint balls with a 1/|x-y| interaction behave as point
         # masses at their centers (harmonic exterior value)
-        total = 0.0
         for c1, r1, c2, r2 in args:
             d = float(np.linalg.norm(c2 - c1))
-            total += geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
-        return total, 0.0
-    return _refined_sum(_ball_pair_interaction, 96, [(g, N) + a for a in args])
+            values[k] += geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
+    if quad:
+        values[quad], errors[quad] = _refined_sum(
+            _ball_pair_interaction, 96, [(tuple(gs[k] for k in quad), N) + a for a in args]
+        )
+    return values, errors
 
 
-def _balls_perimeter(kernel: KernelSpec, E: BallConfig) -> tuple:
+def _balls_perimeter(kernel: KernelSpec, E: BallConfig, cross: tuple | None = None) -> tuple:
     """(value, error) of P_K over disjoint balls: single-ball perimeters
-    minus twice the pairwise kernel interactions."""
+    minus twice the pairwise kernel interactions.  ``cross`` passes in the
+    pair part when the caller has already evaluated it with
+    ``_balls_cross``."""
     total, err = _refined_sum(
         _single_ball_perimeter, 192, [(kernel, float(r)) for r in E.radii]
     )
-    cross, cross_err = _balls_cross(kernel, E)
-    return total - 2.0 * cross, err + 2.0 * cross_err
+    if cross is None:
+        cross = [float(a[0]) for a in _balls_cross((kernel,), E)]
+    cross_val, cross_err = cross
+    return total - 2.0 * cross_val, err + 2.0 * cross_err
 
 
 def _balls_riesz(alpha: float, E: BallConfig, cross: tuple | None = None) -> tuple:
     """(value, error) of V_alpha over disjoint balls: single-ball terms plus
     pairwise interactions.  ``cross`` passes in the pair part when the
-    caller has already evaluated ``_balls_cross(alpha, E)``."""
+    caller has already evaluated it with ``_balls_cross``."""
     total = 0.0
     for r in E.radii:
         total += _ball_self_riesz(E.dimension, alpha, float(r))
-    cross_val, cross_err = cross if cross is not None else _balls_cross(alpha, E)
+    if cross is None:
+        cross = [float(a[0]) for a in _balls_cross((alpha,), E)]
+    cross_val, cross_err = cross
     return total + cross_val, 1e-12 * abs(total) + cross_err
 
 
@@ -409,6 +448,30 @@ def _balls_background(beta: float, E: BallConfig) -> tuple:
     """(value, error) of int_E |x|^{-beta} over a union of balls."""
     calls = [(E.dimension, beta, c, float(r)) for c, r in zip(E.centers, E.radii)]
     return _refined_sum(_ball_background, 512, calls)
+
+
+def _balls_energy(
+    E: BallConfig, params: EnergyParams, spec: QuadratureSpec, charged: int | None = None
+) -> tuple:
+    """(report, cross riesz value) of a disjoint union of balls from the
+    radial reductions, under any ``spec.method``.  The riesz and kernel
+    cross terms come from one ``_balls_cross`` call.  Only the first
+    ``charged`` balls (all by default) feel the background."""
+    if E.dimension != params.kernel.dimension:
+        raise ParameterError("ball dimension does not match the kernel")
+    n = E.count if charged is None else charged
+    charged_balls = BallConfig(E.dimension, E.centers[:n], E.radii[:n])
+    values, errors = _balls_cross((params.alpha, params.kernel), E)
+    (cross_r, cross_k), (err_r, err_k) = values.tolist(), errors.tolist()
+    p, v, r = (
+        IntegralEstimate(value, err, 0, "radial-reduction", spec.seed)
+        for value, err in (
+            _balls_perimeter(params.kernel, E, (cross_k, err_k)),
+            _balls_riesz(params.alpha, E, (cross_r, err_r)),
+            _balls_background(params.beta, charged_balls),
+        )
+    )
+    return EnergyReport.assemble(p, v, r, params), cross_r
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +521,8 @@ def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
 
 def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
     """Assemble F(E) = P_K(E) + V_alpha(E) - A * R_beta(E)."""
+    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint" and not geometry.is_empty(E):
+        return _balls_energy(E, params, spec)[0]
     p = perimeter(E, params.kernel, spec)
     v = riesz(E, params.alpha, spec)
     r = background(E, params.beta, spec)
@@ -513,8 +578,8 @@ def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate
         and spec.method == "tensor-midpoint"
         and (isinstance(g, KernelSpec) or isinstance(g, (int, float)))
     ):
-        total, err = _balls_cross(g, U, W)
-        return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
+        values, errors = _balls_cross((g,), U, W)
+        return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction", spec.seed)
     return quadrature.double_integral(U, W, g, spec)
 
 

@@ -26,7 +26,7 @@ from . import geometry, quadrature
 from .energy import EnergyParams, EnergyReport
 from .errors import ParameterError, PreconditionError
 from .geometry import BallConfig, VoxelShape
-from .quadrature import IntegralEstimate, QuadratureSpec
+from .quadrature import QuadratureSpec
 
 _DEFAULT_FRACTIONS = (0.25, 0.375, 0.5, 0.625, 0.75)
 _DEFAULT_D_COUNT = 12
@@ -83,36 +83,12 @@ def single_ball_energy(m: float, params: EnergyParams, spec: QuadratureSpec) -> 
     return energy_mod.total_energy(geometry.ball_of_volume(N, m), params, spec)
 
 
-def _ball_system_energy(
-    E: BallConfig, params: EnergyParams, spec: QuadratureSpec, charged: int
-) -> Tuple[EnergyReport, float]:
-    """Energy of a disjoint union of balls from the radial reductions
-    (single-ball terms plus pairwise interactions), under any
-    ``spec.method``.  Only the first ``charged`` balls contribute
-    background attraction.  Returns the report and the total cross riesz
-    term (used by the far-separation bound)."""
-    charged_balls = BallConfig(E.dimension, E.centers[:charged], E.radii[:charged])
-    cross_r = energy_mod._balls_cross(params.alpha, E)
-    p, v, r = (
-        IntegralEstimate(value, err, 0, "radial-reduction", spec.seed)
-        for value, err in (
-            energy_mod._balls_perimeter(params.kernel, E),
-            energy_mod._balls_riesz(params.alpha, E, cross_r),
-            energy_mod._balls_background(params.beta, charged_balls),
-        )
-    )
-    return EnergyReport.assemble(p, v, r, params), cross_r[0]
-
-
 def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
     """Energy of the two-ball configuration; the origin ball carries the
     background term.  When the set distance is at least d/2 the cross
     riesz term is checked against the far-separation bound
     m1 m2 (2 / d)^alpha."""
-    N = params.kernel.dimension
-    if cfg.dimension != N:
-        raise ParameterError("configuration dimension does not match the kernel")
-    report, cross_r = _ball_system_energy(cfg.shape(), params, spec, charged=1)
+    report, cross_r = energy_mod._balls_energy(cfg.shape(), params, spec, charged=1)
     r1, r2 = cfg.radii
     if cfg.d - r1 - r2 >= 0.5 * cfg.d:
         bound = cfg.m1 * cfg.m2 * (2.0 / cfg.d) ** params.alpha
@@ -214,7 +190,7 @@ def split_advantage(
             centers = np.zeros((kk, N))
             centers[:, 0] = np.arange(kk) * float(d)
             chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))
-            rep, _ = _ball_system_energy(chain, params, spec, charged=1)
+            rep, _ = energy_mod._balls_energy(chain, params, spec, charged=1)
             consider(mk, m - mk, float(d), chain, rep.total, rep.error)
     family_min = min(ref.total, best["total"])
     return FamilySearchResult(
@@ -305,12 +281,10 @@ def weak_subadditivity_probe(
         np.vstack([balls1.centers, shifted2.centers]),
         np.concatenate([balls1.radii, shifted2.radii]),
     )
-    comp_report, _ = _ball_system_energy(composite, params, spec, charged=balls1.count)
+    comp_report, _ = energy_mod._balls_energy(composite, params, spec, charged=balls1.count)
 
-    inter_gap = (
-        energy_mod._balls_cross(params.alpha, balls1, shifted2)[0]
-        + 2.0 * energy_mod._balls_cross(params.kernel, balls1, shifted2)[0]
-    )
+    (cross_r, cross_k), _ = energy_mod._balls_cross((params.alpha, params.kernel), balls1, shifted2)
+    inter_gap = float(cross_r + 2.0 * cross_k)
 
     family_min_sum = min(res_sum.family_min, comp_report.total)
     lhs = family_min_sum

@@ -88,23 +88,18 @@ def _unit(nu) -> np.ndarray:
     return nu / n
 
 
-def splitting_defect(
-    E: Shape, nu, l: float, params: EnergyParams, spec: QuadratureSpec
-) -> SliceDefectRecord:
-    """Evaluate the cut inequality for one (nu, l).
-
-    LHS is the riesz interaction between the two sides, RHS is twice the
-    kernel interaction plus A times the background mass of the lower side.
-    A negative defect (RHS - LHS) is the nonexistence signature: moving
-    the upper part to infinity lowers the energy.
-    """
-    nu = _unit(nu)
+def _cut(
+    E: Shape, nu: np.ndarray, l: float, params: EnergyParams, spec: QuadratureSpec
+) -> Tuple[SliceDefectRecord, bool]:
+    """The record of one cut of ``splitting_defect`` and whether the cut
+    splits the shape (leaves both sides nonempty)."""
     hs = Halfspace(nu=nu, l=float(l))
     work = E
     if spec.method == "tensor-midpoint":
         work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
     upper, lower = geometry.slice_shape(work, hs)
-    if geometry.is_empty(upper) or geometry.is_empty(lower):
+    splits = not (geometry.is_empty(upper) or geometry.is_empty(lower))
+    if not splits:
         lhs = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
         crossk = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
     else:
@@ -113,7 +108,7 @@ def splitting_defect(
     bkg = energy_mod.background(lower, params.beta, spec)
     rhs = 2.0 * crossk.value + params.A * bkg.value
     rhs_err = 2.0 * crossk.error + params.A * bkg.error
-    return SliceDefectRecord(
+    record = SliceDefectRecord(
         nu=nu,
         l=float(l),
         lhs=lhs.value,
@@ -124,6 +119,21 @@ def splitting_defect(
         lhs_error=lhs.error,
         rhs_error=rhs_err,
     )
+    return record, splits
+
+
+def splitting_defect(
+    E: Shape, nu, l: float, params: EnergyParams, spec: QuadratureSpec
+) -> SliceDefectRecord:
+    """Evaluate the cut inequality for one (nu, l).
+
+    LHS is the riesz interaction between the two sides, RHS is twice the
+    kernel interaction plus A times the background mass of the lower side.
+    A negative defect (RHS - LHS) is the nonexistence signature: moving
+    the upper part to infinity lowers the energy.  A cut that leaves a side
+    empty has zero interactions.
+    """
+    return _cut(E, _unit(nu), l, params, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +233,11 @@ def scan(
     nu_count: Optional[int] = None,
     l_count: int = _DEFAULT_L_COUNT,
 ) -> ScanResult:
-    """Defect table over a grid of cuts, with the l-integrated defect per
-    direction (trapezoid over the level grid)."""
+    """Defect table over the cuts of a grid that split the shape, with the
+    l-integrated defect per direction (trapezoid over the whole level grid,
+    where a cut that leaves a side empty has zero interactions).  A cut is
+    kept when both sides hold cells of the fine grid (tensor engine) or are
+    nonempty (Monte Carlo); ``min_defect`` is the least kept defect."""
     N = E.dimension
     if nu_grid is None:
         if nu_count is not None and nu_count < 0:
@@ -239,7 +252,8 @@ def scan(
         work = E
 
         def cuts(nu, levels):
-            return [splitting_defect(E, nu, float(l), params, spec) for l in levels]
+            row, splits = zip(*(_cut(E, nu, float(l), params, spec) for l in levels))
+            return row, splits
 
     else:
         work = quadrature._as_grid(E, spec.resolved_budget(N))
@@ -259,18 +273,19 @@ def scan(
         grids = [sweep_grid(v) for v in (work, quadrature._coarse_voxel(work))]
 
         def cut_terms(grid, nu, levels):
-            """(lhs, cross kernel, lower background, rhs) at every level."""
+            """(lhs, cross kernel, lower background, rhs, splits) at every
+            level; splits marks the cuts with cells on both sides."""
             v, fields, bfield = grid
             cells, k = _sweep_order(v, nu, levels)
             lhs, ck = (_prefix_cross(T, fld, cells)[k] for T, fld in fields)
             bkg = _prefix_sums(bfield[tuple(cells.T)])
             bm = bkg[-1] - bkg[k]
-            return lhs, ck, bm, 2.0 * ck + params.A * bm
+            return lhs, ck, bm, 2.0 * ck + params.A * bm, (k > 0) & (k < len(cells))
 
         def cuts(nu, levels):
-            lhs, ck, bm, rhs = cut_terms(grids[0], nu, levels)
-            lhs_c, _, _, rhs_c = cut_terms(grids[1], nu, levels)
-            return [
+            lhs, ck, bm, rhs, splits = cut_terms(grids[0], nu, levels)
+            lhs_c, _, _, rhs_c, _ = cut_terms(grids[1], nu, levels)
+            row = [
                 SliceDefectRecord(
                     nu=nu,
                     l=float(l),
@@ -286,6 +301,7 @@ def scan(
                     levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
                 )
             ]
+            return row, splits
 
     records: List[SliceDefectRecord] = []
     integrated: List[Tuple[np.ndarray, float]] = []
@@ -295,9 +311,11 @@ def scan(
             if l_grid is not None
             else default_level_grid(work, nu, l_count)
         )
-        row = cuts(nu, levels)
-        records.extend(row)
+        row, splits = cuts(nu, levels)
+        records.extend(r for r, keep in zip(row, splits) if keep)
         integrated.append((nu, float(np.trapezoid([r.defect for r in row], levels))))
+    if not records:
+        raise ParameterError("no level of the scan splits the shape")
     best = min(records, key=lambda r: r.defect)
     return ScanResult(records, integrated, best.defect, best)
 

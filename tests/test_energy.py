@@ -330,6 +330,70 @@ class TestInteraction:
         assert est.value == 0.0
 
 
+def _unblocked_pair_interaction(g, c1, R1, c2, R2, n):
+    """The 2-D pair term with the whole (512, n, 128) distance tensor built
+    at once: the reference the row-blocked pass must match bit for bit."""
+    gfn = energy_mod._radial_eval(g)
+    d = float(np.linalg.norm(np.asarray(c2, float) - np.asarray(c1, float)))
+    r_grid = np.linspace((d - R1) * (1 - 1e-12), (d + R1) * (1 + 1e-12), 512)
+    rho, wrho = energy_mod._gl(n, 0.0, R2)
+    phi, wphi = energy_mod._gl(128, 0.0, 2.0 * math.pi)
+    RR = r_grid[:, None, None]
+    PP = rho[None, :, None]
+    CC = np.cos(phi)[None, None, :]
+    t = 2.0 * RR * PP * CC
+    np.subtract(RR ** 2 + PP ** 2, t, out=t)
+    np.maximum(t, 1e-300, out=t)
+    np.sqrt(t, out=t)
+    u_grid = ((gfn(t) @ wphi) * rho[None, :]) @ wrho
+    a, wa = energy_mod._gl(n, 0.0, R1)
+    th, wth = energy_mod._gl(n, 0.0, math.pi)
+    AA, UU = a[:, None], np.cos(th)[None, :]
+    r = np.sqrt(np.clip(AA ** 2 + d ** 2 - 2.0 * AA * d * UU, 0.0, None))
+    inner = np.interp(r, r_grid, u_grid) @ (2.0 * wth)
+    return float(np.sum(wa * a * inner))
+
+
+class TestBallPairPass:
+    """The riesz and kernel cross terms of a ball pair share one pass; the
+    numbers must be those of one pass per integrand, bit for bit."""
+
+    @staticmethod
+    def balls(N):
+        centers = np.zeros((3, N))
+        centers[1, 0], centers[2, 1] = 2.3, -2.9
+        return geometry.BallConfig(N, centers, np.array([1.0, 0.8, 1.2]))
+
+    @pytest.mark.parametrize("N, alpha", [(2, 1.0), (2, 0.5), (3, 0.5), (3, 1.0)])
+    def test_shared_call_matches_single_calls(self, N, alpha):
+        E, kernel = self.balls(N), frac(N=N)
+        values, errors = energy_mod._balls_cross((alpha, kernel), E)
+        singles = [energy_mod._balls_cross((g,), E) for g in (alpha, kernel)]
+        assert np.array_equal(values, [v[0] for v, _ in singles])
+        assert np.array_equal(errors, [e[0] for _, e in singles])
+
+    @pytest.mark.parametrize("n", [96, 48])
+    def test_blocked_table_matches_full_tensor(self, n):
+        kernel = frac()
+        args = (np.zeros(2), 0.8, np.array([1.3, 1.6]), 1.2)
+        got = energy_mod._ball_pair_interaction((0.6, kernel), 2, *args, n=n)
+        want = [_unblocked_pair_interaction(g, *args, n) for g in (0.6, kernel)]
+        assert np.array_equal(got, want)
+
+    def test_coulomb_closed_form_beside_quadrature(self):
+        # 3-D alpha = 1: the riesz part is the point-mass closed form with no
+        # error, the kernel part still comes from quadrature
+        E, kernel = self.balls(3), frac(N=3)
+        values, errors = energy_mod._balls_cross((1.0, kernel), E)
+        vol = geometry.unit_ball_volume(3) * E.radii ** 3
+        d = np.linalg.norm(E.centers[:, None] - E.centers[None], axis=-1)
+        newton = sum(vol[i] * vol[j] / d[i, j] for i in range(3) for j in range(i + 1, 3))
+        assert values[0] == pytest.approx(newton, rel=1e-14)
+        assert errors[0] == 0.0
+        assert errors[1] > 0.0
+        assert values[1] == energy_mod._balls_cross((kernel,), E)[0][0]
+
+
 class TestDecompositions:
     def test_perimeter_identity_cancels_on_shared_grid(self):
         rng = np.random.default_rng(12)

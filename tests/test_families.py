@@ -2,6 +2,7 @@
 subadditivity probe, and the voxel annealer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,9 +106,9 @@ class TestTwoBallEnergy:
         # an explicit error, not an assert that python -O strips
         real_cross = energy_mod._balls_cross
 
-        def inflated_cross(g, U, W=None):
-            value, err = real_cross(g, U, W)
-            return (value if isinstance(g, KernelSpec) else 1e6, err)
+        def inflated_cross(gs, U, W=None):
+            values, errs = real_cross(gs, U, W)
+            return np.where([isinstance(g, KernelSpec) for g in gs], values, 1e6), errs
 
         monkeypatch.setattr(energy_mod, "_balls_cross", inflated_cross)
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
@@ -121,10 +122,10 @@ class TestTwoBallEnergy:
         result = split_advantage(2.0, params, QuadratureSpec(), d_count=3)
         assert math.isfinite(result.margin)
 
-    @pytest.mark.parametrize("N, expected", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("N, expected", [(2, 2), (3, 2)])
     def test_pair_integral_evaluations(self, monkeypatch, N, expected):
-        # kernel cross term at n and n/2, riesz likewise unless the 3-D
-        # alpha = 1 point-mass closed form applies
+        # one pass at n and one at n/2 serve the kernel and the riesz cross
+        # terms; in 3-D the alpha = 1 riesz term is the point-mass closed form
         calls = []
         real_pair = energy_mod._ball_pair_interaction
 
@@ -169,6 +170,21 @@ class TestTwoBallEnergy:
             rep.total, rep.error,
         ]
         assert got == [float.fromhex(v) for v in expected]
+
+    def test_pair_table_memory_is_bounded(self):
+        # the 2-D distance table is built in row blocks, not as one
+        # (512, 96, 128) tensor of 50 MB
+        kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
+        params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
+        cfg = TwoBallConfig(dimension=2, m1=2.0, m2=1.0, d=4.0)
+        two_ball_energy(cfg, params, QuadratureSpec())
+        tracemalloc.start()
+        try:
+            two_ball_energy(cfg, params, QuadratureSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_radial_reduction_under_any_spec(self):
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)

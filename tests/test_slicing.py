@@ -107,7 +107,8 @@ class TestScan:
         nus = default_direction_grid(2, 4)
         levels = np.linspace(-0.3, 0.3, 5)
         res = scan(blob, make_params(), QuadratureSpec(), nu_grid=nus, l_grid=levels)
-        assert len(res.records) == 4 * 5
+        # two of the 4 x 5 cuts leave a side empty and are not listed
+        assert len(res.records) == 4 * 5 - 2
         assert len(res.integrated_defect) == 4
         assert res.min_defect == min(r.defect for r in res.records)
         assert res.min_record.defect == res.min_defect
@@ -127,10 +128,8 @@ class TestScan:
     # (lhs, cross_kernel, background_minus, rhs, lhs_error, rhs_error) of
     # the tensor scan of the seed-8 test blob with A = 1 over 2 directions
     # x 5 levels, frozen so a rewrite of the sweep cannot move them.  The
-    # first cut leaves the lower side empty: its values are cancellation
-    # noise, pinned by the absolute tolerance only.
+    # first cut leaves the lower side empty and is not listed.
     PINNED_SCAN = [
-        (1.1102230246251565e-16, -7.105427357601002e-15, 0.0, -1.4210854715202004e-14, 1.1102230246251565e-16, 3.552713678800501e-15),
         (0.0067800750718604585, 0.3216400315804435, 0.03610557202314335, 0.6793856351840304, 0.013463591190484347, 0.6821064504226708),
         (0.034536443460750355, 0.6547500565257867, 0.6241882752231215, 1.9336883882746947, 0.010669882814655446, 0.277567947461308),
         (0.039063931477674244, 0.7197183528271598, 1.0385338777831763, 2.4779705834374957, 0.009945907753893868, 0.13175700726307715),
@@ -165,6 +164,26 @@ class TestScan:
     def test_empty_grids_are_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             scan(seeded_blob(), make_params(), QuadratureSpec(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [QuadratureSpec(), QuadratureSpec(method="monte-carlo", budget=4000, seed=2)],
+        ids=["tensor", "monte-carlo"],
+    )
+    def test_cuts_that_leave_a_side_empty_are_not_listed(self, spec):
+        b = geometry.ball_of_volume(2, 1.0)
+        levels = [-5.0, 0.0, 5.0]
+        nu = np.array([1.0, 0.0])
+        res = scan(b, make_params(), spec, nu_grid=[nu], l_grid=levels)
+        assert [r.l for r in res.records] == [0.0]
+        assert res.min_record is res.records[0]
+        # the integrated defect still runs over the whole level grid
+        row = [splitting_defect(b, nu, l, make_params(), spec).defect for l in levels]
+        assert res.integrated_defect[0][1] == pytest.approx(np.trapezoid(row, levels), rel=1e-9)
+
+    def test_scan_with_no_splitting_level_is_rejected(self):
+        with pytest.raises(ParameterError, match="splits the shape"):
+            scan(seeded_blob(), make_params(), QuadratureSpec(), l_grid=[-5.0, 5.0])
 
     def test_monte_carlo_route_runs(self):
         b = geometry.ball_of_volume(2, 1.0)
