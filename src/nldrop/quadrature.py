@@ -6,8 +6,10 @@ Two engine families are provided behind one interface:
   integrals become occupancy convolutions with a translation-invariant
   stencil evaluated by FFT.  Cell pairs near the singular diagonal use
   exact cell-pair integrals (difference-variable form with a triangular
-  weight, dyadic Gauss-Legendre refinement toward the singularity, and
-  geometric extrapolation of the truncated corner series).  They are kept
+  weight and dyadic Gauss-Legendre refinement toward the singularity; the
+  corner series of a homogeneous integrand is summed in closed form from
+  N + 2 levels, any other one is refined 40 levels and extrapolated
+  geometrically).  They are kept
   in near tables, one integral per symmetry orbit of cell offsets, shared
   by every grid of one spacing; power-law integrands keep one table at
   unit spacing for all spacings.  A complement
@@ -52,7 +54,6 @@ _TAIL_DIRECTIONS = {2: 256, 3: 512}
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
 _PAIR_DEPTH = 40
-_POINT_DEPTH = 30
 # Complement integrals pad a shape's grid with empty cells to at least this
 # many cells per axis: the stencil then holds every near offset, and the
 # directional tail starts well away from the centre cell.
@@ -312,16 +313,31 @@ def _box_nodes(lo: np.ndarray, hi: np.ndarray):
     return pts.reshape(-1, N), w.ravel()
 
 
-def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, depth: int) -> float:
+def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, sigma=None, degrees=(0, 0)) -> float:
     """Sum of integrals of fvec over the boxes [lo_k, hi_k], level by level.
 
     At each level one Gauss-Legendre call integrates every box clear of
-    the origin, and every box touching it is split into its 2^N halves for
-    the next level, down to ``depth``.  Per-level contributions are
-    tracked and the truncated series from the shrinking origin boxes is
-    completed by geometric extrapolation.
+    the origin, and every box touching it (at a corner: 0 is a breakpoint
+    of every axis) is split into its 2^N halves for the next level.  The
+    boxes of level k + 1 are the ones of level k scaled by 1/2.
+
+    When fvec is a g homogeneous of degree -``sigma`` times a polynomial
+    weight whose monomials on the origin boxes have degrees in
+    ``degrees`` = (m_min, m_max), the Gauss-Legendre sums scale exactly
+    too: level k >= 1 contributes sum_m A_m r_m^(k-1) with
+    r_m = 2^-(N - sigma + m).  Levels 0..L, for the L ratios, fix that
+    series, and its sum is c_0 + P(1)/Q(1) with Q(x) = prod_m (1 - r_m x)
+    and P the first L coefficients of Q(x) sum_{k>=1} c_k x^(k-1).  Every
+    r_m must be below 1.  With ``sigma`` None the levels run to
+    ``_PAIR_DEPTH`` and the truncated series is completed by geometric
+    extrapolation of its last ratio.
     """
     N = lo.shape[1]
+    if sigma is None:
+        depth = _PAIR_DEPTH
+    else:
+        ratios = 2.0 ** -(N - sigma + np.arange(degrees[0], degrees[1] + 1))
+        depth = ratios.size
     # upper[c, ax]: child c of a split box takes the upper half along ax
     upper = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1).astype(bool)
     contrib = np.zeros(depth + 1)
@@ -341,6 +357,12 @@ def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, depth: int) -> float:
             np.where(upper, hi[:, None], mid[:, None]).reshape(-1, N),
         )
     total = float(contrib.sum())
+    if lo.shape[0] == 0:  # no box touches the origin: the sum is complete
+        return total
+    if sigma is not None:
+        q = np.poly(ratios)  # Q's coefficients, lowest power first
+        p = np.convolve(contrib[1:], q)[:depth]
+        return float(contrib[0]) + float(p.sum()) / float(q.sum())
     if contrib[depth] > 0.0 and contrib[depth - 1] > 0.0:
         ratio = min(contrib[depth] / contrib[depth - 1], 0.95)
         total += contrib[depth] * ratio / (1.0 - ratio)
@@ -367,33 +389,51 @@ def _axis_breaks(d: float, h: float) -> list:
     return sorted(set(pts))
 
 
-def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, depth: int = _PAIR_DEPTH) -> float:
+def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, sigma=None) -> float:
     """Exact integral of g(y - x) over a pair of cubic cells.
 
     The cells have side h and center offset dvec = center(y-cell) minus
     center(x-cell).  In the difference variable z = y - x the integral is
     g(z) times the separable triangular weight prod_i (h - |z_i - d_i|)_+
     over d + [-h, h]^N.  The weight's apex hyperplanes and the origin are
-    pre-split so every quadrature box sees a smooth integrand.
+    pre-split so every quadrature box sees a smooth integrand.  An offset
+    component within rounding (1e-12 h) of +-h counts as +-h.
+
+    Pass ``sigma`` when g is homogeneous of degree -sigma: the corner
+    series at the origin is then summed in closed form from N + 2 levels
+    (see ``_dyadic_integral``).  On the origin boxes the weight's monomials
+    have degrees from the number of axes with |d_i| = h up to N; a pair
+    whose lowest degree m_min has N - sigma + m_min <= 0 diverges and is
+    rejected.  Without ``sigma`` the series is refined 40 levels deep and
+    extrapolated.
     """
     d = np.asarray(dvec, dtype=float)
+    edge = np.abs(np.abs(d) - h) <= 1e-12 * h
+    d = np.where(edge, np.copysign(h, d), d)
 
     def fvec(pts):
         w = np.prod(np.clip(h - np.abs(pts - d), 0.0, None), axis=-1)
         return gvec(pts) * w
 
-    axis_edges = [_axis_breaks(d[i], h) for i in range(N)]
-    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, depth)
+    boxes = _grid_boxes([_axis_breaks(d[i], h) for i in range(N)])
+    if sigma is None:
+        return _dyadic_integral(*boxes, fvec)
+    m_min = int(np.count_nonzero(edge))
+    if np.all(np.abs(d) <= h) and N - sigma + m_min <= 0:
+        raise ParameterError(
+            f"cell pair at offset {d.tolist()} with |z|^-{sigma} singularity in "
+            f"dimension {N}: the integral diverges"
+        )
+    return _dyadic_integral(*boxes, fvec, sigma, (m_min, N))
 
 
-def point_singularity_cell_integral(
-    lo, hi, center, exponent: float, N: int, depth: int = _POINT_DEPTH
-) -> float:
+def point_singularity_cell_integral(lo, hi, center, exponent: float, N: int) -> float:
     """Integral of |x - center|^(-exponent) over the box [lo, hi].
 
-    Handles the singular point inside the box by dyadic refinement; the
-    exponent must be below N for convergence.  A singular point within
-    rounding (1e-12 of the box side) of a face counts as on that face.
+    Handles the singular point inside the box by summing the dyadic corner
+    series in closed form (see ``_dyadic_integral``); the exponent must be
+    below N for convergence.  A singular point within rounding (1e-12 of
+    the box side) of a face counts as on that face.
     """
     if exponent >= N:
         raise ParameterError(
@@ -416,7 +456,7 @@ def point_singularity_cell_integral(
         if lo[i] < 0.0 < hi[i]:
             pts.insert(1, 0.0)
         axis_edges.append(pts)
-    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, depth)
+    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, exponent)
 
 
 def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
@@ -472,7 +512,8 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
     the sorted absolute offset for a radial g, the offset itself otherwise.
     A homogeneous g keeps its table at spacing 1 and rescales it by
     h^(2N - sigma), so one table serves every spacing and grid; any other
-    g keeps one table per spacing.  Integrals are computed on first use.
+    g keeps one table per spacing.  Integrals are computed on first use,
+    a homogeneous g's with its corner series in closed form.
     """
     N = igd.dimension
     base = 1.0 if igd.homogeneous else float(h)
@@ -490,7 +531,9 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
     out = np.empty(orbits.shape[0])
     for i, orbit in enumerate(map(tuple, orbits)):
         if orbit not in table:
-            table[orbit] = cell_pair_integral(np.array(orbit) * base, base, igd.vec, N)
+            table[orbit] = cell_pair_integral(
+                np.array(orbit) * base, base, igd.vec, N, igd.sigma if igd.homogeneous else None
+            )
         out[i] = table[orbit]
     return out * (h / base) ** (2 * N - igd.sigma)
 
@@ -503,8 +546,9 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     and, for sigma < N, the zero offset use exact cell-pair integrals from
     the near tables of ``_near_values``: one integral per symmetry orbit
     when g is radial, computed once at spacing 1 for every h when g is
-    homogeneous.  A cold 3-D fractional kernel stencil thus costs 9
-    integrals, and its fine and coarse grids share them."""
+    homogeneous, with its corner series summed in closed form.  A cold 3-D
+    fractional kernel stencil thus costs 9 integrals of at most 5 levels
+    each, and its fine and coarse grids share them."""
     N = igd.dimension
     key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)

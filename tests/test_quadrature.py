@@ -5,9 +5,11 @@ Reference values were computed independently with scipy.integrate
 frozen here; the engine must reproduce them without sharing code paths.
 """
 
+import itertools
 import math
 from collections import OrderedDict
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import signal
@@ -139,6 +141,135 @@ class TestPointSingularityCell:
         with pytest.raises(ParameterError):
             point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 2.0, 2)
 
+
+def _face_pair_reference(N, s, levels=250):
+    """Cell pair at offset (0, ..., 0, 1), unit cells, fractional kernel:
+    the dyadic recursion written out level by level with the triangular
+    weight taken as (h - |d_i|) + sign(d_i) z_i on the origin side of d_i,
+    which loses no digits near the origin, and the tail past the last
+    level closed at the exact leading ratio 2^-(1 - s)."""
+    g = kernel_integrand(frac_kernel(N=N, s=s)).vec
+    d = np.zeros(N)
+    d[-1] = 1.0
+
+    def weight(z):
+        w = np.ones(z.shape[0])
+        for i, di in enumerate(d):
+            if di == 0.0:
+                w = w * (1.0 - np.abs(z[:, i]))
+            else:
+                near_side = (z[:, i] - di) * np.sign(di) <= 0.0
+                w = w * np.where(
+                    near_side, (1.0 - abs(di)) + np.sign(di) * z[:, i], 1.0 - np.abs(z[:, i] - di)
+                )
+        return w
+
+    lo, hi = quadrature._grid_boxes([quadrature._axis_breaks(di, 1.0) for di in d])
+    total = last = 0.0
+    for _ in range(levels + 1):
+        touch = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
+        pts, w = quadrature._box_nodes(lo[~touch], hi[~touch])
+        last = float(np.sum(g(pts) * weight(pts) * w))
+        total += last
+        lo, hi = lo[touch], hi[touch]
+        halves = []
+        for corner in itertools.product((0, 1), repeat=N):
+            up = np.array(corner, dtype=bool)
+            mid = 0.5 * (lo + hi)
+            halves.append((np.where(up, mid, lo), np.where(up, hi, mid)))
+        lo = np.concatenate([a for a, _ in halves])
+        hi = np.concatenate([b for _, b in halves])
+    ratio = 2.0 ** -(1.0 - s)
+    return total + last * ratio / (1.0 - ratio)
+
+
+def _same_cell_riesz_2d(alpha):
+    """Same-cell riesz integral of the unit square: in polar coordinates
+    over the eighth 0 <= theta <= pi/4 of [0, 1]^2 (R = 1 / cos theta),
+    8 int [R^(2-a)/(2-a) - (c+s) R^(3-a)/(3-a) + cs R^(4-a)/(4-a)]."""
+    a = mpmath.mpf(alpha)
+
+    def f(t):
+        c, s = mpmath.cos(t), mpmath.sin(t)
+        R = 1 / c
+        return (
+            R ** (2 - a) / (2 - a)
+            - (c + s) * R ** (3 - a) / (3 - a)
+            + c * s * R ** (4 - a) / (4 - a)
+        )
+
+    with mpmath.workdps(30):
+        return float(8 * mpmath.quad(f, [0, mpmath.pi / 4]))
+
+
+class TestClosedFormCornerSeries:
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("s", [0.5, 0.93, 0.95, 0.99])
+    def test_face_near_values_match_a_deep_reference(self, monkeypatch, N, s):
+        # the 40-level recursion with a ratio capped at 0.95 missed these by
+        # 7e-11 (s = 1/2) up to 0.66 (s = 0.99)
+        _fresh_caches(monkeypatch)
+        off = np.zeros((1, N))
+        off[0, -1] = 1.0
+        got = quadrature._near_values(off, 1.0, kernel_integrand(frac_kernel(N=N, s=s)))[0]
+        assert got == pytest.approx(_face_pair_reference(N, s), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 1.9, 1.99])
+    def test_same_cell_riesz_2d(self, alpha):
+        # the 6-point Gauss-Legendre rule of the level boxes sets a floor
+        # near 3e-9; the capped extrapolation gave 207.71 for 621.41 at 1.99
+        got = cell_pair_integral(np.zeros(2), 1.0, riesz_integrand(2, alpha).vec, 2, alpha)
+        assert got == pytest.approx(_same_cell_riesz_2d(alpha), rel=1e-8)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_homogeneous_pairs_evaluate_at_most_n_plus_two_levels(self, N):
+        calls = []
+        cases = [
+            (riesz_integrand(N, 1.0), np.zeros(N)),
+            (kernel_integrand(frac_kernel(N=N)), np.eye(N)[-1]),
+            (kernel_integrand(frac_kernel(N=N)), np.ones(N)),
+            (kernel_moment_integrand(frac_kernel(N=N)), np.r_[0.5, np.zeros(N - 1)]),
+        ]
+        for igd, d in cases:
+            del calls[:]
+
+            def gvec(z, vec=igd.vec):
+                calls.append(z.shape[0])
+                return vec(z)
+
+            cell_pair_integral(d, 1.0, gvec, N, igd.sigma)
+            assert 1 <= len(calls) <= N + 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_point_singularity_evaluates_at_most_two_levels(self, monkeypatch, N):
+        calls = []
+        box_nodes = quadrature._box_nodes
+
+        def counted(lo, hi):
+            calls.append(lo.shape[0])
+            return box_nodes(lo, hi)
+
+        monkeypatch.setattr(quadrature, "_box_nodes", counted)
+        for center in (np.full(N, 0.3), np.zeros(N), np.r_[0.0, np.full(N - 1, 0.4)]):
+            del calls[:]
+            point_singularity_cell_integral(np.zeros(N), np.ones(N), center, N - 0.5, N)
+            assert 1 <= len(calls) <= 2
+
+    def test_divergent_pairs_are_rejected(self):
+        # a 2 + s singularity interior to the support diverges: the zero
+        # offset and (1/2, 0)
+        ki = kernel_integrand(frac_kernel())
+        for d in ([0.0, 0.0], [0.5, 0.0]):
+            with pytest.raises(ParameterError):
+                cell_pair_integral(np.array(d), 1.0, ki.vec, 2, ki.sigma)
+        # on the support's face it converges; an offset within rounding of
+        # the face counts as on it
+        face = cell_pair_integral(np.array([0.0, 1.0]), 1.0, ki.vec, 2, ki.sigma)
+        assert cell_pair_integral(np.array([0.0, 1.0 + 1e-15]), 1.0, ki.vec, 2, ki.sigma) == face
+        # outside the support there is no corner series and nothing diverges
+        d = np.array([2.5, 0.0])
+        far = cell_pair_integral(d, 1.0, ki.vec, 2, ki.sigma)
+        assert far == pytest.approx(cell_pair_integral(d, 1.0, ki.vec, 2), rel=1e-14)
 
 class TestStencilAndPairSum:
     def test_stencil_is_symmetric(self):
@@ -493,7 +624,9 @@ class TestEstimateRecord:
 # (value, error, samples, warning) of each public operation on small fixed
 # shapes, frozen from the engines before their fine/coarse refinement and
 # their Monte Carlo batch loops were shared: a swapped coarse grid, a
-# changed batch layout or a dropped warning moves one of them
+# changed batch layout or a dropped warning moves one of them.  The
+# complement tensor entry was re-frozen when near values began summing their
+# corner series in closed form (it moved by 8e-12 relative).
 _PIN_DISK = geometry.BallConfig(dimension=2, centers=np.array([[0.1, 0.05]]), radii=np.array([0.9]))
 _PIN_U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
 _PIN_W = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
@@ -517,7 +650,7 @@ PINNED_ESTIMATES = {
     ("integral_over", "monte-carlo"): (5.437496669139129, 0.11583249580634675, 2048, _HEAVY),
     ("double_stationary", "tensor-midpoint"): (0.8444047113279975, 0.0904679684829155, 237, None),
     ("double_stationary", "monte-carlo"): (0.8285492003465506, 0.016684154380760978, 2048, _HEAVY),
-    ("complement", "tensor-midpoint"): (54.45873406034755, 1.31961293052899, 812, None),
+    ("complement", "tensor-midpoint"): (54.45873405990247, 1.3196129303446469, 812, None),
     ("complement", "monte-carlo"): (41.45907916505635, 5.591094624206583, 2048, _HEAVY),
     ("sphere_average", "tensor-midpoint"): (7.326345326665783, 0.00784589714590922, 1024, None),
     ("sphere_average", "monte-carlo"): (7.31550578383898, 0.11921999578048444, 2048, None),
