@@ -8,7 +8,7 @@ Two engine families are provided behind one interface:
   exact cell-pair integrals (difference-variable form with a triangular
   weight and dyadic Gauss-Legendre refinement toward the singularity; the
   corner series of a homogeneous integrand is summed in closed form from
-  N + 2 levels, any other one is refined 40 levels and extrapolated
+  at most N + 2 levels, any other one is refined 40 levels and extrapolated
   geometrically).  They are kept
   in near tables, one integral per symmetry orbit of cell offsets, shared
   by every grid of one spacing; power-law integrands keep one table at
@@ -400,12 +400,12 @@ def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, sigma=None) -> fl
     component within rounding (1e-12 h) of +-h counts as +-h.
 
     Pass ``sigma`` when g is homogeneous of degree -sigma: the corner
-    series at the origin is then summed in closed form from N + 2 levels
-    (see ``_dyadic_integral``).  On the origin boxes the weight's monomials
-    have degrees from the number of axes with |d_i| = h up to N; a pair
-    whose lowest degree m_min has N - sigma + m_min <= 0 diverges and is
-    rejected.  Without ``sigma`` the series is refined 40 levels deep and
-    extrapolated.
+    series at the origin is then summed in closed form from at most N + 2
+    levels (see ``_dyadic_integral``).  On the origin boxes the weight's
+    monomials have degrees from the number of axes with |d_i| = h up to
+    N; a pair whose lowest degree m_min has N - sigma + m_min <= 0
+    diverges and is rejected.  Without ``sigma`` the series is refined 40
+    levels deep and extrapolated.
     """
     d = np.asarray(dvec, dtype=float)
     edge = np.abs(np.abs(d) - h) <= 1e-12 * h
@@ -547,8 +547,8 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     the near tables of ``_near_values``: one integral per symmetry orbit
     when g is radial, computed once at spacing 1 for every h when g is
     homogeneous, with its corner series summed in closed form.  A cold 3-D
-    fractional kernel stencil thus costs 9 integrals of at most 5 levels
-    each, and its fine and coarse grids share them."""
+    fractional kernel stencil thus costs 9 integrals of at most N + 2
+    levels each, and its fine and coarse grids share them."""
     N = igd.dimension
     key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)
