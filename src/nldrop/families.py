@@ -303,6 +303,13 @@ def weak_subadditivity_probe(
 # Voxel annealing
 
 
+def _stencil_window(T: np.ndarray, cell) -> np.ndarray:
+    """View of stencil T over the grid: entry i is T[(i - cell) + dims - 1],
+    the pair-sum contribution of ``cell`` to cell i.  Its entry at ``cell``
+    is the zero-offset (same-cell) value."""
+    return T[tuple(slice(n // 2 - c, n - c) for n, c in zip(T.shape, cell))]
+
+
 def _neighbor_masks(occ: np.ndarray):
     """Boundary masks: occupied cells touching empties, empty cells
     touching occupied (4-neighborhood)."""
@@ -388,8 +395,8 @@ def voxel_local_search(
         # moving a cell removes u's pair terms (including its diagonal T0)
         # and adds v's against E - {u}: dS = 2 phi(v) - 2 phi(u) - 2 T[v-u] + 2 T0,
         # where u's stencil window holds T[v-u] at v and T0 at u
-        w_k = quadrature._stencil_window(T_k, u)
-        w_r = quadrature._stencil_window(T_r, u)
+        w_k = _stencil_window(T_k, u)
+        w_r = _stencil_window(T_r, u)
         d_sk = 2.0 * (float(phi_k[v]) - float(phi_k[u]) - float(w_k[v]) + float(w_k[u]))
         d_sr = 2.0 * (float(phi_r[v]) - float(phi_r[u]) - float(w_r[v]) + float(w_r[u]))
         delta = float(lin[v]) - float(lin[u]) - d_sk + 0.5 * d_sr
@@ -407,10 +414,10 @@ def voxel_local_search(
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
             occ[u] = False
             occ[v] = True
-            phi_k += quadrature._stencil_window(T_k, v)
-            phi_k -= quadrature._stencil_window(T_k, u)
-            phi_r += quadrature._stencil_window(T_r, v)
-            phi_r -= quadrature._stencil_window(T_r, u)
+            phi_k += _stencil_window(T_k, v)
+            phi_k -= _stencil_window(T_k, u)
+            phi_r += _stencil_window(T_r, v)
+            phi_r -= _stencil_window(T_r, u)
             s_k += d_sk
             s_r += d_sr
             energy_now += delta

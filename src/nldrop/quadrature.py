@@ -39,7 +39,7 @@ import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -623,11 +623,22 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     return conv[sl]
 
 
-def _stencil_window(T: np.ndarray, cell) -> np.ndarray:
-    """View of T over the grid: entry i is T[(i - cell) + dims - 1], the
-    pair-sum contribution of ``cell`` to cell i.  Its entry at ``cell``
-    is the zero-offset (same-cell) value."""
-    return T[tuple(slice(n // 2 - c, n - c) for n, c in zip(T.shape, cell))]
+def _self_sum_spectrum(T: np.ndarray, box) -> Tuple[tuple, np.ndarray]:
+    """(fshape, W) for the pair sums of stencil T over sets inside a box of
+    ``box`` cells per axis: for U in the box, S_T(U, U) is the sum of
+    W |rfftn(U, fshape)|^2 (Parseval).  fshape is a fast length of at
+    least 2 box - 1 per axis, so the circular wrap pairs no two cells of
+    the box; W is Re T-hat / G on the real-FFT half grid, times 2 where a
+    frequency stands for itself and its conjugate."""
+    fshape = tuple(_fast_len(2 * b - 1) for b in box)
+    circ = np.zeros(fshape)
+    # offsets -(b - 1) .. b - 1 of T, wrapped to the grid's indices mod G
+    centre = tuple(slice(n // 2 - b + 1, n // 2 + b) for n, b in zip(T.shape, box))
+    circ[tuple(slice(0, 2 * b - 1) for b in box)] = T[centre]
+    circ = np.roll(circ, [1 - b for b in box], axis=tuple(range(len(box))))
+    W = np.fft.rfftn(circ).real / circ.size
+    W[..., 1 : (fshape[-1] + 1) // 2] *= 2.0
+    return fshape, W
 
 
 def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
@@ -821,13 +832,16 @@ def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma=None) -> Integr
     the integral.  The value is the mean of the batch estimates and the
     error their standard error.  An integrand with a |z|^-sigma
     singularity has infinite variance when 2 sigma >= N, and the estimate
-    then carries a warning."""
+    then carries a warning that names the remedy, the tensor engine."""
     per = max(1, spec.resolved_budget(N) // _NB_BATCHES)
     means = np.array([batch_mean(rng, per) for rng in _batch_rngs(spec.seed)])
     err = float(np.std(means, ddof=1) / math.sqrt(_NB_BATCHES))
     warn = None
     if sigma is not None and 2.0 * sigma >= N:
-        warn = "heavy-tailed integrand; Monte Carlo stderr unreliable"
+        warn = (
+            "heavy-tailed integrand; Monte Carlo stderr unreliable; "
+            "set quad.method = tensor-midpoint"
+        )
     return IntegralEstimate(
         float(np.mean(means)), err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn
     )

@@ -9,13 +9,19 @@ kernel interaction plus the background mass of the lower part (RHS); a
 negative defect RHS - LHS means separating the two parts strictly lowers
 the energy, the signature used by the nonexistence experiments.
 
-On a tensor grid one sweep serves every level of a direction: the occupied
-cells are sorted by descending projection on nu (``_sweep_order``, which
-also counts the cells above each level), ``_prefix_cross`` adds them one at
-a time to give the cross pair sum between the first k cells and the rest
-for every k, and per-cell fields such as the background become prefix sums.
-The scan on the fine and the coarse grid and the layer-cake checks all read
-their cuts from these prefix arrays.
+On a tensor grid one sweep serves every level of a direction.  The
+occupied cells are sorted by descending projection on nu
+(``_sweep_order``, which also counts the cells above each level), so the
+upper side of every cut is a prefix U of that order and the upper sides
+are nested.  ``_level_cross`` gives the cross pair sum S_T(U, E - U) of a
+stencil T as S_T(U, E), a prefix sum of the pair field, minus S_T(U, U),
+which Parseval's identity turns into (1/G) sum_k Re T-hat_k |U-hat_k|^2.
+It takes one FFT of U per distinct level, on a grid of at least twice the
+occupied box, and one spectrum serves both stencils; the weights Re T-hat
+are computed once per grid (``_sweep_grid``) and shared by every
+direction.  Per-cell fields such as the background become prefix sums.
+The scan on the fine and the coarse grid and the layer-cake checks all
+read their cuts from these arrays.
 
 The closed form used for the sphere integral of (x.nu)_+ is
 omega_{N-2} |x| / (N-1); the variant without the 1/(N-1) polar Jacobian
@@ -137,7 +143,11 @@ def splitting_defect(
 
 
 # ---------------------------------------------------------------------------
-# Incremental sweep (tensor grids)
+# Level sweep (tensor grids)
+
+# The level sweep transforms its nested sets in blocks of about this many
+# bytes of spectra and FFT temporaries.
+_SWEEP_BLOCK_BYTES = 16 << 20
 
 
 def _sweep_order(vox: VoxelShape, nu: np.ndarray, levels) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,23 +167,75 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(values)))
 
 
-def _prefix_cross(T: np.ndarray, field: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """cross[k] = S_T(U_k, E - U_k), the pair sum of stencil T between the
-    first k of ``cells`` (occupied cells of E in sweep order) and the rest;
-    ``field`` is the pair field of E under T (``quadrature._pair_field``).
+def _sweep_grid(vox: VoxelShape, integrands) -> tuple:
+    """What the level sweep of ``vox`` needs, computed once per grid and
+    shared by every direction: the first index and the size of the occupied
+    cells' bounding box, and per integrand the pair field of the shape and
+    the Parseval weights of its stencil over that box
+    (``quadrature._self_sum_spectrum``), with their FFT shape."""
+    occ = vox.occupancy
+    idx = np.argwhere(occ) if vox.count else np.zeros((1, vox.dimension), dtype=int)
+    lo = idx.min(axis=0)
+    box = tuple(int(b) for b in idx.max(axis=0) - lo + 1)
+    terms = []
+    for igd in integrands:
+        T = quadrature._stencil(occ.shape, vox.spacing, igd)
+        fshape, W = quadrature._self_sum_spectrum(T, box)
+        # the field is copied so it does not keep its padded FFT output
+        # alive; W gets one weight per real and imaginary part of a spectrum
+        terms.append((quadrature._pair_field(occ, T).copy(), np.repeat(W.ravel(), 2)))
+    return lo, box, fshape, terms
 
-    Adding cells one at a time while keeping the potential field phi of the
-    growing set U gives S_T(U, U) incrementally; S_T(U, E) is a prefix sum
-    of ``field``.  Each step adds one grid-sized window, so a sweep costs
-    O(cells x grid cells).
+
+def _level_cross(grid: tuple, cells: np.ndarray, counts: np.ndarray) -> List[np.ndarray]:
+    """Per integrand of ``grid`` (``_sweep_grid``), cross[i] = S_T(U, E - U)
+    for U the first counts[i] of ``cells``, the occupied cells of E in
+    sweep order (``_sweep_order``).
+
+    S_T(U, E) is a prefix sum of the pair field.  S_T(U, U) is a Parseval
+    sum over the spectrum of U, computed once per distinct count: the
+    indicators of the nested sets U are running sums of the slabs of cells
+    between consecutive counts, built and transformed a block of levels at
+    a time, each block starting from the last indicator of the one before.
+    One spectrum serves every integrand.  A count that leaves a side empty
+    gives exactly 0.
     """
-    phi = np.zeros(field.shape)
-    inside = np.zeros(len(cells) + 1)
-    for k, cell in enumerate(map(tuple, cells)):
-        window = quadrature._stencil_window(T, cell)
-        inside[k + 1] = inside[k] + (2.0 * phi[cell] + window[cell])
-        phi += window
-    return _prefix_sums(field[tuple(cells.T)]) - inside
+    lo, box, fshape, terms = grid
+    n = len(cells)
+    splits = (counts > 0) & (counts < n)
+    # the distinct splitting counts (np.unique would import numpy.ma)
+    inner = np.flatnonzero(np.bincount(counts[splits]))
+    out = [np.zeros(len(counts)) for _ in terms]
+    if not len(inner):
+        return out
+    # the cell at sweep position p joins U at the first count above p
+    slab = np.searchsorted(inner, np.arange(inner[-1]), side="right")
+    local = cells - lo
+    self_sums = np.empty((len(terms), len(inner)))
+    # bytes per level: the spectrum and the FFT's zero-padded intermediates
+    # (W holds 2 weights per complex entry)
+    block = max(1, int(_SWEEP_BLOCK_BYTES // (24 * terms[0][1].size)))
+    axes = tuple(range(1, len(box) + 1))
+    upper = np.zeros(box)
+    for j0 in range(0, len(inner), block):
+        j1 = min(j0 + block, len(inner))
+        new = slice(inner[j0 - 1] if j0 else 0, inner[j1 - 1])
+        stack = np.zeros((j1 - j0,) + box)
+        stack[(slab[new] - j0,) + tuple(local[new].T)] = 1.0
+        stack[0] += upper
+        np.cumsum(stack, axis=0, out=stack)
+        upper = stack[-1].copy()
+        # W against |U^|^2: the squares of the spectrum's real and
+        # imaginary parts, taken in place
+        parts = np.fft.rfftn(stack, fshape, axes=axes).view(float).reshape(j1 - j0, -1)
+        np.square(parts, out=parts)
+        for t, (_, W) in enumerate(terms):
+            self_sums[t, j0:j1] = parts @ W
+    at = np.searchsorted(inner, counts[splits])
+    for t, (field, _) in enumerate(terms):
+        with_all = _prefix_sums(field[tuple(cells.T)])[inner]
+        out[t][splits] = (with_all - self_sums[t])[at]
+    return out
 
 
 def _background_cell_field(vox: VoxelShape, beta: float) -> np.ndarray:
@@ -262,22 +324,17 @@ def scan(
             quadrature.kernel_integrand(params.kernel),
         )
 
-        def sweep_grid(v: VoxelShape):
-            """The grid with its (stencil, pair field) per integrand and its
-            background cell field."""
-            occ = v.occupancy
-            stencils = [quadrature._stencil(occ.shape, v.spacing, igd) for igd in integrands]
-            fields = [(T, quadrature._pair_field(occ, T)) for T in stencils]
-            return v, fields, _background_cell_field(v, params.beta)
-
-        grids = [sweep_grid(v) for v in (work, quadrature._coarse_voxel(work))]
+        grids = [
+            (v, _sweep_grid(v, integrands), _background_cell_field(v, params.beta))
+            for v in (work, quadrature._coarse_voxel(work))
+        ]
 
         def cut_terms(grid, nu, levels):
             """(lhs, cross kernel, lower background, rhs, splits) at every
             level; splits marks the cuts with cells on both sides."""
-            v, fields, bfield = grid
+            v, sweep, bfield = grid
             cells, k = _sweep_order(v, nu, levels)
-            lhs, ck = (_prefix_cross(T, fld, cells)[k] for T, fld in fields)
+            lhs, ck = _level_cross(sweep, cells, k)
             bkg = _prefix_sums(bfield[tuple(cells.T)])
             bm = bkg[-1] - bkg[k]
             return lhs, ck, bm, 2.0 * ck + params.A * bm, (k > 0) & (k < len(cells))
@@ -397,9 +454,8 @@ def layer_cake_checks(
     cells, k = _sweep_order(vox, nu, np.concatenate((levels1, levels2)))
     bkg = _prefix_sums(_background_cell_field(vox, beta)[tuple(cells.T)])
     lower_background = bkg[-1] - bkg[k[:l_count]]
-    T_r = quadrature._stencil(vox.occupancy.shape, h, quadrature.riesz_integrand(N, 1.0))
-    field_r = quadrature._pair_field(vox.occupancy, T_r)
-    cross_riesz = _prefix_cross(T_r, field_r, cells)[k[l_count:]]
+    sweep = _sweep_grid(vox, [quadrature.riesz_integrand(N, 1.0)])
+    (cross_riesz,) = _level_cross(sweep, cells, k[l_count:])
 
     lhs1 = float(np.trapezoid(lower_background, levels1))
     lhs1_half = float(np.trapezoid(lower_background[::2], levels1[::2]))

@@ -2,11 +2,13 @@
 mass bound."""
 
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from nldrop import geometry
+from nldrop import families, geometry, quadrature, slicing
 from nldrop.energy import EnergyParams, background
 from nldrop.errors import ParameterError
 from nldrop.kernels import KernelSpec
@@ -195,6 +197,89 @@ class TestScan:
         assert np.isfinite(res.min_defect)
 
 
+def _random_voxels(N, dims, seed):
+    """A random voxel shape whose occupied cells leave a margin of empty
+    cells, so the occupied box is smaller than the grid."""
+    occ = np.random.default_rng(seed).random(dims) < 0.55
+    occ[0] = False
+    occ[..., -1] = False
+    return geometry.VoxelShape(
+        dimension=N, origin=-0.5 * np.array(dims) * 0.1, spacing=0.1, occupancy=occ
+    )
+
+
+def _direct_cross(T, vox, cells, count):
+    """S_T(U, E - U) for U the first ``count`` of ``cells``: the explicit
+    sum of T over every (upper, lower) cell pair."""
+    upper, lower = cells[:count], cells[count:]
+    off = lower[None, :, :] - upper[:, None, :] + np.array(vox.occupancy.shape) - 1
+    return float(np.sum(T[tuple(off.reshape(-1, vox.dimension).T)]))
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "level-blocks"])
+    @pytest.mark.parametrize(
+        "N, dims, nu", [(2, (14, 11), (0.6, 0.8)), (3, (7, 6, 8), (0.48, 0.6, 0.64))]
+    )
+    def test_matches_direct_pair_sum(self, N, dims, nu, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(slicing, "_SWEEP_BLOCK_BYTES", block_bytes)
+        vox = _random_voxels(N, dims, seed=N)
+        nu = np.array(nu)
+        integrands = (
+            quadrature.riesz_integrand(N, 1.0),
+            quadrature.kernel_integrand(frac(N=N)),
+        )
+        p = vox.cell_centers() @ nu
+        # two levels outside the shape, repeated levels and a level at a cell
+        levels = np.concatenate(
+            (
+                [p.min() - 1.0, p.max() + 1.0],
+                np.linspace(p.min(), p.max(), 9),
+                [0.0, 0.0, p[3], p[3]],
+            )
+        )
+        cells, counts = slicing._sweep_order(vox, nu, levels)
+        got = slicing._level_cross(slicing._sweep_grid(vox, integrands), cells, counts)
+        n = len(cells)
+        for igd, cross in zip(integrands, got):
+            T = quadrature._stencil(vox.occupancy.shape, vox.spacing, igd)
+            want = np.array([_direct_cross(T, vox, cells, c) for c in counts])
+            assert np.all(cross[(counts == 0) | (counts == n)] == 0.0)
+            assert np.max(np.abs(cross - want)) <= 1e-12 * np.max(np.abs(want))
+        assert counts[0] == n and counts[1] == 0
+        assert len(np.unique(counts)) < len(counts)
+
+    def test_3d_direction_memory_is_bounded(self, monkeypatch):
+        # cold caches, so the stencil builds count too
+        monkeypatch.setattr(quadrature, "_STENCIL_CACHE", OrderedDict())
+        monkeypatch.setattr(quadrature, "_NEAR_CACHE", OrderedDict())
+        ball = geometry.ball_of_volume(3, geometry.unit_ball_volume(3))
+        params = EnergyParams(kernel=frac(N=3), A=1.0, alpha=1.0, beta=1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan(ball, params, QuadratureSpec(budget=32768), nu_grid=[np.array([0.0, 0.6, 0.8])])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
+    def test_sweep_uses_no_per_cell_stencil_window(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-cell stencil window")
+
+        assert not hasattr(quadrature, "_stencil_window")
+        monkeypatch.setattr(families, "_stencil_window", refuse)
+        res = scan(
+            seeded_blob(), make_params(), QuadratureSpec(),
+            nu_grid=default_direction_grid(2, 2), l_grid=np.linspace(-0.3, 0.3, 5),
+        )
+        assert len(res.records) == 9
+        checks = layer_cake_checks(seeded_blob(), np.array([0.6, 0.8]), QuadratureSpec(), l_count=16)
+        assert checks.lhs_riesz > 0.0
+
+
 class TestDirectionAndLevelGrids:
     def test_directions_are_unit(self):
         for N in (2, 3):
@@ -256,9 +341,12 @@ class TestLayerCake:
         checks = layer_cake_checks(
             seeded_blob(), np.array([0.6, 0.8]), QuadratureSpec(), l_count=16
         )
+        # residual_riesz, a 2.1e-5 difference of two 0.0167 values, was
+        # re-frozen when the level sweep began taking its self pair sums by
+        # Parseval (lhs_riesz moved by 3e-15 relative, this entry by 2.5e-12)
         want = dict(
             residual_background=0.0010611902379150107,
-            residual_riesz=2.0895554875700884e-05,
+            residual_riesz=2.0895554875752925e-05,
             lhs_background=0.0684169042295868,
             rhs_background=0.06735571399167178,
             lhs_riesz=0.016689830313759722,
