@@ -2,22 +2,23 @@
 
 Two engine families are provided behind one interface:
 
-* ``tensor-midpoint``: shapes are voxelized (or already voxel grids); pair
-  integrals become occupancy convolutions with a translation-invariant
-  stencil evaluated by FFT.  Cell pairs near the singular diagonal use
-  exact cell-pair integrals (difference-variable form with a triangular
-  weight and dyadic Gauss-Legendre refinement toward the singularity; the
-  corner series of a homogeneous integrand is summed in closed form from
-  at most N + 2 levels, any other one is refined 40 levels and extrapolated
-  geometrically).  They are kept
-  in near tables, one integral per symmetry orbit of cell offsets, shared
-  by every grid of one spacing; power-law integrands keep one table at
-  unit spacing for all spacings.  A complement
-  integral is count(E) a(h) - S(E, E): S is the pair sum over E x E and
-  a(h) is the kernel mass of one cell against all of space, the stencil
-  sum plus the exact directional tail beyond the stencil box (the
-  direction-grid integral of the closed-form radial tail from the ray-box
-  exit distance).
+* ``tensor-midpoint``: shapes are voxelized (or already voxel grids); a
+  pair integral is a pair sum of a translation-invariant stencil over the
+  occupied cells, taken by Parseval's identity on a 5-smooth FFT grid of
+  at least twice the occupied box per axis.  Cell pairs near the singular
+  diagonal use exact cell-pair integrals (difference-variable form with a
+  triangular weight and dyadic Gauss-Legendre refinement toward the
+  singularity; the corner series of a homogeneous integrand is summed in
+  closed form from at most N + 2 levels, any other one is refined 40
+  levels and extrapolated geometrically).  They are kept in near tables,
+  one integral per symmetry orbit of cell offsets, shared by every grid of
+  one spacing; power-law integrands keep one table at unit spacing for all
+  spacings.  A radial stencil is evaluated on one orthant of offsets and
+  mirrored.  A complement integral is count(E) a(h) - S(E, E): S is the
+  pair sum over E x E and a(h) is the kernel mass of one cell against all
+  of space, the stencil sum plus the exact directional tail beyond the
+  stencil box (the direction-grid integral of the closed-form radial tail
+  from the ray-box exit distance).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
   batch structure; per-batch seeds derive from one SeedSequence so results
   are bit-reproducible for a fixed spec.  Complement integrals sample the
@@ -548,7 +549,9 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     when g is radial, computed once at spacing 1 for every h when g is
     homogeneous, with its corner series summed in closed form.  A cold 3-D
     fractional kernel stencil thus costs 9 integrals of at most N + 2
-    levels each, and its fine and coarse grids share them."""
+    levels each, and its fine and coarse grids share them.  A radial g is
+    even in every axis: its offsets 0 .. d - 1 per axis are evaluated and
+    one index of |off| mirrors them, bit for bit, into the full table."""
     N = igd.dimension
     key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)
@@ -561,28 +564,19 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
             "tensor grid too large for the FFT pair sum; reduce the quadrature "
             "budget"
         )
-    axes = [np.arange(-(d - 1), d) for d in dims]
+    axes = [np.arange(0 if igd.radial else 1 - d, d) for d in dims]
     grids = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-
-    T = np.zeros(offsets.shape[0])
     r0 = np.max(np.abs(offsets), axis=-1)  # inf-norm in cell units
     far = r0 > 0
-    chunk = 1 << 21
-    scale = h ** (2 * N)
-    for start in range(0, offsets.shape[0], chunk):
-        sl = slice(start, min(start + chunk, offsets.shape[0]))
-        zi = offsets[sl] * h
-        mask = far[sl]
-        if np.any(mask):
-            vals = np.zeros(zi.shape[0])
-            vals[mask] = igd.vec(zi[mask]) * scale
-            T[sl] = vals
-
+    T = np.zeros(offsets.shape[0])
+    T[far] = igd.vec(offsets[far] * h) * h ** (2 * N)
     near_width = 2 if igd.sigma >= N - 0.5 else 1
     near = (r0 <= near_width) & (far | (igd.sigma < N))
     T[near] = _near_values(offsets[near], h, igd)
-    T = T.reshape(shape)
+    T = T.reshape([len(a) for a in axes])
+    if igd.radial:
+        T = T[np.ix_(*(np.abs(np.arange(1 - d, d)) for d in dims))]
     T.setflags(write=False)
     _STENCIL_CACHE[key] = T
     while sum(t.nbytes for t in _STENCIL_CACHE.values()) > _STENCIL_CACHE_BYTES:
@@ -620,29 +614,48 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     else:
         conv = occ * rev
     sl = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T.shape, occ.shape))
-    return conv[sl]
+    # a copy, so the padded output is not kept alive by a view
+    return conv[sl].copy()
 
 
-def _self_sum_spectrum(T: np.ndarray, box) -> Tuple[tuple, np.ndarray]:
+def _pair_sum_weights(T: np.ndarray, box) -> Tuple[tuple, np.ndarray]:
     """(fshape, W) for the pair sums of stencil T over sets inside a box of
-    ``box`` cells per axis: for U in the box, S_T(U, U) is the sum of
-    W |rfftn(U, fshape)|^2 (Parseval).  fshape is a fast length of at
-    least 2 box - 1 per axis, so the circular wrap pairs no two cells of
-    the box; W is Re T-hat / G on the real-FFT half grid, times 2 where a
-    frequency stands for itself and its conjugate."""
+    ``box`` cells per axis: S_T(A, B) is the sum of Re(A-hat conj(B-hat) W)
+    over the real-FFT half grid of fshape (Parseval).  fshape is a fast
+    length of at least 2 box - 1 per axis, so the circular wrap pairs no
+    two cells of the box; W is T-hat / G, times 2 where a frequency stands
+    for itself and its conjugate, and real when T is even."""
     fshape = tuple(_fast_len(2 * b - 1) for b in box)
+    centre = T[tuple(slice(n // 2 + 1 - b, n // 2 + b) for n, b in zip(T.shape, box))]
     circ = np.zeros(fshape)
-    # offsets -(b - 1) .. b - 1 of T, wrapped to the grid's indices mod G
-    centre = tuple(slice(n // 2 - b + 1, n // 2 + b) for n, b in zip(T.shape, box))
-    circ[tuple(slice(0, 2 * b - 1) for b in box)] = T[centre]
-    circ = np.roll(circ, [1 - b for b in box], axis=tuple(range(len(box))))
-    W = np.fft.rfftn(circ).real / circ.size
+    # T at offsets -(b - 1) .. b - 1, placed at their indices mod G
+    circ[np.ix_(*((np.arange(2 * b - 1) + 1 - b) % g for g, b in zip(fshape, box)))] = centre
+    W = np.fft.rfftn(circ)
+    if np.array_equal(centre, centre[(slice(None, None, -1),) * T.ndim]):
+        W = W.real
+    W = W / circ.size
     W[..., 1 : (fshape[-1] + 1) // 2] *= 2.0
     return fshape, W
 
 
 def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
-    return float(np.sum(_pair_field(occ_b, T) * occ_a))
+    """S_T(a, b), the sum over occupied cells i of ``occ_a`` and j of
+    ``occ_b`` of T at offset j - i, by Parseval on the bounding box of
+    a | b (``_pair_sum_weights``): one FFT per side, one in all when both
+    sides are the same set.  An empty side gives 0."""
+    if not (np.any(occ_a) and np.any(occ_b)):
+        return 0.0
+    same = occ_a is occ_b or np.array_equal(occ_a, occ_b)
+    cells = np.argwhere(occ_a if same else np.logical_or(occ_a, occ_b))
+    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
+    fshape, W = _pair_sum_weights(T, (hi - lo).tolist())
+    box, axes = tuple(map(slice, lo, hi)), tuple(range(T.ndim))
+    A = np.fft.rfftn(occ_a[box].astype(float), fshape, axes=axes)
+    if same:
+        P = np.square(A.real) + np.square(A.imag)
+    else:
+        P = A * np.fft.rfftn(occ_b[box].astype(float), fshape, axes=axes).conj()
+    return float(np.sum((P * W).real))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def _sweep_grid(vox: VoxelShape, integrands) -> tuple:
     shared by every direction: the first index and the size of the occupied
     cells' bounding box, and per integrand the pair field of the shape and
     the Parseval weights of its stencil over that box
-    (``quadrature._self_sum_spectrum``), with their FFT shape."""
+    (``quadrature._pair_sum_weights``), with their FFT shape."""
     occ = vox.occupancy
     idx = np.argwhere(occ) if vox.count else np.zeros((1, vox.dimension), dtype=int)
     lo = idx.min(axis=0)
@@ -180,10 +180,10 @@ def _sweep_grid(vox: VoxelShape, integrands) -> tuple:
     terms = []
     for igd in integrands:
         T = quadrature._stencil(occ.shape, vox.spacing, igd)
-        fshape, W = quadrature._self_sum_spectrum(T, box)
-        # the field is copied so it does not keep its padded FFT output
-        # alive; W gets one weight per real and imaginary part of a spectrum
-        terms.append((quadrature._pair_field(occ, T).copy(), np.repeat(W.ravel(), 2)))
+        fshape, W = quadrature._pair_sum_weights(T, box)
+        # a self sum needs only Re W, one weight per real and imaginary
+        # part of a spectrum
+        terms.append((quadrature._pair_field(occ, T), np.repeat(W.real.ravel(), 2)))
     return lo, box, fshape, terms
 
 

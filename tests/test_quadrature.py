@@ -7,6 +7,7 @@ frozen here; the engine must reproduce them without sharing code paths.
 
 import itertools
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import mpmath
@@ -294,20 +295,82 @@ class TestStencilAndPairSum:
         _stencil((4, 4), 0.4, igd)
         assert list(cache) == [keys[1], (igd.cache_token, (4, 4), 0.4)]
 
+    # (N, grid dims, case, stencil)
+    PAIR_SUM_CASES = [
+        (2, (6, 5), "cross", "riesz"),
+        (2, (6, 5), "self", "riesz"),
+        (3, (4, 5, 3), "cross", "riesz"),
+        (3, (4, 5, 3), "self", "riesz"),
+        (2, (6, 5), "cross", "dirpos"),
+        (2, (6, 5), "self", "dirpos"),
+        (3, (4, 5, 3), "cross", "dirpos"),
+        (2, (9, 8), "subbox", "riesz"),  # occupied box smaller than the grid
+        (3, (7, 6, 5), "subbox", "dirpos"),
+        (2, (6, 5), "big-stencil", "riesz"),  # T of a larger grid
+        (2, (6, 5), "one-cell", "riesz"),
+        (3, (3, 4, 2), "one-cell-pair", "dirpos"),
+        (2, (1, 6), "cross", "riesz"),  # length-1 axes
+        (3, (5, 1, 4), "cross", "dirpos"),
+        (2, (1, 1), "self", "riesz"),
+    ]
+
     def test_fft_pair_sum_matches_direct_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.random((6, 5)) < 0.5
-        b = rng.random((6, 5)) < 0.5
-        rz = riesz_integrand(2, 1.0)
-        h = 0.3
-        T = _stencil((6, 5), h, rz)
-        got = _fft_pair_sum(a, b, T)
-        direct = 0.0
-        for i in np.argwhere(a):
-            for j in np.argwhere(b):
-                off = j - i
-                direct += T[off[0] + 5, off[1] + 4]
-        assert got == pytest.approx(direct, rel=1e-12)
+        # the reference is the definition: the sum over cells i of a and j
+        # of b of T at offset j - i, within 1e-12 of the largest term
+        for N, dims, case, igd_kind in self.PAIR_SUM_CASES:
+            rng = np.random.default_rng(sum(dims) + len(case))
+            nu = np.arange(1.0, N + 1) / np.linalg.norm(np.arange(1.0, N + 1))
+            igd = riesz_integrand(N, 1.0) if igd_kind == "riesz" else directional_positive_integrand(nu)
+            T = _stencil(tuple(d + 3 for d in dims) if case == "big-stencil" else dims, 0.3, igd)
+            a = rng.random(dims) < 0.5
+            b = rng.random(dims) < 0.5
+            a[(0,) * N] = b[(-1,) * N] = True
+            if case == "self":
+                b = a
+            elif case == "subbox":
+                inner = tuple(slice(1, d - 2) for d in dims)
+                a, b = np.zeros(dims, bool), np.zeros(dims, bool)
+                a[inner] = rng.random(a[inner].shape) < 0.5
+                b[inner] = rng.random(b[inner].shape) < 0.5
+            elif case.startswith("one-cell"):
+                a = np.zeros(dims, bool)
+                a[tuple(d // 2 for d in dims)] = True
+                b = a.copy() if case == "one-cell" else np.roll(a, 1, axis=0)
+            centre = np.array(T.shape) // 2
+            terms = [T[tuple(j - i + centre)] for i in np.argwhere(a) for j in np.argwhere(b)]
+            got = _fft_pair_sum(a, b, T)
+            assert abs(got - math.fsum(terms)) <= 1e-12 * max(abs(t) for t in terms), (dims, case, igd_kind)
+            # an empty side gives exactly zero
+            empty = np.zeros(dims, bool)
+            assert _fft_pair_sum(empty, b, T) == 0.0
+            assert _fft_pair_sum(a, empty, T) == 0.0
+            assert _fft_pair_sum(empty, empty, T) == 0.0
+
+    def test_pair_sums_take_no_pair_field(self, monkeypatch):
+        # every pair sum goes through the Parseval sum on the occupied box;
+        # _pair_field serves fields only
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair sum took the pair field")
+
+        monkeypatch.setattr(quadrature, "_pair_field", refuse)
+        ball = geometry.ball_of_volume(2, math.pi)
+        other = geometry.translate(ball, np.array([2.5, 0.0]))
+        spec = QuadratureSpec(budget=1024)
+        assert complement_double_integral(ball, frac_kernel(), spec).value > 0
+        assert double_integral(ball, other, 1.0, spec).value > 0
+        assert double_integral(ball, ball, 1.0, spec).value > 0
+
+    def test_pair_field_holds_no_padded_output(self):
+        occ = np.zeros((32,) * 3, dtype=bool)
+        occ[4:28, 6:26, 8:24] = True
+        T = _stencil((32,) * 3, 1.0 / 32, riesz_integrand(3, 1.0))
+        tracemalloc.start()
+        try:
+            field = _pair_field(occ, T)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * field.nbytes
 
     @pytest.mark.parametrize(
         "occ_shape, T_shape",
@@ -442,6 +505,94 @@ class TestNearTables:
         for h in (0.1, 0.2, 0.3):
             _stencil((4, 4), h, ki)
         assert list(cache) == [(tok, 0.4), (ki.cache_token, 1.0)]
+
+
+def tab_kernel(N=2):
+    r = np.geomspace(0.05, 20.0, 200)
+    return KernelSpec(
+        dimension=N, s=0.5, epsilon=0.7, kind="tabulated",
+        radii=r, values=r ** -(N + 0.5), tail=("power", N + 0.5),
+    )
+
+
+# every radial integrand constructor: the kernel of each kind, riesz and
+# the kernel moment
+RADIAL_CASES = {
+    "fractional": lambda N: kernel_integrand(frac_kernel(N=N)),
+    "truncated": lambda N: kernel_integrand(trunc_kernel(N)),
+    "tabulated": lambda N: kernel_integrand(tab_kernel(N)),
+    "riesz": lambda N: riesz_integrand(N, 1.0),
+    "moment": lambda N: kernel_moment_integrand(frac_kernel(N=N)),
+}
+
+
+def _full_offset_table(dims, h, igd):
+    """The stencil evaluated at every offset of the full table, with the
+    far and near rules of ``_stencil``, mirrored from nothing."""
+    N = igd.dimension
+    grids = np.meshgrid(*[np.arange(1 - d, d) for d in dims], indexing="ij")
+    offsets = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    r0 = np.max(np.abs(offsets), axis=-1)
+    T = np.zeros(len(offsets))
+    far = r0 > 0
+    T[far] = igd.vec(offsets[far] * h) * h ** (2 * N)
+    width = 2 if igd.sigma >= N - 0.5 else 1
+    near = (r0 <= width) & (far | (igd.sigma < N))
+    T[near] = quadrature._near_values(offsets[near], h, igd)
+    return T.reshape([2 * d - 1 for d in dims])
+
+
+class TestOrthantStencil:
+    @pytest.mark.parametrize(
+        "dims", [(5, 4), (1, 6), (1, 1), (3, 4, 1), (4, 2, 3), (1, 1, 5)], ids=str
+    )
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_mirrored_table_equals_the_full_evaluation(self, monkeypatch, dims, case):
+        _fresh_caches(monkeypatch)
+        igd = RADIAL_CASES[case](len(dims))
+        assert igd.radial
+        T = _stencil(dims, 0.2, igd)
+        assert T.shape == tuple(2 * d - 1 for d in dims)
+        assert np.array_equal(T, _full_offset_table(dims, 0.2, igd))
+
+    @pytest.mark.parametrize("dims", [(5, 4), (4, 2, 3)], ids=str)
+    def test_directional_integrand_takes_the_general_path(self, monkeypatch, dims):
+        _fresh_caches(monkeypatch)
+        nu = np.arange(1.0, len(dims) + 1) / np.linalg.norm(np.arange(1.0, len(dims) + 1))
+        igd = directional_positive_integrand(nu)
+        assert not igd.radial
+        T = _stencil(dims, 0.2, igd)
+        assert np.array_equal(T, _full_offset_table(dims, 0.2, igd))
+        # (z . nu)_+ / |z| is not even, which a mirrored table would be
+        assert not np.array_equal(T, T[(slice(None, None, -1),) * len(dims)])
+
+    def test_cold_3d_stencil_memory_is_bounded(self, monkeypatch):
+        # the 127^3 table of a 64^3 grid is 16.4 MB; evaluating every
+        # offset as a float (k, 3) table peaked near 300 MB
+        _fresh_caches(monkeypatch)
+        igd = kernel_integrand(frac_kernel(N=3))
+        tracemalloc.start()
+        try:
+            T = _stencil((64,) * 3, 1.0 / 64, igd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.shape == (127,) * 3
+        assert peak < 64e6
+
+    def test_voxel_ball_perimeter_memory_is_bounded(self, monkeypatch):
+        # cold caches: both stencils, the near tables and the pair sums of
+        # the 8^3 ball (grids padded to 32^3) fit in 16 MB
+        _fresh_caches(monkeypatch)
+        ball = voxelize(geometry.ball_of_volume(3, 4.0 * math.pi / 3.0), cells_per_axis=8)
+        tracemalloc.start()
+        try:
+            est = complement_double_integral(ball, frac_kernel(N=3), QuadratureSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.value > 0
+        assert peak < 16e6
 
 
 class TestIntegralOver:
