@@ -290,7 +290,8 @@ def _radial_moment(kernel: KernelSpec, lo: float, hi: float, power: int) -> floa
         knots.append(kernel.cap ** (-1.0 / kernel.sigma))
     elif kernel.kind == "tabulated":
         knots.extend(kernel.radii.tolist())
-    knots = np.unique([k for k in knots if lo <= k <= hi])
+    # sorted distinct knots (np.unique would import numpy.ma)
+    knots = np.array(sorted(set(k for k in knots if lo <= k <= hi)))
     edges = [
         np.geomspace(a, b, max(1, math.ceil(_PANELS_PER_DECADE * math.log10(b / a))) + 1)[:-1]
         for a, b in zip(knots[:-1], knots[1:])

@@ -13,12 +13,12 @@ Two engine families are provided behind one interface:
   levels and extrapolated geometrically).  They are kept in near tables,
   one integral per symmetry orbit of cell offsets, shared by every grid of
   one spacing; power-law integrands keep one table at unit spacing for all
-  spacings.  A radial stencil is evaluated on one orthant of offsets and
-  mirrored.  A complement integral is count(E) a(h) - S(E, E): S is the
-  pair sum over E x E and a(h) is the kernel mass of one cell against all
-  of space, the stencil sum plus the exact directional tail beyond the
-  stencil box (the direction-grid integral of the closed-form radial tail
-  from the ray-box exit distance).
+  spacings.  Stencils are evaluated in slabs of offsets, a radial one on
+  one orthant and mirrored.  A complement integral is count(E) a(h) -
+  S(E, E): S is the pair sum over E x E and a(h) is the kernel mass of one
+  cell against all of space, the stencil sum plus the exact directional
+  tail beyond the stencil box (the closed-form radial tail from the
+  ray-box exit distance, summed over a midpoint direction grid).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
   batch structure; per-batch seeds derive from one SeedSequence so results
   are bit-reproducible for a fixed spec.  Complement integrals sample the
@@ -31,7 +31,9 @@ grid and reports |fine - coarse| as the error.  ``_mc_estimate`` splits
 the budget over 32 seeded batches and reports the standard error of the
 batch means, with a warning when the integrand's |z|^-sigma singularity
 makes the variance infinite (2 sigma >= N).  Both errors are proxies, not
-bounds.
+bounds.  Sphere integrals and directional tails stream the midpoint
+direction grid in blocks built from per-axis factors
+(``_direction_blocks``); no cache holds more than those factors.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .kernels import KernelSpec
 
 _NB_BATCHES = 32
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
+_TAIL_TABLES = 8  # log-grid tail tables kept per tabulated kernel integrand
+_SPHERE_BLOCK = 1 << 14  # sphere integrals take their directions in blocks this large
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
 _PAIR_DEPTH = 40
@@ -186,23 +190,19 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
             flat = kernel.cap * np.clip(r_cap ** N - rho ** N, 0.0, None) / N
             return frac + flat
 
-    else:  # tabulated: interpolate the tail integral on a log grid
-        _tail_cache = {}
+    else:  # tabulated: interpolate the tail integral on log grids
+        _tail_cache = OrderedDict()
 
         def ray_tail(rho):
             rho = np.asarray(rho, dtype=float)
             lo, hi = float(rho.min()), float(rho.max())
-            key = None
-            for (a, b), tab in _tail_cache.items():
-                if a <= lo and hi <= b:
-                    key = (a, b)
-                    break
+            key = next(((a, b) for a, b in _tail_cache if a <= lo and hi <= b), None)
             if key is None:
-                a, b = lo * 0.5, hi * 2.0
-                grid = np.geomspace(a, b, 512)
-                vals = np.array([kernels.radial_tail_integral(kernel, g) for g in grid])
-                _tail_cache[(a, b)] = (grid, vals)
-                key = (a, b)
+                key = (lo * 0.5, hi * 2.0)
+                grid = np.geomspace(*key, 512)
+                _tail_cache[key] = (grid, np.array([kernels.radial_tail_integral(kernel, g) for g in grid]))
+                while len(_tail_cache) > _TAIL_TABLES:  # the oldest goes first
+                    _tail_cache.popitem(last=False)
             grid, vals = _tail_cache[key]
             return np.interp(np.log(rho), np.log(grid), vals)
 
@@ -498,6 +498,7 @@ def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
 # than this; the largest table (_MAX_CONV_CELLS doubles) always fits.
 _STENCIL_CACHE_BYTES = 512 << 20
 _STENCIL_CACHE: OrderedDict = OrderedDict()
+_STENCIL_SLAB = 1 << 18  # offsets per slab of a stencil's offset table
 # Near tables (at most 5^N exact cell-pair integrals each, keyed by
 # integrand and spacing); least recently used ones are evicted beyond this
 # many tables.
@@ -565,16 +566,20 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
             "budget"
         )
     axes = [np.arange(0 if igd.radial else 1 - d, d) for d in dims]
-    grids = np.meshgrid(*axes, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    r0 = np.max(np.abs(offsets), axis=-1)  # inf-norm in cell units
-    far = r0 > 0
-    T = np.zeros(offsets.shape[0])
-    T[far] = igd.vec(offsets[far] * h) * h ** (2 * N)
     near_width = 2 if igd.sigma >= N - 0.5 else 1
-    near = (r0 <= near_width) & (far | (igd.sigma < N))
-    T[near] = _near_values(offsets[near], h, igd)
-    T = T.reshape([len(a) for a in axes])
+    rows = max(1, _STENCIL_SLAB * len(axes[0]) // math.prod(len(a) for a in axes))
+    slabs = []
+    for i in range(0, len(axes[0]), rows):  # slabs of about _STENCIL_SLAB offsets
+        grids = np.meshgrid(axes[0][i : i + rows], *axes[1:], indexing="ij")
+        offsets = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+        r0 = np.max(np.abs(offsets), axis=-1)  # inf-norm in cell units
+        far = r0 > 0
+        slab = np.zeros(offsets.shape[0])
+        slab[far] = igd.vec(offsets[far] * h) * h ** (2 * N)
+        near = (r0 <= near_width) & (far | (igd.sigma < N))
+        slab[near] = _near_values(offsets[near], h, igd)
+        slabs.append(slab)
+    T = np.concatenate(slabs).reshape([len(a) for a in axes])
     if igd.radial:
         T = T[np.ix_(*(np.abs(np.arange(1 - d, d)) for d in dims))]
     T.setflags(write=False)
@@ -618,24 +623,24 @@ def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
     return conv[sl].copy()
 
 
-def _pair_sum_weights(T: np.ndarray, box) -> Tuple[tuple, np.ndarray]:
-    """(fshape, W) for the pair sums of stencil T over sets inside a box of
-    ``box`` cells per axis: S_T(A, B) is the sum of Re(A-hat conj(B-hat) W)
-    over the real-FFT half grid of fshape (Parseval).  fshape is a fast
-    length of at least 2 box - 1 per axis, so the circular wrap pairs no
-    two cells of the box; W is T-hat / G, times 2 where a frequency stands
-    for itself and its conjugate, and real when T is even."""
+def _pair_sum_weights(T: np.ndarray, box) -> Tuple[tuple, np.ndarray, np.ndarray]:
+    """(fshape, W, C) for stencil T on sets in a box of ``box`` cells per
+    axis.  C is the real FFT of T at offsets -(b - 1) .. b - 1 placed mod G
+    on a fast grid fshape of at least 2 box - 1 per axis (real when T is
+    even), so no wrap pairs two cells of the box: irfftn(A-hat conj(C)) at
+    i is S_T({i}, A), and S_T(A, B) is the sum of Re(A-hat conj(B-hat) W)
+    over the half grid (Parseval), W being C / G, doubled where a
+    frequency stands for itself and its conjugate."""
     fshape = tuple(_fast_len(2 * b - 1) for b in box)
     centre = T[tuple(slice(n // 2 + 1 - b, n // 2 + b) for n, b in zip(T.shape, box))]
     circ = np.zeros(fshape)
-    # T at offsets -(b - 1) .. b - 1, placed at their indices mod G
     circ[np.ix_(*((np.arange(2 * b - 1) + 1 - b) % g for g, b in zip(fshape, box)))] = centre
-    W = np.fft.rfftn(circ)
+    C = np.fft.rfftn(circ)
     if np.array_equal(centre, centre[(slice(None, None, -1),) * T.ndim]):
-        W = W.real
-    W = W / circ.size
+        C = C.real
+    W = C / circ.size
     W[..., 1 : (fshape[-1] + 1) // 2] *= 2.0
-    return fshape, W
+    return fshape, W, C
 
 
 def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
@@ -648,7 +653,7 @@ def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
     same = occ_a is occ_b or np.array_equal(occ_a, occ_b)
     cells = np.argwhere(occ_a if same else np.logical_or(occ_a, occ_b))
     lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
-    fshape, W = _pair_sum_weights(T, (hi - lo).tolist())
+    fshape, W = _pair_sum_weights(T, (hi - lo).tolist())[:2]  # C is not held
     box, axes = tuple(map(slice, lo, hi)), tuple(range(T.ndim))
     A = np.fft.rfftn(occ_a[box].astype(float), fshape, axes=axes)
     if same:
@@ -659,29 +664,52 @@ def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Directional tails for complement integrals
+# Sphere directions and directional tails for complement integrals
 
 
 @functools.lru_cache(maxsize=8)
-def _direction_grid(N: int, count: int):
-    """Read-only exact-measure midpoint direction grid: weights sum to the
-    sphere area."""
+def _direction_factors(N: int, count: int):
+    """(w, factors) of the exact-measure midpoint direction grid of about
+    ``count`` directions of weight w each: for N = 3 the polar rows u and
+    sqrt(1 - u^2) and the azimuths' cosines and sines, for N = 2 the
+    cosines and sines of one block's angles and of the block offsets.
+    Read-only, O(sqrt(count)) or one block long."""
     if N == 2:
-        ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        w = np.full(count, 2.0 * math.pi / count)
+        w = 2.0 * math.pi / count
+        ang, off = (np.arange(min(count, _SPHERE_BLOCK)) + 0.5) * w, np.arange(0, count, _SPHERE_BLOCK) * w
+        factors = (np.cos(ang), np.sin(ang), np.cos(off), np.sin(off))
     else:
         nu = max(4, int(round(math.sqrt(count / 2.0))))
-        nphi = 2 * nu
         u = -1.0 + (np.arange(nu) + 0.5) * (2.0 / nu)
-        phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-        uu, pp = np.meshgrid(u, phi, indexing="ij")
-        su = np.sqrt(1.0 - uu ** 2)
-        dirs = np.stack([su * np.cos(pp), su * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-        w = np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
-    dirs.setflags(write=False)
-    w.setflags(write=False)
-    return dirs, w
+        phi = (np.arange(2 * nu) + 0.5) * (2.0 * math.pi / (2 * nu))
+        w = (2.0 / nu) * (2.0 * math.pi / (2 * nu))
+        factors = (u, np.sqrt(1.0 - u ** 2), np.cos(phi), np.sin(phi))
+    for f in factors:
+        f.setflags(write=False)
+    return w, factors
+
+
+def _direction_blocks(N: int, count: int):
+    """(dirs, w) for consecutive (k, N) blocks, k <= ``_SPHERE_BLOCK``, of
+    the grid of ``_direction_factors(N, count)``, each a view of a fresh
+    (N, k) buffer: whole polar rows for N = 3, runs of angles for N = 2
+    (block offset plus in-block angle, by the angle-addition formula)."""
+    w, (a, b, c, d) = _direction_factors(N, count)
+    if N == 2:
+        for i, (co, so) in enumerate(zip(c, d)):
+            ca, sa = a[: count - i * a.size], b[: count - i * a.size]
+            out = np.empty((2, ca.size))
+            np.subtract(np.multiply(co, ca, out=out[0]), so * sa, out=out[0])
+            np.add(np.multiply(so, ca, out=out[1]), co * sa, out=out[1])
+            yield out.T, w
+        return
+    rows = max(1, _SPHERE_BLOCK // c.size)
+    for i in range(0, a.size, rows):
+        out = np.empty((3, a[i : i + rows].size, c.size))
+        np.multiply(b[i : i + rows, None], c, out=out[0])
+        np.multiply(b[i : i + rows, None], d, out=out[1])
+        out[2] = a[i : i + rows, None]
+        yield out.reshape(3, -1).T, w
 
 
 def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
@@ -698,13 +726,13 @@ def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
 
 def _tail_per_cell(pts: np.ndarray, lo, hi, igd: OffsetIntegrand) -> np.ndarray:
     """Per-point integral of g over the complement of the box [lo, hi]."""
-    dirs, w = _direction_grid(igd.dimension, _TAIL_DIRECTIONS[igd.dimension])
+    ((dirs, w),) = _direction_blocks(igd.dimension, _TAIL_DIRECTIONS[igd.dimension])
     out = np.empty(pts.shape[0])
     chunk = 2048
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, min(start + chunk, pts.shape[0]))
         rho = _ray_exit(pts[sl], lo, hi, dirs)
-        out[sl] = igd.ray_tail(rho) @ w
+        out[sl] = igd.ray_tail(rho) @ np.full(dirs.shape[0], w)
     return out
 
 
@@ -1022,7 +1050,9 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
 def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
     """Integral of f over the unit sphere (surface measure, not the mean).
 
-    ``f`` is vectorized over direction arrays of shape (k, N).
+    ``f`` is vectorized over direction arrays of shape (k, N); the tensor
+    engine passes it blocks of at most ``_SPHERE_BLOCK`` directions of a
+    midpoint grid of up to 2^20 (``_direction_blocks``).
     """
     if N not in (2, 3):
         raise ParameterError(f"sphere integrals support N in {{2, 3}}, got {N}")
@@ -1038,7 +1068,7 @@ def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
     count = max(16, min(spec.resolved_budget(N), 1 << 20))
 
     def value_at(coarse: bool):
-        dirs, w = _direction_grid(N, max(8, count // 2) if coarse else count)
-        return float(np.sum(f(dirs) * w)), count, None
+        blocks = _direction_blocks(N, max(8, count // 2) if coarse else count)
+        return sum(float(np.sum(f(dirs) * w)) for dirs, w in blocks), count, None
 
     return _tensor_estimate(spec, value_at)

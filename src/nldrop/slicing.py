@@ -16,12 +16,12 @@ upper side of every cut is a prefix U of that order and the upper sides
 are nested.  ``_level_cross`` gives the cross pair sum S_T(U, E - U) of a
 stencil T as S_T(U, E), a prefix sum of the pair field, minus S_T(U, U),
 which Parseval's identity turns into (1/G) sum_k Re T-hat_k |U-hat_k|^2.
-It takes one FFT of U per distinct level, on a grid of at least twice the
-occupied box, and one spectrum serves both stencils; the weights Re T-hat
-are computed once per grid (``_sweep_grid``) and shared by every
-direction.  Per-cell fields such as the background become prefix sums.
-The scan on the fine and the coarse grid and the layer-cake checks all
-read their cuts from these arrays.
+Both live on one FFT grid of at least twice the occupied box: the field
+is one inverse FFT per stencil there, computed once per grid with the
+weights Re T-hat (``_sweep_grid``), and each distinct level takes one FFT
+of U, whose spectrum serves both stencils.  Per-cell fields such as the
+background become prefix sums, and the scan on both grids and the
+layer-cake checks read their cuts from these arrays.
 
 The closed form used for the sphere integral of (x.nu)_+ is
 omega_{N-2} |x| / (N-1); the variant without the 1/(N-1) polar Jacobian
@@ -170,20 +170,20 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 def _sweep_grid(vox: VoxelShape, integrands) -> tuple:
     """What the level sweep of ``vox`` needs, computed once per grid and
     shared by every direction: the first index and the size of the occupied
-    cells' bounding box, and per integrand the pair field of the shape and
-    the Parseval weights of its stencil over that box
-    (``quadrature._pair_sum_weights``), with their FFT shape."""
+    cells' bounding box, the FFT shape of ``quadrature._pair_sum_weights``
+    on it, and per integrand the pair field S_T(i, E) at its cells i and
+    Re W of T's Parseval weights, once per real and imaginary part."""
     occ = vox.occupancy
     idx = np.argwhere(occ) if vox.count else np.zeros((1, vox.dimension), dtype=int)
     lo = idx.min(axis=0)
     box = tuple(int(b) for b in idx.max(axis=0) - lo + 1)
-    terms = []
+    axes, terms = tuple(range(vox.dimension)), []
     for igd in integrands:
-        T = quadrature._stencil(occ.shape, vox.spacing, igd)
-        fshape, W = quadrature._pair_sum_weights(T, box)
-        # a self sum needs only Re W, one weight per real and imaginary
-        # part of a spectrum
-        terms.append((quadrature._pair_field(occ, T), np.repeat(W.real.ravel(), 2)))
+        fshape, W, C = quadrature._pair_sum_weights(quadrature._stencil(occ.shape, vox.spacing, igd), box)
+        if not terms:  # one spectrum of E serves every integrand
+            E_hat = np.fft.rfftn(occ[tuple(map(slice, lo, lo + box))].astype(float), fshape, axes=axes)
+        field = np.fft.irfftn(E_hat * C.conj(), fshape, axes=axes)[tuple(map(slice, box))]
+        terms.append((field.copy(), np.repeat(W.real.ravel(), 2)))
     return lo, box, fshape, terms
 
 
@@ -233,7 +233,7 @@ def _level_cross(grid: tuple, cells: np.ndarray, counts: np.ndarray) -> List[np.
             self_sums[t, j0:j1] = parts @ W
     at = np.searchsorted(inner, counts[splits])
     for t, (field, _) in enumerate(terms):
-        with_all = _prefix_sums(field[tuple(cells.T)])[inner]
+        with_all = _prefix_sums(field[tuple(local.T)])[inner]
         out[t][splits] = (with_all - self_sums[t])[at]
     return out
 

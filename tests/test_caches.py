@@ -1,0 +1,111 @@
+"""Every cache in the package is bounded.  Each ``functools.lru_cache``
+has a finite ``maxsize``.  Each other cache, a mapping whose name contains
+``cache`` at module level or inside a function, is an ``OrderedDict``
+that a ``while`` loop trims against a positive integer bound of its module
+named ``*_BYTES`` or ``*_TABLES``."""
+
+import ast
+import importlib
+import math
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+
+import nldrop
+from nldrop import quadrature
+from nldrop.kernels import KernelSpec
+
+PACKAGE_DIR = Path(nldrop.__file__).resolve().parent
+MODULE_NAMES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
+
+
+def _sources():
+    for name in MODULE_NAMES:
+        path = PACKAGE_DIR / f"{name}.py"
+        yield name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _literal_maxsize(dec):
+    """The maxsize a caching decorator sets when it is a literal: 128 for a
+    bare ``lru_cache``, None for ``functools.cache`` or ``maxsize=None``."""
+    if not isinstance(dec, ast.Call):
+        return 128 if ast.unparse(dec).endswith("lru_cache") else None
+    args = [k.value for k in dec.keywords if k.arg == "maxsize"] + list(dec.args)
+    return args[0].value if args and isinstance(args[0], ast.Constant) else 128
+
+
+def test_every_lru_cache_has_a_finite_maxsize():
+    found, unbounded = 0, []
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(target).split(".")[-1] in ("lru_cache", "cache"):
+                        found += 1
+                        maxsize = _literal_maxsize(dec)
+                        if not (isinstance(maxsize, int) and maxsize > 0):
+                            unbounded.append(f"{name}.{node.name}")
+    assert found >= 3  # two Gauss rules in energy, the direction factors
+    assert not unbounded, f"unbounded lru caches: {unbounded}"
+    # the module-level wrappers, whatever their decorator's arguments
+    for name in MODULE_NAMES:
+        module = importlib.import_module(f"nldrop.{name}")
+        for attr, obj in vars(module).items():
+            if callable(getattr(obj, "cache_parameters", None)):
+                maxsize = obj.cache_parameters()["maxsize"]
+                assert maxsize is not None and 0 < maxsize < math.inf, f"{name}.{attr}"
+
+
+def _mapping_caches(tree):
+    """(name, constructor) of every mapping assigned to a name containing
+    ``cache``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            value = node.value
+            if isinstance(value, ast.Dict) or (
+                isinstance(value, ast.Call) and ast.unparse(value.func) in ("dict", "OrderedDict")
+            ):
+                for t in targets:
+                    if isinstance(t, ast.Name) and "cache" in t.id.lower():
+                        yield t.id, ast.unparse(value)
+
+
+def test_every_mapping_cache_is_trimmed_against_a_bound():
+    checked, problems = set(), []
+    for name, tree in _sources():
+        module = importlib.import_module(f"nldrop.{name}")
+        loops = [
+            {n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)}
+            for loop in ast.walk(tree)
+            if isinstance(loop, ast.While)
+        ]
+        for cache, constructor in _mapping_caches(tree):
+            checked.add(f"{name}.{cache}")
+            if constructor != "OrderedDict()":
+                problems.append(f"{name}.{cache} = {constructor} is not an OrderedDict")
+            bounds = {b for names in loops if cache in names for b in names if b.endswith(("_BYTES", "_TABLES"))}
+            values = [getattr(module, b, None) for b in bounds]
+            if not values or not all(isinstance(v, int) and v > 0 for v in values):
+                problems.append(f"{name}.{cache} has no positive byte or table bound")
+    assert {"quadrature._STENCIL_CACHE", "quadrature._NEAR_CACHE", "quadrature._tail_cache"} <= checked
+    assert not problems, problems
+
+
+def test_tabulated_tail_keeps_at_most_its_table_bound(monkeypatch):
+    monkeypatch.setattr(quadrature, "_TAIL_TABLES", 2)
+    r = np.geomspace(1e-3, 1e3, 200)
+    kernel = KernelSpec(
+        dimension=2, s=0.5, epsilon=0.75, kind="tabulated", radii=r, values=r ** -2.5, tail=("power", 2.5)
+    )
+    ray_tail = quadrature.kernel_integrand(kernel).ray_tail
+    cache = ray_tail.__closure__[ray_tail.__code__.co_freevars.index("_tail_cache")].cell_contents
+    # ranges beyond the table, where each tail integral is cheap
+    first = ray_tail(np.array([2e3, 3e3]))
+    for k in range(1, 4):  # disjoint ranges, one table each
+        ray_tail(np.array([2e3, 3e3]) * 10.0 ** k)
+        assert len(cache) <= quadrature._TAIL_TABLES
+    # a range whose table was evicted gets a new one with the same values
+    assert np.allclose(ray_tail(np.array([2e3, 3e3])), first, rtol=1e-6)

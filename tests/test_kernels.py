@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -197,6 +201,27 @@ class TestConditionAudit:
             n: v.status for n, v in r2.conditions.items()
         }
         assert r1.tail_integral == r2.tail_integral
+
+    def test_audit_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma, 12 to 18 ms of import time in every
+        # run that audits a kernel; the knot lists are deduplicated without it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys, numpy as np; from nldrop.kernels import KernelSpec, validate_conditions; "
+            "r = np.geomspace(1e-3, 1e3, 50); "
+            "validate_conditions(KernelSpec(dimension=2, s=0.5, epsilon=0.75)); "
+            "validate_conditions(KernelSpec(dimension=3, s=0.5, epsilon=0.5, "
+            "kind='truncated-fractional', cap=2.0)); "
+            "validate_conditions(KernelSpec(dimension=2, s=0.5, epsilon=0.75, kind='tabulated', "
+            "radii=r, values=r ** -2.5, tail=('power', 2.5))); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 def kinked_table():

@@ -566,6 +566,34 @@ class TestOrthantStencil:
         # (z . nu)_+ / |z| is not even, which a mirrored table would be
         assert not np.array_equal(T, T[(slice(None, None, -1),) * len(dims)])
 
+    @pytest.mark.parametrize("slab", [1, 7, 40])
+    @pytest.mark.parametrize("case", ["directional", "riesz"])
+    def test_slabs_equal_the_whole_table(self, monkeypatch, slab, case):
+        # slabs of a few offsets, cut inside rows and planes, leave every
+        # entry bit for bit as one whole evaluation gives it
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(quadrature, "_STENCIL_SLAB", slab)
+        dims = (5, 4, 3)
+        if case == "directional":
+            igd = directional_positive_integrand(np.array([0.6, 0.0, 0.8]))
+        else:
+            igd = riesz_integrand(3, 1.0)
+        assert np.array_equal(_stencil(dims, 0.2, igd), _full_offset_table(dims, 0.2, igd))
+
+    def test_cold_directional_stencil_memory_is_bounded(self, monkeypatch):
+        # the 127^3 table of the 3-D layer-cake check on a 64^3 grid; built
+        # in one piece it peaked at 250 MB traced
+        _fresh_caches(monkeypatch)
+        igd = directional_positive_integrand(np.array([1.0, 0.0, 0.0]))
+        tracemalloc.start()
+        try:
+            T = _stencil((64,) * 3, 1.0 / 64, igd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.shape == (127,) * 3
+        assert peak < 64e6
+
     def test_cold_3d_stencil_memory_is_bounded(self, monkeypatch):
         # the 127^3 table of a 64^3 grid is 16.4 MB; evaluating every
         # offset as a float (k, 3) table peaked near 300 MB
@@ -723,22 +751,80 @@ class TestSphereIntegrals:
             sphere_average(lambda v: np.ones(v.shape[0]), 4, QuadratureSpec())
 
 
+def _whole_direction_grid(N, count):
+    """The midpoint direction grid and its weights written out whole, as
+    they were built before the directions were streamed in blocks."""
+    if N == 2:
+        ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(count, 2.0 * math.pi / count)
+    nu = max(4, int(round(math.sqrt(count / 2.0))))
+    nphi = 2 * nu
+    u = -1.0 + (np.arange(nu) + 0.5) * (2.0 / nu)
+    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+    uu, pp = np.meshgrid(u, phi, indexing="ij")
+    su = np.sqrt(1.0 - uu ** 2)
+    dirs = np.stack([su * np.cos(pp), su * np.sin(pp), uu], axis=-1).reshape(-1, 3)
+    return dirs, np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
+
+
+class TestDirectionBlocks:
+    @pytest.mark.parametrize(
+        "N, count",
+        [(3, c) for c in (64, 512, 1024, 100_000, 200_000)]
+        + [(2, c) for c in (64, 256, 1 << 14, (1 << 14) + 5, 100_000, 200_000)],
+    )
+    def test_blocks_match_the_whole_grid(self, N, count):
+        dirs, w = _whole_direction_grid(N, count)
+        blocks, weights = zip(*quadrature._direction_blocks(N, count))
+        assert all(0 < len(b) <= quadrature._SPHERE_BLOCK for b in blocks)
+        assert set(weights) == {w[0]}
+        got = np.concatenate(blocks)
+        assert got.shape == dirs.shape
+        if N == 3 or count <= 1 << 14:
+            # N = 3 and one N = 2 block (every tail direction set) bit for bit
+            assert np.array_equal(got, dirs)
+        else:
+            assert np.max(np.abs(got - dirs)) <= 2e-15
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("count", [8, 1000, 1 << 20])
+    def test_weights_sum_to_the_sphere_area(self, N, count):
+        total = sum(w * len(b) for b, w in quadrature._direction_blocks(N, count))
+        assert total == pytest.approx(geometry.unit_sphere_area(N), rel=1e-14)
+
+    def test_sphere_average_memory_is_bounded(self):
+        # the whole 2^20-direction grid and weights took 67 MB at peak and
+        # stayed cached (50 MB) after the call
+        quadrature._direction_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            est = sphere_average(
+                lambda v: np.clip(v[:, 0], 0.0, None), 3, QuadratureSpec(budget=1 << 20)
+            )
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.value == pytest.approx(math.pi, rel=1e-4)
+        assert peak < 8e6
+        assert held < 1e6
+
+
 class TestDirectionGridCache:
     def test_cache_is_bounded(self):
-        maxsize = quadrature._direction_grid.cache_info().maxsize
+        maxsize = quadrature._direction_factors.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
     def test_grids_are_read_only(self):
         for N in (2, 3):
-            for arr in quadrature._direction_grid(N, 64):
+            for arr in quadrature._direction_factors(N, 64)[1]:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
     def test_hit_returns_the_same_arrays(self):
-        quadrature._direction_grid.cache_clear()
-        first = quadrature._direction_grid(3, 200)
-        assert quadrature._direction_grid(3, 200) is first
-        assert quadrature._direction_grid.cache_info().hits == 1
+        quadrature._direction_factors.cache_clear()
+        first = quadrature._direction_factors(3, 200)
+        assert quadrature._direction_factors(3, 200) is first
+        assert quadrature._direction_factors.cache_info().hits == 1
 
 
 class TestVoxelize:

@@ -267,10 +267,13 @@ class TestLevelSweep:
 
     def test_sweep_uses_no_per_cell_stencil_window(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("per-cell stencil window")
+            raise AssertionError("the sweep called a whole-grid helper")
 
         assert not hasattr(quadrature, "_stencil_window")
         monkeypatch.setattr(families, "_stencil_window", refuse)
+        # nor a pair field over the grid plus the whole stencil: the sweep's
+        # field is an inverse FFT on the occupied box's grid
+        monkeypatch.setattr(quadrature, "_pair_field", refuse)
         res = scan(
             seeded_blob(), make_params(), QuadratureSpec(),
             nu_grid=default_direction_grid(2, 2), l_grid=np.linspace(-0.3, 0.3, 5),
@@ -278,6 +281,20 @@ class TestLevelSweep:
         assert len(res.records) == 9
         checks = layer_cake_checks(seeded_blob(), np.array([0.6, 0.8]), QuadratureSpec(), l_count=16)
         assert checks.lhs_riesz > 0.0
+
+    def test_3d_sweep_grid_memory_is_bounded(self):
+        # warm stencils; the whole-stencil pair fields took 23 MB traced
+        blob = geometry.random_blob(3, np.random.default_rng(3), grid_n=32)
+        integrands = (quadrature.riesz_integrand(3, 1.0), quadrature.kernel_integrand(frac(N=3)))
+        slicing._sweep_grid(blob, integrands)
+        tracemalloc.start()
+        try:
+            grid = slicing._sweep_grid(blob, integrands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [field.shape for field, _ in grid[3]] == [grid[1]] * 2
+        assert peak < 12e6
 
 
 class TestDirectionAndLevelGrids:
@@ -343,10 +360,12 @@ class TestLayerCake:
         )
         # residual_riesz, a 2.1e-5 difference of two 0.0167 values, was
         # re-frozen when the level sweep began taking its self pair sums by
-        # Parseval (lhs_riesz moved by 3e-15 relative, this entry by 2.5e-12)
+        # Parseval (lhs_riesz moved by 3e-15 relative, this entry by 2.5e-12),
+        # and again when the sweep's pair field moved onto the occupied box's
+        # FFT grid (2.0895554875752925e-05 before, 3.2e-12 relative)
         want = dict(
             residual_background=0.0010611902379150107,
-            residual_riesz=2.0895554875752925e-05,
+            residual_riesz=2.0895554875687006e-05,
             lhs_background=0.0684169042295868,
             rhs_background=0.06735571399167178,
             lhs_riesz=0.016689830313759722,
