@@ -239,35 +239,12 @@ def _ball_self_riesz(N: int, alpha: float, R: float) -> float:
 
 def _radial_moment1(g):
     """Vectorized antiderivative M(T) = int g(t) t dt for a radial pair
-    integrand g (a kernel or a riesz exponent), pinned so only differences
-    are used."""
-    kernel = g if isinstance(g, KernelSpec) else None
-    if kernel is not None and kernel.kind == "truncated-fractional":
-        sig = kernel.sigma
-        r_cap = kernel.cap ** (-1.0 / sig)
-
-        def M(T):
-            T = np.asarray(T, dtype=float)
-            flat = kernel.cap * np.minimum(T, r_cap) ** 2 / 2.0
-            frac = np.where(
-                T > r_cap,
-                (T ** (2.0 - sig) - r_cap ** (2.0 - sig)) / (2.0 - sig),
-                0.0,
-            )
-            return flat + frac
-
-        return M
-    if kernel is not None and kernel.kind != "fractional":
-
-        def M(T):
-            T = np.atleast_1d(np.asarray(T, dtype=float))
-            grid = np.linspace(0.5 * float(T.min()), float(T.max()), 4096)
-            vals = kernels.eval_kernel_radial(kernel, grid) * grid
-            steps = np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0
-            return np.interp(T, grid, np.concatenate(([0.0], np.cumsum(steps))))
-
-        return M
-    sig = kernel.sigma if kernel is not None else float(g)
+    integrand g, pinned so only differences are used: for a kernel,
+    ``kernels.radial_antiderivative`` at q = 1, exact on each of its
+    power-law pieces; for a riesz exponent, the power law."""
+    if isinstance(g, KernelSpec):
+        return functools.partial(kernels.radial_antiderivative, g, 1)
+    sig = float(g)
     if abs(sig - 2.0) < 1e-12:
         return lambda T: np.log(np.asarray(T, dtype=float))
     return lambda T: np.asarray(T, dtype=float) ** (2.0 - sig) / (2.0 - sig)
@@ -294,9 +271,12 @@ def _ball_pair_interaction(gs, N: int, c1, R1: float, c2, R2: float, n: int = 96
     is tabulated on a 512-point linear grid over [d - R1, d + R1] (an
     n-point Gauss rule in the B2 radius; in 2-D also 128 Gauss angles) and
     read back with ``np.interp`` at the nodes of the outer n x n Gauss rule
-    over B1.  The integrands share the grid, the distance tables and the
-    outer nodes.  The callers' n against n/2 error does not see the
-    interpolation error of the fixed 512-point table."""
+    over B1.  In 3-D the shell of radius P about c2 contributes
+    (2 pi P / r) (M(r + P) - M(r - P)), with M the antiderivative of
+    ``_radial_moment1``, exact for every kernel kind.  The integrands
+    share the grid, the distance tables and the outer nodes.  The callers'
+    n against n/2 error does not see the interpolation error of the fixed
+    512-point table."""
     d = float(np.linalg.norm(np.asarray(c2, float) - np.asarray(c1, float)))
     if d <= R1 + R2:
         raise PreconditionError("balls overlap; interaction requires disjoint sets")

@@ -373,8 +373,7 @@ def voxel_local_search(
     )
     lin = a - params.A * b_means.reshape(dims) * h ** N
 
-    phi_k = quadrature._pair_field(occ, T_k)
-    phi_r = quadrature._pair_field(occ, T_r)
+    (phi_k, _), (phi_r, _) = quadrature._pair_fields(occ, (T_k, T_r))[1]
     s_k = float(np.sum(phi_k[occ]))
     s_r = float(np.sum(phi_r[occ]))
 
@@ -447,8 +446,7 @@ def voxel_local_search(
             }
         )
     # guard against drift in the incrementally tracked pair sums
-    phi_fresh = quadrature._pair_field(occ, T_r)
-    s_fresh = float(np.sum(phi_fresh[occ]))
+    s_fresh = quadrature._fft_pair_sum(occ, occ, T_r)
     if not abs(s_fresh - s_r) <= 1e-6 * (1.0 + abs(s_fresh)):
         raise PreconditionError(f"pair-sum drift: tracked {s_r}, recomputed {s_fresh}")
     if int(np.count_nonzero(occ)) != count:

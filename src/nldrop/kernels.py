@@ -17,6 +17,14 @@ conditions it claims:
 (K4)  tail bound  |x| K(x) <= (1+epsilon)^(-(N+s-1))  for |x| >= 1+epsilon,
 (K4') sandwich    lam^-1 |x|^(-(N+s)) <= K(x) <= lam |x|^(-(N+s)).
 
+Every kernel is also a table of power-law pieces (``_pieces``): knots and,
+between them, at most two monomials c r^-p.  Every radial integral of
+K(r) r^q derives from one exact antiderivative of that table
+(``radial_antiderivative``): the tail mass ``radial_tail_integral``, the
+ball pair moment at q = 1 and the (K2) partial integral.  Tabulated
+kernels also evaluate through the pieces; the two fractional kinds
+evaluate their closed forms.
+
 ``validate_conditions`` audits all of these on a deterministic sampling plan
 and returns per-condition verdicts with witnesses.  A numerical audit can
 falsify a condition, not prove it; thresholds below are calibrated so the
@@ -31,19 +39,16 @@ are reported; neither implies the other here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ParameterError
 
 _EPS_REL = 1e-9  # relative slack for pointwise sandwich checks
-# Radial integrals: Gauss-Legendre panels, geometric in r
-_PANELS_PER_DECADE = 8
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(24)
 
 
 def epsilon_min(N: int, s: float) -> float:
@@ -89,10 +94,8 @@ class KernelSpec:
         the kernel to zero.  None leaves the tail undefined (evaluation
         there raises DomainError and (K2) reports not-checked).
 
-    Below the first sample, tabulated kernels extend by the power law
-    through the first two samples (every admissible kernel is power-like
-    at the origin).  Between samples interpolation is log-log linear;
-    segments touching a zero value fall back to linear interpolation.
+    A tabulated kernel is interpolated by the power-law pieces of
+    ``_pieces`` (every admissible kernel is power-like at the origin).
     """
 
     dimension: int
@@ -176,51 +179,10 @@ def eval_kernel_radial(kernel: KernelSpec, r) -> np.ndarray:
         return r ** (-sig)
     if kernel.kind == "truncated-fractional":
         return np.minimum(r ** (-sig), kernel.cap)
-    return _eval_tabulated(kernel, r)
-
-
-def _eval_tabulated(kernel: KernelSpec, r: np.ndarray) -> np.ndarray:
-    rt, vt = kernel.radii, kernel.values
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-
-    # rounding slack so that radii produced as |r*u| with |u| = 1 still count
-    # as the table endpoint
-    r_last = rt[-1] * (1.0 + 1e-12)
-    below = r < rt[0]
-    inside = (r >= rt[0]) & (r <= r_last)
-    beyond = r > r_last
-
-    if np.any(below):
-        # power law through the first two samples
-        if vt[0] > 0 and vt[1] > 0:
-            slope = math.log(vt[1] / vt[0]) / math.log(rt[1] / rt[0])
-            out[below] = vt[0] * (r[below] / rt[0]) ** slope
-        else:
-            out[below] = vt[0]
-    if np.any(inside):
-        ri = np.minimum(r[inside], rt[-1])
-        idx = np.clip(np.searchsorted(rt, ri, side="right") - 1, 0, rt.size - 2)
-        r0, r1 = rt[idx], rt[idx + 1]
-        v0, v1 = vt[idx], vt[idx + 1]
-        t = np.log(ri / r0) / np.log(r1 / r0)
-        with np.errstate(divide="ignore"):
-            loglog = np.exp(np.log(v0) + t * (np.log(v1) - np.log(v0)))
-        lin = v0 + (ri - r0) / (r1 - r0) * (v1 - v0)
-        out[inside] = np.where((v0 > 0) & (v1 > 0), loglog, lin)
-    if np.any(beyond):
-        if kernel.tail is None:
-            raise DomainError(
-                "tabulated kernel has no tail rule; cannot evaluate beyond "
-                f"r = {rt[-1]:.6g}"
-            )
-        if kernel.tail == ("zero",):
-            out[beyond] = 0.0
-        else:
-            p = kernel.tail[1]
-            out[beyond] = vt[-1] * (r[beyond] / rt[-1]) ** (-p)
-    return out[0] if scalar else out
+    knots, c, p, bound = _pieces(kernel)
+    _check_defined(r, bound)
+    i = np.searchsorted(knots, r)
+    return np.sum(c[i] * r[..., None] ** -p[i], axis=-1)
 
 
 def eval_kernel(kernel: KernelSpec, x) -> np.ndarray:
@@ -237,70 +199,119 @@ def eval_kernel(kernel: KernelSpec, x) -> np.ndarray:
     return eval_kernel_radial(kernel, r)
 
 
-def radial_tail_integral(kernel: KernelSpec, rho: float) -> float:
-    """Per-steradian tail mass: integral of K(r) r^(N-1) dr from rho to infinity.
+@functools.lru_cache(maxsize=32)
+def _pieces(kernel: KernelSpec) -> tuple:
+    """K as a table of power-law pieces: (knots, c, p, bound), read-only.
+
+    Piece i runs from knots[i - 1] to knots[i] (0 and infinity at the
+    ends), and there K(r) = sum_j c[i, j] r^-p[i, j] over one or two
+    monomials j; K is undefined beyond ``bound``.  A tabulated kernel has
+    one piece below its first sample, the power law through the first two
+    samples (v0 when one of them is 0), one per sample interval (log-log,
+    or linear next to a zero value), the last value on [r_last,
+    r_last (1 + 1e-12)], a rounding slack so radii computed as |r u| with
+    |u| = 1 still read the last sample, and the tail rule beyond (no tail
+    rule: undefined there).
+    """
+    sig, nil = kernel.sigma, (0.0, 0.0)
+    if kernel.kind == "fractional":
+        knots, terms = [], [[(1.0, sig), nil]]
+    elif kernel.kind == "truncated-fractional":
+        knots, terms = [kernel.cap ** (-1.0 / sig)], [[(kernel.cap, 0.0), nil], [(1.0, sig), nil]]
+    else:
+        rt, vt, tail = kernel.radii, kernel.values, kernel.tail
+        knots, terms = np.append(rt, rt[-1] * (1.0 + 1e-12)), []
+        for r0, r1, v0, v1 in zip(rt[:-1], rt[1:], vt[:-1], vt[1:]):
+            if v0 > 0 and v1 > 0:
+                slope = math.log(v1 / v0) / math.log(r1 / r0)
+                terms.append([(v0 * r0 ** -slope, -slope), nil])
+            else:
+                b = (v1 - v0) / (r1 - r0)
+                terms.append([(v0 - b * r0, 0.0), (b, -1.0)])
+        below = terms[0] if vt[0] > 0 and vt[1] > 0 else [(vt[0], 0.0), nil]
+        beyond = (vt[-1] * rt[-1] ** tail[1], tail[1]) if tail and tail[0] == "power" else nil
+        terms = [below] + terms + [[(vt[-1], 0.0), nil], [beyond, nil]]
+    bound = knots[-1] if kernel.kind == "tabulated" and kernel.tail is None else math.inf
+    knots = np.array(knots, dtype=float)
+    c, p = np.moveaxis(np.array(terms, dtype=float), -1, 0)
+    used = c.any(axis=0)  # the second monomial serves only zero table values
+    c, p = c[:, used], p[:, used]
+    for a in (knots, c, p):
+        a.setflags(write=False)
+    return knots, c, p, bound
+
+
+def _check_defined(r: np.ndarray, bound: float) -> None:
+    if np.any(r > bound):
+        raise DomainError(
+            f"tabulated kernel has no tail rule; cannot evaluate beyond r = {bound:.6g}"
+        )
+
+
+def _monomial_integrals(c: np.ndarray, e: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of c r^e / e (c log r where e = 0)."""
+    r = r[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = c * r ** e / e
+        logs = e == 0.0
+        if logs.any():
+            f = np.where(logs, c * np.log(r), f)
+    return f.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _primitive(kernel: KernelSpec, q: float) -> tuple:
+    """(knots, c, e, offsets, bound) of ``radial_antiderivative``: on piece
+    i of ``_pieces``, G(r) = offsets[i] + sum_j c[i, j] F(r, e[i, j]) with
+    e = q + 1 - p and F(r, e) = r^e / e (log r at e = 0).  The offsets are
+    summed back from the last piece, whose offset is 0, so G is continuous
+    and G(infinity) = 0 where K(r) r^q is integrable there."""
+    knots, c, p, bound = _pieces(kernel)
+    e = q + 1.0 - p
+    jumps = _monomial_integrals(c[1:], e[1:], knots) - _monomial_integrals(c[:-1], e[:-1], knots)
+    offsets = np.append(np.cumsum(jumps[::-1])[::-1], 0.0)
+    return knots, c, e, offsets, bound
+
+
+def radial_antiderivative(kernel: KernelSpec, q: float, r) -> np.ndarray:
+    """G(r) with G'(r) = K(r) r^q, vectorized over r > 0: exact on every
+    power-law piece of K (``_pieces``), continuous across the knots, and 0
+    at infinity where K(r) r^q is integrable there, so only differences of
+    G, and -G(rho) for a tail, carry meaning.  A kernel of one piece c r^-p
+    (the fractional one, so e != 0) takes c r^e / e directly, e = q + 1 - p."""
+    knots, c, e, offsets, bound = _primitive(kernel, q)
+    r = np.asarray(r, dtype=float)
+    if not knots.size:
+        # Python floats, so numpy reuses the temporaries; a scalar r takes
+        # the scalar power
+        c, e = float(c[0, 0]), float(e[0, 0])
+        r = float(r) if r.ndim == 0 else r
+        return c * r ** e / e
+    _check_defined(r, bound)
+    i = np.searchsorted(knots, r)
+    return offsets[i] + _monomial_integrals(c[i], e[i], r)
+
+
+def radial_tail_integral(kernel: KernelSpec, rho):
+    """Per-steradian tail mass: integral of K(r) r^(N-1) dr from rho to
+    infinity, -G(rho) for the antiderivative G of ``radial_antiderivative``
+    at q = N - 1.  A float for a scalar rho, an array for an array.
 
     Used by the complement-integral engines; the full tail mass outside a
     ball of radius rho is this times the unit-sphere area.
     """
-    if not (rho > 0):
+    rho_arr = np.asarray(rho, dtype=float)
+    if not np.all(rho_arr > 0):
         raise ParameterError(f"rho must be positive, got {rho!r}")
-    N, s = kernel.dimension, kernel.s
-    if kernel.kind == "fractional":
-        return rho ** (-s) / s
-    if kernel.kind == "truncated-fractional":
-        r_cap = kernel.cap ** (-1.0 / (N + s))
-        if rho >= r_cap:
-            return rho ** (-s) / s
-        flat = kernel.cap * (r_cap ** N - rho ** N) / N
-        return flat + r_cap ** (-s) / s
-    return _tabulated_tail_integral(kernel, rho)
-
-
-def _tabulated_tail_integral(kernel: KernelSpec, rho: float) -> float:
-    if kernel.tail is None:
-        raise DomainError("tabulated kernel has no tail rule; tail integral undefined")
     N = kernel.dimension
-    rt = kernel.radii
-    # sampled part from rho to the last sample
-    total = _radial_moment(kernel, rho, float(rt[-1]), N - 1) if rho < rt[-1] else 0.0
-    # tail rule beyond the last sample
-    if kernel.tail == ("zero",):
-        return total
-    p = kernel.tail[1]
-    if p - N <= 0:
-        raise DomainError(f"power tail with p = {p} <= N = {N} has a divergent integral")
-    start = max(rho, float(rt[-1]))
-    v_start = float(eval_kernel_radial(kernel, start))
-    total += v_start * start ** N / (p - N)
-    return total
-
-
-def _radial_moment(kernel: KernelSpec, lo: float, hi: float, power: int) -> float:
-    """Integral of K(r) r^power over [lo, hi], 0 < lo < hi.
-
-    Gauss-Legendre on geometric panels, ``_PANELS_PER_DECADE`` per decade,
-    with panel edges also at every radius inside (lo, hi) where K has a
-    kink: the cap radius of a truncated kernel and each radius of a table.
-    Between kinks K r^power is a power law (or, next to a zero table value,
-    linear), which each panel integrates to rounding.
-    """
-    knots = [lo, hi]
-    if kernel.kind == "truncated-fractional":
-        knots.append(kernel.cap ** (-1.0 / kernel.sigma))
-    elif kernel.kind == "tabulated":
-        knots.extend(kernel.radii.tolist())
-    # sorted distinct knots (np.unique would import numpy.ma)
-    knots = np.array(sorted(set(k for k in knots if lo <= k <= hi)))
-    edges = [
-        np.geomspace(a, b, max(1, math.ceil(_PANELS_PER_DECADE * math.log10(b / a))) + 1)[:-1]
-        for a, b in zip(knots[:-1], knots[1:])
-    ]
-    edges = np.append(np.concatenate(edges), hi)
-    half = 0.5 * np.diff(edges)
-    r = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _PANEL_NODES
-    f = eval_kernel_radial(kernel, r.ravel()).reshape(r.shape) * r ** power
-    return float(np.sum((f @ _PANEL_WEIGHTS) * half))
+    _, c, p, bound = _pieces(kernel)
+    if bound < math.inf:
+        raise DomainError("tabulated kernel has no tail rule; tail integral undefined")
+    slow = p[-1][(c[-1] != 0.0) & (p[-1] <= N)]
+    if slow.size:
+        raise DomainError(f"power tail with p = {slow[0]} <= N = {N} has a divergent integral")
+    out = -radial_antiderivative(kernel, N - 1, rho_arr)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,8 @@ def validate_conditions(
 
     (K1) is checked by evaluating at point pairs +/-x (symmetry) and by a
     sign scan over all sampled radii.  (K2) integrates K(r) r^(N-1) from 1
-    to the cutoff and extrapolates the remainder from the local log-log
+    to the cutoff, G(cutoff) - G(1) with the exact antiderivative G of
+    ``radial_antiderivative``, and extrapolates the remainder from the local log-log
     slope, flagging "inconclusive" when the extrapolated remainder exceeds
     1% of the partial integral.  (K3) bounds difference quotients on annuli
     against 10x the analytic Lipschitz constant of the power law on that
@@ -407,7 +419,8 @@ def validate_conditions(
             # window out far enough to see it
             cutoff = max(cutoff, 100.0 * float(kernel.radii[-1]))
         f = lambda r: float(eval_kernel_radial(kernel, r)) * r ** (N - 1)
-        partial = _radial_moment(kernel, 1.0, cutoff, N - 1)
+        G1, G2 = radial_antiderivative(kernel, N - 1, [1.0, cutoff])
+        partial = float(G2 - G1)
         tail_integral = partial
         f2 = f(cutoff)
         if f2 == 0.0:

@@ -54,7 +54,6 @@ from .kernels import KernelSpec
 
 _NB_BATCHES = 32
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
-_TAIL_TABLES = 8  # log-grid tail tables kept per tabulated kernel integrand
 _SPHERE_BLOCK = 1 << 14  # sphere integrals take their directions in blocks this large
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
@@ -179,39 +178,12 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     def vec(z):
         return kernels.eval_kernel(kernel, z)
 
-    if kernel.kind == "fractional":
-        ray_tail = lambda rho: np.asarray(rho, dtype=float) ** (-s) / s
-    elif kernel.kind == "truncated-fractional":
-        r_cap = kernel.cap ** (-1.0 / (N + s))
-
-        def ray_tail(rho):
-            rho = np.asarray(rho, dtype=float)
-            frac = np.maximum(rho, r_cap) ** (-s) / s
-            flat = kernel.cap * np.clip(r_cap ** N - rho ** N, 0.0, None) / N
-            return frac + flat
-
-    else:  # tabulated: interpolate the tail integral on log grids
-        _tail_cache = OrderedDict()
-
-        def ray_tail(rho):
-            rho = np.asarray(rho, dtype=float)
-            lo, hi = float(rho.min()), float(rho.max())
-            key = next(((a, b) for a, b in _tail_cache if a <= lo and hi <= b), None)
-            if key is None:
-                key = (lo * 0.5, hi * 2.0)
-                grid = np.geomspace(*key, 512)
-                _tail_cache[key] = (grid, np.array([kernels.radial_tail_integral(kernel, g) for g in grid]))
-                while len(_tail_cache) > _TAIL_TABLES:  # the oldest goes first
-                    _tail_cache.popitem(last=False)
-            grid, vals = _tail_cache[key]
-            return np.interp(np.log(rho), np.log(grid), vals)
-
     return OffsetIntegrand(
         dimension=N,
         sigma=N + s,
         vec=vec,
         cache_token=kernel.cache_token,
-        ray_tail=ray_tail,
+        ray_tail=functools.partial(kernels.radial_tail_integral, kernel),
         radial=True,
         homogeneous=kernel.kind == "fractional",
     )
@@ -603,26 +575,6 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _pair_field(occ: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """field[i] = sum over occupied j of T at offset j - i.  T may be the
-    stencil of a grid at least as large as ``occ``."""
-    rev = T[tuple(slice(None, None, -1) for _ in range(T.ndim))]
-    occ = occ.astype(float)
-    # Full linear convolution occ * rev: axes where either array has
-    # length 1 convolve by broadcasting, the others are padded to a fast
-    # real-FFT length of at least s1 + s2 - 1.
-    axes = [a for a in range(occ.ndim) if occ.shape[a] != 1 and T.shape[a] != 1]
-    if axes:
-        fshape = [_fast_len(occ.shape[a] + T.shape[a] - 1) for a in axes]
-        spec = np.fft.rfftn(occ, fshape, axes=axes) * np.fft.rfftn(rev, fshape, axes=axes)
-        conv = np.fft.irfftn(spec, fshape, axes=axes)
-    else:
-        conv = occ * rev
-    sl = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T.shape, occ.shape))
-    # a copy, so the padded output is not kept alive by a view
-    return conv[sl].copy()
-
-
 def _pair_sum_weights(T: np.ndarray, box) -> Tuple[tuple, np.ndarray, np.ndarray]:
     """(fshape, W, C) for stencil T on sets in a box of ``box`` cells per
     axis.  C is the real FFT of T at offsets -(b - 1) .. b - 1 placed mod G
@@ -641,6 +593,23 @@ def _pair_sum_weights(T: np.ndarray, box) -> Tuple[tuple, np.ndarray, np.ndarray
     W = C / circ.size
     W[..., 1 : (fshape[-1] + 1) // 2] *= 2.0
     return fshape, W, C
+
+
+def _pair_fields(occ: np.ndarray, stencils) -> tuple:
+    """(fshape, [(field, W) per stencil T]) for the stencils, taken one at
+    a time, on the grid of ``occ``: field[i] = S_T({i}, occ) at every cell
+    i, irfftn(E-hat conj(C)) on the grid of ``_pair_sum_weights(T,
+    occ.shape)`` with one FFT of ``occ`` for all the stencils, and W the
+    Parseval weights of T there."""
+    axes, fields, E_hat = tuple(range(occ.ndim)), [], None
+    for T in stencils:
+        fshape, W, C = _pair_sum_weights(T, occ.shape)
+        if E_hat is None:
+            E_hat = np.fft.rfftn(occ.astype(float), fshape, axes=axes)
+        field = np.fft.irfftn(E_hat * C.conj(), fshape, axes=axes)[tuple(map(slice, occ.shape))]
+        # a copy, so the padded output is not kept alive by a view
+        fields.append((field.copy(), W))
+    return fshape, fields
 
 
 def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:

@@ -177,13 +177,11 @@ def _sweep_grid(vox: VoxelShape, integrands) -> tuple:
     idx = np.argwhere(occ) if vox.count else np.zeros((1, vox.dimension), dtype=int)
     lo = idx.min(axis=0)
     box = tuple(int(b) for b in idx.max(axis=0) - lo + 1)
-    axes, terms = tuple(range(vox.dimension)), []
-    for igd in integrands:
-        fshape, W, C = quadrature._pair_sum_weights(quadrature._stencil(occ.shape, vox.spacing, igd), box)
-        if not terms:  # one spectrum of E serves every integrand
-            E_hat = np.fft.rfftn(occ[tuple(map(slice, lo, lo + box))].astype(float), fshape, axes=axes)
-        field = np.fft.irfftn(E_hat * C.conj(), fshape, axes=axes)[tuple(map(slice, box))]
-        terms.append((field.copy(), np.repeat(W.real.ravel(), 2)))
+    fshape, fields = quadrature._pair_fields(
+        occ[tuple(map(slice, lo, lo + box))],
+        (quadrature._stencil(occ.shape, vox.spacing, igd) for igd in integrands),
+    )
+    terms = [(field, np.repeat(W.real.ravel(), 2)) for field, W in fields]
     return lo, box, fshape, terms
 
 

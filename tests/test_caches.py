@@ -10,11 +10,7 @@ import math
 import pkgutil
 from pathlib import Path
 
-import numpy as np
-
 import nldrop
-from nldrop import quadrature
-from nldrop.kernels import KernelSpec
 
 PACKAGE_DIR = Path(nldrop.__file__).resolve().parent
 MODULE_NAMES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
@@ -47,7 +43,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
                         maxsize = _literal_maxsize(dec)
                         if not (isinstance(maxsize, int) and maxsize > 0):
                             unbounded.append(f"{name}.{node.name}")
-    assert found >= 3  # two Gauss rules in energy, the direction factors
+    assert found >= 5  # two Gauss rules in energy, the direction factors, the kernel pieces
     assert not unbounded, f"unbounded lru caches: {unbounded}"
     # the module-level wrappers, whatever their decorator's arguments
     for name in MODULE_NAMES:
@@ -90,22 +86,6 @@ def test_every_mapping_cache_is_trimmed_against_a_bound():
             values = [getattr(module, b, None) for b in bounds]
             if not values or not all(isinstance(v, int) and v > 0 for v in values):
                 problems.append(f"{name}.{cache} has no positive byte or table bound")
-    assert {"quadrature._STENCIL_CACHE", "quadrature._NEAR_CACHE", "quadrature._tail_cache"} <= checked
+    assert {"quadrature._STENCIL_CACHE", "quadrature._NEAR_CACHE"} <= checked
     assert not problems, problems
 
-
-def test_tabulated_tail_keeps_at_most_its_table_bound(monkeypatch):
-    monkeypatch.setattr(quadrature, "_TAIL_TABLES", 2)
-    r = np.geomspace(1e-3, 1e3, 200)
-    kernel = KernelSpec(
-        dimension=2, s=0.5, epsilon=0.75, kind="tabulated", radii=r, values=r ** -2.5, tail=("power", 2.5)
-    )
-    ray_tail = quadrature.kernel_integrand(kernel).ray_tail
-    cache = ray_tail.__closure__[ray_tail.__code__.co_freevars.index("_tail_cache")].cell_contents
-    # ranges beyond the table, where each tail integral is cheap
-    first = ray_tail(np.array([2e3, 3e3]))
-    for k in range(1, 4):  # disjoint ranges, one table each
-        ray_tail(np.array([2e3, 3e3]) * 10.0 ** k)
-        assert len(cache) <= quadrature._TAIL_TABLES
-    # a range whose table was evicted gets a new one with the same values
-    assert np.allclose(ray_tail(np.array([2e3, 3e3])), first, rtol=1e-6)

@@ -394,6 +394,43 @@ class TestBallPairPass:
         assert values[1] == energy_mod._balls_cross((kernel,), E)[0][0]
 
 
+class TestTabulatedBallTerms:
+    """A table sampled from r^-(N+s) must give the fractional ball terms
+    within their reported bars.  The 3-D pair moment of a table once came
+    from a trapezoid whose anchor moved with the range of T, so
+    M(T + P) - M(T - P) mixed two antiderivatives: -784.95 +- 12.9 where
+    the fractional kernel gives 2.6176."""
+
+    @staticmethod
+    def table(N):
+        r = np.geomspace(1e-3, 1e3, 200)
+        return KernelSpec(
+            dimension=N, s=0.5, epsilon=0.7, kind="tabulated",
+            radii=r, values=r ** -(N + 0.5), tail=("power", N + 0.5),
+        )
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_pair_interaction_matches_fractional(self, N):
+        c2 = np.zeros((1, N))
+        c2[0, 0] = 2.05
+        U = geometry.BallConfig(N, np.zeros((1, N)), np.array([0.8]))
+        W = geometry.BallConfig(N, c2, np.array([1.2]))
+        tab = interaction(U, W, self.table(N), QuadratureSpec())
+        ref = interaction(U, W, frac(N=N), QuadratureSpec())
+        assert abs(tab.value - ref.value) <= tab.error
+        assert tab.value == pytest.approx(ref.value, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_single_ball_perimeter_matches_fractional(self, N):
+        ball = geometry.BallConfig(N, np.zeros((1, N)), np.array([0.9]))
+        tab = perimeter(ball, self.table(N), QuadratureSpec())
+        ref = perimeter(ball, frac(N=N), QuadratureSpec())
+        assert abs(tab.value - ref.value) <= tab.error
+        assert energy_mod._single_ball_perimeter(self.table(N), 0.9) == pytest.approx(
+            energy_mod._single_ball_perimeter(frac(N=N), 0.9), rel=1e-12
+        )
+
+
 class TestDecompositions:
     def test_perimeter_identity_cancels_on_shared_grid(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from nldrop.kernels import (
     epsilon_min,
     eval_kernel,
     eval_kernel_radial,
+    radial_antiderivative,
     radial_tail_integral,
     validate_conditions,
 )
@@ -233,8 +235,8 @@ def kinked_table():
 
 class TestRadialIntegralPins:
     """Values of the (K2) partial integral and the tabulated tail integral
-    computed with adaptive scipy quadrature, frozen here: the panel Gauss
-    rule must reproduce them.  The kinked table's exact tail integral is
+    computed with adaptive scipy quadrature, frozen here: the exact
+    antiderivative of the piece table must reproduce them.  The kinked table's exact tail integral is
     2 (1 - 10^-1/2) + 10^-1/2 / 1.5 = 1.5783629786442...; the adaptive
     value is 1e-11 low, the panel rule hits it."""
 
@@ -281,3 +283,139 @@ class TestRadialIntegralPins:
         k = make()
         for rho, value in zip((0.05, 0.7, 12.0), pinned):
             assert radial_tail_integral(k, rho) == pytest.approx(value, rel=1e-10)
+
+
+def old_table_formula(rt, vt, tail, r):
+    """Tabulated evaluation written out as the interpolation rule: the power
+    law through the first two samples below the table (v0 if one of them is
+    0), log-log between samples (linear next to a zero value), the last
+    value up to r_last (1 + 1e-12), then the tail rule."""
+    out = []
+    for x in r:
+        if x < rt[0]:
+            if vt[0] > 0 and vt[1] > 0:
+                out.append(vt[0] * (x / rt[0]) ** (math.log(vt[1] / vt[0]) / math.log(rt[1] / rt[0])))
+            else:
+                out.append(vt[0])
+        elif x <= rt[-1] * (1.0 + 1e-12):
+            x = min(x, rt[-1])
+            i = min(int(np.searchsorted(rt, x, side="right")) - 1, len(rt) - 2)
+            r0, r1, v0, v1 = rt[i], rt[i + 1], vt[i], vt[i + 1]
+            if v0 > 0 and v1 > 0:
+                t = math.log(x / r0) / math.log(r1 / r0)
+                out.append(math.exp(math.log(v0) + t * (math.log(v1) - math.log(v0))))
+            else:
+                out.append(v0 + (x - r0) / (r1 - r0) * (v1 - v0))
+        elif tail == ("zero",):
+            out.append(0.0)
+        else:
+            out.append(vt[-1] * (x / rt[-1]) ** -tail[1])
+    return np.array(out)
+
+
+class TestPieceTable:
+    """Every radial integral of K comes from one exact antiderivative of its
+    power-law pieces."""
+
+    RT = np.geomspace(1e-2, 1e2, 17)
+
+    def zero_valued(self):
+        v = self.RT ** -2.5
+        v[[0, 5, 6, 12]] = 0.0  # a zero first sample, a zero pair, a lone zero
+        return v
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_fractional_is_bit_identical_at_half(self, N):
+        k = frac(N=N, eps=0.75 if N == 2 else 0.5)
+        sig = k.sigma
+        r = np.geomspace(1e-3, 1e3, 997)
+        assert np.array_equal(eval_kernel_radial(k, r), r ** (-sig))
+        assert np.array_equal(radial_antiderivative(k, 1, r), r ** (2 - sig) / (2 - sig))
+        assert np.array_equal(radial_tail_integral(k, r), r ** -0.5 / 0.5)
+        for rho in (0.013, 0.7, 2.0, 51.3):
+            got = radial_tail_integral(k, rho)
+            assert type(got) is float and got == rho ** -0.5 / 0.5
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_vectorized_tail_matches_scalars_and_closed_forms(self, N):
+        eps = 0.75 if N == 2 else 0.5
+        rho = np.geomspace(1e-3, 1e2, 60).reshape(3, 20)
+        trunc = frac(N=N, eps=eps, kind="truncated-fractional", cap=0.5)
+        r_cap = 0.5 ** (-1.0 / (N + 0.5))
+        closed = np.where(
+            rho >= r_cap, rho ** -0.5 / 0.5, 0.5 * (r_cap ** N - rho ** N) / N + r_cap ** -0.5 / 0.5
+        )
+        kinds = {"fractional": (frac(N=N, eps=eps), rho ** -0.5 / 0.5), "truncated": (trunc, closed)}
+        v = self.zero_valued()
+        kinds["tabulated"] = (frac(N=N, eps=eps, kind="tabulated", radii=self.RT, values=v, tail=("power", 4.0)), None)
+        for name, (k, want) in kinds.items():
+            got = radial_tail_integral(k, rho)
+            assert got.shape == rho.shape
+            # a scalar takes the scalar power, an array numpy's: equal to rounding
+            scalars = [[radial_tail_integral(k, x) for x in row] for row in rho]
+            assert np.allclose(got, scalars, rtol=1e-15, atol=0), name
+            if want is not None:
+                assert np.allclose(got, want, rtol=1e-13, atol=0), name
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_power_law_table_tail_equals_fractional(self, N):
+        eps = 0.75 if N == 2 else 0.5
+        r = np.geomspace(1e-3, 1e3, 200)
+        k = frac(N=N, eps=eps, kind="tabulated", radii=r, values=r ** -(N + 0.5), tail=("power", N + 0.5))
+        rho = np.concatenate((np.geomspace(1e-4, 1e4, 97), r[::7], np.linspace(1.0, 1.5, 50)))
+        assert np.allclose(radial_tail_integral(k, rho), rho ** -0.5 / 0.5, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("tail", [("power", 3.5), ("zero",), None])
+    def test_tabulated_evaluation_is_the_interpolation_rule(self, tail):
+        rt, vt = self.RT, self.zero_valued()
+        k = frac(kind="tabulated", radii=rt, values=vt, tail=tail)
+        top = rt[-1] * (1.0 + 1e-12)  # the endpoint slack reads the last sample
+        probe = np.concatenate(
+            (
+                [1e-4, 3e-3, rt[0] * 0.999],  # below the first sample
+                np.geomspace(rt[0], rt[-1], 301),
+                rt, rt * (1 + 1e-9), rt * (1 - 1e-9),
+                [rt[-1] * (1.0 + 5e-13), top],
+            )
+        )
+        if tail is None:
+            probe = probe[probe <= top]
+        else:
+            probe = np.concatenate((probe, [top * (1 + 1e-15), 150.0, 1e4]))
+        got = eval_kernel_radial(k, probe)
+        want = old_table_formula(rt, vt, tail, probe)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15 * vt.max()), tail
+        assert eval_kernel_radial(k, top) == vt[-1] and eval_kernel_radial(k, rt[-1] * (1.0 + 5e-13)) == vt[-1]
+        # two positive first samples give the power law through them below
+        pos = frac(kind="tabulated", radii=rt, values=rt ** -2.5, tail=tail)
+        below = np.array([1e-4, 3e-3])
+        assert np.allclose(eval_kernel_radial(pos, below), below ** -2.5, rtol=1e-12, atol=0)
+        if tail is None:
+            with pytest.raises(DomainError):
+                eval_kernel_radial(k, top * (1 + 1e-15))
+
+    @pytest.mark.parametrize("N, q", [(2, 1), (3, 1), (3, 2)])
+    def test_antiderivative_is_exact_across_knots(self, N, q):
+        import mpmath
+
+        rt, vt = self.RT, self.zero_valued()
+        k = frac(N=N, eps=0.75 if N == 2 else 0.5, kind="tabulated", radii=rt, values=vt, tail=("power", 4.5))
+        f = lambda t: float(eval_kernel_radial(k, float(t))) * float(t) ** q
+        for a, b in [(2e-3, 5e-3), (0.02, 0.9), (0.3, 31.0), (9.0, 11.0), (60.0, 400.0)]:
+            pts = [a] + [x for x in rt if a < x < b] + [b]
+            want = float(mpmath.fsum(mpmath.quad(f, [lo, hi]) for lo, hi in zip(pts[:-1], pts[1:])))
+            got = float(np.diff(radial_antiderivative(k, q, [a, b]))[0])
+            assert got == pytest.approx(want, rel=1e-12), (a, b)
+
+    def test_domain_errors_still_raise(self):
+        r = np.geomspace(1e-2, 10.0, 100)
+        no_tail = frac(kind="tabulated", radii=r, values=r ** -2.5)
+        slow = frac(N=3, eps=0.5, kind="tabulated", radii=r, values=r ** -3.5, tail=("power", 3.0))
+        for k in (no_tail, slow):
+            for rho in (1.0, 50.0, np.array([0.5, 2.0])):
+                with pytest.raises(DomainError):
+                    radial_tail_integral(k, rho)
+        with pytest.raises(DomainError):
+            radial_antiderivative(no_tail, 1, [1.0, 20.0])
+        with pytest.raises(ParameterError):
+            radial_tail_integral(frac(), np.array([1.0, 0.0]))

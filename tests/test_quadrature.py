@@ -35,7 +35,7 @@ from nldrop.quadrature import (
     sphere_average,
     voxelize,
     _fft_pair_sum,
-    _pair_field,
+    _pair_fields,
     _stencil,
 )
 
@@ -346,31 +346,16 @@ class TestStencilAndPairSum:
             assert _fft_pair_sum(a, empty, T) == 0.0
             assert _fft_pair_sum(empty, empty, T) == 0.0
 
-    def test_pair_sums_take_no_pair_field(self, monkeypatch):
+    def test_pair_sums_take_no_pair_field(self):
         # every pair sum goes through the Parseval sum on the occupied box;
-        # _pair_field serves fields only
-        def refuse(*args, **kwargs):
-            raise AssertionError("pair sum took the pair field")
-
-        monkeypatch.setattr(quadrature, "_pair_field", refuse)
+        # _pair_fields serves fields only
+        assert not hasattr(quadrature, "_pair_field")
         ball = geometry.ball_of_volume(2, math.pi)
         other = geometry.translate(ball, np.array([2.5, 0.0]))
         spec = QuadratureSpec(budget=1024)
         assert complement_double_integral(ball, frac_kernel(), spec).value > 0
         assert double_integral(ball, other, 1.0, spec).value > 0
         assert double_integral(ball, ball, 1.0, spec).value > 0
-
-    def test_pair_field_holds_no_padded_output(self):
-        occ = np.zeros((32,) * 3, dtype=bool)
-        occ[4:28, 6:26, 8:24] = True
-        T = _stencil((32,) * 3, 1.0 / 32, riesz_integrand(3, 1.0))
-        tracemalloc.start()
-        try:
-            field = _pair_field(occ, T)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held < 2 * field.nbytes
 
     @pytest.mark.parametrize(
         "occ_shape, T_shape",
@@ -382,26 +367,31 @@ class TestStencilAndPairSum:
             ((5, 1, 4), (9, 1, 7)),
             ((5, 6), (21, 17)),  # a stencil larger than the grid
             ((3, 4, 2), (9, 9, 9)),
-            ((1, 1), (3, 5)),  # one cell: no FFT axis at all
+            ((1, 1), (3, 5)),  # one cell: a one-point FFT grid
         ],
     )
     def test_pair_field_matches_fftconvolve(self, occ_shape, T_shape):
         # The reference is the definition, a direct sum over occupied j of
         # T at offset j - i; the FFT route agrees with scipy's fftconvolve
-        # to rounding, not bit for bit.
+        # to rounding, not bit for bit.  Both stencils share one FFT of occ.
         rng = np.random.default_rng(sum(occ_shape) + sum(T_shape))
         occ = rng.random(occ_shape) < 0.6
-        T = rng.random(T_shape)
-        field = _pair_field(occ, T)
         centre = np.array(T_shape) // 2
         occupied = np.argwhere(occ)
-        direct = np.zeros(occ_shape)
-        for i in np.ndindex(*occ_shape):
-            direct[i] = np.sum(T[tuple((occupied - i + centre).T)])
-        assert np.allclose(field, direct, rtol=1e-12, atol=0)
-        ref = signal.fftconvolve(occ.astype(float), T[(slice(None, None, -1),) * T.ndim], mode="full")
-        crop = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T_shape, occ_shape))
-        assert np.allclose(field, ref[crop], rtol=1e-12, atol=0)
+        stencils = [rng.random(T_shape), rng.random(T_shape)]
+        fshape, fields = _pair_fields(occ, iter(stencils))
+        assert fshape == tuple(quadrature._fast_len(2 * d - 1) for d in occ_shape)
+        for T, (field, W) in zip(stencils, fields):
+            direct = np.zeros(occ_shape)
+            for i in np.ndindex(*occ_shape):
+                direct[i] = np.sum(T[tuple((occupied - i + centre).T)])
+            assert field.shape == occ_shape
+            assert np.allclose(field, direct, rtol=1e-12, atol=0)
+            ref = signal.fftconvolve(occ.astype(float), T[(slice(None, None, -1),) * T.ndim], mode="full")
+            crop = tuple(slice(n // 2, n // 2 + d) for n, d in zip(T_shape, occ_shape))
+            assert np.allclose(field, ref[crop], rtol=1e-12, atol=0)
+            # W is the Parseval weight of the same stencil on the same grid
+            assert np.allclose(W, quadrature._pair_sum_weights(T, occ_shape)[1], rtol=0, atol=0)
 
     def test_fast_len_matches_scipy(self):
         from scipy import fft
