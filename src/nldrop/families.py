@@ -9,23 +9,21 @@ splitting argument treats the far piece; this only raises the reported
 split energy, so positive margins are conservative evidence.
 
 Also provided: a weak-subadditivity probe (the far-apart union of two
-family minimizers is itself a family competitor) and a volume-preserving
-annealing search on voxel grids.
+family minimizers is itself a family competitor).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import energy as energy_mod
-from . import geometry, quadrature
+from . import geometry
 from .energy import EnergyParams, EnergyReport
 from .errors import ParameterError, PreconditionError
-from .geometry import BallConfig, VoxelShape
+from .geometry import BallConfig
 from .quadrature import QuadratureSpec
 
 _DEFAULT_FRACTIONS = (0.25, 0.375, 0.5, 0.625, 0.75)
@@ -297,161 +295,3 @@ def weak_subadditivity_probe(
         family_min_1=res1.family_min,
         family_min_2=res2.family_min,
     )
-
-
-# ---------------------------------------------------------------------------
-# Voxel annealing
-
-
-def _stencil_window(T: np.ndarray, cell) -> np.ndarray:
-    """View of stencil T over the grid: entry i is T[(i - cell) + dims - 1],
-    the pair-sum contribution of ``cell`` to cell i.  Its entry at ``cell``
-    is the zero-offset (same-cell) value."""
-    return T[tuple(slice(n // 2 - c, n - c) for n, c in zip(T.shape, cell))]
-
-
-def _neighbor_masks(occ: np.ndarray):
-    """Boundary masks: occupied cells touching empties, empty cells
-    touching occupied (4-neighborhood)."""
-    empty = ~occ
-    touch_empty = np.zeros_like(occ)
-    touch_occ = np.zeros_like(occ)
-    for ax in range(occ.ndim):
-        for shift in (1, -1):
-            rolled = np.roll(occ, shift, axis=ax)
-            edge = [slice(None)] * occ.ndim
-            edge[ax] = 0 if shift == 1 else -1
-            rolled[tuple(edge)] = False
-            touch_occ |= rolled
-            rolled_e = np.roll(empty, shift, axis=ax)
-            rolled_e[tuple(edge)] = False
-            touch_empty |= rolled_e
-    return occ & touch_empty, empty & touch_occ
-
-
-def voxel_local_search(
-    E0: VoxelShape,
-    params: EnergyParams,
-    steps: int,
-    t0: Optional[float] = None,
-    ratio: float = 0.95,
-    seed: int = 0,
-) -> Tuple[VoxelShape, List[dict]]:
-    """Volume-preserving annealing on a voxel grid (N = 2).
-
-    Each move removes one occupied boundary cell and adds one empty
-    boundary cell (the occupied count never changes); acceptance follows
-    the Metropolis rule with a geometric temperature schedule (ratio per
-    epoch).  The energy is the grid engines' ``total_energy``: the
-    perimeter count(E) a(h) - S(E, E) with the shared cell kernel mass
-    a(h), pair sums with the near-refined stencils, and exact origin-cell
-    background.
-    Returns the best shape seen and a per-epoch trace; deterministic for
-    a fixed seed.
-    """
-    if E0.dimension != 2:
-        raise ParameterError("the local search supports N = 2 voxel shapes")
-    if steps <= 0:
-        return E0, []
-    N = 2
-    occ = E0.occupancy.copy()
-    count = int(np.count_nonzero(occ))
-    if count == 0 or count == occ.size:
-        return E0, []
-    dims = occ.shape
-    h = E0.spacing
-    igd_k = quadrature.kernel_integrand(params.kernel)
-    igd_r = quadrature.riesz_integrand(N, params.alpha)
-    T_k = quadrature._stencil(dims, h, igd_k)
-    T_r = quadrature._stencil(dims, h, igd_r)
-
-    _, a = quadrature._cell_kernel_mass(dims, h, igd_k)
-    all_idx = np.indices(dims).reshape(N, -1).T
-    all_centers = E0.origin + (all_idx + 0.5) * h
-    b_means, _ = quadrature._singular_cell_means(
-        all_centers, h, quadrature.PointSingularity(np.zeros(N), params.beta)
-    )
-    lin = a - params.A * b_means.reshape(dims) * h ** N
-
-    (phi_k, _), (phi_r, _) = quadrature._pair_fields(occ, (T_k, T_r))[1]
-    s_k = float(np.sum(phi_k[occ]))
-    s_r = float(np.sum(phi_r[occ]))
-
-    def current_energy():
-        return float(np.sum(lin[occ])) - s_k + 0.5 * s_r
-
-    rng = np.random.default_rng(seed)
-    energy_now = current_energy()
-    best_energy = energy_now
-    best_occ = occ.copy()
-
-    def propose():
-        occ_b, emp_b = _neighbor_masks(occ)
-        occ_list = np.argwhere(occ_b if np.any(occ_b) else occ)
-        emp_list = np.argwhere(emp_b if np.any(emp_b) else ~occ)
-        u = tuple(occ_list[rng.integers(len(occ_list))])
-        v = tuple(emp_list[rng.integers(len(emp_list))])
-        # moving a cell removes u's pair terms (including its diagonal T0)
-        # and adds v's against E - {u}: dS = 2 phi(v) - 2 phi(u) - 2 T[v-u] + 2 T0,
-        # where u's stencil window holds T[v-u] at v and T0 at u
-        w_k = _stencil_window(T_k, u)
-        w_r = _stencil_window(T_r, u)
-        d_sk = 2.0 * (float(phi_k[v]) - float(phi_k[u]) - float(w_k[v]) + float(w_k[u]))
-        d_sr = 2.0 * (float(phi_r[v]) - float(phi_r[u]) - float(w_r[v]) + float(w_r[u]))
-        delta = float(lin[v]) - float(lin[u]) - d_sk + 0.5 * d_sr
-        return u, v, d_sk, d_sr, delta
-
-    if t0 is None:
-        probes = [abs(propose()[4]) for _ in range(16)]
-        t0 = float(np.median(probes)) or 1e-6
-    temperature = float(t0)
-    epoch = max(64, count)
-    trace: List[dict] = []
-    accepted = 0
-    for step in range(steps):
-        u, v, d_sk, d_sr, delta = propose()
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
-            occ[u] = False
-            occ[v] = True
-            phi_k += _stencil_window(T_k, v)
-            phi_k -= _stencil_window(T_k, u)
-            phi_r += _stencil_window(T_r, v)
-            phi_r -= _stencil_window(T_r, u)
-            s_k += d_sk
-            s_r += d_sr
-            energy_now += delta
-            accepted += 1
-            if energy_now < best_energy:
-                best_energy = energy_now
-                best_occ = occ.copy()
-        if (step + 1) % epoch == 0:
-            trace.append(
-                {
-                    "step": step + 1,
-                    "temperature": temperature,
-                    "energy": energy_now,
-                    "best_energy": best_energy,
-                    "accept_rate": accepted / (step + 1),
-                }
-            )
-            temperature *= ratio
-    if not trace or trace[-1]["step"] != steps:
-        trace.append(
-            {
-                "step": steps,
-                "temperature": temperature,
-                "energy": energy_now,
-                "best_energy": best_energy,
-                "accept_rate": accepted / steps,
-            }
-        )
-    # guard against drift in the incrementally tracked pair sums
-    s_fresh = quadrature._fft_pair_sum(occ, occ, T_r)
-    if not abs(s_fresh - s_r) <= 1e-6 * (1.0 + abs(s_fresh)):
-        raise PreconditionError(f"pair-sum drift: tracked {s_r}, recomputed {s_fresh}")
-    if int(np.count_nonzero(occ)) != count:
-        raise PreconditionError("volume constraint violated")
-    best = VoxelShape(
-        dimension=2, origin=E0.origin, spacing=E0.spacing, occupancy=best_occ
-    )
-    return best, trace

@@ -8,15 +8,19 @@ Two engine families are provided behind one interface:
   at least twice the occupied box per axis.  Cell pairs near the singular
   diagonal use exact cell-pair integrals (difference-variable form with a
   triangular weight and dyadic Gauss-Legendre refinement toward the
-  singularity; the corner series of a homogeneous integrand is summed in
-  closed form from at most N + 2 levels, any other one is refined 40
-  levels and extrapolated geometrically).  They are kept in near tables,
-  one integral per symmetry orbit of cell offsets, shared by every grid of
-  one spacing; power-law integrands keep one table at unit spacing for all
-  spacings.  Stencils are evaluated in slabs of offsets, a radial one on
-  one orthant and mirrored.  A complement integral is count(E) a(h) -
-  S(E, E): S is the pair sum over E x E and a(h) is the kernel mass of one
-  cell against all of space, the stencil sum plus the exact directional
+  singularity).  Every integrand carries its core: below a radius r0 it
+  is homogeneous of degree -p0; for a kernel that is the first power-law
+  piece of ``kernels._pieces``.  The refinement runs until the boxes at
+  the origin lie inside r0, and the rest of the corner series is summed
+  in closed form from at most N + 2 more levels; a kernel's knots near
+  the origin are integrated exactly beforehand.  So the near values of
+  every kernel kind are exact to rounding.  They are kept in near
+  tables, one integral per symmetry orbit of cell offsets, shared by
+  every grid of one spacing; power-law integrands (r0 infinite) keep one
+  table at unit spacing for all spacings.  Stencils are evaluated in
+  slabs of offsets, a radial one on one orthant and mirrored.  A
+  complement integral is count(E) a(h) - S(E, E): S is the pair sum over
+  E x E and a(h) is the kernel mass of one cell against all of space, the stencil sum plus the exact directional
   tail beyond the stencil box (the closed-form radial tail from the
   ray-box exit distance, summed over a midpoint direction grid).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
@@ -38,6 +42,7 @@ direction grid in blocks built from per-axis factors
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections import OrderedDict
@@ -57,7 +62,6 @@ _TAIL_DIRECTIONS = {2: 256, 3: 512}
 _SPHERE_BLOCK = 1 << 14  # sphere integrals take their directions in blocks this large
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
-_PAIR_DEPTH = 40
 # Complement integrals pad a shape's grid with empty cells to at least this
 # many cells per axis: the stencil then holds every near offset, and the
 # directional tail starts well away from the centre cell.
@@ -150,30 +154,46 @@ class OffsetIntegrand:
 
     ``sigma`` is the strength of the |z|^-sigma behavior at z = 0 (0 for
     bounded integrands); it sets how many near-diagonal stencil offsets get
-    exact cell-pair integrals.  Radial integrands set ``ray_tail``
-    (per-steradian tail integral of g(r) r^(N-1) from rho to infinity) to
-    enable complement tails.
+    exact cell-pair integrals.  ``core`` = (r0, p0): g(t z) = t^(-p0) g(z)
+    for 0 < t <= 1 and |z| <= r0, which closes the corner series of every
+    exact cell-pair integral (see ``cell_pair_integral``).  Radial
+    integrands set ``ray_tail`` (per-steradian tail integral of
+    g(r) r^(N-1) from rho to infinity) to enable complement tails.  A
+    radial g made of power-law pieces sets ``pieces`` = (knots, c, p,
+    bound) as in ``kernels._pieces``; its core is the first piece, and the
+    cell-pair integrals take its knots near the origin exactly.
 
-    Two properties, set by the constructors below, let the stencils share
-    those exact integrals (see ``_near_values``).  ``radial``: g depends on
-    |z| alone, so a cell offset's integral depends only on its sorted
-    absolute components.  ``homogeneous``: g(t z) = t^(-sigma) g(z) for
-    t > 0, so the integral at spacing h is the spacing-1 value times
-    h^(2N - sigma).  An integrand built directly leaves both False and
-    gets one exact integral per offset and per spacing.
+    Two properties let the stencils share those exact integrals (see
+    ``_near_values``).  ``radial``: g depends on |z| alone, so a cell
+    offset's integral depends only on its sorted absolute components.  An
+    infinite r0: g is homogeneous, so the integral at spacing h is the
+    spacing-1 value times h^(2N - p0).  Otherwise there is one exact
+    integral per offset (per orbit when radial) and per spacing.
     """
 
     dimension: int
     sigma: float
     vec: Callable[[np.ndarray], np.ndarray]
     cache_token: object
+    core: Tuple[float, float]
     ray_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radial: bool = False
-    homogeneous: bool = False
+    pieces: Optional[tuple] = None
+
+
+def _piece_core(pieces: tuple, j: int = 0) -> Tuple[float, float]:
+    """(r0, p0) of piece j of ``pieces``, taken as the core: its upper knot
+    (infinite for the last piece) and the exponent of its first monomial.
+    For a kernel (j = 0) that is the fractional kind's r^-(N+s) everywhere,
+    the truncated kind's cap (p0 = 0) below cap^(-1/sigma), and a table's
+    power law through its first two samples below its first radius."""
+    knots, _, p, _ = pieces
+    return (float(knots[j]) if j < knots.size else math.inf), float(p[j, 0])
 
 
 def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     N, s = kernel.dimension, kernel.s
+    pieces = kernels._pieces(kernel)
 
     def vec(z):
         return kernels.eval_kernel(kernel, z)
@@ -183,9 +203,10 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=N + s,
         vec=vec,
         cache_token=kernel.cache_token,
+        core=_piece_core(pieces),
         ray_tail=functools.partial(kernels.radial_tail_integral, kernel),
         radial=True,
-        homogeneous=kernel.kind == "fractional",
+        pieces=pieces,
     )
 
 
@@ -202,14 +223,16 @@ def riesz_integrand(N: int, alpha: float) -> OffsetIntegrand:
         sigma=alpha,
         vec=vec,
         cache_token=("riesz", N, alpha),
+        core=(math.inf, alpha),
         radial=True,
-        homogeneous=True,
     )
 
 
 def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     """g(z) = K(z) |z|: the first radial moment of the kernel."""
     N = kernel.dimension
+    knots, c, p, bound = kernels._pieces(kernel)
+    pieces = (knots, c, p - 1.0, bound)
 
     def vec(z):
         z = np.asarray(z, dtype=float)
@@ -221,8 +244,9 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=kernel.sigma - 1.0,
         vec=vec,
         cache_token=("moment1",) + (kernel.cache_token,),
+        core=_piece_core(pieces),
         radial=True,
-        homogeneous=kernel.kind == "fractional",
+        pieces=pieces,
     )
 
 
@@ -244,7 +268,7 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
         sigma=0.0,
         vec=vec,
         cache_token=("dirpos", N) + tuple(float(v) for v in nu),
-        homogeneous=True,
+        core=(math.inf, 0.0),
     )
 
 
@@ -286,7 +310,7 @@ def _box_nodes(lo: np.ndarray, hi: np.ndarray):
     return pts.reshape(-1, N), w.ravel()
 
 
-def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, sigma=None, degrees=(0, 0)) -> float:
+def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, sigma: float, degrees=(0, 0), head: int = 0) -> float:
     """Sum of integrals of fvec over the boxes [lo_k, hi_k], level by level.
 
     At each level one Gauss-Legendre call integrates every box clear of
@@ -294,23 +318,20 @@ def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, sigma=None, degrees=(
     of every axis) is split into its 2^N halves for the next level.  The
     boxes of level k + 1 are the ones of level k scaled by 1/2.
 
-    When fvec is a g homogeneous of degree -``sigma`` times a polynomial
-    weight whose monomials on the origin boxes have degrees in
-    ``degrees`` = (m_min, m_max), the Gauss-Legendre sums scale exactly
-    too: level k >= 1 contributes sum_m A_m r_m^(k-1) with
-    r_m = 2^-(N - sigma + m).  Levels 0..L, for the L ratios, fix that
-    series, and its sum is c_0 + P(1)/Q(1) with Q(x) = prod_m (1 - r_m x)
-    and P the first L coefficients of Q(x) sum_{k>=1} c_k x^(k-1).  Every
-    r_m must be below 1.  With ``sigma`` None the levels run to
-    ``_PAIR_DEPTH`` and the truncated series is completed by geometric
-    extrapolation of its last ratio.
+    From level ``head`` on, the boxes touching the origin must lie where
+    fvec is a g homogeneous of degree -``sigma`` times a polynomial weight
+    whose monomials on those boxes have degrees in ``degrees`` =
+    (m_min, m_max).  The Gauss-Legendre sums then scale exactly too: level
+    head + k, k >= 1, contributes sum_m A_m r_m^(k-1) with
+    r_m = 2^-(N - sigma + m).  Levels 0..head + L, for the L ratios, fix
+    that series: levels 0..head are summed as they are, and the rest is
+    P(1)/Q(1) with Q(x) = prod_m (1 - r_m x) and P the first L
+    coefficients of Q(x) sum_{k>=1} c_{head+k} x^(k-1).  Every r_m must be
+    below 1.
     """
     N = lo.shape[1]
-    if sigma is None:
-        depth = _PAIR_DEPTH
-    else:
-        ratios = 2.0 ** -(N - sigma + np.arange(degrees[0], degrees[1] + 1))
-        depth = ratios.size
+    ratios = 2.0 ** -(N - sigma + np.arange(degrees[0], degrees[1] + 1))
+    depth = head + ratios.size
     # upper[c, ax]: child c of a split box takes the upper half along ax
     upper = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1).astype(bool)
     contrib = np.zeros(depth + 1)
@@ -329,17 +350,11 @@ def _dyadic_integral(lo: np.ndarray, hi: np.ndarray, fvec, sigma=None, degrees=(
             np.where(upper, mid[:, None], lo[:, None]).reshape(-1, N),
             np.where(upper, hi[:, None], mid[:, None]).reshape(-1, N),
         )
-    total = float(contrib.sum())
     if lo.shape[0] == 0:  # no box touches the origin: the sum is complete
-        return total
-    if sigma is not None:
-        q = np.poly(ratios)  # Q's coefficients, lowest power first
-        p = np.convolve(contrib[1:], q)[:depth]
-        return float(contrib[0]) + float(p.sum()) / float(q.sum())
-    if contrib[depth] > 0.0 and contrib[depth - 1] > 0.0:
-        ratio = min(contrib[depth] / contrib[depth - 1], 0.95)
-        total += contrib[depth] * ratio / (1.0 - ratio)
-    return total
+        return float(contrib.sum())
+    q = np.poly(ratios)  # Q's coefficients, lowest power first
+    p = np.convolve(contrib[head + 1 :], q)[: ratios.size]
+    return float(contrib[: head + 1].sum()) + float(p.sum()) / float(q.sum())
 
 
 def _grid_boxes(axis_edges):
@@ -362,8 +377,60 @@ def _axis_breaks(d: float, h: float) -> list:
     return sorted(set(pts))
 
 
-def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, sigma=None) -> float:
-    """Exact integral of g(y - x) over a pair of cubic cells.
+def _peel_knots(d: np.ndarray, h: float, m_min: int, igd: OffsetIntegrand):
+    """Take the knots of a piecewise g near the origin out of a cell pair.
+
+    The support d + [-h, h]^N of the pair holds the origin.  Within the
+    radius rho of the origin it is a union of whole orthants, and on each
+    the triangular weight is prod_i (a_i + b_i |z_i|).  Let k_J be the
+    last knot of ``igd.pieces`` up to rho and g_J the next piece continued
+    inward to 0.  Then g - g_J is radial and lives in the ball of radius
+    k_J, so its integral against the weight is exact: with S0_i and S1_i
+    the sums of a_i and b_i over the sides of axis i that the support
+    enters, the weight's degree-m coefficient summed over the orthants is
+    that of prod_i (S0_i + S1_i x); a degree-m product of distinct
+    |theta_i| integrates over one orthant of the unit sphere to a Gamma
+    ratio; and the integral of g - g_J against r^(N-1+m) is exact on
+    every piece.  Returns (g_J as an
+    integrand with its core, the integral of g - g_J).  With no knot up to
+    rho, or a g_J that is not one monomial with a convergent integral at
+    this pair, it returns (igd, 0).
+    """
+    N = d.size
+    knots, c, p, _ = igd.pieces
+    ad = np.abs(d)
+    side = ad == h  # the support ends at the origin on one side of this axis
+    rho = float(np.min(np.where((d == 0.0) | side, h, np.minimum(ad, h - ad))))
+    J = int(np.searchsorted(knots, rho, side="right"))
+    used = c[J] != 0.0
+    if J == 0 or np.count_nonzero(used) != 1 or N - p[J][used][0] + m_min <= 0:
+        return igd, 0.0
+    kJ, cJ, pJ = float(knots[J - 1]), float(c[J][used][0]), float(p[J][used][0])
+    S = [[0.0, 1.0] if at_side else [2.0 * (h - a), -2.0 if a == 0.0 else 0.0]
+         for a, at_side in zip(ad, side)]
+    coef = functools.reduce(np.convolve, S)
+    m = np.arange(m_min, N + 1)
+    orthant = np.array([2.0 ** (1 - N) * math.pi ** ((N - k) / 2) / math.gamma((N + k) / 2) for k in m])
+    # pieces 0..J-1 on their intervals, minus g_J on [0, k_J]
+    e = N + m[:, None, None] - p[None, : J + 1]
+    radial = (
+        kernels._monomial_integrals(c[:J], e[:, :J], knots[:J])
+        - kernels._monomial_integrals(c[:J], e[:, :J], np.r_[0.0, knots[: J - 1]])
+    ).sum(axis=-1) - kernels._monomial_integrals(c[J], e[:, J], np.array(kJ))
+
+    def vec(z):
+        out = igd.vec(z)
+        r = np.sqrt(np.sum(z ** 2, axis=-1))
+        inner = r < kJ
+        out[inner] = cJ * r[inner] ** -pJ
+        return out
+
+    peeled = dataclasses.replace(igd, vec=vec, core=_piece_core(igd.pieces, J), pieces=None)
+    return peeled, float(np.sum(coef[m] * orthant * radial))
+
+
+def cell_pair_integral(dvec, h: float, igd: OffsetIntegrand) -> float:
+    """Exact integral of g = ``igd.vec`` (y - x) over a pair of cubic cells.
 
     The cells have side h and center offset dvec = center(y-cell) minus
     center(x-cell).  In the difference variable z = y - x the integral is
@@ -372,32 +439,42 @@ def cell_pair_integral(dvec, h: float, gvec: Callable, N: int, sigma=None) -> fl
     pre-split so every quadrature box sees a smooth integrand.  An offset
     component within rounding (1e-12 h) of +-h counts as +-h.
 
-    Pass ``sigma`` when g is homogeneous of degree -sigma: the corner
-    series at the origin is then summed in closed form from at most N + 2
-    levels (see ``_dyadic_integral``).  On the origin boxes the weight's
-    monomials have degrees from the number of axes with |d_i| = h up to
-    N; a pair whose lowest degree m_min has N - sigma + m_min <= 0
-    diverges and is rejected.  Without ``sigma`` the series is refined 40
-    levels deep and extrapolated.
+    The boxes at the origin lie within h sqrt(N) of it.  They are refined
+    L0 = max(0, ceil(log2(h sqrt(N) / r0))) levels, until they lie inside
+    the core (r0, p0) of g, and the rest of the corner series is summed in
+    closed form with sigma = p0 from at most N + 1 more levels (see
+    ``_dyadic_integral``).  On the origin boxes the weight's monomials
+    have degrees from the number of axes with |d_i| = h up to N; a pair
+    whose lowest degree m_min has N - p0 + m_min <= 0 diverges and is
+    rejected.  A g given by power-law pieces first has its knots near the
+    origin taken out exactly (``_peel_knots``), so no quadrature box
+    straddles a kink of g there; the core is then that of the continued
+    piece.
     """
+    N = igd.dimension
     d = np.asarray(dvec, dtype=float)
     edge = np.abs(np.abs(d) - h) <= 1e-12 * h
     d = np.where(edge, np.copysign(h, d), d)
+    m_min = int(np.count_nonzero(edge))
+    origin = bool(np.all(np.abs(d) <= h))
+    if origin and N - igd.core[1] + m_min <= 0:
+        raise ParameterError(
+            f"cell pair at offset {d.tolist()} with |z|^-{igd.core[1]} singularity in "
+            f"dimension {N}: the integral diverges"
+        )
+    ball = 0.0
+    if origin and igd.pieces is not None:
+        igd, ball = _peel_knots(d, h, m_min, igd)
+    r0, p0 = igd.core
 
     def fvec(pts):
         w = np.prod(np.clip(h - np.abs(pts - d), 0.0, None), axis=-1)
-        return gvec(pts) * w
+        return igd.vec(pts) * w
 
     boxes = _grid_boxes([_axis_breaks(d[i], h) for i in range(N)])
-    if sigma is None:
-        return _dyadic_integral(*boxes, fvec)
-    m_min = int(np.count_nonzero(edge))
-    if np.all(np.abs(d) <= h) and N - sigma + m_min <= 0:
-        raise ParameterError(
-            f"cell pair at offset {d.tolist()} with |z|^-{sigma} singularity in "
-            f"dimension {N}: the integral diverges"
-        )
-    return _dyadic_integral(*boxes, fvec, sigma, (m_min, N))
+    reach = h * math.sqrt(N)
+    head = math.ceil(math.log2(reach / r0)) if reach > r0 else 0
+    return _dyadic_integral(*boxes, fvec, p0, (m_min, N), head) + ball
 
 
 def point_singularity_cell_integral(lo, hi, center, exponent: float, N: int) -> float:
@@ -484,13 +561,15 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
 
     Each value comes from a near table that holds one integral per orbit:
     the sorted absolute offset for a radial g, the offset itself otherwise.
-    A homogeneous g keeps its table at spacing 1 and rescales it by
-    h^(2N - sigma), so one table serves every spacing and grid; any other
-    g keeps one table per spacing.  Integrals are computed on first use,
-    a homogeneous g's with its corner series in closed form.
+    A g whose core (r0, p0) has r0 infinite is homogeneous: it keeps its
+    table at spacing 1 and rescales it by h^(2N - p0), so one table serves
+    every spacing and grid; any other g keeps one table per spacing.
+    Integrals are computed on first use by ``cell_pair_integral``, exact to
+    rounding for every kernel kind.
     """
     N = igd.dimension
-    base = 1.0 if igd.homogeneous else float(h)
+    r0, p0 = igd.core
+    base = 1.0 if r0 == math.inf else float(h)
     key = (igd.cache_token, base)
     table = _NEAR_CACHE.get(key)
     if table is None:
@@ -505,11 +584,9 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
     out = np.empty(orbits.shape[0])
     for i, orbit in enumerate(map(tuple, orbits)):
         if orbit not in table:
-            table[orbit] = cell_pair_integral(
-                np.array(orbit) * base, base, igd.vec, N, igd.sigma if igd.homogeneous else None
-            )
+            table[orbit] = cell_pair_integral(np.array(orbit) * base, base, igd)
         out[i] = table[orbit]
-    return out * (h / base) ** (2 * N - igd.sigma)
+    return out * (h / base) ** (2 * N - p0)
 
 
 def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
@@ -520,11 +597,12 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
     and, for sigma < N, the zero offset use exact cell-pair integrals from
     the near tables of ``_near_values``: one integral per symmetry orbit
     when g is radial, computed once at spacing 1 for every h when g is
-    homogeneous, with its corner series summed in closed form.  A cold 3-D
-    fractional kernel stencil thus costs 9 integrals of at most N + 2
-    levels each, and its fine and coarse grids share them.  A radial g is
-    even in every axis: its offsets 0 .. d - 1 per axis are evaluated and
-    one index of |off| mirrors them, bit for bit, into the full table."""
+    homogeneous (r0 infinite), with its corner series summed in closed
+    form.  A cold 3-D fractional kernel stencil thus costs 9 integrals of
+    at most N + 2 levels each, and its fine and coarse grids share them.
+    A radial g is even in every axis: its offsets 0 .. d - 1 per axis are
+    evaluated and one index of |off| mirrors them, bit for bit, into the
+    full table."""
     N = igd.dimension
     key = (igd.cache_token, tuple(dims), float(h))
     hit = _STENCIL_CACHE.get(key)
@@ -836,7 +914,7 @@ def _batch_rngs(seed: int):
     return [np.random.default_rng(s) for s in seqs]
 
 
-def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma=None) -> IntegralEstimate:
+def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma: float = 0.0) -> IntegralEstimate:
     """Monte Carlo estimate from ``_NB_BATCHES`` seeded batches that share
     the budget: ``batch_mean(rng, count)`` returns one batch's estimate of
     the integral.  The value is the mean of the batch estimates and the
@@ -847,7 +925,7 @@ def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma=None) -> Integr
     means = np.array([batch_mean(rng, per) for rng in _batch_rngs(spec.seed)])
     err = float(np.std(means, ddof=1) / math.sqrt(_NB_BATCHES))
     warn = None
-    if sigma is not None and 2.0 * sigma >= N:
+    if 2.0 * sigma >= N:
         warn = (
             "heavy-tailed integrand; Monte Carlo stderr unreliable; "
             "set quad.method = tensor-midpoint"
@@ -883,7 +961,7 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
             vals = np.where(geometry.indicator(E, pts), fvec(pts), 0.0)
             return float(np.mean(vals)) * box_vol
 
-        return _mc_estimate(spec, N, batch_mean, sing.exponent if sing is not None else None)
+        return _mc_estimate(spec, N, batch_mean, sing.exponent if sing is not None else 0.0)
 
     budget = spec.resolved_budget(N)
 

@@ -1,5 +1,5 @@
-"""Tests for competitor families: two-ball splits, chains, the
-subadditivity probe, and the voxel annealer."""
+"""Tests for competitor families: two-ball splits, chains and the
+subadditivity probe."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from nldrop.families import (
     single_ball_energy,
     split_advantage,
     two_ball_energy,
-    voxel_local_search,
     weak_subadditivity_probe,
 )
 from nldrop.kernels import KernelSpec
@@ -274,62 +273,3 @@ class TestSubadditivityProbe:
     def test_bad_masses(self):
         with pytest.raises(ParameterError):
             weak_subadditivity_probe(0.0, 1.0, make_params(), QuadratureSpec())
-
-
-class TestVoxelLocalSearch:
-    @staticmethod
-    def params2(A=1.0):
-        k = KernelSpec(dimension=2, s=0.5, epsilon=0.7, lam=1.0, kind="fractional")
-        return EnergyParams(kernel=k, A=A, alpha=1.0, beta=1.0)
-
-    @staticmethod
-    def scattered_start(seed=0, grid_n=20, count=40):
-        rng = np.random.default_rng(seed)
-        occ = np.zeros((grid_n, grid_n), dtype=bool)
-        idx = rng.choice(grid_n * grid_n, size=count, replace=False)
-        occ[np.unravel_index(idx, occ.shape)] = True
-        h = 2.0 / grid_n
-        return geometry.VoxelShape(
-            dimension=2, origin=np.array([-1.0, -1.0]), spacing=h, occupancy=occ
-        )
-
-    def test_volume_is_preserved(self):
-        start = self.scattered_start()
-        best, trace = voxel_local_search(start, self.params2(), steps=400, seed=1)
-        assert best.count == start.count
-        assert len(trace) >= 1
-
-    def test_deterministic_for_fixed_seed(self):
-        start = self.scattered_start()
-        b1, t1 = voxel_local_search(start, self.params2(), steps=400, seed=7)
-        b2, t2 = voxel_local_search(start, self.params2(), steps=400, seed=7)
-        assert np.array_equal(b1.occupancy, b2.occupancy)
-        assert t1[-1]["energy"] == t2[-1]["energy"]
-
-    def test_scattered_start_improves(self):
-        start = self.scattered_start()
-        best, trace = voxel_local_search(start, self.params2(), steps=1500, seed=3)
-        assert trace[-1]["best_energy"] < trace[0]["energy"]
-        assert not np.array_equal(best.occupancy, start.occupancy)
-
-    def test_best_energy_is_the_engine_energy(self):
-        start = self.scattered_start()
-        params = self.params2()
-        best, trace = voxel_local_search(start, params, steps=400, seed=1)
-        engine = energy_mod.total_energy(best, params, QuadratureSpec()).total
-        assert trace[-1]["best_energy"] == pytest.approx(engine, rel=1e-9)
-
-    def test_three_dimensional_grid_rejected(self):
-        occ = np.zeros((4, 4, 4), dtype=bool)
-        occ[1:3, 1:3, 1:3] = True
-        vox = geometry.VoxelShape(
-            dimension=3, origin=np.zeros(3), spacing=0.5, occupancy=occ
-        )
-        with pytest.raises(ParameterError):
-            voxel_local_search(vox, make_params(), steps=10)
-
-    def test_zero_steps_returns_input(self):
-        start = self.scattered_start()
-        best, trace = voxel_local_search(start, self.params2(), steps=0)
-        assert best is start
-        assert trace == []

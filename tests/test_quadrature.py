@@ -5,6 +5,7 @@ Reference values were computed independently with scipy.integrate
 frozen here; the engine must reproduce them without sharing code paths.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -86,27 +87,27 @@ class TestCellPairIntegral:
         # the unit-cell value scales by h^(2N - sigma)
         rz = riesz_integrand(2, 1.0)
         h = 0.25
-        got = cell_pair_integral(np.zeros(2), h, rz.vec, 2)
+        got = cell_pair_integral(np.zeros(2), h, rz)
         assert got == pytest.approx(h ** 3 * SAME_CELL_N2_SIGMA1_UNIT, rel=1e-8)
 
     def test_adjacent_cell_riesz(self):
         rz = riesz_integrand(2, 1.0)
-        got = cell_pair_integral(np.array([0.25, 0.0]), 0.25, rz.vec, 2)
+        got = cell_pair_integral(np.array([0.25, 0.0]), 0.25, rz)
         assert got == pytest.approx(ADJACENT_N2_SIGMA1_H025, rel=1e-8)
 
     def test_diagonal_cell_boundary_kernel(self):
         ki = kernel_integrand(frac_kernel())
-        got = cell_pair_integral(np.array([0.25, 0.25]), 0.25, ki.vec, 2)
+        got = cell_pair_integral(np.array([0.25, 0.25]), 0.25, ki)
         assert got == pytest.approx(DIAGONAL_N2_FRAC_HALF_H025, rel=1e-7)
 
     def test_same_cell_riesz_3d(self):
         rz = riesz_integrand(3, 1.0)
-        got = cell_pair_integral(np.zeros(3), 1.0, rz.vec, 3)
+        got = cell_pair_integral(np.zeros(3), 1.0, rz)
         assert got == pytest.approx(SAME_CELL_N3_RIESZ1_UNIT, rel=1e-9)
 
     def test_face_adjacent_kernel_3d(self):
         ki = kernel_integrand(frac_kernel(N=3))
-        got = cell_pair_integral(np.array([0.0, 0.0, 1.0]), 1.0, ki.vec, 3)
+        got = cell_pair_integral(np.array([0.0, 0.0, 1.0]), 1.0, ki)
         assert got == pytest.approx(FACE_N3_FRAC_HALF_UNIT, rel=1e-9)
 
     def test_far_pair_matches_midpoint(self):
@@ -114,9 +115,48 @@ class TestCellPairIntegral:
         rz = riesz_integrand(2, 1.0)
         h = 0.1
         d = np.array([3.0, 1.0])
-        got = cell_pair_integral(d, h, rz.vec, 2)
+        got = cell_pair_integral(d, h, rz)
         mid = float(rz.vec(d[None, :])[0]) * h ** 4
         assert got == pytest.approx(mid, rel=1e-3)
+
+    @pytest.mark.parametrize("s", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("cap", [1e3, 1e6])
+    @pytest.mark.parametrize("h", [0.1, 1.0])
+    def test_truncated_face_pair_is_fractional_minus_the_cap_deficit(self, s, cap, h):
+        # the truncated kernel differs from r^-sigma only inside r_cap < h,
+        # where the face pair's weight is (h - |z_1|) z_2 on the upper half
+        # disk: the deficit is 2h int (r^-sigma - cap) r^2 - int (r^-sigma - cap) r^3
+        # over [0, r_cap].  The kink at r_cap cost about 1e-4 of the value
+        # when Gauss-Legendre boxes straddled it.
+        sigma = 2.0 + s
+        rc = cap ** (-1.0 / sigma)
+        assert rc < h
+        deficit = 2.0 * h * (rc ** (3.0 - sigma) / (3.0 - sigma) - cap * rc ** 3 / 3.0) - (
+            rc ** (4.0 - sigma) / (4.0 - sigma) - cap * rc ** 4 / 4.0
+        )
+        d = np.array([0.0, h])
+        frac = cell_pair_integral(d, h, kernel_integrand(frac_kernel(s=s)))
+        trunc = KernelSpec(dimension=2, s=s, epsilon=0.7, kind="truncated-fractional", cap=cap)
+        got = cell_pair_integral(d, h, kernel_integrand(trunc))
+        assert got == pytest.approx(frac - deficit, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("face", [False, True])
+    def test_refinement_reaches_the_core_before_the_series_closes(self, N, face):
+        # g = |z|^-1 (1 + |z|^8) is |z|^-1 to rounding below 1e-2, and it is
+        # the sum of two power laws whose pair integrals close from level 0
+        def norm(z):
+            return np.sqrt(np.sum(z ** 2, axis=-1))
+
+        def direct(vec, core):
+            return OffsetIntegrand(dimension=N, sigma=1.0, vec=vec, cache_token=None, core=core)
+
+        g = direct(lambda z: (1.0 + norm(z) ** 8) / norm(z), (1e-2, 1.0))
+        d = np.eye(N)[-1] if face else np.zeros(N)
+        parts = cell_pair_integral(d, 1.0, riesz_integrand(N, 1.0)) + cell_pair_integral(
+            d, 1.0, direct(lambda z: norm(z) ** 7, (math.inf, -7.0))
+        )
+        assert cell_pair_integral(d, 1.0, g) == pytest.approx(parts, rel=1e-13)
 
 
 class TestPointSingularityCell:
@@ -219,7 +259,7 @@ class TestClosedFormCornerSeries:
     def test_same_cell_riesz_2d(self, alpha):
         # the 6-point Gauss-Legendre rule of the level boxes sets a floor
         # near 3e-9; the capped extrapolation gave 207.71 for 621.41 at 1.99
-        got = cell_pair_integral(np.zeros(2), 1.0, riesz_integrand(2, alpha).vec, 2, alpha)
+        got = cell_pair_integral(np.zeros(2), 1.0, riesz_integrand(2, alpha))
         assert got == pytest.approx(_same_cell_riesz_2d(alpha), rel=1e-8)
 
     @pytest.mark.parametrize("N", [2, 3])
@@ -238,7 +278,7 @@ class TestClosedFormCornerSeries:
                 calls.append(z.shape[0])
                 return vec(z)
 
-            cell_pair_integral(d, 1.0, gvec, N, igd.sigma)
+            cell_pair_integral(d, 1.0, dataclasses.replace(igd, vec=gvec))
             assert 1 <= len(calls) <= N + 2
 
     @pytest.mark.parametrize("N", [2, 3])
@@ -262,15 +302,19 @@ class TestClosedFormCornerSeries:
         ki = kernel_integrand(frac_kernel())
         for d in ([0.0, 0.0], [0.5, 0.0]):
             with pytest.raises(ParameterError):
-                cell_pair_integral(np.array(d), 1.0, ki.vec, 2, ki.sigma)
+                cell_pair_integral(np.array(d), 1.0, ki)
         # on the support's face it converges; an offset within rounding of
         # the face counts as on it
-        face = cell_pair_integral(np.array([0.0, 1.0]), 1.0, ki.vec, 2, ki.sigma)
-        assert cell_pair_integral(np.array([0.0, 1.0 + 1e-15]), 1.0, ki.vec, 2, ki.sigma) == face
-        # outside the support there is no corner series and nothing diverges
+        face = cell_pair_integral(np.array([0.0, 1.0]), 1.0, ki)
+        assert cell_pair_integral(np.array([0.0, 1.0 + 1e-15]), 1.0, ki) == face
+        # outside the support there is no corner series and nothing diverges:
+        # a kernel truncated at r = 1 agrees with r^-sigma on the whole
+        # support |z| >= 1.5, whatever its core
         d = np.array([2.5, 0.0])
-        far = cell_pair_integral(d, 1.0, ki.vec, 2, ki.sigma)
-        assert far == pytest.approx(cell_pair_integral(d, 1.0, ki.vec, 2), rel=1e-14)
+        far = cell_pair_integral(d, 1.0, ki)
+        capped = KernelSpec(dimension=2, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=1.0)
+        assert kernel_integrand(capped).core == (1.0, 0.0)
+        assert far == pytest.approx(cell_pair_integral(d, 1.0, kernel_integrand(capped)), rel=1e-14)
 
 class TestStencilAndPairSum:
     def test_stencil_is_symmetric(self):
@@ -410,26 +454,41 @@ def trunc_kernel(N=2):
     return KernelSpec(dimension=N, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=50.0)
 
 
-# (integrand, radial, homogeneous) for each constructor, in dimension N
+def power_table(N, s):
+    # a table sampled from r^-(N+s): r^-(N+s) again between and beyond its samples
+    r = np.geomspace(1e-3, 1e3, 200)
+    return KernelSpec(
+        dimension=N, s=s, epsilon=0.7, kind="tabulated",
+        radii=r, values=r ** -(N + s), tail=("power", N + s),
+    )
+
+
+# (integrand, radial, core) for each constructor, in dimension N; the core
+# (r0, p0) is where g is homogeneous of degree -p0
 NEAR_CASES = {
-    "fractional": lambda N: (kernel_integrand(frac_kernel(N=N)), True, True),
-    "truncated": lambda N: (kernel_integrand(trunc_kernel(N)), True, False),
-    "moment": lambda N: (kernel_moment_integrand(frac_kernel(N=N)), True, True),
-    "riesz": lambda N: (riesz_integrand(N, 1.0), True, True),
+    "fractional": lambda N: (kernel_integrand(frac_kernel(N=N)), True, (math.inf, N + 0.5)),
+    "truncated": lambda N: (
+        kernel_integrand(trunc_kernel(N)), True, (50.0 ** (-1.0 / (N + 0.5)), 0.0)
+    ),
+    "tabulated": lambda N: (kernel_integrand(power_table(N, 0.5)), True, (1e-3, pytest.approx(N + 0.5))),
+    "moment": lambda N: (kernel_moment_integrand(frac_kernel(N=N)), True, (math.inf, N - 0.5)),
+    "riesz": lambda N: (riesz_integrand(N, 1.0), True, (math.inf, 1.0)),
     "dirpos": lambda N: (
         directional_positive_integrand(np.arange(1.0, N + 1) / np.linalg.norm(np.arange(1.0, N + 1))),
         False,
-        True,
+        (math.inf, 0.0),
     ),
+    # 1 / (1 + |z|^2) is 1 to rounding below 1e-8
     "direct": lambda N: (
         OffsetIntegrand(
             dimension=N,
             sigma=0.0,
             vec=lambda z: 1.0 / (1.0 + np.sum(z ** 2, axis=-1)),
             cache_token=("test-lorentz", N),
+            core=(1e-8, 0.0),
         ),
         False,
-        False,
+        (1e-8, 0.0),
     ),
 }
 
@@ -439,8 +498,8 @@ class TestNearTables:
     @pytest.mark.parametrize("case", sorted(NEAR_CASES))
     def test_near_entries_match_direct_integrals(self, monkeypatch, N, case):
         _fresh_caches(monkeypatch)
-        igd, radial, homogeneous = NEAR_CASES[case](N)
-        assert (igd.radial, igd.homogeneous) == (radial, homogeneous)
+        igd, radial, core = NEAR_CASES[case](N)
+        assert (igd.radial, igd.core) == (radial, core)
         h = 0.2
         T = _stencil((3,) * N, h, igd)
         width = 2 if igd.sigma >= N - 0.5 else 1
@@ -450,14 +509,28 @@ class TestNearTables:
             if igd.sigma < N or any(o != width for o in off)
         ]
         for off in near:
-            direct = cell_pair_integral(off * h, h, igd.vec, N)
+            direct = cell_pair_integral(off * h, h, igd)
             assert T[tuple(off + 2)] == pytest.approx(direct, rel=1e-9)
-        # the fallbacks: one table per spacing, one integral per signed offset
-        base = 1.0 if homogeneous else h
+        # a homogeneous g (r0 infinite) keeps one table at unit spacing,
+        # any other one table per spacing; one integral per signed offset
+        # when g is not radial
+        base = 1.0 if core[0] == math.inf else h
         assert list(quadrature._NEAR_CACHE) == [(igd.cache_token, base)]
         table = quadrature._NEAR_CACHE[(igd.cache_token, base)]
         orbits = {tuple(sorted(np.abs(off))) for off in near}
         assert len(table) == (len(orbits) if radial else len(near))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("s", [0.5, 0.95, 0.99])
+    def test_power_law_table_matches_the_fractional_kernel(self, monkeypatch, N, s):
+        # the 40-level recursion with a ratio capped at 0.95 gave the face
+        # value 8.4% low at s = 0.95 and 66% low at s = 0.99 (N = 2)
+        _fresh_caches(monkeypatch)
+        h = 0.1
+        offsets = np.array(list(itertools.product(range(3), repeat=N)), dtype=float)[1:]
+        frac = quadrature._near_values(offsets, h, kernel_integrand(frac_kernel(N=N, s=s)))
+        table = quadrature._near_values(offsets, h, kernel_integrand(power_table(N, s)))
+        np.testing.assert_allclose(table, frac, rtol=1e-12, atol=0.0)
 
     def test_cold_stencils_cost_one_integral_per_orbit(self, monkeypatch):
         _fresh_caches(monkeypatch)

@@ -266,14 +266,20 @@ class TestLevelSweep:
         assert peak < 48e6
 
     def test_sweep_uses_no_per_cell_stencil_window(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep called a whole-grid helper")
-
+        # no per-cell stencil window exists for the sweep to take
         assert not hasattr(quadrature, "_stencil_window")
-        monkeypatch.setattr(families, "_stencil_window", refuse)
+        assert not hasattr(families, "_stencil_window")
         # nor a pair field over the grid plus the whole stencil: the sweep's
         # field is an inverse FFT on the occupied box's grid
         assert not hasattr(quadrature, "_pair_field")
+        calls = []
+        pair_fields = quadrature._pair_fields
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return pair_fields(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_pair_fields", counted)
         res = scan(
             seeded_blob(), make_params(), QuadratureSpec(),
             nu_grid=default_direction_grid(2, 2), l_grid=np.linspace(-0.3, 0.3, 5),
@@ -281,6 +287,7 @@ class TestLevelSweep:
         assert len(res.records) == 9
         checks = layer_cake_checks(seeded_blob(), np.array([0.6, 0.8]), QuadratureSpec(), l_count=16)
         assert checks.lhs_riesz > 0.0
+        assert calls
 
     def test_3d_sweep_grid_memory_is_bounded(self):
         # warm stencils; the whole-stencil pair fields took 23 MB traced
