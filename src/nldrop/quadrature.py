@@ -13,16 +13,19 @@ Two engine families are provided behind one interface:
   piece of ``kernels._pieces``.  The refinement runs until the boxes at
   the origin lie inside r0, and the rest of the corner series is summed
   in closed form from at most N + 2 more levels; a kernel's knots near
-  the origin are integrated exactly beforehand.  So the near values of
-  every kernel kind are exact to rounding.  They are kept in near
-  tables, one integral per symmetry orbit of cell offsets, shared by
-  every grid of one spacing; power-law integrands (r0 infinite) keep one
-  table at unit spacing for all spacings.  Stencils are evaluated in
-  slabs of offsets, a radial one on one orthant and mirrored.  A
-  complement integral is count(E) a(h) - S(E, E): S is the pair sum over
-  E x E and a(h) is the kernel mass of one cell against all of space, the stencil sum plus the exact directional
-  tail beyond the stencil box (the closed-form radial tail from the
-  ray-box exit distance, summed over a midpoint direction grid).
+  the origin are integrated exactly beforehand.  So the corner series of
+  every kernel kind is exact to rounding; only a knot farther out, which
+  Gauss-Legendre boxes straddle (a truncated kernel's r_cap just above
+  h), still costs accuracy.  Near values are kept in near tables, one
+  integral per symmetry orbit of cell offsets, shared by every grid of
+  one spacing; power-law integrands (r0 infinite) keep one table at unit
+  spacing for all spacings.  Stencils are evaluated in slabs of offsets,
+  a radial one on one orthant and mirrored.  A complement integral is
+  count(E) a(h) - S(E, E): S is the pair sum over E x E and a(h) is the
+  kernel mass of one cell against all of space, the stencil sum plus the
+  exact directional tail beyond the stencil box (the closed-form radial
+  tail from the ray-box exit distance, summed over a midpoint direction
+  grid).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
   batch structure; per-batch seeds derive from one SeedSequence so results
   are bit-reproducible for a fixed spec.  Complement integrals sample the
@@ -160,8 +163,9 @@ class OffsetIntegrand:
     integrands set ``ray_tail`` (per-steradian tail integral of
     g(r) r^(N-1) from rho to infinity) to enable complement tails.  A
     radial g made of power-law pieces sets ``pieces`` = (knots, c, p,
-    bound) as in ``kernels._pieces``; its core is the first piece, and the
-    cell-pair integrals take its knots near the origin exactly.
+    bound) as in ``kernels._pieces``: its core is the first piece, and the
+    cell-pair integrals take its knots near the origin exactly.  Any other
+    g gives its core as ``explicit_core``.
 
     Two properties let the stencils share those exact integrals (see
     ``_near_values``).  ``radial``: g depends on |z| alone, so a cell
@@ -175,25 +179,26 @@ class OffsetIntegrand:
     sigma: float
     vec: Callable[[np.ndarray], np.ndarray]
     cache_token: object
-    core: Tuple[float, float]
     ray_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radial: bool = False
     pieces: Optional[tuple] = None
+    explicit_core: Optional[Tuple[float, float]] = None
 
-
-def _piece_core(pieces: tuple, j: int = 0) -> Tuple[float, float]:
-    """(r0, p0) of piece j of ``pieces``, taken as the core: its upper knot
-    (infinite for the last piece) and the exponent of its first monomial.
-    For a kernel (j = 0) that is the fractional kind's r^-(N+s) everywhere,
-    the truncated kind's cap (p0 = 0) below cap^(-1/sigma), and a table's
-    power law through its first two samples below its first radius."""
-    knots, _, p, _ = pieces
-    return (float(knots[j]) if j < knots.size else math.inf), float(p[j, 0])
+    @property
+    def core(self) -> Tuple[float, float]:
+        """(r0, p0); for pieces, the first one's upper knot (infinite for a
+        single piece) and the exponent of its first monomial.  For a kernel
+        that is the fractional kind's r^-(N+s) everywhere, the truncated
+        kind's cap (p0 = 0) below cap^(-1/sigma), and a table's power law
+        through its first two samples below its first radius."""
+        if self.pieces is None:
+            return self.explicit_core
+        knots, _, p, _ = self.pieces
+        return (float(knots[0]) if knots.size else math.inf), float(p[0, 0])
 
 
 def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     N, s = kernel.dimension, kernel.s
-    pieces = kernels._pieces(kernel)
 
     def vec(z):
         return kernels.eval_kernel(kernel, z)
@@ -203,10 +208,9 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=N + s,
         vec=vec,
         cache_token=kernel.cache_token,
-        core=_piece_core(pieces),
         ray_tail=functools.partial(kernels.radial_tail_integral, kernel),
         radial=True,
-        pieces=pieces,
+        pieces=kernels._pieces(kernel),
     )
 
 
@@ -223,8 +227,8 @@ def riesz_integrand(N: int, alpha: float) -> OffsetIntegrand:
         sigma=alpha,
         vec=vec,
         cache_token=("riesz", N, alpha),
-        core=(math.inf, alpha),
         radial=True,
+        explicit_core=(math.inf, alpha),
     )
 
 
@@ -232,7 +236,6 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     """g(z) = K(z) |z|: the first radial moment of the kernel."""
     N = kernel.dimension
     knots, c, p, bound = kernels._pieces(kernel)
-    pieces = (knots, c, p - 1.0, bound)
 
     def vec(z):
         z = np.asarray(z, dtype=float)
@@ -244,9 +247,8 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=kernel.sigma - 1.0,
         vec=vec,
         cache_token=("moment1",) + (kernel.cache_token,),
-        core=_piece_core(pieces),
         radial=True,
-        pieces=pieces,
+        pieces=(knots, c, p - 1.0, bound),
     )
 
 
@@ -268,7 +270,7 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
         sigma=0.0,
         vec=vec,
         cache_token=("dirpos", N) + tuple(float(v) for v in nu),
-        core=(math.inf, 0.0),
+        explicit_core=(math.inf, 0.0),
     )
 
 
@@ -391,13 +393,13 @@ def _peel_knots(d: np.ndarray, h: float, m_min: int, igd: OffsetIntegrand):
     that of prod_i (S0_i + S1_i x); a degree-m product of distinct
     |theta_i| integrates over one orthant of the unit sphere to a Gamma
     ratio; and the integral of g - g_J against r^(N-1+m) is exact on
-    every piece.  Returns (g_J as an
-    integrand with its core, the integral of g - g_J).  With no knot up to
-    rho, or a g_J that is not one monomial with a convergent integral at
+    every piece.  Returns (g with g_J below k_J, as an integrand whose
+    pieces start with g_J, and the integral of g - g_J).  With no knot up
+    to rho, or a g_J that is not one monomial with a convergent integral at
     this pair, it returns (igd, 0).
     """
     N = d.size
-    knots, c, p, _ = igd.pieces
+    knots, c, p, bound = igd.pieces
     ad = np.abs(d)
     side = ad == h  # the support ends at the origin on one side of this axis
     rho = float(np.min(np.where((d == 0.0) | side, h, np.minimum(ad, h - ad))))
@@ -425,7 +427,7 @@ def _peel_knots(d: np.ndarray, h: float, m_min: int, igd: OffsetIntegrand):
         out[inner] = cJ * r[inner] ** -pJ
         return out
 
-    peeled = dataclasses.replace(igd, vec=vec, core=_piece_core(igd.pieces, J), pieces=None)
+    peeled = dataclasses.replace(igd, vec=vec, pieces=(knots[J:], c[J:], p[J:], bound))
     return peeled, float(np.sum(coef[m] * orthant * radial))
 
 
@@ -457,15 +459,16 @@ def cell_pair_integral(dvec, h: float, igd: OffsetIntegrand) -> float:
     d = np.where(edge, np.copysign(h, d), d)
     m_min = int(np.count_nonzero(edge))
     origin = bool(np.all(np.abs(d) <= h))
-    if origin and N - igd.core[1] + m_min <= 0:
+    r0, p0 = igd.core
+    if origin and N - p0 + m_min <= 0:
         raise ParameterError(
-            f"cell pair at offset {d.tolist()} with |z|^-{igd.core[1]} singularity in "
+            f"cell pair at offset {d.tolist()} with |z|^-{p0} singularity in "
             f"dimension {N}: the integral diverges"
         )
     ball = 0.0
-    if origin and igd.pieces is not None:
+    if origin and r0 < math.inf and igd.pieces is not None:  # a homogeneous g has no knot
         igd, ball = _peel_knots(d, h, m_min, igd)
-    r0, p0 = igd.core
+        r0, p0 = igd.core
 
     def fvec(pts):
         w = np.prod(np.clip(h - np.abs(pts - d), 0.0, None), axis=-1)
@@ -564,8 +567,8 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
     A g whose core (r0, p0) has r0 infinite is homogeneous: it keeps its
     table at spacing 1 and rescales it by h^(2N - p0), so one table serves
     every spacing and grid; any other g keeps one table per spacing.
-    Integrals are computed on first use by ``cell_pair_integral``, exact to
-    rounding for every kernel kind.
+    Integrals are computed on first use by ``cell_pair_integral``, whose
+    corner series is exact to rounding for every kernel kind.
     """
     N = igd.dimension
     r0, p0 = igd.core

@@ -149,7 +149,7 @@ class TestCellPairIntegral:
             return np.sqrt(np.sum(z ** 2, axis=-1))
 
         def direct(vec, core):
-            return OffsetIntegrand(dimension=N, sigma=1.0, vec=vec, cache_token=None, core=core)
+            return OffsetIntegrand(dimension=N, sigma=1.0, vec=vec, cache_token=None, explicit_core=core)
 
         g = direct(lambda z: (1.0 + norm(z) ** 8) / norm(z), (1e-2, 1.0))
         d = np.eye(N)[-1] if face else np.zeros(N)
@@ -183,29 +183,31 @@ class TestPointSingularityCell:
             point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 2.0, 2)
 
 
-def _face_pair_reference(N, s, levels=250):
-    """Cell pair at offset (0, ..., 0, 1), unit cells, fractional kernel:
-    the dyadic recursion written out level by level with the triangular
-    weight taken as (h - |d_i|) + sign(d_i) z_i on the origin side of d_i,
-    which loses no digits near the origin, and the tail past the last
-    level closed at the exact leading ratio 2^-(1 - s)."""
-    g = kernel_integrand(frac_kernel(N=N, s=s)).vec
-    d = np.zeros(N)
-    d[-1] = 1.0
+def _deep_pair_reference(g, d, h, p0, levels=80):
+    """Cell pair at offset d, cells of side h, integrand g that is
+    homogeneous of degree -p0 near 0: the dyadic recursion written out
+    level by level with the triangular weight taken as
+    (h - |d_i|) + sign(d_i) z_i on the origin side of d_i, which loses no
+    digits near the origin, and the tail past the last level closed at the
+    exact leading ratio 2^-(N - p0 + m), m the number of axes with
+    |d_i| = h.  It refines every level as it is, with no core and no
+    closed-form series."""
+    d = np.asarray(d, dtype=float)
+    N = d.size
 
     def weight(z):
         w = np.ones(z.shape[0])
         for i, di in enumerate(d):
             if di == 0.0:
-                w = w * (1.0 - np.abs(z[:, i]))
+                w = w * (h - np.abs(z[:, i]))
             else:
                 near_side = (z[:, i] - di) * np.sign(di) <= 0.0
                 w = w * np.where(
-                    near_side, (1.0 - abs(di)) + np.sign(di) * z[:, i], 1.0 - np.abs(z[:, i] - di)
+                    near_side, (h - abs(di)) + np.sign(di) * z[:, i], h - np.abs(z[:, i] - di)
                 )
         return w
 
-    lo, hi = quadrature._grid_boxes([quadrature._axis_breaks(di, 1.0) for di in d])
+    lo, hi = quadrature._grid_boxes([quadrature._axis_breaks(di, h) for di in d])
     total = last = 0.0
     for _ in range(levels + 1):
         touch = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
@@ -213,6 +215,8 @@ def _face_pair_reference(N, s, levels=250):
         last = float(np.sum(g(pts) * weight(pts) * w))
         total += last
         lo, hi = lo[touch], hi[touch]
+        if lo.shape[0] == 0:
+            return total
         halves = []
         for corner in itertools.product((0, 1), repeat=N):
             up = np.array(corner, dtype=bool)
@@ -220,8 +224,35 @@ def _face_pair_reference(N, s, levels=250):
             halves.append((np.where(up, mid, lo), np.where(up, hi, mid)))
         lo = np.concatenate([a for a, _ in halves])
         hi = np.concatenate([b for _, b in halves])
-    ratio = 2.0 ** -(1.0 - s)
+    ratio = 2.0 ** -(N - p0 + np.count_nonzero(np.abs(d) == h))
     return total + last * ratio / (1.0 - ratio)
+
+
+def _face_pair_reference(N, s, levels=250):
+    """Cell pair at offset (0, ..., 0, 1), unit cells, fractional kernel."""
+    return _deep_pair_reference(
+        kernel_integrand(frac_kernel(N=N, s=s)).vec, np.eye(N)[-1], 1.0, N + s, levels
+    )
+
+
+def _cap_deficit(d, h, cap, sigma):
+    """Integral of (|z|^-sigma - cap)_+ against the pair weight at offset d
+    when r_cap = cap^(-1/sigma) < h and each |d_i| is 0 or h: on the ball
+    of radius r_cap the weight is prod (h - |z_i|) over the axes with
+    d_i = 0 times prod (z_i sign d_i)_+ over the others.  Expanding the
+    first product over subsets S, each term is a radial integral times the
+    sphere integral 2 pi^((N - k) / 2) / Gamma((N + k) / 2) of a product
+    of k distinct |theta_i|, halved for each one-sided axis."""
+    N, rc = len(d), cap ** (-1.0 / sigma)
+    sides = [i for i in range(N) if d[i] != 0.0]
+    free = N - len(sides)
+    total = 0.0
+    for n in range(free + 1):
+        k = len(sides) + n
+        radial = rc ** (N + k - sigma) / (N + k - sigma) - cap * rc ** (N + k) / (N + k)
+        sphere = 2.0 * math.pi ** ((N - k) / 2.0) / math.gamma((N + k) / 2.0)
+        total += math.comb(free, n) * h ** (free - n) * (-1.0) ** n * 0.5 ** len(sides) * radial * sphere
+    return total
 
 
 def _same_cell_riesz_2d(alpha):
@@ -449,9 +480,9 @@ def _fresh_caches(monkeypatch):
     monkeypatch.setattr(quadrature, "_NEAR_CACHE", OrderedDict())
 
 
-def trunc_kernel(N=2):
-    # truncated inside the near field at h = 0.2 (|x| < 50^(-1/(N+s)))
-    return KernelSpec(dimension=N, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=50.0)
+def trunc_kernel(N=2, cap=50.0):
+    # truncated inside the near field at h = 0.2 (|x| < cap^(-1/(N+s)))
+    return KernelSpec(dimension=N, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=cap)
 
 
 def power_table(N, s):
@@ -463,12 +494,30 @@ def power_table(N, s):
     )
 
 
+# truncated inside the near field at h = 0.2, by less than h in N = 2, 3
+NEAR_CAP = 1e3
+
+
+def _near_reference(igd, case, off, h):
+    """Independent value of the exact cell pair integral at offset off * h:
+    the deep recursion of g itself, or for the truncated kernel that of
+    r^-sigma less the cap region's closed-form deficit."""
+    N, d = igd.dimension, off * h
+    if case != "truncated":
+        return _deep_pair_reference(igd.vec, d, h, igd.core[1])
+    sigma = N + 0.5
+    frac = _deep_pair_reference(kernel_integrand(frac_kernel(N=N)).vec, d, h, sigma)
+    if np.any(np.abs(off) > 1):  # the support misses the ball of radius r_cap < h
+        return frac
+    return frac - _cap_deficit(d, h, NEAR_CAP, sigma)
+
+
 # (integrand, radial, core) for each constructor, in dimension N; the core
 # (r0, p0) is where g is homogeneous of degree -p0
 NEAR_CASES = {
     "fractional": lambda N: (kernel_integrand(frac_kernel(N=N)), True, (math.inf, N + 0.5)),
     "truncated": lambda N: (
-        kernel_integrand(trunc_kernel(N)), True, (50.0 ** (-1.0 / (N + 0.5)), 0.0)
+        kernel_integrand(trunc_kernel(N, NEAR_CAP)), True, (NEAR_CAP ** (-1.0 / (N + 0.5)), 0.0)
     ),
     "tabulated": lambda N: (kernel_integrand(power_table(N, 0.5)), True, (1e-3, pytest.approx(N + 0.5))),
     "moment": lambda N: (kernel_moment_integrand(frac_kernel(N=N)), True, (math.inf, N - 0.5)),
@@ -485,7 +534,7 @@ NEAR_CASES = {
             sigma=0.0,
             vec=lambda z: 1.0 / (1.0 + np.sum(z ** 2, axis=-1)),
             cache_token=("test-lorentz", N),
-            core=(1e-8, 0.0),
+            explicit_core=(1e-8, 0.0),
         ),
         False,
         (1e-8, 0.0),
@@ -508,9 +557,12 @@ class TestNearTables:
             for off in np.ndindex(*(2 * width + 1,) * N)
             if igd.sigma < N or any(o != width for o in off)
         ]
+        refs = {}
         for off in near:
-            direct = cell_pair_integral(off * h, h, igd)
-            assert T[tuple(off + 2)] == pytest.approx(direct, rel=1e-9)
+            orbit = tuple(sorted(np.abs(off))) if radial else tuple(off)
+            if orbit not in refs:
+                refs[orbit] = _near_reference(igd, case, np.array(orbit, dtype=float), h)
+            assert T[tuple(off + 2)] == pytest.approx(refs[orbit], rel=1e-12), off
         # a homogeneous g (r0 infinite) keeps one table at unit spacing,
         # any other one table per spacing; one integral per signed offset
         # when g is not radial
