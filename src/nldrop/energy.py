@@ -480,9 +480,7 @@ def riesz(E: Shape, alpha: float, spec: QuadratureSpec) -> IntegralEstimate:
         total, err = _balls_riesz(alpha, E)
         return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
     est = quadrature.double_integral(E, E, alpha, spec)
-    return IntegralEstimate(
-        0.5 * est.value, 0.5 * est.error, est.samples, est.method, est.seed, est.warning
-    )
+    return IntegralEstimate(0.5 * est.value, 0.5 * est.error, est.samples, est.method, est.seed)
 
 
 def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:

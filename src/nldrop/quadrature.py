@@ -28,19 +28,23 @@ Two engine families are provided behind one interface:
   grid).
 * ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
   batch structure; per-batch seeds derive from one SeedSequence so results
-  are bit-reproducible for a fixed spec.  Complement integrals sample the
-  bounding box padded by ``_MC_PADDING`` diameters and add the directional
-  tail outside it.
+  are bit-reproducible for a fixed spec.  It serves sphere integrals,
+  regular integrands, and singular ones whose variance is finite: riesz
+  pairs with 2 alpha < N (the 3-D alpha = 1 self term) and any pair of
+  shapes whose bounding boxes are apart.  A |z|^-sigma singularity with
+  2 sigma >= N inside the sampled region has infinite variance, and the
+  engine refuses it (``_refuse_infinite_variance``): every complement
+  integral (the perimeter), and at those exponents every pair integral
+  whose boxes meet and every point singularity inside the shape's box.
 
 Every estimate an engine returns is built by one of two helpers.
 ``_tensor_estimate`` evaluates on the fine grid and on the half-resolution
 grid and reports |fine - coarse| as the error.  ``_mc_estimate`` splits
 the budget over 32 seeded batches and reports the standard error of the
-batch means, with a warning when the integrand's |z|^-sigma singularity
-makes the variance infinite (2 sigma >= N).  Both errors are proxies, not
-bounds.  Sphere integrals and directional tails stream the midpoint
-direction grid in blocks built from per-axis factors
-(``_direction_blocks``); no cache holds more than those factors.
+batch means.  Both errors are proxies, not bounds.  Sphere integrals and
+directional tails stream the midpoint direction grid in blocks built from
+per-axis factors (``_direction_blocks``); no cache holds more than those
+factors.
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ _GL_ORDER = 6
 # many cells per axis: the stencil then holds every near offset, and the
 # directional tail starts well away from the centre cell.
 _MIN_STENCIL_CELLS = 32
-# Monte Carlo complement integrals sample the bounding box padded by this
-# many diameters on each side.
-_MC_PADDING = 2.0
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,6 @@ class IntegralEstimate:
     samples: int
     method: str
     seed: Optional[int] = None
-    warning: Optional[str] = None
-
-    def as_record(self) -> dict:
-        return {
-            "value": self.value,
-            "error": self.error,
-            "samples": self.samples,
-            "method": self.method,
-            "seed": self.seed,
-            "warning": self.warning or "",
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,28 +509,20 @@ def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
     Ordinary cells take the midpoint value.  Every cell touching the
     singular point (a point on a face or corner belongs to each touching
     cell, so the per-cell integrals add up consistently across any
-    partition of a shape) is integrated by dyadic refinement; when the
-    exponent is at least N that integral diverges, the cell is excluded
-    (mean 0) and a warning is returned.  Returns (means, warning).
+    partition of a shape) is integrated by dyadic refinement, which
+    raises ``ParameterError`` when the exponent is at least N: that
+    integral diverges.
     """
     N = centers.shape[-1]
     vals = sing.vec(centers)
     if sing.exponent == 0:  # constant integrand: the midpoint value is exact
-        return vals, None
+        return vals
     d_inf = np.max(np.abs(centers - sing.center), axis=-1)
-    warn = None
     for i in np.nonzero(d_inf <= 0.5 * h + 1e-12 * h)[0]:
-        if sing.exponent >= N:
-            vals[i] = 0.0
-            warn = (
-                "singular cell excluded: exponent >= dimension makes the "
-                "cell integral divergent"
-            )
-        else:
-            vals[i] = point_singularity_cell_integral(
-                centers[i] - 0.5 * h, centers[i] + 0.5 * h, sing.center, sing.exponent, N
-            ) / h ** N
-    return vals, warn
+        vals[i] = point_singularity_cell_integral(
+            centers[i] - 0.5 * h, centers[i] + 0.5 * h, sing.center, sing.exponent, N
+        ) / h ** N
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -774,30 +756,20 @@ def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
     return t.min(axis=-1)
 
 
-def _tail_per_cell(pts: np.ndarray, lo, hi, igd: OffsetIntegrand) -> np.ndarray:
-    """Per-point integral of g over the complement of the box [lo, hi]."""
-    ((dirs, w),) = _direction_blocks(igd.dimension, _TAIL_DIRECTIONS[igd.dimension])
-    out = np.empty(pts.shape[0])
-    chunk = 2048
-    for start in range(0, pts.shape[0], chunk):
-        sl = slice(start, min(start + chunk, pts.shape[0]))
-        rho = _ray_exit(pts[sl], lo, hi, dirs)
-        out[sl] = igd.ray_tail(rho) @ np.full(dirs.shape[0], w)
-    return out
-
-
 def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
     """Stencil T of the grid ``dims`` padded with empty cells to at least
     ``_MIN_STENCIL_CELLS`` per axis, and a(h), the pair integral of g over
     one cell times all of space: the sum of T plus h^N times the
-    directional tail beyond T's box, seen from the centre cell.  For a
-    shape E on the grid, the complement integral is count(E) a(h) minus
-    the pair sum of T over E x E.  Returns (T, a)."""
+    directional tail beyond T's box, seen from the centre cell (the radial
+    tail from the ray-box exit distance, over the midpoint direction
+    grid).  For a shape E on the grid, the complement integral is count(E)
+    a(h) minus the pair sum of T over E x E.  Returns (T, a)."""
     N = igd.dimension
     dims = np.maximum(dims, _MIN_STENCIL_CELLS)
     T = _stencil(tuple(int(d) for d in dims), h, igd)
     half = (dims - 0.5) * h
-    tail = _tail_per_cell(np.zeros((1, N)), -half, half, igd)
+    ((dirs, w),) = _direction_blocks(N, _TAIL_DIRECTIONS[N])
+    tail = igd.ray_tail(_ray_exit(np.zeros((1, N)), -half, half, dirs)) @ np.full(dirs.shape[0], w)
     return T, float(np.sum(T)) + float(tail[0]) * h ** N
 
 
@@ -904,12 +876,12 @@ def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
 
 
 def _tensor_estimate(spec: QuadratureSpec, value_at) -> IntegralEstimate:
-    """Tensor estimate from ``value_at(coarse)`` -> (value, samples,
-    warning): the value, samples and warning of the fine grid, and as
-    error the change from the coarse (half-resolution) grid."""
-    value, samples, warn = value_at(False)
-    coarse, _, _ = value_at(True)
-    return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint", spec.seed, warn)
+    """Tensor estimate from ``value_at(coarse)`` -> (value, samples): the
+    value and samples of the fine grid, and as error the change from the
+    coarse (half-resolution) grid."""
+    value, samples = value_at(False)
+    coarse, _ = value_at(True)
+    return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint", spec.seed)
 
 
 def _batch_rngs(seed: int):
@@ -917,25 +889,30 @@ def _batch_rngs(seed: int):
     return [np.random.default_rng(s) for s in seqs]
 
 
+def _refuse_infinite_variance(N: int, sigma: float) -> None:
+    """Raise ``ParameterError`` when a |z|^-sigma singularity in the
+    sampled region gives the Monte Carlo integrand infinite variance
+    (2 sigma >= N): its batch means then have no standard error to report,
+    and their spread does not cover the actual error."""
+    if 2.0 * sigma >= N:
+        raise ParameterError(
+            f"Monte Carlo cannot integrate a |z|^-{sigma:g} singularity in dimension "
+            f"{N}: its variance is infinite; set quad.method = tensor-midpoint"
+        )
+
+
 def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma: float = 0.0) -> IntegralEstimate:
     """Monte Carlo estimate from ``_NB_BATCHES`` seeded batches that share
     the budget: ``batch_mean(rng, count)`` returns one batch's estimate of
     the integral.  The value is the mean of the batch estimates and the
-    error their standard error.  An integrand with a |z|^-sigma
-    singularity has infinite variance when 2 sigma >= N, and the estimate
-    then carries a warning that names the remedy, the tensor engine."""
+    error their standard error.  ``sigma`` is the strength of a |z|^-sigma
+    singularity that the sampled region reaches (0 when it reaches none);
+    one with infinite variance is refused (``_refuse_infinite_variance``)."""
+    _refuse_infinite_variance(N, sigma)
     per = max(1, spec.resolved_budget(N) // _NB_BATCHES)
     means = np.array([batch_mean(rng, per) for rng in _batch_rngs(spec.seed)])
     err = float(np.std(means, ddof=1) / math.sqrt(_NB_BATCHES))
-    warn = None
-    if 2.0 * sigma >= N:
-        warn = (
-            "heavy-tailed integrand; Monte Carlo stderr unreliable; "
-            "set quad.method = tensor-midpoint"
-        )
-    return IntegralEstimate(
-        float(np.mean(means)), err, per * _NB_BATCHES, "monte-carlo", spec.seed, warn
-    )
+    return IntegralEstimate(float(np.mean(means)), err, per * _NB_BATCHES, "monte-carlo", spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +925,8 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
     ``f`` is either a vectorized callable mapping an array of points with
     shape (k, N) to (k,) values, or a ``PointSingularity`` marker whose
     singular cell is integrated by dyadic refinement on tensor grids.
+    Monte Carlo refuses a marker with 2 exponent >= N whose center lies in
+    E's closed bounding box.
     """
     N = E.dimension
     if geometry.is_empty(E):
@@ -958,26 +937,25 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
     if spec.method == "monte-carlo":
         lo, hi = E.bounding_box()
         box_vol = float(np.prod(hi - lo))
+        reached = sing is not None and bool(np.all((lo <= sing.center) & (sing.center <= hi)))
 
         def batch_mean(rng, count):
             pts = rng.uniform(lo, hi, size=(count, N))
             vals = np.where(geometry.indicator(E, pts), fvec(pts), 0.0)
             return float(np.mean(vals)) * box_vol
 
-        return _mc_estimate(spec, N, batch_mean, sing.exponent if sing is not None else 0.0)
+        return _mc_estimate(spec, N, batch_mean, sing.exponent if reached else 0.0)
 
     budget = spec.resolved_budget(N)
 
     def value_at(coarse: bool):
         grid = _as_grid(E, budget, coarse)
         if grid.count == 0:
-            return 0.0, 0, None
+            return 0.0, 0
         h = grid.spacing
-        if sing is not None:
-            vals, warn = _singular_cell_means(grid.cell_centers(), h, sing)
-        else:
-            vals, warn = fvec(grid.cell_centers()), None
-        return float(np.sum(vals)) * h ** N, grid.count, warn
+        centers = grid.cell_centers()
+        vals = _singular_cell_means(centers, h, sing) if sing is not None else fvec(centers)
+        return float(np.sum(vals)) * h ** N, grid.count
 
     return _tensor_estimate(spec, value_at)
 
@@ -988,7 +966,9 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
     ``g`` is a KernelSpec, a riesz exponent (float) or an
     ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  The tensor
     engine takes FFT pair sums on a common grid with near-diagonal
-    cell-pair integrals.
+    cell-pair integrals.  Monte Carlo samples the two bounding boxes, and
+    its offsets reach z = 0 when they meet; it refuses a g with
+    2 sigma >= N there.
     """
     N = E.dimension
     if geometry.is_empty(E) or geometry.is_empty(F):
@@ -999,6 +979,7 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
         loE, hiE = E.bounding_box()
         loF, hiF = F.bounding_box()
         vol = float(np.prod(hiE - loE)) * float(np.prod(hiF - loF))
+        meet = bool(np.all((loE <= hiF) & (loF <= hiE)))
 
         def batch_mean(rng, count):
             x = rng.uniform(loE, hiE, size=(count, N))
@@ -1007,14 +988,14 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
             vals = _safe_offset_eval(igd, y - x)
             return float(np.mean(np.where(keep, vals, 0.0))) * vol
 
-        return _mc_estimate(spec, N, batch_mean, igd.sigma)
+        return _mc_estimate(spec, N, batch_mean, igd.sigma if meet else 0.0)
 
     budget = spec.resolved_budget(N)
 
     def value_at(coarse: bool):
         gE, gF, _, h = _pair_grids(E, F, budget, coarse)
         cells = int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
-        return _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd)), cells, None
+        return _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd)), cells
 
     return _tensor_estimate(spec, value_at)
 
@@ -1055,9 +1036,8 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     """Estimate the pair integral of K(x - y) over E x (complement of E).
 
     On tensor grids this is count(E) a(h) - S(E, E) (see
-    ``_cell_kernel_mass``).  Monte Carlo samples E x (box minus E) for the
-    bounding box padded by ``_MC_PADDING`` diameters and adds, for each
-    sample point, the exact directional tail outside that box.
+    ``_cell_kernel_mass``).  Monte Carlo refuses it: E^c touches E, so the
+    kernel's |z|^-(N + s) singularity lies in every sampled region.
     """
     N = E.dimension
     if geometry.is_empty(E):
@@ -1065,34 +1045,15 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     igd = kernel_integrand(kernel)
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
-
     if spec.method == "monte-carlo":
-        lo, hi = E.bounding_box()
-        pad = _MC_PADDING * float(np.linalg.norm(hi - lo))
-        box_lo, box_hi = lo - pad, hi + pad
-        volE_box = float(np.prod(hi - lo))
-        vol_box = float(np.prod(box_hi - box_lo))
-
-        def batch_mean(rng, count):
-            x = rng.uniform(lo, hi, size=(count, N))
-            y = rng.uniform(box_lo, box_hi, size=(count, N))
-            in_e = geometry.indicator(E, x)
-            keep = in_e & ~geometry.indicator(E, y)
-            vals = np.where(keep, _safe_offset_eval(igd, y - x), 0.0)
-            near = float(np.mean(vals)) * volE_box * vol_box
-            tails = np.zeros(count)
-            if np.any(in_e):
-                tails[in_e] = _tail_per_cell(x[in_e], box_lo, box_hi, igd)
-            return near + float(np.mean(tails)) * volE_box
-
-        return _mc_estimate(spec, N, batch_mean, igd.sigma)
+        _refuse_infinite_variance(N, igd.sigma)
 
     budget = spec.resolved_budget(N)
 
     def value_at(coarse: bool):
         grid = _as_grid(E, budget, coarse=coarse)
         T, a = _cell_kernel_mass(grid.occupancy.shape, grid.spacing, igd)
-        return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count, None
+        return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
 
     return _tensor_estimate(spec, value_at)
 
@@ -1119,6 +1080,6 @@ def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
 
     def value_at(coarse: bool):
         blocks = _direction_blocks(N, max(8, count // 2) if coarse else count)
-        return sum(float(np.sum(f(dirs) * w)) for dirs, w in blocks), count, None
+        return sum(float(np.sum(f(dirs) * w)) for dirs, w in blocks), count
 
     return _tensor_estimate(spec, value_at)

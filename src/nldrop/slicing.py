@@ -94,40 +94,6 @@ def _unit(nu) -> np.ndarray:
     return nu / n
 
 
-def _cut(
-    E: Shape, nu: np.ndarray, l: float, params: EnergyParams, spec: QuadratureSpec
-) -> Tuple[SliceDefectRecord, bool]:
-    """The record of one cut of ``splitting_defect`` and whether the cut
-    splits the shape (leaves both sides nonempty)."""
-    hs = Halfspace(nu=nu, l=float(l))
-    work = E
-    if spec.method == "tensor-midpoint":
-        work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
-    upper, lower = geometry.slice_shape(work, hs)
-    splits = not (geometry.is_empty(upper) or geometry.is_empty(lower))
-    if not splits:
-        lhs = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-        crossk = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    else:
-        lhs = quadrature.double_integral(upper, lower, params.alpha, spec)
-        crossk = quadrature.double_integral(upper, lower, params.kernel, spec)
-    bkg = energy_mod.background(lower, params.beta, spec)
-    rhs = 2.0 * crossk.value + params.A * bkg.value
-    rhs_err = 2.0 * crossk.error + params.A * bkg.error
-    record = SliceDefectRecord(
-        nu=nu,
-        l=float(l),
-        lhs=lhs.value,
-        cross_kernel=crossk.value,
-        background_minus=bkg.value,
-        rhs=rhs,
-        defect=rhs - lhs.value,
-        lhs_error=lhs.error,
-        rhs_error=rhs_err,
-    )
-    return record, splits
-
-
 def splitting_defect(
     E: Shape, nu, l: float, params: EnergyParams, spec: QuadratureSpec
 ) -> SliceDefectRecord:
@@ -137,9 +103,32 @@ def splitting_defect(
     kernel interaction plus A times the background mass of the lower side.
     A negative defect (RHS - LHS) is the nonexistence signature: moving
     the upper part to infinity lowers the energy.  A cut that leaves a side
-    empty has zero interactions.
+    empty has zero interactions.  Monte Carlo refuses the kernel cross
+    term of a cut that splits the shape: the bounding boxes of its sides
+    meet, where the kernel's variance is infinite.
     """
-    return _cut(E, _unit(nu), l, params, spec)[0]
+    nu = _unit(nu)
+    work = E
+    if spec.method == "tensor-midpoint":
+        work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
+    upper, lower = geometry.slice_shape(work, Halfspace(nu=nu, l=float(l)))
+    lhs = crossk = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+    if not (geometry.is_empty(upper) or geometry.is_empty(lower)):
+        crossk = quadrature.double_integral(upper, lower, params.kernel, spec)
+        lhs = quadrature.double_integral(upper, lower, params.alpha, spec)
+    bkg = energy_mod.background(lower, params.beta, spec)
+    rhs = 2.0 * crossk.value + params.A * bkg.value
+    return SliceDefectRecord(
+        nu=nu,
+        l=float(l),
+        lhs=lhs.value,
+        cross_kernel=crossk.value,
+        background_minus=bkg.value,
+        rhs=rhs,
+        defect=rhs - lhs.value,
+        lhs_error=lhs.error,
+        rhs_error=2.0 * crossk.error + params.A * bkg.error,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +231,7 @@ def _background_cell_field(vox: VoxelShape, beta: float) -> np.ndarray:
     fld = np.zeros(vox.occupancy.shape)
     if vox.count:
         sing = PointSingularity(np.zeros(vox.dimension), beta)
-        means, _ = quadrature._singular_cell_means(vox.cell_centers(), vox.spacing, sing)
+        means = quadrature._singular_cell_means(vox.cell_centers(), vox.spacing, sing)
         fld[vox.occupancy] = means * vox.spacing ** vox.dimension
     return fld
 
@@ -295,10 +284,16 @@ def scan(
 ) -> ScanResult:
     """Defect table over the cuts of a grid that split the shape, with the
     l-integrated defect per direction (trapezoid over the whole level grid,
-    where a cut that leaves a side empty has zero interactions).  A cut is
-    kept when both sides hold cells of the fine grid (tensor engine) or are
-    nonempty (Monte Carlo); ``min_defect`` is the least kept defect."""
+    where a cut that leaves a side empty has zero interactions).  Every
+    cut is read off one level sweep of the tensor grid per direction, on
+    the fine and on the half-resolution grid for the errors.  A cut is kept
+    when both sides hold cells of the fine grid; ``min_defect`` is the
+    least kept defect.  Monte Carlo is refused up front: the kernel cross
+    term of every splitting cut has infinite variance (see
+    ``splitting_defect``)."""
     N = E.dimension
+    if spec.method == "monte-carlo":
+        quadrature._refuse_infinite_variance(N, params.kernel.sigma)
     if nu_grid is None:
         if nu_count is not None and nu_count < 0:
             raise ParameterError(f"nu_count must be >= 0 (0: the default), got {nu_count}")
@@ -308,55 +303,25 @@ def scan(
     nu_grid = [np.asarray(_unit(nu)) for nu in nu_grid]
     if not nu_grid or (l_grid is not None and len(l_grid) == 0):
         raise ParameterError("scan needs a nonempty nu_grid and l_grid")
-    if spec.method == "monte-carlo":
-        work = E
+    work = quadrature._as_grid(E, spec.resolved_budget(N))
+    integrands = (
+        quadrature.riesz_integrand(N, params.alpha),
+        quadrature.kernel_integrand(params.kernel),
+    )
+    grids = [
+        (v, _sweep_grid(v, integrands), _background_cell_field(v, params.beta))
+        for v in (work, quadrature._coarse_voxel(work))
+    ]
 
-        def cuts(nu, levels):
-            row, splits = zip(*(_cut(E, nu, float(l), params, spec) for l in levels))
-            return row, splits
-
-    else:
-        work = quadrature._as_grid(E, spec.resolved_budget(N))
-        integrands = (
-            quadrature.riesz_integrand(N, params.alpha),
-            quadrature.kernel_integrand(params.kernel),
-        )
-
-        grids = [
-            (v, _sweep_grid(v, integrands), _background_cell_field(v, params.beta))
-            for v in (work, quadrature._coarse_voxel(work))
-        ]
-
-        def cut_terms(grid, nu, levels):
-            """(lhs, cross kernel, lower background, rhs, splits) at every
-            level; splits marks the cuts with cells on both sides."""
-            v, sweep, bfield = grid
-            cells, k = _sweep_order(v, nu, levels)
-            lhs, ck = _level_cross(sweep, cells, k)
-            bkg = _prefix_sums(bfield[tuple(cells.T)])
-            bm = bkg[-1] - bkg[k]
-            return lhs, ck, bm, 2.0 * ck + params.A * bm, (k > 0) & (k < len(cells))
-
-        def cuts(nu, levels):
-            lhs, ck, bm, rhs, splits = cut_terms(grids[0], nu, levels)
-            lhs_c, _, _, rhs_c, _ = cut_terms(grids[1], nu, levels)
-            row = [
-                SliceDefectRecord(
-                    nu=nu,
-                    l=float(l),
-                    lhs=float(a),
-                    cross_kernel=float(b),
-                    background_minus=float(c),
-                    rhs=float(d),
-                    defect=float(d - a),
-                    lhs_error=float(ea),
-                    rhs_error=float(ed),
-                )
-                for l, a, b, c, d, ea, ed in zip(
-                    levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
-                )
-            ]
-            return row, splits
+    def cut_terms(grid, nu, levels):
+        """(lhs, cross kernel, lower background, rhs, splits) at every
+        level; splits marks the cuts with cells on both sides."""
+        v, sweep, bfield = grid
+        cells, k = _sweep_order(v, nu, levels)
+        lhs, ck = _level_cross(sweep, cells, k)
+        bkg = _prefix_sums(bfield[tuple(cells.T)])
+        bm = bkg[-1] - bkg[k]
+        return lhs, ck, bm, 2.0 * ck + params.A * bm, (k > 0) & (k < len(cells))
 
     records: List[SliceDefectRecord] = []
     integrated: List[Tuple[np.ndarray, float]] = []
@@ -366,7 +331,24 @@ def scan(
             if l_grid is not None
             else default_level_grid(work, nu, l_count)
         )
-        row, splits = cuts(nu, levels)
+        lhs, ck, bm, rhs, splits = cut_terms(grids[0], nu, levels)
+        lhs_c, _, _, rhs_c, _ = cut_terms(grids[1], nu, levels)
+        row = [
+            SliceDefectRecord(
+                nu=nu,
+                l=float(l),
+                lhs=float(a),
+                cross_kernel=float(b),
+                background_minus=float(c),
+                rhs=float(d),
+                defect=float(d - a),
+                lhs_error=float(ea),
+                rhs_error=float(ed),
+            )
+            for l, a, b, c, d, ea, ed in zip(
+                levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
+            )
+        ]
         records.extend(r for r, keep in zip(row, splits) if keep)
         integrated.append((nu, float(np.trapezoid([r.defect for r in row], levels))))
     if not records:

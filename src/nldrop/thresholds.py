@@ -27,38 +27,6 @@ _CONVENTIONS = ("theorem", "appendix")
 _DPS = 40
 
 
-@dataclass(frozen=True)
-class DimensionConstants:
-    """Sphere and ball measures entering the threshold constants.
-
-    ``omega_sphere`` is the surface measure of the unit sphere in R^N,
-    ``omega_ball`` the unit-ball volume, and ``omega_sub`` the surface
-    measure one dimension down (2 for N = 2, the two-point sphere).
-    """
-
-    dimension: int
-    omega_sphere: float
-    omega_ball: float
-    omega_sub: float
-
-    @classmethod
-    def for_dimension(cls, N: int) -> "DimensionConstants":
-        import mpmath as mp
-
-        if N < 2:
-            raise ParameterError(f"dimension must be at least 2, got {N}")
-        with mp.workdps(_DPS):
-            sphere = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
-            ball = sphere / N
-            sub = 2 * mp.pi ** (mp.mpf(N - 1) / 2) / mp.gamma(mp.mpf(N - 1) / 2)
-            return cls(
-                dimension=N,
-                omega_sphere=float(sphere),
-                omega_ball=float(ball),
-                omega_sub=float(sub),
-            )
-
-
 class GeneralConstants(NamedTuple):
     C1: float
     C2: float

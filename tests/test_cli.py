@@ -413,6 +413,15 @@ class TestSubcommandRuns:
                 "ShapeFormatError",
                 "row 2",
             ),
+            # beta >= N diverges on the blob's cell at the origin
+            (
+                {},
+                ["shape.kind=blob", "shape.grid=32", "energy.beta=2.5", "energy.A=1"],
+                "ParameterError",
+                "diverges",
+            ),
+            # a perimeter has infinite Monte Carlo variance
+            ({}, ["quad.method=monte-carlo"], "ParameterError", "quad.method = tensor-midpoint"),
         ],
     )
     def test_malformed_inputs_exit_two(self, tmp_path, capsys, files, overrides, error, needle):

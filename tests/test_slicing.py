@@ -169,12 +169,8 @@ class TestScan:
         with pytest.raises(ParameterError):
             scan(seeded_blob(), make_params(), QuadratureSpec(), **kwargs)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [QuadratureSpec(), QuadratureSpec(method="monte-carlo", budget=4000, seed=2)],
-        ids=["tensor", "monte-carlo"],
-    )
-    def test_cuts_that_leave_a_side_empty_are_not_listed(self, spec):
+    def test_cuts_that_leave_a_side_empty_are_not_listed(self):
+        spec = QuadratureSpec()
         b = geometry.ball_of_volume(2, 1.0)
         levels = [-5.0, 0.0, 5.0]
         nu = np.array([1.0, 0.0])
@@ -188,13 +184,6 @@ class TestScan:
     def test_scan_with_no_splitting_level_is_rejected(self):
         with pytest.raises(ParameterError, match="splits the shape"):
             scan(seeded_blob(), make_params(), QuadratureSpec(), l_grid=[-5.0, 5.0])
-
-    def test_monte_carlo_route_runs(self):
-        b = geometry.ball_of_volume(2, 1.0)
-        spec = QuadratureSpec(method="monte-carlo", budget=4000, seed=2)
-        res = scan(b, make_params(), spec, nu_grid=[np.array([1.0, 0.0])], l_grid=[0.0])
-        assert len(res.records) == 1
-        assert np.isfinite(res.min_defect)
 
 
 def _random_voxels(N, dims, seed):

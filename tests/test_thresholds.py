@@ -13,7 +13,6 @@ import pytest
 from nldrop.errors import BracketError, DomainError, ParameterError
 from nldrop.kernels import epsilon_min
 from nldrop.thresholds import (
-    DimensionConstants,
     GeneralConstants,
     ThresholdRecord,
     critical_mass,
@@ -29,22 +28,6 @@ C1_N3_HALF = 0.13711263069878843
 C2_N3_HALF = 30.781195923884738
 APPENDIX_N3_HALF = 119.27224849905063
 BETA0_A1_N3_HALF = 245.75026642357664
-
-
-class TestDimensionConstants:
-    def test_sphere_measures(self):
-        c2 = DimensionConstants.for_dimension(2)
-        assert c2.omega_sphere == pytest.approx(2.0 * math.pi, rel=1e-15)
-        assert c2.omega_ball == pytest.approx(math.pi, rel=1e-15)
-        assert c2.omega_sub == pytest.approx(2.0, rel=1e-15)
-        c3 = DimensionConstants.for_dimension(3)
-        assert c3.omega_sphere == pytest.approx(4.0 * math.pi, rel=1e-15)
-        assert c3.omega_ball == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
-        assert c3.omega_sub == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_low_dimension_rejected(self):
-        with pytest.raises(ParameterError):
-            DimensionConstants.for_dimension(1)
 
 
 class TestClosedForm:
