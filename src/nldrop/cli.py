@@ -49,7 +49,6 @@ _COMMON = {
     "output_dir": "str",
 }
 _QUAD = {
-    "quad.method": "str",
     "quad.budget": "int",
 }
 _KERNEL = {
@@ -122,7 +121,6 @@ SCHEMAS: Dict[str, Dict[str, str]] = {
 _DEFAULTS: Dict[str, object] = {
     "seed": 0,
     "output_dir": "",
-    "quad.method": "tensor-midpoint",
     "quad.budget": 0,
     "kernel.kind": "fractional",
     "kernel.dimension": 2,
@@ -355,7 +353,6 @@ def _build_kernel(config) -> KernelSpec:
 def _build_spec(config) -> QuadratureSpec:
     budget = config.get("quad.budget", 0)
     return QuadratureSpec(
-        method=config.get("quad.method", "tensor-midpoint"),
         budget=int(budget) if budget else None,
         seed=int(config.get("seed", 0)),
     )

@@ -30,12 +30,15 @@ Two engine families are provided behind one interface:
   batch structure; per-batch seeds derive from one SeedSequence so results
   are bit-reproducible for a fixed spec.  It serves sphere integrals,
   regular integrands, and singular ones whose variance is finite: riesz
-  pairs with 2 alpha < N (the 3-D alpha = 1 self term) and any pair of
-  shapes whose bounding boxes are apart.  A |z|^-sigma singularity with
-  2 sigma >= N inside the sampled region has infinite variance, and the
-  engine refuses it (``_refuse_infinite_variance``): every complement
-  integral (the perimeter), and at those exponents every pair integral
-  whose boxes meet and every point singularity inside the shape's box.
+  pairs with 2 alpha < N (the 3-D alpha = 1 self term), kernels with a
+  bounded core (the truncated kind) and any pair of shapes whose bounding
+  boxes are apart.  A |z|^-p singularity with 2 p >= N inside the sampled
+  region has infinite variance, and the engine refuses it
+  (``_refuse_infinite_variance``): every pair integral whose boxes meet
+  and whose integrand's core has 2 p0 >= N, and every point singularity
+  with 2 exponent >= N inside the shape's box.  It has no complement
+  integral (the perimeter) and no slice scan; both run on tensor grids
+  only (``_refuse_monte_carlo``).
 
 Every estimate an engine returns is built by one of two helpers.
 ``_tensor_estimate`` evaluates on the fine grid and on the half-resolution
@@ -889,15 +892,20 @@ def _batch_rngs(seed: int):
     return [np.random.default_rng(s) for s in seqs]
 
 
+def _refuse_monte_carlo(what: str) -> None:
+    """Raise the ``ParameterError`` of an integral that Monte Carlo does not
+    estimate; ``what`` says which and why."""
+    raise ParameterError(f"Monte Carlo {what}; use method = 'tensor-midpoint'")
+
+
 def _refuse_infinite_variance(N: int, sigma: float) -> None:
-    """Raise ``ParameterError`` when a |z|^-sigma singularity in the
-    sampled region gives the Monte Carlo integrand infinite variance
-    (2 sigma >= N): its batch means then have no standard error to report,
-    and their spread does not cover the actual error."""
+    """Refuse a |z|^-sigma singularity in the sampled region that gives the
+    Monte Carlo integrand infinite variance (2 sigma >= N): its batch means
+    then have no standard error to report, and their spread does not cover
+    the actual error."""
     if 2.0 * sigma >= N:
-        raise ParameterError(
-            f"Monte Carlo cannot integrate a |z|^-{sigma:g} singularity in dimension "
-            f"{N}: its variance is infinite; set quad.method = tensor-midpoint"
+        _refuse_monte_carlo(
+            f"cannot integrate a |z|^-{sigma:g} singularity in dimension {N}: its variance is infinite"
         )
 
 
@@ -967,8 +975,8 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
     ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  The tensor
     engine takes FFT pair sums on a common grid with near-diagonal
     cell-pair integrals.  Monte Carlo samples the two bounding boxes, and
-    its offsets reach z = 0 when they meet; it refuses a g with
-    2 sigma >= N there.
+    its offsets reach z = 0 when they meet; it refuses a g whose core
+    exponent p0 has 2 p0 >= N there.
     """
     N = E.dimension
     if geometry.is_empty(E) or geometry.is_empty(F):
@@ -988,7 +996,7 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
             vals = _safe_offset_eval(igd, y - x)
             return float(np.mean(np.where(keep, vals, 0.0))) * vol
 
-        return _mc_estimate(spec, N, batch_mean, igd.sigma if meet else 0.0)
+        return _mc_estimate(spec, N, batch_mean, igd.core[1] if meet else 0.0)
 
     budget = spec.resolved_budget(N)
 
@@ -1036,8 +1044,9 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     """Estimate the pair integral of K(x - y) over E x (complement of E).
 
     On tensor grids this is count(E) a(h) - S(E, E) (see
-    ``_cell_kernel_mass``).  Monte Carlo refuses it: E^c touches E, so the
-    kernel's |z|^-(N + s) singularity lies in every sampled region.
+    ``_cell_kernel_mass``).  Monte Carlo does not estimate it: E^c is
+    unbounded and touches E, where a singular kernel's variance is
+    infinite.
     """
     N = E.dimension
     if geometry.is_empty(E):
@@ -1046,7 +1055,7 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
     if spec.method == "monte-carlo":
-        _refuse_infinite_variance(N, igd.sigma)
+        _refuse_monte_carlo("does not estimate complement integrals (kernel perimeters)")
 
     budget = spec.resolved_budget(N)
 

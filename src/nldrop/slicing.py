@@ -103,9 +103,10 @@ def splitting_defect(
     kernel interaction plus A times the background mass of the lower side.
     A negative defect (RHS - LHS) is the nonexistence signature: moving
     the upper part to infinity lowers the energy.  A cut that leaves a side
-    empty has zero interactions.  Monte Carlo refuses the kernel cross
-    term of a cut that splits the shape: the bounding boxes of its sides
-    meet, where the kernel's variance is infinite.
+    empty has zero interactions.  The bounding boxes of the two sides of
+    a splitting cut meet, so Monte Carlo refuses its kernel and riesz
+    cross terms wherever their cores have infinite variance (see
+    ``quadrature.double_integral``).
     """
     nu = _unit(nu)
     work = E
@@ -288,12 +289,11 @@ def scan(
     cut is read off one level sweep of the tensor grid per direction, on
     the fine and on the half-resolution grid for the errors.  A cut is kept
     when both sides hold cells of the fine grid; ``min_defect`` is the
-    least kept defect.  Monte Carlo is refused up front: the kernel cross
-    term of every splitting cut has infinite variance (see
-    ``splitting_defect``)."""
+    least kept defect.  The level sweep runs on tensor grids only, so
+    Monte Carlo is refused up front."""
     N = E.dimension
     if spec.method == "monte-carlo":
-        quadrature._refuse_infinite_variance(N, params.kernel.sigma)
+        quadrature._refuse_monte_carlo("does not run the slice scan, a tensor-grid level sweep")
     if nu_grid is None:
         if nu_count is not None and nu_count < 0:
             raise ParameterError(f"nu_count must be >= 0 (0: the default), got {nu_count}")

@@ -32,7 +32,7 @@ class TestConfigParsing:
     def test_defaults_when_no_file(self):
         config = cli.load_config("energy")
         assert config["seed"] == 0
-        assert config["quad.method"] == "tensor-midpoint"
+        assert config["quad.budget"] == 0
         assert config["kernel.dimension"] == 2
         assert config["shape.kind"] == "ball"
 
@@ -420,8 +420,6 @@ class TestSubcommandRuns:
                 "ParameterError",
                 "diverges",
             ),
-            # a perimeter has infinite Monte Carlo variance
-            ({}, ["quad.method=monte-carlo"], "ParameterError", "quad.method = tensor-midpoint"),
         ],
     )
     def test_malformed_inputs_exit_two(self, tmp_path, capsys, files, overrides, error, needle):

@@ -992,13 +992,16 @@ _TOUCHING = (
 
 class TestMonteCarloRefusal:
     """Monte Carlo raises exactly where the boxes it samples reach a
-    |z|^-sigma singularity with 2 sigma >= N: the variance is infinite
-    there, and the batch standard error does not cover the error."""
+    |z|^-p singularity with 2 p >= N: the variance is infinite there, and
+    the batch standard error does not cover the error.  It has no
+    complement integral and no slice scan, so it refuses those for every
+    kernel."""
 
     @pytest.mark.parametrize(
         "op",
         [
             _PIN_OPS["complement"],
+            lambda spec: complement_double_integral(_PIN_DISK, trunc_kernel(cap=2.0), spec),
             _PIN_OPS["integral_over"],
             lambda spec: double_integral(_PIN_DISK, _PIN_DISK, riesz_integrand(2, 1.5), spec),
             # closed bounding boxes that share one edge reach z = 0
@@ -1006,10 +1009,13 @@ class TestMonteCarloRefusal:
             lambda spec: slicing.scan(_PIN_DISK, _MC_PARAMS, spec, nu_grid=[[1.0, 0.0]], l_grid=[0.0]),
             lambda spec: slicing.splitting_defect(_PIN_DISK, [1.0, 0.0], 0.0, _MC_PARAMS, spec),
         ],
-        ids=["complement", "integral_over", "riesz-1.5-self", "touching-boxes", "scan", "splitting_defect"],
+        ids=[
+            "complement", "complement-truncated", "integral_over", "riesz-1.5-self",
+            "touching-boxes", "scan", "splitting_defect",
+        ],
     )
-    def test_infinite_variance_is_refused(self, op):
-        with pytest.raises(ParameterError, match="quad.method = tensor-midpoint"):
+    def test_refused(self, op):
+        with pytest.raises(ParameterError, match="method = 'tensor-midpoint'"):
             op(_PIN_SPECS["monte-carlo"])
 
     @pytest.mark.parametrize(
@@ -1018,8 +1024,10 @@ class TestMonteCarloRefusal:
             lambda spec: double_integral(_PIN_U, _PIN_W, frac_kernel(), spec),
             lambda spec: integral_over(_PIN_W, PointSingularity(center=np.zeros(2), exponent=2.5), spec),
             lambda spec: double_integral(_PIN_DISK, _PIN_DISK, riesz_integrand(2, 0.9), spec),
+            # the truncated kernel's core is the bounded cap (p0 = 0)
+            lambda spec: double_integral(_PIN_DISK, _PIN_DISK, trunc_kernel(cap=2.0), spec),
         ],
-        ids=["kernel-separated-boxes", "point-outside-box", "riesz-0.9-self"],
+        ids=["kernel-separated-boxes", "point-outside-box", "riesz-0.9-self", "truncated-kernel-self"],
     )
     def test_finite_variance_runs(self, op):
         mc = op(_PIN_SPECS["monte-carlo"])
