@@ -14,7 +14,10 @@ per-subcommand key schemas; unknown keys are errors, not warnings.  Every
 run writes, into the output directory: a CSV table, a JSON summary (both
 embedding the seed and the sha256 of the resolved config), and the
 resolved config itself.  Outputs carry no timestamps; a fixed config and
-seed reproduce byte-identical files.
+seed reproduce byte-identical files.  The common ``seed`` key seeds only
+``verify`` (its random shape pairs, its blobs and its sphere directions);
+the other subcommands only echo it into their outputs, and a random blob
+shape takes ``shape.seed``.
 
 The output directory resolves in order: ``--output-dir`` flag,
 ``output_dir`` config key, the ``NLDROP_OUTPUT_DIR`` environment
@@ -352,10 +355,7 @@ def _build_kernel(config) -> KernelSpec:
 
 def _build_spec(config) -> QuadratureSpec:
     budget = config.get("quad.budget", 0)
-    return QuadratureSpec(
-        budget=int(budget) if budget else None,
-        seed=int(config.get("seed", 0)),
-    )
+    return QuadratureSpec(budget=int(budget) if budget else None)
 
 
 def _build_params(config, kernel: KernelSpec) -> EnergyParams:
@@ -545,7 +545,7 @@ def _run_verify(config, outdir):
     grid_n = int(config["verify.grid"])
     pairs = int(config["verify.pairs"])
     blobs = int(config["verify.blobs"])
-    spec = QuadratureSpec(seed=seed)
+    spec = QuadratureSpec()
     kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75)
     params = EnergyParams(kernel=kernel, A=1.0)
     rng = np.random.default_rng(seed)
@@ -593,7 +593,7 @@ def _run_verify(config, outdir):
         check("scaling", term, got, expected, ok)
 
     sphere_rng = np.random.default_rng(seed + 1)
-    sphere_spec = QuadratureSpec(budget=200_000, seed=seed)
+    sphere_spec = QuadratureSpec(budget=200_000)
     worst = 0.0
     for N in (2, 3):
         for _ in range(10):

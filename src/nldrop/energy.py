@@ -12,7 +12,7 @@ attractive background R_beta(E) = int_E |x|^{-beta}.
 Ball configurations get dedicated radial reductions (single-ball perimeter
 through the ray-exit tail, self-interaction through pair-distance
 densities, pairwise interactions through chord moments) that are much
-faster and more accurate than the generic grid engines; voxel and sliced
+faster and more accurate than the generic tensor grid; voxel and sliced
 shapes go through the quadrature module.  The ball evaluator is one
 function per term (``_balls_perimeter``, ``_balls_riesz``,
 ``_balls_background``, and ``_balls_cross`` for the pairwise
@@ -430,13 +430,11 @@ def _balls_background(beta: float, E: BallConfig) -> tuple:
     return _refined_sum(_ball_background, 512, calls)
 
 
-def _balls_energy(
-    E: BallConfig, params: EnergyParams, spec: QuadratureSpec, charged: int | None = None
-) -> tuple:
+def _balls_energy(E: BallConfig, params: EnergyParams, charged: int | None = None) -> tuple:
     """(report, cross riesz value) of a disjoint union of balls from the
-    radial reductions, under any ``spec.method``.  The riesz and kernel
-    cross terms come from one ``_balls_cross`` call.  Only the first
-    ``charged`` balls (all by default) feel the background."""
+    radial reductions.  The riesz and kernel cross terms come from one
+    ``_balls_cross`` call.  Only the first ``charged`` balls (all by
+    default) feel the background."""
     if E.dimension != params.kernel.dimension:
         raise ParameterError("ball dimension does not match the kernel")
     n = E.count if charged is None else charged
@@ -444,7 +442,7 @@ def _balls_energy(
     values, errors = _balls_cross((params.alpha, params.kernel), E)
     (cross_r, cross_k), (err_r, err_k) = values.tolist(), errors.tolist()
     p, v, r = (
-        IntegralEstimate(value, err, 0, "radial-reduction", spec.seed)
+        IntegralEstimate(value, err, 0, "radial-reduction")
         for value, err in (
             _balls_perimeter(params.kernel, E, (cross_k, err_k)),
             _balls_riesz(params.alpha, E, (cross_r, err_r)),
@@ -462,10 +460,10 @@ def perimeter(E: Shape, params_or_kernel, spec: QuadratureSpec) -> IntegralEstim
     """Nonlocal perimeter P_K(E) = int_E int_{E^c} K(x-y)."""
     kernel = _params_kernel(params_or_kernel)
     if geometry.is_empty(E):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
+    if isinstance(E, BallConfig):
         total, err = _balls_perimeter(kernel, E)
-        return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
+        return IntegralEstimate(total, err, 0, "radial-reduction")
     return quadrature.complement_double_integral(E, kernel, spec)
 
 
@@ -475,12 +473,12 @@ def riesz(E: Shape, alpha: float, spec: QuadratureSpec) -> IntegralEstimate:
     if not (0.0 < alpha < N):
         raise ParameterError(f"riesz exponent must lie in (0, {N}), got {alpha}")
     if geometry.is_empty(E):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
+    if isinstance(E, BallConfig):
         total, err = _balls_riesz(alpha, E)
-        return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
+        return IntegralEstimate(total, err, 0, "radial-reduction")
     est = quadrature.double_integral(E, E, alpha, spec)
-    return IntegralEstimate(0.5 * est.value, 0.5 * est.error, est.samples, est.method, est.seed)
+    return IntegralEstimate(0.5 * est.value, 0.5 * est.error, est.samples, est.method)
 
 
 def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
@@ -489,18 +487,18 @@ def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
     if not (0.0 <= beta < N + 1):
         raise ParameterError(f"background exponent must lie in [0, {N + 1}), got {beta}")
     if geometry.is_empty(E):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
-    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint":
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
+    if isinstance(E, BallConfig):
         total, err = _balls_background(beta, E)
-        return IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
+        return IntegralEstimate(total, err, 0, "radial-reduction")
     sing = quadrature.PointSingularity(np.zeros(N), beta)
     return quadrature.integral_over(E, sing, spec)
 
 
 def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
     """Assemble F(E) = P_K(E) + V_alpha(E) - A * R_beta(E)."""
-    if isinstance(E, BallConfig) and spec.method == "tensor-midpoint" and not geometry.is_empty(E):
-        return _balls_energy(E, params, spec)[0]
+    if isinstance(E, BallConfig) and not geometry.is_empty(E):
+        return _balls_energy(E, params)[0]
     p = perimeter(E, params.kernel, spec)
     v = riesz(E, params.alpha, spec)
     r = background(E, params.beta, spec)
@@ -532,7 +530,7 @@ def _overlap_volume(U: Shape, W: Shape) -> float:
 def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
     """Cross term int_U int_W g(x-y) for essentially disjoint shapes."""
     if geometry.is_empty(U) or geometry.is_empty(W):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     if isinstance(U, BallConfig) and isinstance(W, BallConfig):
         d = np.linalg.norm(U.centers[:, None, :] - W.centers[None, :, :], axis=-1)
         rs = U.radii[:, None] + W.radii[None, :]
@@ -553,11 +551,10 @@ def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate
     if (
         isinstance(U, BallConfig)
         and isinstance(W, BallConfig)
-        and spec.method == "tensor-midpoint"
         and (isinstance(g, KernelSpec) or isinstance(g, (int, float)))
     ):
         values, errors = _balls_cross((g,), U, W)
-        return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction", spec.seed)
+        return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction")
     return quadrature.double_integral(U, W, g, spec)
 
 
@@ -577,24 +574,14 @@ class DecompositionCheck:
 
 
 def _decomposition_parts(U: Shape, W: Shape, spec: QuadratureSpec):
-    """(U, W, U u W) for the decomposition checks.  The tensor engine gets
-    all three on the grid shared by U and W, so the three perimeters share
-    one stencil and one cell kernel mass and the identities cancel at
-    machine precision; Monte Carlo samples the shapes themselves."""
-    if spec.method == "monte-carlo" and isinstance(U, BallConfig) and isinstance(W, BallConfig):
-        union = BallConfig(
-            dimension=U.dimension,
-            centers=np.vstack([U.centers, W.centers]),
-            radii=np.concatenate([U.radii, W.radii]),
-        )
-        return U, W, union
+    """(U, W, U u W) for the decomposition checks, all three on the grid
+    shared by U and W, so the three perimeters share one stencil and one
+    cell kernel mass and the identities cancel at machine precision."""
     N = U.dimension
     occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(N), False)
-    union = VoxelShape(N, origin, h, occU | occW)
-    if spec.method == "monte-carlo":
-        return U, W, union
     if np.any(occU & occW):
         raise PreconditionError("shapes overlap on the shared grid")
+    union = VoxelShape(N, origin, h, occU | occW)
     return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW), union
 
 

@@ -86,7 +86,7 @@ def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSp
     background term.  When the set distance is at least d/2 the cross
     riesz term is checked against the far-separation bound
     m1 m2 (2 / d)^alpha."""
-    report, cross_r = energy_mod._balls_energy(cfg.shape(), params, spec, charged=1)
+    report, cross_r = energy_mod._balls_energy(cfg.shape(), params, charged=1)
     r1, r2 = cfg.radii
     if cfg.d - r1 - r2 >= 0.5 * cfg.d:
         bound = cfg.m1 * cfg.m2 * (2.0 / cfg.d) ** params.alpha
@@ -188,7 +188,7 @@ def split_advantage(
             centers = np.zeros((kk, N))
             centers[:, 0] = np.arange(kk) * float(d)
             chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))
-            rep, _ = energy_mod._balls_energy(chain, params, spec, charged=1)
+            rep, _ = energy_mod._balls_energy(chain, params, charged=1)
             consider(mk, m - mk, float(d), chain, rep.total, rep.error)
     family_min = min(ref.total, best["total"])
     return FamilySearchResult(
@@ -279,7 +279,7 @@ def weak_subadditivity_probe(
         np.vstack([balls1.centers, shifted2.centers]),
         np.concatenate([balls1.radii, shifted2.radii]),
     )
-    comp_report, _ = energy_mod._balls_energy(composite, params, spec, charged=balls1.count)
+    comp_report, _ = energy_mod._balls_energy(composite, params, charged=balls1.count)
 
     (cross_r, cross_k), _ = energy_mod._balls_cross((params.alpha, params.kernel), balls1, shifted2)
     inter_gap = float(cross_r + 2.0 * cross_k)

@@ -1,53 +1,36 @@
-"""Integration engines for singular power-law integrands on shapes.
+"""The tensor-grid quadrature engine for singular power-law integrands on
+shapes.
 
-Two engine families are provided behind one interface:
+Shapes are voxelized (or already voxel grids); a pair integral is a pair
+sum of a translation-invariant stencil over the occupied cells, taken by
+Parseval's identity on a 5-smooth FFT grid of at least twice the occupied
+box per axis.  Cell pairs near the singular diagonal use exact cell-pair
+integrals (difference-variable form with a triangular weight and dyadic
+Gauss-Legendre refinement toward the singularity).  Every integrand
+carries its core: below a radius r0 it is homogeneous of degree -p0; for
+a kernel that is the first power-law piece of ``kernels._pieces``.  The
+refinement runs until the boxes at the origin lie inside r0, and the rest
+of the corner series is summed in closed form from at most N + 2 more
+levels; a kernel's knots near the origin are integrated exactly
+beforehand.  So the corner series of every kernel kind is exact to
+rounding; only a knot farther out, which Gauss-Legendre boxes straddle (a
+truncated kernel's r_cap just above h), still costs accuracy.  Near values
+are kept in near tables, one integral per symmetry orbit of cell offsets,
+shared by every grid of one spacing; power-law integrands (r0 infinite)
+keep one table at unit spacing for all spacings.  Stencils are evaluated
+in slabs of offsets, a radial one on one orthant and mirrored.  A
+complement integral is count(E) a(h) - S(E, E): S is the pair sum over
+E x E and a(h) is the kernel mass of one cell against all of space, the
+stencil sum plus the exact directional tail beyond the stencil box (the
+closed-form radial tail from the ray-box exit distance, summed over a
+midpoint direction grid).  A grid whose stencil table (2 n - 1 cells per
+axis) would exceed ``_MAX_CONV_CELLS`` cells is refused.
 
-* ``tensor-midpoint``: shapes are voxelized (or already voxel grids); a
-  pair integral is a pair sum of a translation-invariant stencil over the
-  occupied cells, taken by Parseval's identity on a 5-smooth FFT grid of
-  at least twice the occupied box per axis.  Cell pairs near the singular
-  diagonal use exact cell-pair integrals (difference-variable form with a
-  triangular weight and dyadic Gauss-Legendre refinement toward the
-  singularity).  Every integrand carries its core: below a radius r0 it
-  is homogeneous of degree -p0; for a kernel that is the first power-law
-  piece of ``kernels._pieces``.  The refinement runs until the boxes at
-  the origin lie inside r0, and the rest of the corner series is summed
-  in closed form from at most N + 2 more levels; a kernel's knots near
-  the origin are integrated exactly beforehand.  So the corner series of
-  every kernel kind is exact to rounding; only a knot farther out, which
-  Gauss-Legendre boxes straddle (a truncated kernel's r_cap just above
-  h), still costs accuracy.  Near values are kept in near tables, one
-  integral per symmetry orbit of cell offsets, shared by every grid of
-  one spacing; power-law integrands (r0 infinite) keep one table at unit
-  spacing for all spacings.  Stencils are evaluated in slabs of offsets,
-  a radial one on one orthant and mirrored.  A complement integral is
-  count(E) a(h) - S(E, E): S is the pair sum over E x E and a(h) is the
-  kernel mass of one cell against all of space, the stencil sum plus the
-  exact directional tail beyond the stencil box (the closed-form radial
-  tail from the ray-box exit distance, summed over a midpoint direction
-  grid).
-* ``monte-carlo``: uniform rejection sampling in bounding boxes with fixed
-  batch structure; per-batch seeds derive from one SeedSequence so results
-  are bit-reproducible for a fixed spec.  It serves sphere integrals,
-  regular integrands, and singular ones whose variance is finite: riesz
-  pairs with 2 alpha < N (the 3-D alpha = 1 self term), kernels with a
-  bounded core (the truncated kind) and any pair of shapes whose bounding
-  boxes are apart.  A |z|^-p singularity with 2 p >= N inside the sampled
-  region has infinite variance, and the engine refuses it
-  (``_refuse_infinite_variance``): every pair integral whose boxes meet
-  and whose integrand's core has 2 p0 >= N, and every point singularity
-  with 2 exponent >= N inside the shape's box.  It has no complement
-  integral (the perimeter) and no slice scan; both run on tensor grids
-  only (``_refuse_monte_carlo``).
-
-Every estimate an engine returns is built by one of two helpers.
-``_tensor_estimate`` evaluates on the fine grid and on the half-resolution
-grid and reports |fine - coarse| as the error.  ``_mc_estimate`` splits
-the budget over 32 seeded batches and reports the standard error of the
-batch means.  Both errors are proxies, not bounds.  Sphere integrals and
-directional tails stream the midpoint direction grid in blocks built from
-per-axis factors (``_direction_blocks``); no cache holds more than those
-factors.
+Every estimate is built by ``_tensor_estimate``: it evaluates on the fine
+grid and on the half-resolution grid and reports |fine - coarse| as the
+error, a proxy, not a bound.  Sphere integrals and directional tails
+stream the midpoint direction grid in blocks built from per-axis factors
+(``_direction_blocks``); no cache holds more than those factors.
 """
 
 from __future__ import annotations
@@ -67,7 +50,6 @@ from .errors import ParameterError
 from .geometry import Shape, VoxelShape
 from .kernels import KernelSpec
 
-_NB_BATCHES = 32
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
 _SPHERE_BLOCK = 1 << 14  # sphere integrals take their directions in blocks this large
 _MAX_CONV_CELLS = 3.3e7
@@ -80,36 +62,31 @@ _MIN_STENCIL_CELLS = 32
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Engine selection and budgets.
-
-    ``budget`` is the Monte Carlo sample (pair) count, or the target number
-    of cells covering the shape's bounding box for tensor grids; ``None``
-    resolves to 10^5 samples or 64^N cells.
+    """Tensor-grid budget: ``budget`` is the target number of cells covering
+    the shape's bounding box (a sphere integral's direction count); ``None``
+    resolves to 64^N.
     """
 
-    method: str = "tensor-midpoint"
     budget: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("tensor-midpoint", "monte-carlo"):
-            raise ParameterError(f"unknown quadrature method {self.method!r}")
         if self.budget is not None and self.budget < 1000:
             raise ParameterError(f"budget must be >= 1000, got {self.budget}")
 
     def resolved_budget(self, N: int) -> int:
-        if self.budget is not None:
-            return int(self.budget)
-        return 100_000 if self.method == "monte-carlo" else 64 ** N
+        return 64 ** N if self.budget is None else int(self.budget)
 
 
 @dataclass(frozen=True)
 class IntegralEstimate:
+    """A value, its error proxy and the cells (or directions) it took;
+    ``method`` names the route: tensor-midpoint, radial-reduction or
+    closed-form."""
+
     value: float
     error: float
     samples: int
     method: str
-    seed: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -868,7 +845,7 @@ def _coarse_voxel(vox: VoxelShape) -> VoxelShape:
 
 
 def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
-    """Voxel view of any shape for the tensor engines."""
+    """Voxel view of any shape."""
     if isinstance(shape, VoxelShape):
         return _coarse_voxel(shape) if coarse else shape
     return voxelize(shape, cells_per_axis=_cells_per_axis(budget, shape.dimension, coarse))
@@ -878,49 +855,13 @@ def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
 # Estimates (see the module docstring)
 
 
-def _tensor_estimate(spec: QuadratureSpec, value_at) -> IntegralEstimate:
+def _tensor_estimate(value_at) -> IntegralEstimate:
     """Tensor estimate from ``value_at(coarse)`` -> (value, samples): the
     value and samples of the fine grid, and as error the change from the
     coarse (half-resolution) grid."""
     value, samples = value_at(False)
     coarse, _ = value_at(True)
-    return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint", spec.seed)
-
-
-def _batch_rngs(seed: int):
-    seqs = np.random.SeedSequence(seed).spawn(_NB_BATCHES)
-    return [np.random.default_rng(s) for s in seqs]
-
-
-def _refuse_monte_carlo(what: str) -> None:
-    """Raise the ``ParameterError`` of an integral that Monte Carlo does not
-    estimate; ``what`` says which and why."""
-    raise ParameterError(f"Monte Carlo {what}; use method = 'tensor-midpoint'")
-
-
-def _refuse_infinite_variance(N: int, sigma: float) -> None:
-    """Refuse a |z|^-sigma singularity in the sampled region that gives the
-    Monte Carlo integrand infinite variance (2 sigma >= N): its batch means
-    then have no standard error to report, and their spread does not cover
-    the actual error."""
-    if 2.0 * sigma >= N:
-        _refuse_monte_carlo(
-            f"cannot integrate a |z|^-{sigma:g} singularity in dimension {N}: its variance is infinite"
-        )
-
-
-def _mc_estimate(spec: QuadratureSpec, N: int, batch_mean, sigma: float = 0.0) -> IntegralEstimate:
-    """Monte Carlo estimate from ``_NB_BATCHES`` seeded batches that share
-    the budget: ``batch_mean(rng, count)`` returns one batch's estimate of
-    the integral.  The value is the mean of the batch estimates and the
-    error their standard error.  ``sigma`` is the strength of a |z|^-sigma
-    singularity that the sampled region reaches (0 when it reaches none);
-    one with infinite variance is refused (``_refuse_infinite_variance``)."""
-    _refuse_infinite_variance(N, sigma)
-    per = max(1, spec.resolved_budget(N) // _NB_BATCHES)
-    means = np.array([batch_mean(rng, per) for rng in _batch_rngs(spec.seed)])
-    err = float(np.std(means, ddof=1) / math.sqrt(_NB_BATCHES))
-    return IntegralEstimate(float(np.mean(means)), err, per * _NB_BATCHES, "monte-carlo", spec.seed)
+    return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -932,27 +873,13 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
 
     ``f`` is either a vectorized callable mapping an array of points with
     shape (k, N) to (k,) values, or a ``PointSingularity`` marker whose
-    singular cell is integrated by dyadic refinement on tensor grids.
-    Monte Carlo refuses a marker with 2 exponent >= N whose center lies in
-    E's closed bounding box.
+    singular cell is integrated by dyadic refinement.
     """
     N = E.dimension
     if geometry.is_empty(E):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     sing = f if isinstance(f, PointSingularity) else None
     fvec = sing.vec if sing is not None else f
-
-    if spec.method == "monte-carlo":
-        lo, hi = E.bounding_box()
-        box_vol = float(np.prod(hi - lo))
-        reached = sing is not None and bool(np.all((lo <= sing.center) & (sing.center <= hi)))
-
-        def batch_mean(rng, count):
-            pts = rng.uniform(lo, hi, size=(count, N))
-            vals = np.where(geometry.indicator(E, pts), fvec(pts), 0.0)
-            return float(np.mean(vals)) * box_vol
-
-        return _mc_estimate(spec, N, batch_mean, sing.exponent if reached else 0.0)
 
     budget = spec.resolved_budget(N)
 
@@ -965,38 +892,20 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
         vals = _singular_cell_means(centers, h, sing) if sing is not None else fvec(centers)
         return float(np.sum(vals)) * h ** N, grid.count
 
-    return _tensor_estimate(spec, value_at)
+    return _tensor_estimate(value_at)
 
 
 def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate the pair integral of g over E x F.
 
     ``g`` is a KernelSpec, a riesz exponent (float) or an
-    ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  The tensor
-    engine takes FFT pair sums on a common grid with near-diagonal
-    cell-pair integrals.  Monte Carlo samples the two bounding boxes, and
-    its offsets reach z = 0 when they meet; it refuses a g whose core
-    exponent p0 has 2 p0 >= N there.
+    ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  It is an
+    FFT pair sum on a common grid with near-diagonal cell-pair integrals.
     """
     N = E.dimension
     if geometry.is_empty(E) or geometry.is_empty(F):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     igd = _coerce_integrand(g, N)
-
-    if spec.method == "monte-carlo":
-        loE, hiE = E.bounding_box()
-        loF, hiF = F.bounding_box()
-        vol = float(np.prod(hiE - loE)) * float(np.prod(hiF - loF))
-        meet = bool(np.all((loE <= hiF) & (loF <= hiE)))
-
-        def batch_mean(rng, count):
-            x = rng.uniform(loE, hiE, size=(count, N))
-            y = rng.uniform(loF, hiF, size=(count, N))
-            keep = geometry.indicator(E, x) & geometry.indicator(F, y)
-            vals = _safe_offset_eval(igd, y - x)
-            return float(np.mean(np.where(keep, vals, 0.0))) * vol
-
-        return _mc_estimate(spec, N, batch_mean, igd.core[1] if meet else 0.0)
 
     budget = spec.resolved_budget(N)
 
@@ -1005,17 +914,7 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
         cells = int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
         return _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd)), cells
 
-    return _tensor_estimate(spec, value_at)
-
-
-def _safe_offset_eval(igd: OffsetIntegrand, z: np.ndarray) -> np.ndarray:
-    r2 = np.sum(z ** 2, axis=-1)
-    ok = r2 > 0
-    out = np.zeros(z.shape[0])
-    if np.any(ok):
-        out[ok] = igd.vec(z[ok])
-    out[~ok] = np.inf
-    return out
+    return _tensor_estimate(value_at)
 
 
 def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
@@ -1043,19 +942,14 @@ def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
 def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate the pair integral of K(x - y) over E x (complement of E).
 
-    On tensor grids this is count(E) a(h) - S(E, E) (see
-    ``_cell_kernel_mass``).  Monte Carlo does not estimate it: E^c is
-    unbounded and touches E, where a singular kernel's variance is
-    infinite.
+    This is count(E) a(h) - S(E, E) (see ``_cell_kernel_mass``).
     """
     N = E.dimension
     if geometry.is_empty(E):
-        return IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+        return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     igd = kernel_integrand(kernel)
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
-    if spec.method == "monte-carlo":
-        _refuse_monte_carlo("does not estimate complement integrals (kernel perimeters)")
 
     budget = spec.resolved_budget(N)
 
@@ -1064,31 +958,22 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
         T, a = _cell_kernel_mass(grid.occupancy.shape, grid.spacing, igd)
         return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
 
-    return _tensor_estimate(spec, value_at)
+    return _tensor_estimate(value_at)
 
 
 def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
     """Integral of f over the unit sphere (surface measure, not the mean).
 
-    ``f`` is vectorized over direction arrays of shape (k, N); the tensor
-    engine passes it blocks of at most ``_SPHERE_BLOCK`` directions of a
+    ``f`` is vectorized over direction arrays of shape (k, N); it is
+    passed blocks of at most ``_SPHERE_BLOCK`` directions of a
     midpoint grid of up to 2^20 (``_direction_blocks``).
     """
     if N not in (2, 3):
         raise ParameterError(f"sphere integrals support N in {{2, 3}}, got {N}")
-    area = geometry.unit_sphere_area(N)
-    if spec.method == "monte-carlo":
-
-        def batch_mean(rng, count):
-            v = rng.standard_normal((count, N))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            return float(np.mean(f(v))) * area
-
-        return _mc_estimate(spec, N, batch_mean)
     count = max(16, min(spec.resolved_budget(N), 1 << 20))
 
     def value_at(coarse: bool):
         blocks = _direction_blocks(N, max(8, count // 2) if coarse else count)
         return sum(float(np.sum(f(dirs) * w)) for dirs, w in blocks), count
 
-    return _tensor_estimate(spec, value_at)
+    return _tensor_estimate(value_at)

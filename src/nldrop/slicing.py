@@ -103,17 +103,12 @@ def splitting_defect(
     kernel interaction plus A times the background mass of the lower side.
     A negative defect (RHS - LHS) is the nonexistence signature: moving
     the upper part to infinity lowers the energy.  A cut that leaves a side
-    empty has zero interactions.  The bounding boxes of the two sides of
-    a splitting cut meet, so Monte Carlo refuses its kernel and riesz
-    cross terms wherever their cores have infinite variance (see
-    ``quadrature.double_integral``).
+    empty has zero interactions.  The shape is cut on its tensor grid.
     """
     nu = _unit(nu)
-    work = E
-    if spec.method == "tensor-midpoint":
-        work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
+    work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
     upper, lower = geometry.slice_shape(work, Halfspace(nu=nu, l=float(l)))
-    lhs = crossk = IntegralEstimate(0.0, 0.0, 0, spec.method, spec.seed)
+    lhs = crossk = IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     if not (geometry.is_empty(upper) or geometry.is_empty(lower)):
         crossk = quadrature.double_integral(upper, lower, params.kernel, spec)
         lhs = quadrature.double_integral(upper, lower, params.alpha, spec)
@@ -289,11 +284,8 @@ def scan(
     cut is read off one level sweep of the tensor grid per direction, on
     the fine and on the half-resolution grid for the errors.  A cut is kept
     when both sides hold cells of the fine grid; ``min_defect`` is the
-    least kept defect.  The level sweep runs on tensor grids only, so
-    Monte Carlo is refused up front."""
+    least kept defect."""
     N = E.dimension
-    if spec.method == "monte-carlo":
-        quadrature._refuse_monte_carlo("does not run the slice scan, a tensor-grid level sweep")
     if nu_grid is None:
         if nu_count is not None and nu_count < 0:
             raise ParameterError(f"nu_count must be >= 0 (0: the default), got {nu_count}")
@@ -541,21 +533,20 @@ def averaged_mass_bound(E: Shape, params: EnergyParams, spec: QuadratureSpec) ->
         and E.count == 1
         and float(np.linalg.norm(E.centers[0])) < 1e-12
         and kernel.kind == "fractional"
-        and spec.method == "tensor-midpoint"
         and 0.0 < moment_sigma < N
     ):
         R = float(E.radii[0])
         q = 2.0 * energy_mod._ball_self_riesz(N, moment_sigma, R)
-        q_est = IntegralEstimate(q, 1e-10 * abs(q), 0, "closed-form", spec.seed)
+        q_est = IntegralEstimate(q, 1e-10 * abs(q), 0, "closed-form")
     else:
         q_est = quadrature.double_integral(
             E, E, quadrature.kernel_moment_integrand(kernel), spec
         )
 
     b_exp = params.beta - 1.0
-    if isinstance(E, geometry.BallConfig) and spec.method == "tensor-midpoint":
+    if isinstance(E, geometry.BallConfig):
         total, err = energy_mod._balls_background(b_exp, E)
-        b_est = IntegralEstimate(total, err, 0, "radial-reduction", spec.seed)
+        b_est = IntegralEstimate(total, err, 0, "radial-reduction")
     else:
         b_est = quadrature.integral_over(E, PointSingularity(np.zeros(N), b_exp), spec)
 

@@ -1,4 +1,4 @@
-"""Tests for the integration engines.
+"""Tests for the tensor quadrature engine.
 
 Reference values were computed independently with scipy.integrate
 (dblquad/nquad with explicit breakpoint lists) and with closed forms, then
@@ -17,8 +17,7 @@ import pytest
 from scipy import signal
 
 from nldrop.errors import ParameterError
-from nldrop import geometry, quadrature, slicing
-from nldrop.energy import EnergyParams
+from nldrop import energy, geometry, quadrature
 from nldrop.kernels import KernelSpec
 from nldrop.quadrature import (
     PointSingularity,
@@ -67,9 +66,14 @@ def frac_kernel(N=2, s=0.5, eps=0.7, lam=1.0):
 
 
 class TestSpecValidation:
-    def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(method="simpson")
+    def test_budget_is_the_only_field(self):
+        # one engine: there is no method or seed to choose
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["budget"]
+        for removed in ("method", "seed"):
+            with pytest.raises(TypeError):
+                QuadratureSpec(**{removed: 0})
+        fields = [f.name for f in dataclasses.fields(quadrature.IntegralEstimate)]
+        assert fields == ["value", "error", "samples", "method"]
 
     def test_small_budget(self):
         with pytest.raises(ParameterError):
@@ -769,32 +773,11 @@ class TestDoubleIntegral:
         d2 = double_integral(b, a, 0.6, QuadratureSpec())
         assert d1.value == pytest.approx(d2.value, rel=1e-12)
 
-    @pytest.mark.parametrize("method", ["tensor-midpoint", "monte-carlo"])
-    def test_unsupported_integrand_is_rejected(self, method):
+    def test_unsupported_integrand_is_rejected(self):
         a = geometry.ball_of_volume(2, 1.0)
         b = geometry.translate(a, np.array([3.0, 0.0]))
         with pytest.raises(ParameterError, match="KernelSpec, a riesz exponent or an OffsetIntegrand"):
-            double_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec(method=method))
-
-    def test_mc_repeat_is_bit_identical(self):
-        ball = geometry.ball_of_volume(2, math.pi)
-        spec = QuadratureSpec(method="monte-carlo", budget=40_000, seed=5)
-        m1 = double_integral(ball, ball, 0.6, spec)
-        m2 = double_integral(ball, ball, 0.6, spec)
-        assert m1.value == m2.value and m1.error == m2.error
-
-    def test_mc_seed_changes_value(self):
-        ball = geometry.ball_of_volume(2, math.pi)
-        m1 = double_integral(ball, ball, 0.6, QuadratureSpec(method="monte-carlo", budget=40_000, seed=5))
-        m2 = double_integral(ball, ball, 0.6, QuadratureSpec(method="monte-carlo", budget=40_000, seed=6))
-        assert m1.value != m2.value
-
-    def test_mc_stderr_shrinks_with_budget(self):
-        ball = geometry.ball_of_volume(2, math.pi)
-        m1 = double_integral(ball, ball, 0.6, QuadratureSpec(method="monte-carlo", budget=40_000, seed=5))
-        m2 = double_integral(ball, ball, 0.6, QuadratureSpec(method="monte-carlo", budget=160_000, seed=5))
-        # 4x the samples should halve the standard error, up to estimator noise
-        assert 1.3 < m1.error / m2.error < 3.2
+            double_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec())
 
     def test_kernel_dimension_mismatch(self):
         ball = geometry.ball_of_volume(2, math.pi)
@@ -939,13 +922,10 @@ class TestVoxelize:
 
 
 # (value, error, samples) of each public operation on small fixed shapes,
-# frozen from the engines before their fine/coarse refinement and their
-# Monte Carlo batch loops were shared: a swapped coarse grid or a changed
-# batch layout moves one of them.  The complement tensor entry was
+# frozen from the engine before its fine/coarse refinement was shared: a
+# swapped coarse grid moves one of them.  The complement entry was
 # re-frozen when near values began summing their corner series in closed
-# form (it moved by 8e-12 relative).  Monte Carlo refuses the integral_over
-# and complement operations (``TestMonteCarloRefusal``); double_stationary
-# samples two boxes that are apart, so it keeps its value.
+# form (it moved by 8e-12 relative).
 _PIN_DISK = geometry.BallConfig(dimension=2, centers=np.array([[0.1, 0.05]]), radii=np.array([0.9]))
 _PIN_U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
 _PIN_W = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
@@ -961,15 +941,12 @@ _PIN_OPS = {
 }
 _PIN_SPECS = {
     "tensor-midpoint": QuadratureSpec(budget=1024),
-    "monte-carlo": QuadratureSpec(method="monte-carlo", budget=2048, seed=5),
 }
 PINNED_ESTIMATES = {
     ("integral_over", "tensor-midpoint"): (5.626504759797939, 0.049407088708621316, 812),
     ("double_stationary", "tensor-midpoint"): (0.8444047113279975, 0.0904679684829155, 237),
-    ("double_stationary", "monte-carlo"): (0.8285492003465506, 0.016684154380760978, 2048),
     ("complement", "tensor-midpoint"): (54.45873405990247, 1.3196129303446469, 812),
     ("sphere_average", "tensor-midpoint"): (7.326345326665783, 0.00784589714590922, 1024),
-    ("sphere_average", "monte-carlo"): (7.31550578383898, 0.11921999578048444, 2048),
 }
 
 
@@ -983,54 +960,15 @@ def test_engine_outputs_are_pinned(op, method):
     assert est.samples == samples
 
 
-_MC_PARAMS = EnergyParams(kernel=frac_kernel(), A=1.0, alpha=1.0, beta=1.0)
-_TOUCHING = (
-    geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([1.0])),
-    geometry.BallConfig(dimension=2, centers=np.array([[1.0, 0.5]]), radii=np.array([1.0])),
-)
+class TestTensorAgainstRadial:
+    """Tensor pair integrals of two separated disks at the default budget
+    against the radial reduction of ``energy.interaction``, an independent
+    route exact to about 1e-8: the gap lies within the tensor's reported
+    error."""
 
-
-class TestMonteCarloRefusal:
-    """Monte Carlo raises exactly where the boxes it samples reach a
-    |z|^-p singularity with 2 p >= N: the variance is infinite there, and
-    the batch standard error does not cover the error.  It has no
-    complement integral and no slice scan, so it refuses those for every
-    kernel."""
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            _PIN_OPS["complement"],
-            lambda spec: complement_double_integral(_PIN_DISK, trunc_kernel(cap=2.0), spec),
-            _PIN_OPS["integral_over"],
-            lambda spec: double_integral(_PIN_DISK, _PIN_DISK, riesz_integrand(2, 1.5), spec),
-            # closed bounding boxes that share one edge reach z = 0
-            lambda spec: double_integral(*_TOUCHING, 1.0, spec),
-            lambda spec: slicing.scan(_PIN_DISK, _MC_PARAMS, spec, nu_grid=[[1.0, 0.0]], l_grid=[0.0]),
-            lambda spec: slicing.splitting_defect(_PIN_DISK, [1.0, 0.0], 0.0, _MC_PARAMS, spec),
-        ],
-        ids=[
-            "complement", "complement-truncated", "integral_over", "riesz-1.5-self",
-            "touching-boxes", "scan", "splitting_defect",
-        ],
-    )
-    def test_refused(self, op):
-        with pytest.raises(ParameterError, match="method = 'tensor-midpoint'"):
-            op(_PIN_SPECS["monte-carlo"])
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda spec: double_integral(_PIN_U, _PIN_W, frac_kernel(), spec),
-            lambda spec: integral_over(_PIN_W, PointSingularity(center=np.zeros(2), exponent=2.5), spec),
-            lambda spec: double_integral(_PIN_DISK, _PIN_DISK, riesz_integrand(2, 0.9), spec),
-            # the truncated kernel's core is the bounded cap (p0 = 0)
-            lambda spec: double_integral(_PIN_DISK, _PIN_DISK, trunc_kernel(cap=2.0), spec),
-        ],
-        ids=["kernel-separated-boxes", "point-outside-box", "riesz-0.9-self", "truncated-kernel-self"],
-    )
-    def test_finite_variance_runs(self, op):
-        mc = op(_PIN_SPECS["monte-carlo"])
-        tensor = op(QuadratureSpec(budget=64 ** 2))
-        assert mc.method == "monte-carlo" and mc.samples == 2048
-        assert abs(mc.value - tensor.value) <= 4.0 * (mc.error + tensor.error)
+    @pytest.mark.parametrize("g", [frac_kernel(), 1.0, 0.6], ids=["kernel", "riesz-1", "riesz-0.6"])
+    def test_separated_disks(self, g):
+        tensor = double_integral(_PIN_U, _PIN_W, g, QuadratureSpec())
+        radial = energy.interaction(_PIN_U, _PIN_W, g, QuadratureSpec())
+        assert (tensor.method, radial.method) == ("tensor-midpoint", "radial-reduction")
+        assert abs(tensor.value - radial.value) <= tensor.error
