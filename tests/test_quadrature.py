@@ -773,11 +773,31 @@ class TestDoubleIntegral:
         d2 = double_integral(b, a, 0.6, QuadratureSpec())
         assert d1.value == pytest.approx(d2.value, rel=1e-12)
 
-    def test_unsupported_integrand_is_rejected(self):
+    # energy.interaction hands a callable on to the tensor pair sum
+    @pytest.mark.parametrize("pair_integral", [double_integral, energy.interaction])
+    def test_unsupported_integrand_is_rejected(self, pair_integral):
         a = geometry.ball_of_volume(2, 1.0)
         b = geometry.translate(a, np.array([3.0, 0.0]))
         with pytest.raises(ParameterError, match="KernelSpec, a riesz exponent or an OffsetIntegrand"):
-            double_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec())
+            pair_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec())
+
+    def test_warm_caches_repeat_the_cold_run_bit_for_bit(self, monkeypatch):
+        _fresh_caches(monkeypatch)
+        cold = double_integral(_PIN_DISK, _PIN_DISK, 0.6, QuadratureSpec())
+        warm = double_integral(_PIN_DISK, _PIN_DISK, 0.6, QuadratureSpec())
+        assert (warm.value, warm.error, warm.samples) == (cold.value, cold.error, cold.samples)
+
+    def test_budget_refinement_approaches_the_closed_form(self):
+        # V_0.6 of a disk against its closed form: the gap shrinks with
+        # every 4x budget, and the reported error with it
+        exact = 2.0 * energy.riesz(_PIN_DISK, 0.6, QuadratureSpec()).value
+        ests = [
+            double_integral(_PIN_DISK, _PIN_DISK, 0.6, QuadratureSpec(budget=b))
+            for b in (10_000, 40_000, 160_000)
+        ]
+        gaps = [abs(e.value - exact) for e in ests]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert ests[2].error < ests[0].error
 
     def test_kernel_dimension_mismatch(self):
         ball = geometry.ball_of_volume(2, math.pi)
@@ -929,6 +949,11 @@ class TestVoxelize:
 _PIN_DISK = geometry.BallConfig(dimension=2, centers=np.array([[0.1, 0.05]]), radii=np.array([0.9]))
 _PIN_U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
 _PIN_W = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
+_PIN_BALL_3D = geometry.BallConfig(dimension=3, centers=np.array([[0.1, 0.05, 0.0]]), radii=np.array([0.9]))
+_TOUCHING = (
+    geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([1.0])),
+    geometry.BallConfig(dimension=2, centers=np.array([[1.0, 0.5]]), radii=np.array([1.0])),
+)
 _PIN_OPS = {
     "integral_over": lambda spec: integral_over(
         _PIN_DISK, PointSingularity(center=np.zeros(2), exponent=1.0), spec
@@ -961,9 +986,9 @@ def test_engine_outputs_are_pinned(op, method):
 
 
 class TestTensorAgainstRadial:
-    """Tensor pair integrals of two separated disks at the default budget
-    against the radial reduction of ``energy.interaction``, an independent
-    route exact to about 1e-8: the gap lies within the tensor's reported
+    """Tensor integrals over disks and balls at the default budget against
+    the radial reductions and closed forms of ``energy``, independent
+    routes exact to about 1e-8: the gap lies within the tensor's reported
     error."""
 
     @pytest.mark.parametrize("g", [frac_kernel(), 1.0, 0.6], ids=["kernel", "riesz-1", "riesz-0.6"])
@@ -971,4 +996,44 @@ class TestTensorAgainstRadial:
         tensor = double_integral(_PIN_U, _PIN_W, g, QuadratureSpec())
         radial = energy.interaction(_PIN_U, _PIN_W, g, QuadratureSpec())
         assert (tensor.method, radial.method) == ("tensor-midpoint", "radial-reduction")
+        assert abs(tensor.value - radial.value) <= tensor.error
+
+    @pytest.mark.parametrize("g", [frac_kernel(), 1.0], ids=["kernel", "riesz-1"])
+    def test_disks_whose_bounding_boxes_touch(self, g):
+        # the closed boxes share the edge x = 0, so the grid has cells of
+        # both disks side by side
+        tensor = double_integral(*_TOUCHING, g, QuadratureSpec())
+        radial = energy.interaction(*_TOUCHING, g, QuadratureSpec())
+        assert abs(tensor.value - radial.value) <= tensor.error
+
+    @pytest.mark.parametrize(
+        "ball, alpha",
+        [(_PIN_DISK, 0.6), (_PIN_DISK, 0.9), (_PIN_DISK, 1.5), (_PIN_BALL_3D, 1.0)],
+        ids=["disk-0.6", "disk-0.9", "disk-1.5", "ball-3d-1"],
+    )
+    def test_self_riesz(self, ball, alpha):
+        tensor = double_integral(ball, ball, alpha, QuadratureSpec())
+        closed = 2.0 * energy.riesz(ball, alpha, QuadratureSpec()).value
+        assert abs(tensor.value - closed) <= tensor.error
+
+    @pytest.mark.parametrize(
+        "ball, kernel",
+        [(_PIN_DISK, trunc_kernel(cap=2.0)), (_PIN_DISK, trunc_kernel()), (_PIN_BALL_3D, trunc_kernel(N=3))],
+        ids=["disk-cap-2", "disk-cap-50", "ball-3d-cap-50"],
+    )
+    def test_complement_of_a_ball(self, ball, kernel):
+        tensor = complement_double_integral(ball, kernel, QuadratureSpec())
+        radial = energy.perimeter(ball, kernel, QuadratureSpec())
+        assert radial.method == "radial-reduction"
+        assert abs(tensor.value - radial.value) <= tensor.error
+
+    @pytest.mark.parametrize(
+        "ball, exponent",
+        [(_PIN_DISK, 1.0), (_PIN_W, 2.5), (_PIN_BALL_3D, 2.0)],
+        ids=["inside-disk", "outside-disk", "inside-ball-3d"],
+    )
+    def test_point_singularity_at_the_origin(self, ball, exponent):
+        sing = PointSingularity(center=np.zeros(ball.dimension), exponent=exponent)
+        tensor = integral_over(ball, sing, QuadratureSpec())
+        radial = energy.background(ball, exponent, QuadratureSpec())
         assert abs(tensor.value - radial.value) <= tensor.error

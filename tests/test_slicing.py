@@ -8,7 +8,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from nldrop import families, geometry, quadrature, slicing
+from nldrop import energy, families, geometry, quadrature, slicing
 from nldrop.energy import EnergyParams, background
 from nldrop.errors import ParameterError
 from nldrop.kernels import KernelSpec
@@ -34,6 +34,24 @@ def make_params(N=2, A=1.0):
 
 def seeded_blob(seed=8, grid_n=32):
     return geometry.random_blob(2, np.random.default_rng(seed), grid_n=grid_n)
+
+
+# two disks that the line x = 0 separates, and the cut's three terms from
+# the radial reductions of ``energy`` (exact to about 1e-8)
+_LEFT = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.6]))
+_RIGHT = geometry.BallConfig(dimension=2, centers=np.array([[1.1, 0.2]]), radii=np.array([0.7]))
+_TWO_DISKS = geometry.BallConfig(
+    dimension=2, centers=np.array([[-1.0, 0.0], [1.1, 0.2]]), radii=np.array([0.6, 0.7])
+)
+
+
+def assert_matches_radial_terms(rec, params):
+    spec = QuadratureSpec()
+    lhs = energy.interaction(_LEFT, _RIGHT, params.alpha, spec).value
+    cross = energy.interaction(_LEFT, _RIGHT, params.kernel, spec).value
+    rhs = 2.0 * cross + params.A * background(_LEFT, params.beta, spec).value
+    assert abs(rec.lhs - lhs) <= rec.lhs_error
+    assert abs(rec.rhs - rhs) <= rec.rhs_error
 
 
 class TestSphereIntegral:
@@ -92,6 +110,11 @@ class TestSplittingDefect:
         )
         assert rec.lhs == 0.0 and rec.cross_kernel == 0.0
 
+    def test_two_disks_match_the_radial_terms(self):
+        params = make_params()
+        rec = splitting_defect(_TWO_DISKS, np.array([1.0, 0.0]), 0.0, params, QuadratureSpec())
+        assert_matches_radial_terms(rec, params)
+
     def test_record_keys(self):
         rec = splitting_defect(
             seeded_blob(), np.array([1.0, 0.0]), 0.0, make_params(), QuadratureSpec()
@@ -114,6 +137,12 @@ class TestScan:
         assert len(res.integrated_defect) == 4
         assert res.min_defect == min(r.defect for r in res.records)
         assert res.min_record.defect == res.min_defect
+
+    def test_two_disks_match_the_radial_terms(self):
+        params = make_params()
+        res = scan(_TWO_DISKS, params, QuadratureSpec(), nu_grid=[[1.0, 0.0]], l_grid=[0.0])
+        assert len(res.records) == 1
+        assert_matches_radial_terms(res.records[0], params)
 
     def test_sweep_matches_direct_evaluation(self):
         blob = seeded_blob()
