@@ -40,7 +40,7 @@ import numpy as np
 from . import energy as energy_mod
 from . import families, geometry, isoperimetry, kernels, quadrature, slicing, thresholds
 from .energy import EnergyParams
-from .errors import ConfigError, NldropError
+from .errors import ConfigError, NldropError, ParameterError
 from .geometry import BallConfig
 from .kernels import KernelSpec
 from .quadrature import QuadratureSpec
@@ -101,7 +101,6 @@ SCHEMAS: Dict[str, Dict[str, str]] = {
     },
     "family": {
         **_COMMON,
-        **_QUAD,
         **_KERNEL,
         **_ENERGY,
         "family.mode": "str",
@@ -354,8 +353,8 @@ def _build_kernel(config) -> KernelSpec:
 
 
 def _build_spec(config) -> QuadratureSpec:
-    budget = config.get("quad.budget", 0)
-    return QuadratureSpec(budget=int(budget) if budget else None)
+    budget = int(config["quad.budget"])
+    return QuadratureSpec(budget=budget or None)
 
 
 def _build_params(config, kernel: KernelSpec) -> EnergyParams:
@@ -476,14 +475,12 @@ def _run_slice_scan(config, outdir):
 
 def _run_family(config, outdir):
     kernel = _build_kernel(config)
-    spec = _build_spec(config)
     params = _build_params(config, kernel)
     mode = config["family.mode"]
     if mode == "split":
         result = families.split_advantage(
             float(config["family.mass"]),
             params,
-            spec,
             d_count=int(config["family.d_count"]),
             d_max_factor=float(config["family.d_max_factor"]),
             k=int(config["family.k"]),
@@ -496,7 +493,6 @@ def _run_family(config, outdir):
             float(config["family.m1"]),
             float(config["family.m2"]),
             params,
-            spec,
             d_count=int(config["family.d_count"]),
             d_max_factor=float(config["family.d_max_factor"]),
             k=int(config["family.k"]),
@@ -541,6 +537,9 @@ def _run_kernel_check(config, outdir):
 
 
 def _run_verify(config, outdir):
+    for key, least in (("verify.pairs", 0), ("verify.blobs", 0), ("verify.grid", 1)):
+        if config[key] < least:
+            raise ParameterError(f"{key} must be >= {least}, got {config[key]}")
     seed = int(config["seed"])
     grid_n = int(config["verify.grid"])
     pairs = int(config["verify.pairs"])

@@ -24,7 +24,6 @@ from . import geometry
 from .energy import EnergyParams, EnergyReport
 from .errors import ParameterError, PreconditionError
 from .geometry import BallConfig
-from .quadrature import QuadratureSpec
 
 _DEFAULT_FRACTIONS = (0.25, 0.375, 0.5, 0.625, 0.75)
 _DEFAULT_D_COUNT = 12
@@ -73,15 +72,15 @@ class TwoBallConfig:
         return BallConfig(dimension=N, centers=centers, radii=np.array([r1, r2]))
 
 
-def single_ball_energy(m: float, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
+def single_ball_energy(m: float, params: EnergyParams) -> EnergyReport:
     """Energy of the origin-centered ball of volume m."""
     if m <= 0:
         raise ParameterError(f"mass must be positive, got {m}")
     N = params.kernel.dimension
-    return energy_mod.total_energy(geometry.ball_of_volume(N, m), params, spec)
+    return energy_mod._balls_energy(geometry.ball_of_volume(N, m), params)[0]
 
 
-def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:
+def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams) -> EnergyReport:
     """Energy of the two-ball configuration; the origin ball carries the
     background term.  When the set distance is at least d/2 the cross
     riesz term is checked against the far-separation bound
@@ -131,7 +130,6 @@ class FamilySearchResult:
 def split_advantage(
     m: float,
     params: EnergyParams,
-    spec: QuadratureSpec,
     fractions: Optional[Sequence[float]] = None,
     d_count: int = _DEFAULT_D_COUNT,
     d_max_factor: float = _D_MAX_FACTOR,
@@ -151,7 +149,7 @@ def split_advantage(
     if k == 2 and not any(0.0 < f < 1.0 for f in fractions):
         raise ParameterError(f"family needs a split fraction in (0, 1), got {fractions}")
     N = params.kernel.dimension
-    ref = single_ball_energy(m, params, spec)
+    ref = single_ball_energy(m, params)
     diam = 2.0 * _ball_radius(N, m)
     trace: List[dict] = []
     best = best_balls = None
@@ -180,7 +178,7 @@ def split_advantage(
             continue
         for d in d_grid(_ball_radius(N, m1) + _ball_radius(N, m2)):
             cfg = TwoBallConfig(dimension=N, m1=m1, m2=m2, d=float(d))
-            rep = two_ball_energy(cfg, params, spec)
+            rep = two_ball_energy(cfg, params)
             consider(m1, m2, float(d), cfg.shape(), rep.total, rep.error)
     for kk in range(3, k + 1):
         mk = m / kk
@@ -233,7 +231,6 @@ def weak_subadditivity_probe(
     m1: float,
     m2: float,
     params: EnergyParams,
-    spec: QuadratureSpec,
     d_count: int = _DEFAULT_D_COUNT,
     d_max_factor: float = _D_MAX_FACTOR,
     k: int = 2,
@@ -257,13 +254,13 @@ def weak_subadditivity_probe(
     N = params.kernel.dimension
     params0 = replace(params, A=0.0)
     grid = dict(d_count=d_count, d_max_factor=d_max_factor, k=k)
-    res1 = split_advantage(m1, params, spec, **grid)
-    res2 = split_advantage(m2, params0, spec, **grid)
+    res1 = split_advantage(m1, params, **grid)
+    res2 = split_advantage(m2, params0, **grid)
 
     extra = m1 / (m1 + m2)
     fractions = tuple(sorted(set(_DEFAULT_FRACTIONS) | {extra, 1.0 - extra}))
     fractions = tuple(f for f in fractions if 0.0 < f < 1.0)
-    res_sum = split_advantage(m1 + m2, params, spec, fractions=fractions, **grid)
+    res_sum = split_advantage(m1 + m2, params, fractions=fractions, **grid)
 
     balls1 = _best_balls(m1, N, res1)
     balls2 = _best_balls(m2, N, res2)

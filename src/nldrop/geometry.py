@@ -59,7 +59,8 @@ class BallConfig:
 
     ``disjoint=True`` asserts that center distances exceed radius sums and
     is validated at construction; volume is only defined for disjoint
-    configurations in this representation.
+    configurations in this representation.  N is 2 or 3, the dimensions
+    the radial reductions of the energy terms cover.
     """
 
     dimension: int
@@ -68,6 +69,8 @@ class BallConfig:
     disjoint: bool = True
 
     def __post_init__(self):
+        if self.dimension not in (2, 3):
+            raise ParameterError(f"ball shapes need dimension 2 or 3, got {self.dimension}")
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if c.size == 0:
@@ -314,10 +317,10 @@ def random_blob(
     N: int,
     rng: np.random.Generator,
     grid_n: int = 64,
-    extent: float = 1.0,
     volume_cap: Optional[float] = None,
 ) -> VoxelShape:
-    """Seeded random blob: the union of 1-5 random balls on a voxel grid.
+    """Seeded random blob: the union of 1-5 random balls on a voxel grid
+    over the unit box [-1/2, 1/2]^N.
 
     When ``volume_cap`` is given the grid spacing is rescaled (exactly, see
     ``scale``) so the voxel volume lands at 90% of the cap or below.
@@ -325,11 +328,11 @@ def random_blob(
     if grid_n < 1:
         raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
     k = int(rng.integers(1, 6))
-    centers = rng.uniform(-0.28 * extent, 0.28 * extent, size=(k, N))
-    radii = rng.uniform(0.10 * extent, 0.22 * extent, size=k)
+    centers = rng.uniform(-0.28, 0.28, size=(k, N))
+    radii = rng.uniform(0.10, 0.22, size=k)
     balls = BallConfig(dimension=N, centers=centers, radii=radii, disjoint=False)
-    h = extent / grid_n
-    origin = np.full(N, -0.5 * extent)
+    h = 1.0 / grid_n
+    origin = np.full(N, -0.5)
     axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -342,33 +345,34 @@ def random_blob(
     return shape
 
 
-def random_disjoint_pair(
-    N: int, rng: np.random.Generator, grid_n: int = 64, extent: float = 1.0
-):
-    """Two disjoint random blobs on one shared grid, separated along axis 0.
+def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
+    """Two disjoint random blobs on one shared grid over the unit box
+    [-1/2, 1/2]^N, separated along axis 0.
 
-    The left blob lives in the left 40% of the box, the right blob in the
-    right 40%, leaving a gap of at least 10% of the extent between them.
+    The left blob is clipped to x_0 < -0.06 and the right blob to
+    x_0 >= 0.06, so a gap of at least 0.12 separates them.
     """
-    h = extent / grid_n
-    origin = np.full(N, -0.5 * extent)
+    if grid_n < 1:
+        raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
+    h = 1.0 / grid_n
+    origin = np.full(N, -0.5)
     axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
 
     def blob_occ(x_lo, x_hi):
         k = int(rng.integers(1, 4))
-        centers = rng.uniform(-0.30 * extent, 0.30 * extent, size=(k, N))
-        centers[:, 0] = rng.uniform(x_lo + 0.12 * extent, x_hi - 0.12 * extent, size=k)
-        radii = rng.uniform(0.06 * extent, 0.115 * extent, size=k)
+        centers = rng.uniform(-0.30, 0.30, size=(k, N))
+        centers[:, 0] = rng.uniform(x_lo + 0.12, x_hi - 0.12, size=k)
+        radii = rng.uniform(0.06, 0.115, size=k)
         balls = BallConfig(dimension=N, centers=centers, radii=radii, disjoint=False)
         occ = indicator(balls, pts).reshape((grid_n,) * N)
         # clip to the allotted slab so the pair is disjoint with a gap
         x_coord = grids[0]
         return occ & (x_coord >= x_lo) & (x_coord < x_hi)
 
-    occ_left = blob_occ(-0.5 * extent, -0.06 * extent)
-    occ_right = blob_occ(0.06 * extent, 0.5 * extent)
+    occ_left = blob_occ(-0.5, -0.06)
+    occ_right = blob_occ(0.06, 0.5)
     left = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ_left)
     right = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ_right)
     return left, right

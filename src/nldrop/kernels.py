@@ -50,6 +50,14 @@ from .errors import DomainError, ParameterError
 
 _EPS_REL = 1e-9  # relative slack for pointwise sandwich checks
 
+# Sampling plan of ``validate_conditions``: radii geometric over
+# [r_min, cutoff], and seeded random directions for the symmetry check
+_AUDIT_R_MIN = 1e-3
+_AUDIT_CUTOFF = 1e3
+_AUDIT_RADII = 400
+_AUDIT_DIRECTIONS = 32
+_AUDIT_SEED = 0
+
 
 def epsilon_min(N: int, s: float) -> float:
     """Smallest admissible epsilon for dimension N and order s.
@@ -315,24 +323,6 @@ def radial_tail_integral(kernel: KernelSpec, rho):
 
 
 @dataclass(frozen=True)
-class KernelAudit:
-    """Sampling plan for ``validate_conditions``.
-
-    Deterministic given its fields; the seed only feeds the random
-    directions used by the symmetry check.
-    """
-
-    r_min: float = 1e-3
-    tail_cutoff: float = 1e3
-    n_radii: int = 400
-    n_directions: int = 32
-    seed: int = 0
-
-    def sample_radii(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.tail_cutoff, self.n_radii)
-
-
-@dataclass(frozen=True)
 class ConditionVerdict:
     status: str  # "pass" | "fail" | "inconclusive" | "not-checked"
     witness: Optional[float] = None  # radius of the worst sample
@@ -345,20 +335,14 @@ class KernelConditionReport:
     conditions: dict = field(default_factory=dict)
     tail_integral: float = float("nan")
     tail_remainder: float = float("nan")
-    plan: Optional[KernelAudit] = None
-
-    def verdict(self, name: str) -> ConditionVerdict:
-        return self.conditions[name]
 
     @property
     def all_pass(self) -> bool:
         return all(v.status == "pass" for v in self.conditions.values())
 
 
-def validate_conditions(
-    kernel: KernelSpec, audit: Optional[KernelAudit] = None
-) -> KernelConditionReport:
-    """Numerically audit conditions (K1)-(K4') on a sampling plan.
+def validate_conditions(kernel: KernelSpec) -> KernelConditionReport:
+    """Numerically audit conditions (K1)-(K4') on the fixed sampling plan.
 
     (K1) is checked by evaluating at point pairs +/-x (symmetry) and by a
     sign scan over all sampled radii.  (K2) integrates K(r) r^(N-1) from 1
@@ -369,9 +353,8 @@ def validate_conditions(
     against 10x the analytic Lipschitz constant of the power law on that
     annulus.  (K4) and (K4') are pointwise sandwich checks.
     """
-    audit = audit or KernelAudit()
     N, s, eps, lam = kernel.dimension, kernel.s, kernel.epsilon, kernel.lam
-    radii = audit.sample_radii()
+    radii = np.geomspace(_AUDIT_R_MIN, _AUDIT_CUTOFF, _AUDIT_RADII)
     conditions = {}
 
     try:
@@ -383,8 +366,8 @@ def validate_conditions(
         kvals = eval_kernel_radial(kernel, radii)
 
     # (K1): nonnegativity plus symmetry at random direction pairs.
-    rng = np.random.default_rng(audit.seed)
-    dirs = rng.standard_normal((audit.n_directions, N))
+    rng = np.random.default_rng(_AUDIT_SEED)
+    dirs = rng.standard_normal((_AUDIT_DIRECTIONS, N))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     sym_radii = np.minimum(np.geomspace(radii[0], radii[-1], 16), radii[-1])
     pts = sym_radii[:, None, None] * dirs[None, :, :]
@@ -413,7 +396,7 @@ def validate_conditions(
             "not-checked", None, None, "tabulated kernel without a tail rule"
         )
     else:
-        cutoff = audit.tail_cutoff
+        cutoff = _AUDIT_CUTOFF
         if kernel.kind == "tabulated":
             # the tail rule only acts beyond the last sample; push the fit
             # window out far enough to see it
@@ -524,5 +507,4 @@ def validate_conditions(
         conditions=conditions,
         tail_integral=tail_integral,
         tail_remainder=tail_remainder,
-        plan=audit,
     )

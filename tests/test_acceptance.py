@@ -204,11 +204,10 @@ class TestNonexistenceSignature:
         t0 = time.monotonic()
         m_c = thresholds.critical_mass(3, 0.5, 0.5, 0.0).mass
         params = EnergyParams(kernel=kernel_n3(), A=0.0, alpha=1.0, beta=1.0)
-        spec = QuadratureSpec()
 
-        large = families.split_advantage(2.0 * m_c, params, spec)
+        large = families.split_advantage(2.0 * m_c, params)
         assert large.margin > 3.0 * large.error
-        small = families.split_advantage(m_c / 100.0, params, spec)
+        small = families.split_advantage(m_c / 100.0, params)
         assert not (small.margin > 3.0 * small.error)
 
         cut_spec = QuadratureSpec(budget=48 ** 3)
@@ -232,13 +231,10 @@ class TestWeakSubadditivity:
     def test_ten_seeded_mass_pairs(self):
         t0 = time.monotonic()
         params = EnergyParams(kernel=kernel_n3(), A=1.0, alpha=1.0, beta=1.0)
-        spec = QuadratureSpec()
         rng = np.random.default_rng(7)
         for _ in range(10):
             m1, m2 = rng.uniform(0.5, 40.0, size=2)
-            probe = families.weak_subadditivity_probe(
-                float(m1), float(m2), params, spec
-            )
+            probe = families.weak_subadditivity_probe(float(m1), float(m2), params)
             assert probe.residual <= 3.0 * probe.combined_error
         elapsed = time.monotonic() - t0
         assert elapsed < 180.0

@@ -85,21 +85,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.load_config("energy", overrides=["seed"])
 
+    def test_only_grid_subcommands_take_quad_budget(self):
+        # the family search runs on radial ball reductions and builds no grid
+        for sub in ("energy", "slice-scan"):
+            assert cli.load_config(sub, overrides=["quad.budget=4096"])["quad.budget"] == 4096
+        takers = [sub for sub, schema in cli.SCHEMAS.items() if "quad.budget" in schema]
+        assert takers == ["energy", "slice-scan"]
+
 
 class TestReadmeConfigKeys:
     README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
     def test_readme_documents_exactly_the_schema_keys(self):
+        # README's Configuration section names every schema key, and every
+        # dotted key it names is in some schema, so a removed key cannot
+        # linger in the docs
         with open(self.README, "r", encoding="utf-8") as fh:
             text = fh.read()
+        text = text.split("### Configuration", 1)[1].split("\n### ", 1)[0]
         keys = set().union(*cli.SCHEMAS.values())
         missing = sorted(k for k in keys if not re.search(f"`{re.escape(k)}[` ]", text))
         assert missing == []
-        sections = {k.split(".")[0] for k in keys if "." in k}
-        documented = {
-            k for k in re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)[` ]", text)
-            if k.split(".")[0] in sections
-        }
+        documented = set(re.findall(r"`([a-z]+\.[A-Za-z0-9_]+)[` ]", text))
         assert sorted(documented - keys) == []
 
 
@@ -287,6 +294,7 @@ class TestSubcommandRuns:
             (["family.d_count=0"], "family.d_count"),
             (["family.d_count=0", "family.k=3"], "family.d_count"),
             (["family.d_max_factor=0.1"], "family.d_max_factor"),
+            (["kernel.dimension=4"], "kernel.dimension"),
         ],
     )
     def test_family_bad_grid_exits_two(self, tmp_path, capsys, overrides, key):
@@ -297,6 +305,12 @@ class TestSubcommandRuns:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ParameterError"
         assert key.split(".", 1)[1] in record["message"]
+
+    @pytest.mark.parametrize("sub", ["critical-mass", "kernel-check"])
+    def test_shapeless_subcommands_run_at_n4(self, tmp_path, sub):
+        # only shapes are limited to N = 2 and 3
+        out = str(tmp_path / "out")
+        assert self.run([sub, "--output-dir", out, "--set", "kernel.dimension=4"]) == 0
 
     def test_kernel_check_passing(self, tmp_path):
         out = str(tmp_path / "out")
@@ -343,15 +357,23 @@ class TestSubcommandRuns:
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] > 0
 
-    def test_unknown_key_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sub, key",
+        [
+            ("energy", "bogus"),
+            # the family search reads no quadrature budget
+            ("family", "quad.budget"),
+        ],
+    )
+    def test_unknown_key_exits_two(self, tmp_path, capsys, sub, key):
         rc = self.run(
-            ["energy", "--output-dir", str(tmp_path / "o"), "--set", "bogus=1"]
+            [sub, "--output-dir", str(tmp_path / "o"), "--set", f"{key}=4096"]
         )
         assert rc == 2
         err = capsys.readouterr().err
         record = json.loads(err.strip())
         assert record["error"] == "ConfigError"
-        assert "bogus" in record["message"]
+        assert key in record["message"]
 
 
     @pytest.mark.parametrize(
@@ -362,6 +384,9 @@ class TestSubcommandRuns:
             ("slice-scan", ["scan.l_count=-3"], "scan.l_count"),
             ("energy", ["shape.kind=blob", "shape.grid=0"], "shape.grid"),
             ("energy", ["shape.kind=blob", "shape.grid=-4"], "shape.grid"),
+            ("verify", ["verify.grid=0"], "verify.grid"),
+            ("verify", ["verify.grid=-4"], "verify.grid"),
+            ("verify", ["verify.pairs=-1"], "verify.pairs"),
         ],
     )
     def test_empty_grids_exit_two(self, tmp_path, capsys, sub, overrides, key):
@@ -413,6 +438,8 @@ class TestSubcommandRuns:
                 "ShapeFormatError",
                 "row 2",
             ),
+            # the ball reductions exist for N = 2 and 3 only
+            ({}, ["kernel.dimension=4"], "ParameterError", "dimension 2 or 3"),
             # beta >= N diverges on the blob's cell at the origin
             (
                 {},

@@ -96,7 +96,7 @@ class TestGaussRuleCaches:
         energy_mod._jacobi_rule.cache_clear()
         try:
             params = EnergyParams(kernel=frac(N=3), A=1.0, alpha=0.5, beta=1.0)
-            split_advantage(2.0, params, QuadratureSpec(), d_count=3)
+            split_advantage(2.0, params, d_count=3)
         finally:
             energy_mod._legendre_rule.cache_clear()
             energy_mod._jacobi_rule.cache_clear()

@@ -60,7 +60,7 @@ class TestTwoBallEnergy:
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
         params = make_params()
         spec = QuadratureSpec()
-        rep = two_ball_energy(cfg, params, spec)
+        rep = two_ball_energy(cfg, params)
         pair = cfg.shape()
         origin_ball = geometry.BallConfig(
             dimension=3, centers=np.zeros((1, 3)), radii=np.array([cfg.radii[0]])
@@ -74,10 +74,9 @@ class TestTwoBallEnergy:
 
     def test_energy_decreases_with_separation(self):
         params = make_params(A=0.0)
-        spec = QuadratureSpec()
         totals = [
             two_ball_energy(
-                TwoBallConfig(dimension=3, m1=1.5, m2=1.5, d=d), params, spec
+                TwoBallConfig(dimension=3, m1=1.5, m2=1.5, d=d), params
             ).total
             for d in (2.0, 4.0, 8.0, 16.0)
         ]
@@ -88,18 +87,17 @@ class TestTwoBallEnergy:
         # so it sits well inside the far-separation bound 2 m1 m2 / d
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
         params = make_params(A=0.0)
-        spec = QuadratureSpec()
-        rep = two_ball_energy(cfg, params, spec)
+        rep = two_ball_energy(cfg, params)
         singles = (
-            single_ball_energy(2.0, params, spec).riesz.value
-            + single_ball_energy(1.0, params, spec).riesz.value
+            single_ball_energy(2.0, params).riesz.value
+            + single_ball_energy(1.0, params).riesz.value
         )
         assert rep.riesz.value - singles == pytest.approx(2.0 / 10.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
         cfg = TwoBallConfig(dimension=2, m1=1.0, m2=1.0, d=3.0)
         with pytest.raises(ParameterError):
-            two_ball_energy(cfg, make_params(), QuadratureSpec())
+            two_ball_energy(cfg, make_params())
 
     def test_far_separation_bound_violation_raises(self, monkeypatch):
         # an explicit error, not an assert that python -O strips
@@ -112,13 +110,13 @@ class TestTwoBallEnergy:
         monkeypatch.setattr(energy_mod, "_balls_cross", inflated_cross)
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
         with pytest.raises(PreconditionError, match="far-separation bound"):
-            two_ball_energy(cfg, make_params(A=0.0), QuadratureSpec())
+            two_ball_energy(cfg, make_params(A=0.0))
 
     def test_far_separation_bound_holds_for_alpha_below_one(self):
         # for |x - y| >= d/2 the cross riesz term is at most m1 m2 (2/d)^alpha;
         # the alpha = 1 bound 2 m1 m2 / d is too small when alpha < 1
         params = EnergyParams(kernel=kernel3(), A=1.0, alpha=0.5, beta=1.0)
-        result = split_advantage(2.0, params, QuadratureSpec(), d_count=3)
+        result = split_advantage(2.0, params, d_count=3)
         assert math.isfinite(result.margin)
 
     @pytest.mark.parametrize("N, expected", [(2, 2), (3, 2)])
@@ -135,7 +133,7 @@ class TestTwoBallEnergy:
         monkeypatch.setattr(energy_mod, "_ball_pair_interaction", counted)
         kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
-        two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params, QuadratureSpec())
+        two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params)
         assert len(calls) == expected
 
     # values and errors at m1 = 2, m2 = 1, d = 4 (s = 1/2, epsilon = 3/4,
@@ -161,7 +159,7 @@ class TestTwoBallEnergy:
     def test_values_are_pinned(self, N, alpha, expected):
         kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=alpha, beta=1.0)
-        rep = two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params, QuadratureSpec())
+        rep = two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params)
         got = [
             rep.perimeter.value, rep.perimeter.error,
             rep.riesz.value, rep.riesz.error,
@@ -176,18 +174,18 @@ class TestTwoBallEnergy:
         kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
         cfg = TwoBallConfig(dimension=2, m1=2.0, m2=1.0, d=4.0)
-        two_ball_energy(cfg, params, QuadratureSpec())
+        two_ball_energy(cfg, params)
         tracemalloc.start()
         try:
-            two_ball_energy(cfg, params, QuadratureSpec())
+            two_ball_energy(cfg, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_radial_reduction_under_the_default_spec(self):
+    def test_terms_take_the_radial_reduction(self):
         cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
-        rep = two_ball_energy(cfg, make_params(), QuadratureSpec())
+        rep = two_ball_energy(cfg, make_params())
         for est in (rep.perimeter, rep.riesz, rep.background):
             assert est.method == "radial-reduction"
 
@@ -195,45 +193,43 @@ class TestTwoBallEnergy:
 class TestSplitAdvantage:
     def test_margin_changes_sign_with_mass(self):
         params = make_params(A=1.0)
-        spec = QuadratureSpec()
-        small = split_advantage(2.0, params, spec)
-        mid = split_advantage(60.0, params, spec)
-        large = split_advantage(400.0, params, spec)
+        small = split_advantage(2.0, params)
+        mid = split_advantage(60.0, params)
+        large = split_advantage(400.0, params)
         assert small.margin < 0.0
         assert mid.margin > 0.0
         assert large.margin > mid.margin
 
     def test_family_min_is_the_lower_envelope(self):
-        res = split_advantage(60.0, make_params(), QuadratureSpec())
+        res = split_advantage(60.0, make_params())
         assert res.family_min == min(res.reference_energy, res.best_energy)
         assert res.margin == res.reference_energy - res.best_energy
 
     def test_chains_can_only_lower_the_minimum(self):
         params = make_params()
-        spec = QuadratureSpec()
-        pairs_only = split_advantage(400.0, params, spec)
-        with_chains = split_advantage(400.0, params, spec, k=3)
+        pairs_only = split_advantage(400.0, params)
+        with_chains = split_advantage(400.0, params, k=3)
         assert with_chains.family_min <= pairs_only.family_min + 1e-12
         assert len(with_chains.trace) > len(pairs_only.trace)
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
-            split_advantage(-1.0, make_params(), QuadratureSpec())
+            split_advantage(-1.0, make_params())
         with pytest.raises(ParameterError):
-            split_advantage(1.0, make_params(), QuadratureSpec(), k=1)
+            split_advantage(1.0, make_params(), k=1)
 
     def test_empty_search_grids(self):
         with pytest.raises(ParameterError, match="d_count"):
-            split_advantage(2.0, make_params(), QuadratureSpec(), d_count=0)
+            split_advantage(2.0, make_params(), d_count=0)
         with pytest.raises(ParameterError, match="d_count"):
-            split_advantage(2.0, make_params(), QuadratureSpec(), d_count=0, k=3)
+            split_advantage(2.0, make_params(), d_count=0, k=3)
         with pytest.raises(ParameterError, match="d_max_factor"):
-            split_advantage(2.0, make_params(), QuadratureSpec(), d_max_factor=0.5)
+            split_advantage(2.0, make_params(), d_max_factor=0.5)
         with pytest.raises(ParameterError, match="fraction"):
-            split_advantage(2.0, make_params(), QuadratureSpec(), fractions=(0.0, 1.0))
+            split_advantage(2.0, make_params(), fractions=(0.0, 1.0))
 
     def test_record_keys(self):
-        rec = split_advantage(2.0, make_params(), QuadratureSpec()).as_record()
+        rec = split_advantage(2.0, make_params()).as_record()
         for key in (
             "best_m1", "best_m2", "best_d", "best_energy",
             "reference_energy", "family_min", "margin", "error",
@@ -243,12 +239,12 @@ class TestSplitAdvantage:
 
 class TestSubadditivityProbe:
     def test_residual_not_positive_beyond_errors(self):
-        probe = weak_subadditivity_probe(30.0, 20.0, make_params(), QuadratureSpec())
+        probe = weak_subadditivity_probe(30.0, 20.0, make_params())
         assert probe.residual <= 3.0 * probe.combined_error
 
     def test_residual_without_background(self):
         probe = weak_subadditivity_probe(
-            5.0, 3.0, make_params(A=0.0), QuadratureSpec()
+            5.0, 3.0, make_params(A=0.0)
         )
         assert probe.residual <= 3.0 * probe.combined_error
 
@@ -256,17 +252,17 @@ class TestSubadditivityProbe:
         # at these masses a 3-ball chain beats every two-ball split, so the
         # far-apart union must be built from the chains themselves
         params = make_params(A=0.0)
-        best = split_advantage(200.0, params, QuadratureSpec(), d_count=3, k=3)
+        best = split_advantage(200.0, params, d_count=3, k=3)
         assert best.best_balls.count == 3
         probe = weak_subadditivity_probe(
-            200.0, 100.0, params, QuadratureSpec(), d_count=3, k=3
+            200.0, 100.0, params, d_count=3, k=3
         )
         assert probe.residual <= 3.0 * probe.combined_error
 
     def test_float_coercion(self):
-        probe = weak_subadditivity_probe(5.0, 3.0, make_params(), QuadratureSpec())
+        probe = weak_subadditivity_probe(5.0, 3.0, make_params())
         assert float(probe) == probe.residual
 
     def test_bad_masses(self):
         with pytest.raises(ParameterError):
-            weak_subadditivity_probe(0.0, 1.0, make_params(), QuadratureSpec())
+            weak_subadditivity_probe(0.0, 1.0, make_params())

@@ -57,6 +57,14 @@ class TestShapes:
         b = BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([2.0]))
         assert volume(b) == pytest.approx(math.pi * 4.0, rel=1e-14)
 
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_ball_dimension_outside_two_and_three_refused(self, N):
+        # the radial reductions have a 2-D and a 3-D branch only
+        with pytest.raises(ParameterError, match="dimension 2 or 3"):
+            BallConfig(dimension=N, centers=np.zeros((1, N)), radii=np.array([1.0]))
+        with pytest.raises(ParameterError, match="dimension 2 or 3"):
+            ball_of_volume(N, 1.0)
+
     def test_ball_of_volume_round_trip(self):
         m = 7.3
         b = ball_of_volume(3, m)
@@ -153,6 +161,13 @@ class TestRandomShapes:
                 lx = left.cell_centers()[:, 0].max()
                 rx = right.cell_centers()[:, 0].min()
                 assert rx - lx > 0.05  # slab gap
+
+
+    @pytest.mark.parametrize("grid_n", [0, -4])
+    def test_empty_grids_refused(self, grid_n):
+        for make in (random_blob, random_disjoint_pair):
+            with pytest.raises(ParameterError, match="grid_n"):
+                make(2, np.random.default_rng(0), grid_n=grid_n)
 
 
 class TestFileFormats:

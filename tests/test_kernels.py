@@ -8,7 +8,6 @@ import pytest
 
 from nldrop.errors import DomainError, ParameterError
 from nldrop.kernels import (
-    KernelAudit,
     KernelSpec,
     epsilon_min,
     eval_kernel,
@@ -197,8 +196,8 @@ class TestConditionAudit:
 
     def test_audit_deterministic(self):
         k = frac()
-        r1 = validate_conditions(k, KernelAudit(seed=5))
-        r2 = validate_conditions(k, KernelAudit(seed=5))
+        r1 = validate_conditions(k)
+        r2 = validate_conditions(k)
         assert {n: v.status for n, v in r1.conditions.items()} == {
             n: v.status for n, v in r2.conditions.items()
         }
