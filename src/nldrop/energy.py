@@ -12,8 +12,8 @@ attractive background R_beta(E) = int_E |x|^{-beta}.
 Ball configurations get dedicated radial reductions (single-ball perimeter
 through the ray-exit tail, self-interaction through pair-distance
 densities, pairwise interactions through chord moments) that are much
-faster and more accurate than the generic tensor grid; voxel and sliced
-shapes go through the quadrature module.  The ball evaluator is one
+faster and more accurate than the generic tensor grid; voxel shapes go
+through the quadrature module.  The ball evaluator is one
 function per term (``_balls_perimeter``, ``_balls_riesz``,
 ``_balls_background``, and ``_balls_cross`` for the pairwise
 interactions), shared with the families and slicing modules;
@@ -509,26 +509,22 @@ def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> Energy
 # Interactions and decomposition identities
 
 
-def _overlap_volume(U: Shape, W: Shape) -> float:
-    if isinstance(U, VoxelShape) and isinstance(W, VoxelShape) and U.same_grid(W):
-        both = np.logical_and(U.occupancy, W.occupancy)
-        return float(np.count_nonzero(both)) * U.spacing ** U.dimension
-    loU, hiU = U.bounding_box()
-    loW, hiW = W.bounding_box()
-    lo, hi = np.maximum(loU, loW), np.minimum(hiU, hiW)
-    if np.any(hi <= lo):
-        return 0.0
-    n = 48
-    axes = [lo[i] + (np.arange(n) + 0.5) * (hi[i] - lo[i]) / n for i in range(U.dimension)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    inside = geometry.indicator(U, pts) & geometry.indicator(W, pts)
-    cell = float(np.prod((hi - lo) / n))
-    return float(np.count_nonzero(inside)) * cell
+def _shared_grid(U: Shape, W: Shape, spec: QuadratureSpec):
+    """Occupancies of U and W on the fine common grid of
+    ``quadrature._pair_grids``, the grid their pair integral runs on, with
+    its origin and spacing.  A cell that belongs to both is refused."""
+    occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(U.dimension), False)
+    if np.any(occU & occW):
+        raise PreconditionError(
+            "shapes overlap on the shared grid; interaction requires disjoint sets"
+        )
+    return occU, occW, origin, h
 
 
 def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
-    """Cross term int_U int_W g(x-y) for essentially disjoint shapes."""
+    """Cross term int_U int_W g(x-y) for disjoint shapes: two ball
+    configurations have no pair of balls that meet, other shapes have no
+    cell in common on the grid the integral runs on (``_shared_grid``)."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     if isinstance(U, BallConfig) and isinstance(W, BallConfig):
@@ -541,13 +537,7 @@ def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate
                 f"disjoint (center distance {d[i, j]:.6g} <= radius sum {rs[i, j]:.6g})"
             )
     else:
-        vol = _overlap_volume(U, W)
-        tol = 1e-9 * max(1.0, geometry.volume(U), geometry.volume(W))
-        if vol > tol:
-            raise PreconditionError(
-                f"shapes overlap (intersection volume ~ {vol:.3e}); interaction "
-                "requires essentially disjoint sets"
-            )
+        _shared_grid(U, W, spec)
     if (
         isinstance(U, BallConfig)
         and isinstance(W, BallConfig)
@@ -575,12 +565,11 @@ class DecompositionCheck:
 
 def _decomposition_parts(U: Shape, W: Shape, spec: QuadratureSpec):
     """(U, W, U u W) for the decomposition checks, all three on the grid
-    shared by U and W, so the three perimeters share one stencil and one
-    cell kernel mass and the identities cancel at machine precision."""
+    shared by U and W (``_shared_grid``), so the three perimeters share one
+    stencil and one cell kernel mass and the identities cancel at machine
+    precision."""
     N = U.dimension
-    occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(N), False)
-    if np.any(occU & occW):
-        raise PreconditionError("shapes overlap on the shared grid")
+    occU, occW, origin, h = _shared_grid(U, W, spec)
     union = VoxelShape(N, origin, h, occU | occW)
     return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW), union
 

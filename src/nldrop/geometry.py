@@ -1,8 +1,10 @@
-"""Shapes: ball configurations, voxel sets, halfspace slicing, file formats.
+"""Shapes: disjoint ball configurations, voxel sets, halfspace slicing of
+voxel sets, file formats.
 
-All shapes are bounded and expose the same minimal contract used by the
-quadrature engines: ``dimension``, ``bounding_box()``, a vectorized
-membership test via ``indicator``, and ``volume``.
+A shape is a ``BallConfig`` or a ``VoxelShape``.  Both expose the minimal
+contract used by the quadrature engine: ``dimension``, ``count``,
+``bounding_box()``, a vectorized membership test via ``indicator``, and
+``volume``.
 """
 
 from __future__ import annotations
@@ -55,18 +57,16 @@ class Halfspace:
 
 @dataclass(frozen=True, eq=False)
 class BallConfig:
-    """A finite union of balls, usually pairwise disjoint.
+    """A finite union of pairwise disjoint balls.
 
-    ``disjoint=True`` asserts that center distances exceed radius sums and
-    is validated at construction; volume is only defined for disjoint
-    configurations in this representation.  N is 2 or 3, the dimensions
-    the radial reductions of the energy terms cover.
+    Construction checks that every center distance exceeds the radius
+    sum, so the radial reductions may add the balls' terms.  N is 2 or 3,
+    the dimensions those reductions cover.
     """
 
     dimension: int
     centers: np.ndarray  # (k, N)
     radii: np.ndarray  # (k,)
-    disjoint: bool = True
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -79,7 +79,7 @@ class BallConfig:
             raise ParameterError("centers must be (k, N) and radii (k,)")
         if np.any(r <= 0):
             raise ParameterError("ball radii must be positive")
-        if self.disjoint and c.shape[0] > 1:
+        if c.shape[0] > 1:
             d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
             rs = r[:, None] + r[None, :]
             off = ~np.eye(c.shape[0], dtype=bool)
@@ -146,47 +146,22 @@ class VoxelShape:
         idx = np.argwhere(self.occupancy)
         return self.origin + (idx + 0.5) * self.spacing
 
-    def same_grid(self, other: "VoxelShape") -> bool:
-        return (
-            self.dimension == other.dimension
-            and self.occupancy.shape == other.occupancy.shape
-            and abs(self.spacing - other.spacing) <= 1e-15 * self.spacing
-            and np.all(np.abs(self.origin - other.origin) <= 1e-12 * self.spacing)
-        )
+
+Shape = Union[BallConfig, VoxelShape]
 
 
-@dataclass(frozen=True, eq=False)
-class SlicedShape:
-    """A base shape intersected with halfspaces, evaluated via indicator."""
-
-    base: Union[BallConfig, "SlicedShape"]
-    cut: Halfspace
-    keep_upper: bool  # True: keep {x.nu >= l}; False: keep {x.nu < l}
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def bounding_box(self):
-        return self.base.bounding_box()
-
-
-Shape = Union[BallConfig, VoxelShape, SlicedShape]
-
-# resolution used for the deterministic grid fallback of sliced-shape volume
-_SLICED_VOLUME_CELLS = {2: 512, 3: 96}
+def _in_balls(x: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Membership of the points x (..., N) in the union of the closed balls
+    (centers (k, N), radii (k,)), which may overlap."""
+    d2 = np.sum((x[..., None, :] - centers) ** 2, axis=-1)  # (..., k)
+    return np.any(d2 <= radii ** 2, axis=-1)
 
 
 def indicator(shape: Shape, x) -> np.ndarray:
     """Vectorized membership test; x has shape (..., N)."""
     x = np.asarray(x, dtype=float)
     if isinstance(shape, BallConfig):
-        if shape.count == 0:
-            return np.zeros(x.shape[:-1], dtype=bool)
-        d2 = np.sum(
-            (x[..., None, :] - shape.centers) ** 2, axis=-1
-        )  # (..., k)
-        return np.any(d2 <= shape.radii ** 2, axis=-1)
+        return _in_balls(x, shape.centers, shape.radii)
     if isinstance(shape, VoxelShape):
         idx = np.floor((x - shape.origin) / shape.spacing).astype(int)
         dims = shape.occupancy.shape
@@ -196,67 +171,39 @@ def indicator(shape: Shape, x) -> np.ndarray:
             sel = tuple(idx[ok].T)
             flat[ok] = shape.occupancy[sel]
         return flat
-    if isinstance(shape, SlicedShape):
-        inside = indicator(shape.base, x)
-        proj = x @ shape.cut.nu
-        side = proj >= shape.cut.l if shape.keep_upper else proj < shape.cut.l
-        return inside & side
     raise ParameterError(f"unknown shape type {type(shape).__name__}")
 
 
 def volume(shape: Shape) -> float:
-    """Lebesgue volume: exact for disjoint balls and voxel sets; grid
-    midpoint estimate for sliced ball shapes (deterministic resolution)."""
+    """Lebesgue volume, exact for both shape kinds."""
     if isinstance(shape, BallConfig):
-        if shape.count == 0:
-            return 0.0
-        if not shape.disjoint:
-            raise PreconditionError(
-                "volume is undefined for a ball configuration without the "
-                "disjointness flag"
-            )
         return float(np.sum(unit_ball_volume(shape.dimension) * shape.radii ** shape.dimension))
     if isinstance(shape, VoxelShape):
         return shape.count * shape.spacing ** shape.dimension
-    if isinstance(shape, SlicedShape):
-        return _sliced_volume(shape)
     raise ParameterError(f"unknown shape type {type(shape).__name__}")
 
 
-def _sliced_volume(shape: SlicedShape) -> float:
-    lo, hi = shape.bounding_box()
-    if np.any(hi <= lo):
-        return 0.0
-    n = _SLICED_VOLUME_CELLS[shape.dimension]
-    axes = [lo[i] + (np.arange(n) + 0.5) * (hi[i] - lo[i]) / n for i in range(shape.dimension)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    cell = float(np.prod((hi - lo) / n))
-    return float(np.count_nonzero(indicator(shape, pts))) * cell
+def slice_shape(shape: VoxelShape, hs: Halfspace):
+    """Split a voxel shape by a halfspace into (upper, lower) parts.
 
-
-def slice_shape(shape: Shape, hs: Halfspace):
-    """Split a shape by a halfspace into (upper, lower) parts.
-
-    Voxel shapes classify cells by center, so the two parts partition the
-    occupied cells exactly.  Ball shapes return indicator-composed slices.
+    Cells are classified by center, so the two parts partition the
+    occupied cells exactly.  A ball is cut on a grid: slice
+    ``quadrature.voxelize(ball, n)``.
     """
-    if isinstance(shape, VoxelShape):
-        centers = shape.origin + 0.5 * shape.spacing
-        idx = np.indices(shape.occupancy.shape)
-        proj = sum(
-            (centers[i] + idx[i] * shape.spacing) * hs.nu[i] for i in range(shape.dimension)
+    if not isinstance(shape, VoxelShape):
+        raise ParameterError(
+            f"slice_shape takes voxel shapes, got {type(shape).__name__}; "
+            "slice quadrature.voxelize(shape, n) instead"
         )
-        upper_mask = proj >= hs.l
-        up = replace(shape, occupancy=shape.occupancy & upper_mask)
-        lo = replace(shape, occupancy=shape.occupancy & ~upper_mask)
-        return up, lo
-    if isinstance(shape, (BallConfig, SlicedShape)):
-        return (
-            SlicedShape(base=shape, cut=hs, keep_upper=True),
-            SlicedShape(base=shape, cut=hs, keep_upper=False),
-        )
-    raise ParameterError(f"unknown shape type {type(shape).__name__}")
+    centers = shape.origin + 0.5 * shape.spacing
+    idx = np.indices(shape.occupancy.shape)
+    proj = sum(
+        (centers[i] + idx[i] * shape.spacing) * hs.nu[i] for i in range(shape.dimension)
+    )
+    upper_mask = proj >= hs.l
+    up = replace(shape, occupancy=shape.occupancy & upper_mask)
+    lo = replace(shape, occupancy=shape.occupancy & ~upper_mask)
+    return up, lo
 
 
 def translate(shape: Shape, v) -> Shape:
@@ -265,10 +212,6 @@ def translate(shape: Shape, v) -> Shape:
         return replace(shape, centers=shape.centers + v)
     if isinstance(shape, VoxelShape):
         return replace(shape, origin=shape.origin + v)
-    if isinstance(shape, SlicedShape):
-        # {x : x.nu >= l} shifted by v is {x : x.nu >= l + nu.v}
-        cut = Halfspace(shape.cut.nu, shape.cut.l + float(shape.cut.nu @ v))
-        return SlicedShape(base=translate(shape.base, v), cut=cut, keep_upper=shape.keep_upper)
     raise ParameterError(f"unknown shape type {type(shape).__name__}")
 
 
@@ -281,9 +224,6 @@ def scale(shape: Shape, lam: float) -> Shape:
         return replace(shape, centers=shape.centers * lam, radii=shape.radii * lam)
     if isinstance(shape, VoxelShape):
         return replace(shape, origin=shape.origin * lam, spacing=shape.spacing * lam)
-    if isinstance(shape, SlicedShape):
-        cut = Halfspace(shape.cut.nu, shape.cut.l * lam)
-        return SlicedShape(base=scale(shape.base, lam), cut=cut, keep_upper=shape.keep_upper)
     raise ParameterError(f"unknown shape type {type(shape).__name__}")
 
 
@@ -296,13 +236,7 @@ def ball_of_volume(N: int, m: float) -> BallConfig:
 
 
 def is_empty(shape: Shape) -> bool:
-    if isinstance(shape, BallConfig):
-        return shape.count == 0
-    if isinstance(shape, VoxelShape):
-        return shape.count == 0
-    if isinstance(shape, SlicedShape):
-        return volume(shape) == 0.0
-    raise ParameterError(f"unknown shape type {type(shape).__name__}")
+    return shape.count == 0
 
 
 def empty_ball_config(N: int) -> BallConfig:
@@ -313,30 +247,38 @@ def empty_ball_config(N: int) -> BallConfig:
 # Random test shapes
 
 
+def _unit_box_cells(N: int, grid_n: int):
+    """(origin, spacing, centers) of the grid_n^N cells over the unit box
+    [-1/2, 1/2]^N, centers as a (grid_n^N, N) array in grid scan order.
+    Bad arguments are refused before any array is built."""
+    if N not in (2, 3):
+        raise ParameterError(f"random shapes need dimension 2 or 3, got {N}")
+    if grid_n < 1:
+        raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
+    h = 1.0 / grid_n
+    origin = np.full(N, -0.5)
+    axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return origin, h, np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def random_blob(
     N: int,
     rng: np.random.Generator,
     grid_n: int = 64,
     volume_cap: Optional[float] = None,
 ) -> VoxelShape:
-    """Seeded random blob: the union of 1-5 random balls on a voxel grid
-    over the unit box [-1/2, 1/2]^N.
+    """Seeded random blob: the union of 1-5 random, possibly overlapping
+    balls on a voxel grid over the unit box [-1/2, 1/2]^N.
 
     When ``volume_cap`` is given the grid spacing is rescaled (exactly, see
     ``scale``) so the voxel volume lands at 90% of the cap or below.
     """
-    if grid_n < 1:
-        raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
+    origin, h, pts = _unit_box_cells(N, grid_n)
     k = int(rng.integers(1, 6))
     centers = rng.uniform(-0.28, 0.28, size=(k, N))
     radii = rng.uniform(0.10, 0.22, size=k)
-    balls = BallConfig(dimension=N, centers=centers, radii=radii, disjoint=False)
-    h = 1.0 / grid_n
-    origin = np.full(N, -0.5)
-    axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    occ = indicator(balls, pts).reshape((grid_n,) * N)
+    occ = _in_balls(pts, centers, radii).reshape((grid_n,) * N)
     shape = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ)
     if volume_cap is not None and shape.count > 0:
         v = volume(shape)
@@ -352,30 +294,18 @@ def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
     The left blob is clipped to x_0 < -0.06 and the right blob to
     x_0 >= 0.06, so a gap of at least 0.12 separates them.
     """
-    if grid_n < 1:
-        raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
-    h = 1.0 / grid_n
-    origin = np.full(N, -0.5)
-    axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    origin, h, pts = _unit_box_cells(N, grid_n)
 
-    def blob_occ(x_lo, x_hi):
+    def blob(x_lo, x_hi):
         k = int(rng.integers(1, 4))
         centers = rng.uniform(-0.30, 0.30, size=(k, N))
         centers[:, 0] = rng.uniform(x_lo + 0.12, x_hi - 0.12, size=k)
         radii = rng.uniform(0.06, 0.115, size=k)
-        balls = BallConfig(dimension=N, centers=centers, radii=radii, disjoint=False)
-        occ = indicator(balls, pts).reshape((grid_n,) * N)
         # clip to the allotted slab so the pair is disjoint with a gap
-        x_coord = grids[0]
-        return occ & (x_coord >= x_lo) & (x_coord < x_hi)
+        occ = _in_balls(pts, centers, radii) & (pts[:, 0] >= x_lo) & (pts[:, 0] < x_hi)
+        return VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ.reshape((grid_n,) * N))
 
-    occ_left = blob_occ(-0.5, -0.06)
-    occ_right = blob_occ(0.06, 0.5)
-    left = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ_left)
-    right = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ_right)
-    return left, right
+    return blob(-0.5, -0.06), blob(0.06, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +394,7 @@ def balls_to_csv(cfg: BallConfig) -> str:
     return out.getvalue()
 
 
-def balls_from_csv(text: str, disjoint: bool = True) -> BallConfig:
+def balls_from_csv(text: str) -> BallConfig:
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -487,9 +417,7 @@ def balls_from_csv(text: str, disjoint: bool = True) -> BallConfig:
         radii.append(vals[N])
     if not centers:
         return empty_ball_config(N)
-    return BallConfig(
-        dimension=N, centers=np.array(centers), radii=np.array(radii), disjoint=disjoint
-    )
+    return BallConfig(dimension=N, centers=np.array(centers), radii=np.array(radii))
 
 
 def save_balls(cfg: BallConfig, path) -> None:
@@ -497,6 +425,6 @@ def save_balls(cfg: BallConfig, path) -> None:
         fh.write(balls_to_csv(cfg))
 
 
-def load_balls(path, disjoint: bool = True) -> BallConfig:
+def load_balls(path) -> BallConfig:
     with open(path) as fh:
-        return balls_from_csv(fh.read(), disjoint=disjoint)
+        return balls_from_csv(fh.read())

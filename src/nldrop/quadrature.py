@@ -341,10 +341,12 @@ def _grid_boxes(axis_edges):
     return corners([e[:-1] for e in edges]), corners([e[1:] for e in edges])
 
 
-def _axis_breaks(d: float, h: float) -> list:
-    """Breakpoints of [d-h, d+h] at the weight apex d and at 0 if interior."""
-    pts = [d - h, d, d + h]
-    if d - h < 0.0 < d + h:
+def _axis_breaks(lo: float, hi: float, *inner: float) -> list:
+    """Sorted breakpoints of the axis interval [lo, hi]: its ends, the
+    points ``inner`` (a weight apex) and 0 when it is interior, so no box
+    of the dyadic integrators straddles a kink or the singular point."""
+    pts = [lo, hi, *inner]
+    if lo < 0.0 < hi:
         pts.append(0.0)
     return sorted(set(pts))
 
@@ -444,7 +446,7 @@ def cell_pair_integral(dvec, h: float, igd: OffsetIntegrand) -> float:
         w = np.prod(np.clip(h - np.abs(pts - d), 0.0, None), axis=-1)
         return igd.vec(pts) * w
 
-    boxes = _grid_boxes([_axis_breaks(d[i], h) for i in range(N)])
+    boxes = _grid_boxes([_axis_breaks(d[i] - h, d[i] + h, d[i]) for i in range(N)])
     reach = h * math.sqrt(N)
     head = math.ceil(math.log2(reach / r0)) if reach > r0 else 0
     return _dyadic_integral(*boxes, fvec, p0, (m_min, N), head) + ball
@@ -473,13 +475,8 @@ def point_singularity_cell_integral(lo, hi, center, exponent: float, N: int) -> 
         r = np.sqrt(np.sum(pts ** 2, axis=-1))
         return r ** (-exponent)
 
-    axis_edges = []
-    for i in range(N):
-        pts = [lo[i], hi[i]]
-        if lo[i] < 0.0 < hi[i]:
-            pts.insert(1, 0.0)
-        axis_edges.append(pts)
-    return _dyadic_integral(*_grid_boxes(axis_edges), fvec, exponent)
+    boxes = _grid_boxes([_axis_breaks(lo[i], hi[i]) for i in range(N)])
+    return _dyadic_integral(*boxes, fvec, exponent)
 
 
 def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):

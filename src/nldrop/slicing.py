@@ -511,7 +511,9 @@ def averaged_mass_bound(E: Shape, params: EnergyParams, spec: QuadratureSpec) ->
     first-moment pair sum Q = pair integral of K(x-y) |x-y|, and the
     background term into B = integral of |x|^{1-beta}; the shared sphere
     constant divides out.  A minimizer satisfies m^2 <= 2 Q + A B, so a
-    violation beyond error bars is a nonexistence signature.
+    violation beyond error bars is a nonexistence signature.  For one
+    ball and the fractional kernel, Q is the closed-form riesz pair
+    integral of exponent N + s - 1, wherever the ball sits.
     """
     N = E.dimension
     c_corr = geometry.unit_sphere_area(N - 1) / (N - 1)
@@ -531,7 +533,6 @@ def averaged_mass_bound(E: Shape, params: EnergyParams, spec: QuadratureSpec) ->
     if (
         isinstance(E, geometry.BallConfig)
         and E.count == 1
-        and float(np.linalg.norm(E.centers[0])) < 1e-12
         and kernel.kind == "fractional"
         and 0.0 < moment_sigma < N
     ):

@@ -438,8 +438,17 @@ class TestSubcommandRuns:
                 "ShapeFormatError",
                 "row 2",
             ),
-            # the ball reductions exist for N = 2 and 3 only
+            # every ball system is pairwise disjoint
+            (
+                {"balls": "c0,c1,radius\n0,0,1\n0.5,0,1\n"},
+                ["shape.kind=balls-file", "shape.path={balls}"],
+                "PreconditionError",
+                "not disjoint",
+            ),
+            # the ball reductions exist for N = 2 and 3 only; a blob is
+            # refused before its grid is built
             ({}, ["kernel.dimension=4"], "ParameterError", "dimension 2 or 3"),
+            ({}, ["kernel.dimension=4", "shape.kind=blob"], "ParameterError", "dimension 2 or 3"),
             # beta >= N diverges on the blob's cell at the origin
             (
                 {},

@@ -331,6 +331,27 @@ class TestInteraction:
         ):
             interaction(U, W, 1.0, QuadratureSpec())
 
+    def test_ball_overlapping_voxel_shape_rejected(self):
+        blob = geometry.random_blob(2, np.random.default_rng(3), grid_n=24)
+        ball = geometry.BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([0.3]))
+        with pytest.raises(PreconditionError, match="overlap on the shared grid"):
+            interaction(ball, blob, 1.0, QuadratureSpec())
+
+    def test_voxel_shapes_of_different_spacing_overlapping_rejected(self):
+        U = voxelize(disk(), 24)
+        W = voxelize(geometry.translate(disk(), np.array([0.5, 0.0])), 20)
+        assert U.spacing != W.spacing
+        with pytest.raises(PreconditionError, match="overlap on the shared grid"):
+            interaction(U, W, frac(), QuadratureSpec())
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_slice_halves_pass_the_overlap_check(self, N):
+        vox = voxelize(disk(N=N), 16)
+        nu = np.ones(N) / math.sqrt(N)
+        upper, lower = geometry.slice_shape(vox, geometry.Halfspace(nu=nu, l=0.1))
+        est = interaction(upper, lower, 1.0, QuadratureSpec())
+        assert est.value > 0.0
+
     def test_empty_factor_gives_zero(self):
         U = geometry.empty_ball_config(2)
         W = disk()

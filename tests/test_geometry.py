@@ -80,11 +80,23 @@ class TestShapes:
         assert list(indicator(b, pts)) == [True, True, False]
 
     def test_overlapping_balls_rejected_when_disjoint(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="balls 0 and 1 are not disjoint"):
             BallConfig(
                 dimension=2,
                 centers=np.array([[0.0, 0.0], [0.5, 0.0]]),
                 radii=np.array([1.0, 1.0]),
+            )
+        with pytest.raises(PreconditionError, match="balls 0 and 1 are not disjoint"):
+            balls_from_csv("c0,c1,radius\n0,0,1\n0.5,0,1\n")
+
+    def test_no_disjointness_opt_out(self):
+        # every ball configuration is disjoint: there is no flag to waive it
+        with pytest.raises(TypeError):
+            BallConfig(
+                dimension=2,
+                centers=np.array([[0.0, 0.0], [0.5, 0.0]]),
+                radii=np.array([1.0, 1.0]),
+                disjoint=False,
             )
 
     def test_empty(self):
@@ -126,18 +138,11 @@ class TestSlicing:
         assert volume(upper) + volume(lower) == pytest.approx(volume(v), rel=1e-13)
         assert not np.any(upper.occupancy & lower.occupancy)
 
-    def test_ball_slice_volumes_add(self):
+    def test_ball_slice_refused(self):
         b = BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([1.0]))
         hs = Halfspace(nu=np.array([0.0, 1.0]), l=0.2)
-        upper, lower = slice_shape(b, hs)
-        # sliced volumes come from a deterministic midpoint grid estimate
-        assert volume(upper) + volume(lower) == pytest.approx(math.pi, rel=1e-3)
-
-    def test_center_cut_halves_ball(self):
-        b = BallConfig(dimension=3, centers=np.zeros((1, 3)), radii=np.array([1.0]))
-        hs = Halfspace(nu=np.array([0.0, 0.0, 1.0]), l=0.0)
-        upper, _ = slice_shape(b, hs)
-        assert volume(upper) == pytest.approx(0.5 * unit_ball_volume(3), rel=1e-3)
+        with pytest.raises(ParameterError, match="voxelize"):
+            slice_shape(b, hs)
 
 
 class TestRandomShapes:
@@ -155,7 +160,9 @@ class TestRandomShapes:
         rng = np.random.default_rng(8)
         for _ in range(5):
             left, right = random_disjoint_pair(2, rng, grid_n=64)
-            assert left.same_grid(right)
+            assert left.spacing == right.spacing
+            assert np.array_equal(left.origin, right.origin)
+            assert left.occupancy.shape == right.occupancy.shape
             assert not np.any(left.occupancy & right.occupancy)
             if left.count and right.count:
                 lx = left.cell_centers()[:, 0].max()
@@ -175,7 +182,8 @@ class TestFileFormats:
         blob = random_blob(2, np.random.default_rng(2), grid_n=24)
         text = voxel_to_text(blob)
         back = voxel_from_text(text)
-        assert back.same_grid(blob)
+        assert back.spacing == blob.spacing
+        assert np.array_equal(back.origin, blob.origin)
         assert np.array_equal(back.occupancy, blob.occupancy)
 
     def test_voxel_text_round_trip_3d(self):

@@ -3,7 +3,9 @@
 also import nothing they do not use, and at module level nothing but the
 standard library, numpy and the package itself: every CLI run is a fresh
 process, so mpmath is imported inside the functions that call it.  scipy
-is a test-only reference and no package module imports it."""
+is a test-only reference and no package module imports it.  The package's
+``__all__`` names only what it defines and every public name that
+``__init__.py`` imports."""
 
 import ast
 import sys
@@ -52,6 +54,21 @@ def test_package_modules_use_every_import():
     assert sources
     found = [entry for path in sources for entry in _unused_imports(path)]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_exports_resolve_and_list_every_public_import():
+    # __init__.py imports to re-export: a deleted name must leave both lists
+    missing = [name for name in nldrop.__all__ if not hasattr(nldrop, name)]
+    assert not missing, f"__all__ names the package does not define: {missing}"
+    assert len(set(nldrop.__all__)) == len(nldrop.__all__), "__all__ repeats a name"
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(_parse(PACKAGE_DIR / "__init__.py"))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    unlisted = sorted(n for n in imported if not n.startswith("_") and n not in nldrop.__all__)
+    assert not unlisted, f"imported in __init__.py but not in __all__: {unlisted}"
 
 
 def _absolute_imports(nodes):

@@ -211,7 +211,7 @@ def _deep_pair_reference(g, d, h, p0, levels=80):
                 )
         return w
 
-    lo, hi = quadrature._grid_boxes([quadrature._axis_breaks(di, h) for di in d])
+    lo, hi = quadrature._grid_boxes([quadrature._axis_breaks(di - h, di + h, di) for di in d])
     total = last = 0.0
     for _ in range(levels + 1):
         touch = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)

@@ -412,6 +412,16 @@ class TestAveragedBound:
         assert rep.defect > 0.0
         assert rep.signature is False
 
+    def test_ball_q_does_not_depend_on_the_center(self):
+        # Q = int int K(x-y)|x-y| is translation invariant, so an off-centre
+        # disk takes the same closed form as the centred one
+        unit = geometry.BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([1.0]))
+        moved = geometry.translate(unit, np.array([0.3, -0.2]))
+        centred = averaged_mass_bound(unit, make_params(), QuadratureSpec())
+        off = averaged_mass_bound(moved, make_params(), QuadratureSpec())
+        assert off.q_value == pytest.approx(centred.q_value, rel=1e-12, abs=0.0)
+        assert off.q_error == pytest.approx(centred.q_error, rel=1e-12, abs=0.0)
+
     def test_empty_shape_is_vacuous(self):
         rep = averaged_mass_bound(
             geometry.empty_ball_config(2), make_params(), QuadratureSpec()
