@@ -530,7 +530,6 @@ def _run_kernel_check(config, outdir):
         "verdict": "pass" if report.all_pass else "fail",
         "all_pass": report.all_pass,
         "tail_integral": report.tail_integral,
-        "tail_remainder": report.tail_remainder,
     }
     write_outputs(outdir, "kernel-check", config, rows, summary)
     return 0 if report.all_pass else 1

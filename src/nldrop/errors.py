@@ -17,14 +17,6 @@ class PreconditionError(NldropError):
     """A structural precondition of an operation does not hold."""
 
 
-class BracketError(NldropError):
-    """Root bracketing failed.  Carries search diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
-
 class ConfigError(NldropError):
     """Invalid, missing, or unknown configuration input."""
 

@@ -1,4 +1,4 @@
-"""Radial interaction kernels and numerical audits of their admissibility.
+"""Radial interaction kernels and exact readings of their admissibility.
 
 Kernels here are radial, nonnegative, and singular (or at least peaked) at
 the origin.  Three kinds are supported:
@@ -20,20 +20,24 @@ conditions it claims:
 Every kernel is also a table of power-law pieces (``_pieces``): knots and,
 between them, at most two monomials c r^-p.  Every radial integral of
 K(r) r^q derives from one exact antiderivative of that table
-(``radial_antiderivative``): the tail mass ``radial_tail_integral``, the
-ball pair moment at q = 1 and the (K2) partial integral.  Tabulated
+(``radial_antiderivative``): the tail mass ``radial_tail_integral``
+(also the (K2) tail integral) and the ball pair moment at q = 1.  Tabulated
 kernels also evaluate through the pieces; the two fractional kinds
 evaluate their closed forms.
 
-``validate_conditions`` audits all of these on a deterministic sampling plan
-and returns per-condition verdicts with witnesses.  A numerical audit can
-falsify a condition, not prove it; thresholds below are calibrated so the
-fractional kernel passes cleanly and common defects (wrong normalization,
-heavy tails, jumps) are caught.
+``validate_conditions`` reads each condition off the same table.  On a
+piece K is c r^-p, or a + b r next to a zero sample, so every bound on
+K(r) r^q is decided at the knots, in the limits r -> 0 and r -> infinity,
+or at the one critical point of a linear piece.  A "pass" certifies the
+condition for the kernel as evaluated, up to a relative rounding slack of
+1e-9: (K1) holds by construction, (K2) by the exponent of the last piece,
+(K3) by continuity at every knot, and (K4) and (K4') by the exact sup and
+inf.  A "fail" names the worst radius as its witness; "not-checked" means
+the kernel is undefined where the condition looks (no tail rule).
 
 Note on (K4) versus (K2): as stated, (K4) alone permits tails as heavy as
 c/|x|, which is not integrable over the complement of the unit ball for
-N >= 2.  The two conditions are therefore audited independently and both
+N >= 2.  The two conditions are therefore read independently and both
 are reported; neither implies the other here.
 """
 
@@ -48,15 +52,10 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-_EPS_REL = 1e-9  # relative slack for pointwise sandwich checks
-
-# Sampling plan of ``validate_conditions``: radii geometric over
-# [r_min, cutoff], and seeded random directions for the symmetry check
-_AUDIT_R_MIN = 1e-3
-_AUDIT_CUTOFF = 1e3
-_AUDIT_RADII = 400
-_AUDIT_DIRECTIONS = 32
-_AUDIT_SEED = 0
+_EPS_REL = 1e-9  # relative rounding slack of the condition bounds
+# |log r| < 745 for every positive double, so r^e with |e| below this moves
+# by less than _EPS_REL: such an exponent (a log-log slope's rounding) is 0
+_EPS_EXP = _EPS_REL / 745.0
 
 
 def epsilon_min(N: int, s: float) -> float:
@@ -324,8 +323,8 @@ def radial_tail_integral(kernel: KernelSpec, rho):
 
 @dataclass(frozen=True)
 class ConditionVerdict:
-    status: str  # "pass" | "fail" | "inconclusive" | "not-checked"
-    witness: Optional[float] = None  # radius of the worst sample
+    status: str  # "pass" | "fail" | "not-checked" (K undefined where the condition looks)
+    witness: Optional[float] = None  # worst radius; 0.0 or inf for a limit
     margin: Optional[float] = None  # how far past the threshold (positive = bad)
     note: str = ""
 
@@ -334,177 +333,118 @@ class ConditionVerdict:
 class KernelConditionReport:
     conditions: dict = field(default_factory=dict)
     tail_integral: float = float("nan")
-    tail_remainder: float = float("nan")
 
     @property
     def all_pass(self) -> bool:
         return all(v.status == "pass" for v in self.conditions.values())
 
 
-def validate_conditions(kernel: KernelSpec) -> KernelConditionReport:
-    """Numerically audit conditions (K1)-(K4') on the fixed sampling plan.
+def _extremes(kernel: KernelSpec, q: float, lo: float = 0.0) -> tuple:
+    """(r, f), both of shape (pieces, 3): the radii r >= lo where K(r) r^q
+    can take its sup or inf over [lo, infinity), and its values there.
 
-    (K1) is checked by evaluating at point pairs +/-x (symmetry) and by a
-    sign scan over all sampled radii.  (K2) integrates K(r) r^(N-1) from 1
-    to the cutoff, G(cutoff) - G(1) with the exact antiderivative G of
-    ``radial_antiderivative``, and extrapolates the remainder from the local log-log
-    slope, flagging "inconclusive" when the extrapolated remainder exceeds
-    1% of the partial integral.  (K3) bounds difference quotients on annuli
-    against 10x the analytic Lipschitz constant of the power law on that
-    annulus.  (K4) and (K4') are pointwise sandwich checks.
+    Row i is piece i of ``_pieces``, clipped to [lo, infinity) and to where
+    K is defined: its left end, its right end and, on a linear piece
+    a + b r, the critical point r* = -a q / (b (q + 1)) when it lies
+    inside (else the left end again).  f is read from piece i's own
+    formula, so a jump at a knot shows as f[i, 1] != f[i + 1, 0], and
+    the ends 0 and infinity carry the limits, with exponents below
+    ``_EPS_EXP`` read as 0.  On a piece c r^-p, K(r) r^q is monotone, so
+    no other radius can be an extreme.
     """
-    N, s, eps, lam = kernel.dimension, kernel.s, kernel.epsilon, kernel.lam
-    radii = np.geomspace(_AUDIT_R_MIN, _AUDIT_CUTOFF, _AUDIT_RADII)
-    conditions = {}
+    knots, c, p, bound = _pieces(kernel)
+    left = np.maximum(np.append(0.0, knots), lo)
+    right = np.append(knots, math.inf)
+    keep = (right > lo) & (left < bound)
+    left, right, c, p = left[keep], right[keep], c[keep], p[keep]
+    star = left
+    if c.shape[1] == 2:  # column 0 is a r^0, column 1 is b r^1 (0 off linear pieces)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crit = -c[:, 0] * q / (c[:, 1] * (q + 1.0))
+        star = np.where((crit > left) & (crit < right), crit, left)
+    r = np.stack([left, right, star], axis=1)
+    e = np.where(np.abs(q - p) < _EPS_EXP, 0.0, q - p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = c[:, None, :] * r[..., None] ** e[:, None, :]
+    f = np.where(c[:, None, :] != 0.0, terms, 0.0).sum(axis=-1)
+    return r, f
 
-    try:
-        kvals = eval_kernel_radial(kernel, radii)
-        tail_defined = True
-    except DomainError:
-        tail_defined = False
-        radii = radii[radii <= kernel.radii[-1]]
-        kvals = eval_kernel_radial(kernel, radii)
 
-    # (K1): nonnegativity plus symmetry at random direction pairs.
-    rng = np.random.default_rng(_AUDIT_SEED)
-    dirs = rng.standard_normal((_AUDIT_DIRECTIONS, N))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    sym_radii = np.minimum(np.geomspace(radii[0], radii[-1], 16), radii[-1])
-    pts = sym_radii[:, None, None] * dirs[None, :, :]
-    vp = eval_kernel(kernel, pts)
-    vm = eval_kernel(kernel, -pts)
-    asym = np.abs(vp - vm)
-    neg = kvals < 0
-    if np.any(neg):
-        i = int(np.argmax(neg))
-        conditions["K1"] = ConditionVerdict(
-            "fail", float(radii[i]), float(-kvals[i]), "negative value"
+def validate_conditions(kernel: KernelSpec) -> KernelConditionReport:
+    """Read conditions (K1)-(K4') off the piece table ``_pieces``.
+
+    (K1) holds by construction.  (K2) reads the exponent p of the last
+    piece: K r^(N-1) is integrable at infinity iff the tail is zero or
+    p > N, and the tail integral from 1 is ``radial_tail_integral``.
+    (K3) fails only where K jumps at a knot.  (K4) is the sup of r K(r)
+    over r >= 1 + epsilon and (K4') the sup and inf of K(r) r^(N+s) over
+    r > 0, each taken over the candidate radii of ``_extremes``.  Every
+    verdict is exact up to a relative rounding slack ``_EPS_REL``; a
+    witness is the worst radius, 0.0 or inf for a limit.  A kernel
+    without a tail rule is read where it is defined.
+    """
+    N, eps, lam = kernel.dimension, kernel.epsilon, kernel.lam
+    _, c, p, bound = _pieces(kernel)
+    conditions = {
+        "K1": ConditionVerdict(
+            "pass", note="by construction: samples are nonnegative and K depends on |x| only"
         )
-    elif np.any(asym > 0):
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        conditions["K1"] = ConditionVerdict(
-            "fail", float(sym_radii[i]), float(asym[i, j]), "asymmetric evaluation"
-        )
-    else:
-        conditions["K1"] = ConditionVerdict("pass")
+    }
 
-    # (K2): tail integrability.
-    tail_integral = float("nan")
-    tail_remainder = float("nan")
-    if not tail_defined:
+    # (K2): the last piece is zero or one monomial c r^-p.
+    tail_integral = math.nan
+    if bound < math.inf:
         conditions["K2"] = ConditionVerdict(
             "not-checked", None, None, "tabulated kernel without a tail rule"
         )
+    elif not c[-1].any():
+        tail_integral = radial_tail_integral(kernel, 1.0)
+        conditions["K2"] = ConditionVerdict("pass", note="tail identically zero")
     else:
-        cutoff = _AUDIT_CUTOFF
-        if kernel.kind == "tabulated":
-            # the tail rule only acts beyond the last sample; push the fit
-            # window out far enough to see it
-            cutoff = max(cutoff, 100.0 * float(kernel.radii[-1]))
-        f = lambda r: float(eval_kernel_radial(kernel, r)) * r ** (N - 1)
-        G1, G2 = radial_antiderivative(kernel, N - 1, [1.0, cutoff])
-        partial = float(G2 - G1)
-        tail_integral = partial
-        f2 = f(cutoff)
-        if f2 == 0.0:
-            tail_remainder = 0.0
-            conditions["K2"] = ConditionVerdict("pass", note="tail identically zero")
-        else:
-            # decay exponent of K(r) r^{N-1} over the last decade decides
-            # convergence: the tail integral is finite iff it falls faster
-            # than 1/r.  The extrapolated remainder is reported either way.
-            r_fit = np.geomspace(cutoff / 10.0, cutoff, 12)
-            f_fit = np.array([f(r) for r in r_fit])
-            if np.any(f_fit <= 0.0):
-                q = float("inf")
-            else:
-                q = -float(np.polyfit(np.log(r_fit), np.log(f_fit), 1)[0])
-            q_margin = 0.05
-            if q > 1.0 + q_margin:
-                tail_remainder = f2 * cutoff / (q - 1.0)
-                tail_integral = partial + tail_remainder
-                conditions["K2"] = ConditionVerdict(
-                    "pass", cutoff, q - 1.0, f"integrand decays like r^-{q:.3f}"
-                )
-            elif q < 1.0 - q_margin:
-                tail_remainder = float("inf")
-                conditions["K2"] = ConditionVerdict(
-                    "fail",
-                    cutoff,
-                    1.0 - q,
-                    f"integrand decays like r^-{q:.3f}; tail integral diverges",
-                )
-            else:
-                tail_remainder = float("nan")
-                conditions["K2"] = ConditionVerdict(
-                    "inconclusive",
-                    cutoff,
-                    abs(q - 1.0),
-                    f"decay exponent {q:.3f} too close to the divergence boundary",
-                )
+        decay = float(p[-1, 0])
+        ok = decay > N
+        tail_integral = radial_tail_integral(kernel, 1.0) if ok else math.inf
+        conditions["K2"] = ConditionVerdict(
+            "pass" if ok else "fail",
+            math.inf,
+            N - decay,
+            f"tail falls like r^-{decay:g}; integrable iff the power exceeds N = {N}",
+        )
 
-    # (K3): difference quotients on annuli, off the origin.
-    worst_ratio, worst_r = 0.0, None
-    lo_all, hi_all = radii[0], radii[-1]
-    decade_edges = 10.0 ** np.arange(
-        math.floor(math.log10(lo_all)), math.ceil(math.log10(hi_all)) + 1
-    )
-    for a, b in zip(decade_edges[:-1], decade_edges[1:]):
-        sel = (radii >= a) & (radii <= b)
-        if np.count_nonzero(sel) < 3:
-            continue
-        r_ann, v_ann = radii[sel], kvals[sel]
-        quot = np.abs(np.diff(v_ann)) / np.diff(r_ann)
-        lip = 10.0 * (N + s) * a ** (-(N + s + 1.0))
-        ratio = quot / lip
-        k = int(np.argmax(ratio))
-        if ratio[k] > worst_ratio:
-            worst_ratio, worst_r = float(ratio[k]), float(r_ann[k])
-    if worst_ratio > 1.0:
+    # (K3): each piece is smooth off the origin, so only a jump at a knot
+    # breaks local Lipschitz continuity.
+    r, f = _extremes(kernel, 0.0)
+    jump = np.abs(f[1:, 0] - f[:-1, 1])
+    bad = jump > _EPS_REL * np.maximum(f[1:, 0], f[:-1, 1])
+    if bad.any():
+        i = int(np.argmax(np.where(bad, jump, -1.0)))
         conditions["K3"] = ConditionVerdict(
-            "fail", worst_r, worst_ratio - 1.0, "difference quotient exceeds 10x power-law slope"
+            "fail", float(r[i + 1, 0]), float(jump[i]), "K jumps at a knot"
         )
     else:
-        conditions["K3"] = ConditionVerdict("pass", worst_r, worst_ratio - 1.0)
+        conditions["K3"] = ConditionVerdict("pass", note="continuous at every knot")
 
-    # (K4): tail bound r*K(r) <= (1+eps)^-(N+s-1) for r >= 1+eps.
-    bound4 = (1.0 + eps) ** (-(N + s - 1.0))
-    sel = radii >= (1.0 + eps)
-    if np.any(sel):
-        lhs = radii[sel] * kvals[sel]
-        margin = lhs - bound4
-        k = int(np.argmax(margin))
-        if margin[k] > _EPS_REL * bound4:
-            conditions["K4"] = ConditionVerdict(
-                "fail", float(radii[sel][k]), float(margin[k]), "tail bound violated"
-            )
-        else:
-            conditions["K4"] = ConditionVerdict("pass", float(radii[sel][k]), float(margin[k]))
+    def bounded(margin, tol, witness, what):
+        bad = margin > tol
+        return ConditionVerdict(
+            "fail" if bad else "pass", witness, margin, f"{what} violated" if bad else ""
+        )
+
+    # (K4): tail bound r K(r) <= (1+eps)^-(N+s-1) for r >= 1+eps.
+    bound4 = (1.0 + eps) ** (-(N + kernel.s - 1.0))
+    r, f = (a.ravel().tolist() for a in _extremes(kernel, 1.0, 1.0 + eps))
+    if r:
+        k = int(np.argmax(f))
+        conditions["K4"] = bounded(f[k] - bound4, _EPS_REL * bound4, r[k], "tail bound")
     else:
         conditions["K4"] = ConditionVerdict(
-            "not-checked", None, None, "no sampled radii beyond 1+epsilon"
+            "not-checked", None, None, "kernel undefined beyond 1+epsilon"
         )
 
-    # (K4'): sandwich lam^-1 r^-(N+s) <= K(r) <= lam r^-(N+s).
-    power = radii ** (-(N + s))
-    upper_margin = kvals - lam * power
-    lower_margin = power / lam - kvals
-    iu, il = int(np.argmax(upper_margin)), int(np.argmax(lower_margin))
-    slack = _EPS_REL * lam
-    if upper_margin[iu] > slack * power[iu]:
-        conditions["K4'"] = ConditionVerdict(
-            "fail", float(radii[iu]), float(upper_margin[iu] / power[iu]), "upper sandwich violated"
-        )
-    elif lower_margin[il] > slack * power[il]:
-        conditions["K4'"] = ConditionVerdict(
-            "fail", float(radii[il]), float(lower_margin[il] / power[il]), "lower sandwich violated"
-        )
-    else:
-        worst = max(float(upper_margin[iu] / power[iu]), float(lower_margin[il] / power[il]))
-        conditions["K4'"] = ConditionVerdict("pass", None, worst)
+    # (K4'): sandwich lam^-1 <= K(r) r^(N+s) <= lam; the worse side is reported.
+    r, f = (a.ravel().tolist() for a in _extremes(kernel, kernel.sigma))
+    iu, il = int(np.argmax(f)), int(np.argmin(f))
+    margin, side, k = max((f[iu] - lam, "upper", iu), (1.0 / lam - f[il], "lower", il))
+    conditions["K4'"] = bounded(margin, _EPS_REL * lam, r[k], f"{side} sandwich")
 
-    return KernelConditionReport(
-        conditions=conditions,
-        tail_integral=tail_integral,
-        tail_remainder=tail_remainder,
-    )
+    return KernelConditionReport(conditions=conditions, tail_integral=tail_integral)

@@ -9,22 +9,22 @@ beta in [0, N+1) is the unique positive root m_p of
 
     phi(x) = C1 x^(1+p) - C2 x^p - A C3,      p = (beta - 1) / N,
 
-found by bracketed bisection in extended precision.  Two exponent
-conventions are in circulation for the prefactor, N+s-1 and N+1-s; they
-differ for every s in (0, 1), so both are exposed through a flag and never
-silently mixed.
+found by bisection in double precision on a bracket proved to hold it.
+Two exponent conventions are in circulation for the prefactor, N+s-1 and
+N+1-s; they differ for every s in (0, 1), so both are exposed through a
+flag and never silently mixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import BracketError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .kernels import epsilon_min
 
 _CONVENTIONS = ("theorem", "appendix")
-_DPS = 40
 
 
 class GeneralConstants(NamedTuple):
@@ -49,8 +49,6 @@ class ThresholdRecord:
     bracket: Optional[Tuple[float, float]] = None
     iterations: int = 0
     residual: float = 0.0
-    sign_check_2x: bool = True
-    sign_check_10x: bool = True
 
     def as_record(self) -> dict:
         return {
@@ -69,8 +67,6 @@ class ThresholdRecord:
             "bracket_hi": self.bracket[1] if self.bracket else float("nan"),
             "iterations": self.iterations,
             "residual": self.residual,
-            "sign_check_2x": self.sign_check_2x,
-            "sign_check_10x": self.sign_check_10x,
         }
 
 
@@ -79,8 +75,8 @@ def _validate_inputs(N: int, s: float, epsilon: float, A: float):
         raise ParameterError(f"dimension must be at least 2, got {N}")
     if not (0.0 < s < 1.0):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
-    if A < 0:
-        raise ParameterError(f"A must be nonnegative, got {A}")
+    if not (0.0 <= A < math.inf):
+        raise ParameterError(f"A must be finite and nonnegative, got {A}")
     if epsilon <= epsilon_min(N, s):
         raise ParameterError(
             f"degenerate prefactor: epsilon = {epsilon} must exceed "
@@ -100,27 +96,22 @@ def general_constants(
     N: int, s: float, epsilon: float, beta: float, convention: str = "theorem"
 ) -> GeneralConstants:
     """Constants (C1, C2, C3, p) of the generalized threshold equation."""
-    import mpmath as mp
-
     if not (0.0 < s < 1.0):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
     if not (0.0 <= beta < N + 1):
         raise ParameterError(f"beta must lie in [0, {N + 1}), got {beta}")
     expo = _prefactor_exponent(N, s, convention)
-    with mp.workdps(_DPS):
-        eps = mp.mpf(epsilon)
-        omega = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
-        ball = omega / N
-        C1 = mp.mpf(1) / 2 - (1 + eps) ** (-mp.mpf(expo))
-        C2 = omega * (1 + eps) ** (1 - mp.mpf(s)) / (1 - mp.mpf(s))
-        p = (mp.mpf(beta) - 1) / N
-        C3 = omega * ball ** (-1 + p) / (N + 1 - mp.mpf(beta))
-        if C1 <= 0:
-            raise ParameterError(
-                f"degenerate prefactor: C1 = {float(C1)} <= 0 for epsilon = "
-                f"{epsilon} under the {convention!r} exponent convention"
-            )
-        return GeneralConstants(C1=float(C1), C2=float(C2), C3=float(C3), p=float(p))
+    omega = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)  # unit-sphere area
+    C1 = 0.5 - (1.0 + epsilon) ** (-expo)
+    C2 = omega * (1.0 + epsilon) ** (1.0 - s) / (1.0 - s)
+    p = (beta - 1.0) / N
+    C3 = omega * (omega / N) ** (-1.0 + p) / (N + 1.0 - beta)
+    if C1 <= 0:
+        raise ParameterError(
+            f"degenerate prefactor: C1 = {C1} <= 0 for epsilon = "
+            f"{epsilon} under the {convention!r} exponent convention"
+        )
+    return GeneralConstants(C1=C1, C2=C2, C3=C3, p=p)
 
 
 def phi(x: float, constants: GeneralConstants, A: float) -> float:
@@ -132,18 +123,11 @@ def phi(x: float, constants: GeneralConstants, A: float) -> float:
 
 
 def critical_mass(N: int, s: float, epsilon: float, A: float) -> ThresholdRecord:
-    """Closed-form critical mass for the Coulomb background (beta = 1)."""
-    import mpmath as mp
-
+    """Closed-form critical mass (C2 + A)/C1 for the Coulomb background
+    (beta = 1)."""
     _validate_inputs(N, s, epsilon, A)
     consts = general_constants(N, s, epsilon, 1.0, "theorem")
-    with mp.workdps(_DPS):
-        eps = mp.mpf(epsilon)
-        omega = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
-        pref = mp.mpf(1) / 2 - (1 + eps) ** (-(mp.mpf(N) + mp.mpf(s) - 1))
-        mass = (omega * (1 + eps) ** (1 - mp.mpf(s)) / (1 - mp.mpf(s)) + mp.mpf(A)) / pref
-        mass_f = float(mass)
-    residual = abs(phi(mass_f, consts, A))
+    mass = (consts.C2 + A) / consts.C1
     return ThresholdRecord(
         dimension=N,
         s=s,
@@ -151,12 +135,29 @@ def critical_mass(N: int, s: float, epsilon: float, A: float) -> ThresholdRecord
         A=A,
         beta=1.0,
         convention="theorem",
-        mass=mass_f,
+        mass=mass,
         constants=consts,
         bracket=None,
         iterations=0,
-        residual=residual,
+        residual=abs(phi(mass, consts, A)),
     )
+
+
+def _bisect(f, lo: float, hi: float) -> Tuple[float, int]:
+    """(root, iterations) of an increasing f with f(lo) <= 0 <= f(hi): halve
+    [lo, hi] until no double lies strictly inside, then return the end
+    where |f| is smaller."""
+    iterations = 0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return (lo if abs(f(lo)) <= abs(f(hi)) else hi), iterations
 
 
 def general_critical_mass(
@@ -166,73 +167,32 @@ def general_critical_mass(
     A: float,
     beta: float,
     convention: str = "theorem",
-    lower_start: float = 1e-6,
-    upper_start: float = 1.0,
 ) -> ThresholdRecord:
-    """Root m_p of phi by bracketed bisection in extended precision.
+    """Root m_p of phi, by bisection on a bracket proved to hold it.
 
-    The lower bracket shrinks from ``lower_start`` until phi < 0 and the
-    upper doubles from ``upper_start`` until phi > 0 (at most 200 steps
-    each); bisection then narrows the bracket to 1e-12 relative width.
-    The sign of phi is re-checked at 2 m_p and 10 m_p as a cheap
-    uniqueness falsification.
+    Write phi(x) = x^p (C1 x - C2) - A C3 with C1, C2 > 0, C3 > 0, A >= 0
+    and p = (beta - 1)/N in [-1/N, 1).  At lo = C2/C1, phi(lo) = -A C3 <= 0.
+    For p < 0, phi'(x) = x^(p-1) (C1 (1+p) x - C2 p) > 0 on x > 0.  For
+    p >= 0, phi <= -A C3 on (0, C2/C1], where x^p >= 0 and C1 x - C2 <= 0,
+    and beyond it x^p and C1 x - C2 are both positive and increasing, so
+    phi increases there.  Either way phi has exactly one positive root, it
+    lies at or above lo, and it is lo itself when A = 0.  At
+    hi = max(1, ((C2 + A C3)/C1)^(1/(1 + min(p, 0)))), phi(hi) >= 0: for
+    p >= 0, hi^p >= 1 and C1 hi - C2 >= A C3 >= 0; for p < 0,
+    C1 hi^(1+p) >= C2 + A C3 and C2 hi^p <= C2.  So [lo, hi] brackets the
+    root, and bisection in double precision narrows it to adjacent doubles.
     """
-    import mpmath as mp
-
     _validate_inputs(N, s, epsilon, A)
     consts = general_constants(N, s, epsilon, beta, convention)
-    with mp.workdps(_DPS):
-        C1, C2, C3 = mp.mpf(consts.C1), mp.mpf(consts.C2), mp.mpf(consts.C3)
-        p = (mp.mpf(beta) - 1) / N
-        A_mp = mp.mpf(A)
-
-        def phi_mp(x):
-            return C1 * x ** (1 + p) - C2 * x ** p - A_mp * C3
-
-        lo = mp.mpf(lower_start)
-        steps = 0
-        while phi_mp(lo) >= 0:
-            lo /= 10
-            steps += 1
-            if steps > 200:
-                raise BracketError(
-                    "no negative value of phi found while shrinking the lower bracket",
-                    diagnostics={"lower": float(lo), "steps": steps},
-                )
-        hi = mp.mpf(upper_start)
-        steps = 0
-        while phi_mp(hi) <= 0:
-            hi *= 2
-            steps += 1
-            if steps > 200:
-                raise BracketError(
-                    "no positive value of phi found after 200 doublings of the upper bracket",
-                    diagnostics={"upper": float(hi), "steps": steps},
-                )
-        if hi <= lo:
-            hi = 2 * lo if phi_mp(2 * lo) > 0 else hi
-        bracket0 = (float(lo), float(hi))
-        iterations = 0
-        while (hi - lo) > mp.mpf("1e-12") * (0.5 * (hi + lo)):
-            mid = 0.5 * (lo + hi)
-            if phi_mp(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-            if iterations > 500:
-                break
-        root = 0.5 * (lo + hi)
-        residual = abs(phi_mp(root))
-        check2 = phi_mp(2 * root) > 0
-        check10 = phi_mp(10 * root) > 0
-        root_f = float(root)
-        residual_f = float(residual)
-    if not (check2 and check10):
-        raise DomainError(
-            "phi is not positive beyond the computed root; the uniqueness "
-            "assumption failed the sign sampling at 2x and 10x"
-        )
+    C1, C2, C3, p = consts
+    lo = C2 / C1
+    try:
+        hi = max(1.0, ((C2 + A * C3) / C1) ** (1.0 / (1.0 + min(p, 0.0))))
+    except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
+        raise ParameterError(f"A = {A} is too large: the root bracket overflows a double")
+    root, iterations = _bisect(lambda x: phi(x, consts, A), lo, hi)
     return ThresholdRecord(
         dimension=N,
         s=s,
@@ -240,11 +200,9 @@ def general_critical_mass(
         A=A,
         beta=beta,
         convention=convention,
-        mass=root_f,
+        mass=root,
         constants=consts,
-        bracket=bracket0,
+        bracket=(lo, hi),
         iterations=iterations,
-        residual=residual_f,
-        sign_check_2x=bool(check2),
-        sign_check_10x=bool(check10),
+        residual=abs(phi(root, consts, A)),
     )

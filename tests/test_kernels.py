@@ -178,7 +178,7 @@ class TestConditionAudit:
         k = frac(kind="tabulated", radii=r, values=r ** -2.5, tail=("power", 1.0))
         rep = validate_conditions(k)
         assert rep.conditions["K2"].status == "fail"
-        assert rep.tail_remainder == np.inf
+        assert rep.tail_integral == np.inf
 
     def test_truncated_passes_k1_to_k4(self):
         k = frac(kind="truncated-fractional", cap=2.0)
@@ -193,6 +193,66 @@ class TestConditionAudit:
         k = frac(kind="tabulated", radii=r, values=r ** -2.5)
         rep = validate_conditions(k)
         assert rep.conditions["K2"].status == "not-checked"
+
+    @staticmethod
+    def motivating(tail, lam=1.0):
+        # r^-2.5 sampled on [0.01, 10], N = 2, s = 1/2: K r^(N+s) is flat on
+        # the table and r^(2.5 - p) beyond it
+        r = np.geomspace(0.01, 10.0, 40)
+        return frac(lam=lam, kind="tabulated", radii=r, values=r ** -2.5, tail=tail)
+
+    def test_unbounded_sandwich_beyond_the_table_fails(self):
+        # K r^2.5 ~ r^0.47 stays below lam = 50 out to r = 1e3, but is unbounded
+        v = validate_conditions(self.motivating(("power", 2.03), lam=50.0)).conditions["K4'"]
+        assert (v.status, v.witness, v.margin) == ("fail", math.inf, math.inf)
+
+    def test_slow_integrable_tail_passes_k2_exactly(self):
+        rep = validate_conditions(self.motivating(("power", 2.03), lam=50.0))
+        assert rep.conditions["K2"].status == "pass"
+        assert rep.conditions["K2"].margin == pytest.approx(-0.03, rel=1e-12)
+        assert rep.tail_integral == pytest.approx(11.908470001860993, rel=1e-12)
+
+    def test_slow_divergent_tail_fails_k2(self):
+        rep = validate_conditions(self.motivating(("power", 1.97), lam=50.0))
+        assert rep.conditions["K2"].status == "fail"
+        assert rep.conditions["K2"].margin == pytest.approx(0.03, rel=1e-12)
+        assert rep.tail_integral == math.inf
+
+    def test_zero_tail_jump_fails_k3_at_last_sample(self):
+        rep = validate_conditions(self.motivating(("zero",)))
+        v = rep.conditions["K3"]
+        assert v.status == "fail"
+        assert v.witness == pytest.approx(10.0, rel=1e-11)
+        assert v.margin == pytest.approx(10.0 ** -2.5, rel=1e-12)
+        assert rep.conditions["K2"].status == "pass"
+        # the zero tail breaks the lower sandwich
+        assert rep.conditions["K4'"].status == "fail"
+        assert rep.conditions["K4'"].margin == pytest.approx(1.0)
+
+    def test_tail_below_one_fails_k4_at_infinity(self):
+        v = validate_conditions(self.motivating(("power", 0.5))).conditions["K4"]
+        assert (v.status, v.witness, v.margin) == ("fail", math.inf, math.inf)
+
+    def test_continuous_table_passes_k3_to_k4(self):
+        rep = validate_conditions(self.motivating(("power", 2.5)))
+        assert rep.all_pass
+        assert rep.conditions["K4"].witness == 1.75
+
+    def test_sandwich_extreme_inside_a_linear_piece(self):
+        # a zero sample at 1: on [0.5, 1] K = a + b r and K r^2.5 peaks at
+        # r* = 2.5/3.5, inside the piece
+        r = np.array([0.1, 0.25, 0.5, 1.0, 2.0, 4.0])
+        v = 3.0 * r ** -2.5
+        v[3] = 0.0
+        k = frac(lam=3.0, kind="tabulated", radii=r, values=v, tail=("power", 2.5))
+        got = validate_conditions(k).conditions["K4'"]
+        assert got.status == "fail" and got.note == "upper sandwich violated"
+        assert got.witness == pytest.approx(2.5 / 3.5, rel=1e-14)
+        x = np.linspace(0.5, 1.0, 200_001)
+        dense = eval_kernel_radial(k, x) * x ** 2.5
+        assert got.margin + 3.0 == pytest.approx(dense.max(), rel=1e-9)
+        assert got.margin + 3.0 >= dense.max()
+        assert got.witness == pytest.approx(x[np.argmax(dense)], abs=5e-6)
 
     def test_audit_deterministic(self):
         k = frac()
@@ -233,7 +293,7 @@ def kinked_table():
 
 
 class TestRadialIntegralPins:
-    """Values of the (K2) partial integral and the tabulated tail integral
+    """Values of the (K2) tail integral from 1 and the tabulated tail integral
     computed with adaptive scipy quadrature, frozen here: the exact
     antiderivative of the piece table must reproduce them.  The kinked table's exact tail integral is
     2 (1 - 10^-1/2) + 10^-1/2 / 1.5 = 1.5783629786442...; the adaptive
