@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import geometry, kernels, quadrature
 from .errors import ParameterError, PreconditionError
-from .geometry import BallConfig, Shape, VoxelShape
+from .geometry import BallConfig, Shape
 from .kernels import KernelSpec
 from .quadrature import IntegralEstimate, QuadratureSpec
 
@@ -509,43 +509,40 @@ def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> Energy
 # Interactions and decomposition identities
 
 
-def _shared_grid(U: Shape, W: Shape, spec: QuadratureSpec):
-    """Occupancies of U and W on the fine common grid of
-    ``quadrature._pair_grids``, the grid their pair integral runs on, with
-    its origin and spacing.  A cell that belongs to both is refused."""
-    occU, occW, origin, h = quadrature._pair_grids(U, W, spec.resolved_budget(U.dimension), False)
-    if np.any(occU & occW):
+def _disjoint_levels(U: Shape, W: Shape, spec: QuadratureSpec) -> tuple:
+    """The levels of ``quadrature._pair_grids`` for U and W, the grids their
+    pair integral runs on.  A cell of the fine level in both shapes is
+    refused.  The decomposition checks evaluate U, W and U u W on that
+    fine level, so the three perimeters share one stencil and one cell
+    kernel mass and the identities cancel at machine precision."""
+    levels = quadrature._pair_grids(U, W, spec.resolved_budget(U.dimension))
+    gU, gW = levels[0]
+    if np.any(gU.occupancy & gW.occupancy):
         raise PreconditionError(
             "shapes overlap on the shared grid; interaction requires disjoint sets"
         )
-    return occU, occW, origin, h
+    return levels
 
 
 def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
     """Cross term int_U int_W g(x-y) for disjoint shapes: two ball
     configurations have no pair of balls that meet, other shapes have no
-    cell in common on the grid the integral runs on (``_shared_grid``)."""
+    cell in common on the fine level the integral runs on
+    (``_disjoint_levels``)."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
     if isinstance(U, BallConfig) and isinstance(W, BallConfig):
-        d = np.linalg.norm(U.centers[:, None, :] - W.centers[None, :, :], axis=-1)
-        rs = U.radii[:, None] + W.radii[None, :]
-        if np.any(d <= rs):
-            i, j = np.argwhere(d <= rs)[0]
+        meet = geometry._first_meeting((U.centers, U.radii), (W.centers, W.radii))
+        if meet is not None:
+            i, j, d, rs = meet
             raise PreconditionError(
                 f"ball {i} of the first shape and ball {j} of the second are not "
-                f"disjoint (center distance {d[i, j]:.6g} <= radius sum {rs[i, j]:.6g})"
+                f"disjoint (center distance {d:.6g} <= radius sum {rs:.6g})"
             )
-    else:
-        _shared_grid(U, W, spec)
-    if (
-        isinstance(U, BallConfig)
-        and isinstance(W, BallConfig)
-        and (isinstance(g, KernelSpec) or isinstance(g, (int, float)))
-    ):
-        values, errors = _balls_cross((g,), U, W)
-        return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction")
-    return quadrature.double_integral(U, W, g, spec)
+        if isinstance(g, (KernelSpec, int, float)):
+            values, errors = _balls_cross((g,), U, W)
+            return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction")
+    return quadrature._pair_estimate(_disjoint_levels(U, W, spec), g)
 
 
 @dataclass(frozen=True)
@@ -563,23 +560,13 @@ class DecompositionCheck:
         return self.residual
 
 
-def _decomposition_parts(U: Shape, W: Shape, spec: QuadratureSpec):
-    """(U, W, U u W) for the decomposition checks, all three on the grid
-    shared by U and W (``_shared_grid``), so the three perimeters share one
-    stencil and one cell kernel mass and the identities cancel at machine
-    precision."""
-    N = U.dimension
-    occU, occW, origin, h = _shared_grid(U, W, spec)
-    union = VoxelShape(N, origin, h, occU | occW)
-    return VoxelShape(N, origin, h, occU), VoxelShape(N, origin, h, occW), union
-
-
 def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> DecompositionCheck:
     """Residual of P_K(U) + P_K(W) - P_K(U u W) - 2 I_K(U, W) for disjoint
-    U, W, with the parts of ``_decomposition_parts``."""
+    U, W, all three on the fine level of ``_disjoint_levels``."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    U, W, union = _decomposition_parts(U, W, spec)
+    (U, W), _ = _disjoint_levels(U, W, spec)
+    union = replace(U, occupancy=U.occupancy | W.occupancy)
     pU = perimeter(U, kernel, spec)
     pW = perimeter(W, kernel, spec)
     pUW = perimeter(union, kernel, spec)
@@ -593,10 +580,11 @@ def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: 
 
 def check_riesz_decomposition(U: Shape, W: Shape, spec: QuadratureSpec, alpha: float = 1.0) -> DecompositionCheck:
     """Residual of V(U u W) - V(U) - V(W) - I(U, W) with the riesz pair
-    integrand, with the parts of ``_decomposition_parts``."""
+    integrand, all three on the fine level of ``_disjoint_levels``."""
     if geometry.is_empty(U) or geometry.is_empty(W):
         return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    U, W, union = _decomposition_parts(U, W, spec)
+    (U, W), _ = _disjoint_levels(U, W, spec)
+    union = replace(U, occupancy=U.occupancy | W.occupancy)
     vU = riesz(U, alpha, spec)
     vW = riesz(W, alpha, spec)
     vUW = riesz(union, alpha, spec)

@@ -1,5 +1,4 @@
-"""Shapes: disjoint ball configurations, voxel sets, halfspace slicing of
-voxel sets, file formats.
+"""Shapes: disjoint ball configurations, voxel sets, file formats.
 
 A shape is a ``BallConfig`` or a ``VoxelShape``.  Both expose the minimal
 contract used by the quadrature engine: ``dimension``, ``count``,
@@ -33,26 +32,19 @@ def unit_ball_volume(N: int) -> float:
     return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
 
 
-def _as_unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-12:
-        raise ParameterError(f"direction must be a unit vector; |v| = {n!r}")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class Halfspace:
-    """The set {x : x . nu >= l} for a unit direction nu."""
-
-    nu: np.ndarray
-    l: float
-
-    def __post_init__(self):
-        nu = _as_unit(self.nu)
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "l", float(self.l))
+def _first_meeting(balls, others=None):
+    """The first ball i of ``balls`` and ball j of ``others``, each given as
+    (centers (k, N), radii (k,)), that meet (center distance <= radius
+    sum), as (i, j, distance, radius sum), or None.  Without ``others``
+    the pairs i < j of ``balls`` are tested."""
+    (c1, r1), (c2, r2) = balls, balls if others is None else others
+    d = np.linalg.norm(c1[:, None, :] - c2[None, :, :], axis=-1)
+    rs = r1[:, None] + r2[None, :]
+    meet = np.triu(d <= rs, 1) if others is None else d <= rs
+    if not np.any(meet):
+        return None
+    i, j = np.argwhere(meet)[0]
+    return i, j, d[i, j], rs[i, j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +71,13 @@ class BallConfig:
             raise ParameterError("centers must be (k, N) and radii (k,)")
         if np.any(r <= 0):
             raise ParameterError("ball radii must be positive")
-        if c.shape[0] > 1:
-            d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
-            rs = r[:, None] + r[None, :]
-            off = ~np.eye(c.shape[0], dtype=bool)
-            if np.any(d[off] <= rs[off]):
-                i, j = np.argwhere((d <= rs) & off)[0]
-                raise PreconditionError(
-                    f"balls {i} and {j} are not disjoint (center distance "
-                    f"{d[i, j]:.6g} <= radius sum {rs[i, j]:.6g})"
-                )
+        meet = _first_meeting((c, r))
+        if meet is not None:
+            i, j, d, rs = meet
+            raise PreconditionError(
+                f"balls {i} and {j} are not disjoint (center distance "
+                f"{d:.6g} <= radius sum {rs:.6g})"
+            )
         c.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "centers", c)
@@ -181,29 +170,6 @@ def volume(shape: Shape) -> float:
     if isinstance(shape, VoxelShape):
         return shape.count * shape.spacing ** shape.dimension
     raise ParameterError(f"unknown shape type {type(shape).__name__}")
-
-
-def slice_shape(shape: VoxelShape, hs: Halfspace):
-    """Split a voxel shape by a halfspace into (upper, lower) parts.
-
-    Cells are classified by center, so the two parts partition the
-    occupied cells exactly.  A ball is cut on a grid: slice
-    ``quadrature.voxelize(ball, n)``.
-    """
-    if not isinstance(shape, VoxelShape):
-        raise ParameterError(
-            f"slice_shape takes voxel shapes, got {type(shape).__name__}; "
-            "slice quadrature.voxelize(shape, n) instead"
-        )
-    centers = shape.origin + 0.5 * shape.spacing
-    idx = np.indices(shape.occupancy.shape)
-    proj = sum(
-        (centers[i] + idx[i] * shape.spacing) * hs.nu[i] for i in range(shape.dimension)
-    )
-    upper_mask = proj >= hs.l
-    up = replace(shape, occupancy=shape.occupancy & upper_mask)
-    lo = replace(shape, occupancy=shape.occupancy & ~upper_mask)
-    return up, lo
 
 
 def translate(shape: Shape, v) -> Shape:

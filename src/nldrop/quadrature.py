@@ -26,10 +26,18 @@ closed-form radial tail from the ray-box exit distance, summed over a
 midpoint direction grid).  A grid whose stencil table (2 n - 1 cells per
 axis) would exceed ``_MAX_CONV_CELLS`` cells is refused.
 
-Every estimate is built by ``_tensor_estimate``: it evaluates on the fine
-grid and on the half-resolution grid and reports |fine - coarse| as the
-error, a proxy, not a bound.  Sphere integrals and directional tails
-stream the midpoint direction grid in blocks built from per-axis factors
+Every estimate is built by ``_tensor_estimate``: it evaluates on a fine
+and a coarse level and reports |fine - coarse| as the error, a proxy, not
+a bound.  ``_grids`` (one shape) and ``_pair_grids`` (two shapes on one
+grid) are the only builders of the two levels.  A voxel grid's coarse
+level is its coarsening (``_coarsen``: a cell of twice the spacing is
+occupied when at least half of its 2^N cells are); two voxel shapes of
+one spacing are embedded in their common grid first.  A ball is
+voxelized at the budget's cells per axis and, for its coarse level, again
+at half as many; a pair with a ball, or of two spacings, is voxelized on
+its union box the same way.  A sphere integral's coarse level is half its
+directions.  Sphere integrals and directional tails stream the midpoint
+direction grid in blocks built from per-axis factors
 (``_direction_blocks``); no cache holds more than those factors.
 """
 
@@ -754,11 +762,11 @@ def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
 # Voxelization and grid utilities
 
 
-def _cells_per_axis(budget: int, N: int, coarse: bool = False) -> int:
-    """Cells per axis of a tensor grid of about ``budget`` cells (at least
-    4), halved on the coarse grid."""
+def _cells_per_axis(budget: int, N: int) -> Tuple[int, int]:
+    """Cells per axis of the fine and the coarse level of a tensor grid of
+    about ``budget`` cells: n = budget^(1/N) and n / 2, each at least 4."""
     n = max(4, int(round(budget ** (1.0 / N))))
-    return max(4, n // 2) if coarse else n
+    return n, max(4, n // 2)
 
 
 def voxelize(shape: Shape, cells_per_axis: Optional[int] = None, box=None) -> VoxelShape:
@@ -776,7 +784,7 @@ def voxelize(shape: Shape, cells_per_axis: Optional[int] = None, box=None) -> Vo
             dimension=N, origin=lo, spacing=1.0, occupancy=np.zeros((1,) * N, dtype=bool)
         )
     if cells_per_axis is None:
-        cells_per_axis = _cells_per_axis(64 ** N, N)
+        cells_per_axis = 64
     h = float(np.max(extent)) / cells_per_axis
     dims = tuple(max(1, int(math.ceil(extent[i] / h - 1e-9))) for i in range(N))
     if np.prod(dims) > 1.0e8:
@@ -799,20 +807,6 @@ def _embed(vox: VoxelShape, origin, dims) -> np.ndarray:
     return occ
 
 
-def _common_grid(a: VoxelShape, b: VoxelShape):
-    """Embed two same-spacing aligned voxel shapes into one shared grid."""
-    h = a.spacing
-    if abs(a.spacing - b.spacing) > 1e-12 * h:
-        raise ParameterError("voxel shapes have different spacings")
-    origin = np.minimum(a.origin, b.origin)
-    hi = np.maximum(
-        a.origin + np.array(a.occupancy.shape) * h,
-        b.origin + np.array(b.occupancy.shape) * h,
-    )
-    dims = tuple(int(round(v)) for v in (hi - origin) / h)
-    return _embed(a, origin, dims), _embed(b, origin, dims), origin, h
-
-
 def _coarsen(occ: np.ndarray) -> np.ndarray:
     """Halve the grid resolution: a coarse cell is occupied when at least
     half of its fine subcells are."""
@@ -832,32 +826,56 @@ def _coarsen(occ: np.ndarray) -> np.ndarray:
     return counts >= 2 ** (N - 1)
 
 
-def _coarse_voxel(vox: VoxelShape) -> VoxelShape:
-    return VoxelShape(
-        dimension=vox.dimension,
-        origin=vox.origin,
-        spacing=2.0 * vox.spacing,
-        occupancy=_coarsen(vox.occupancy),
+def _as_grid(E: Shape, budget: int) -> VoxelShape:
+    """The fine level of a shape: a voxel shape itself, a ball voxelized at
+    the budget's cells per axis."""
+    if isinstance(E, VoxelShape):
+        return E
+    return voxelize(E, _cells_per_axis(budget, E.dimension)[0])
+
+
+def _grids(E: Shape, budget: int) -> Tuple[VoxelShape, VoxelShape]:
+    """The (fine, coarse) levels of a shape: the fine level of ``_as_grid``
+    and, for a voxel shape, its coarsening, for a ball its own voxelization
+    at half the cells per axis."""
+    if isinstance(E, VoxelShape):
+        return E, VoxelShape(E.dimension, E.origin, 2.0 * E.spacing, _coarsen(E.occupancy))
+    return tuple(voxelize(E, n) for n in _cells_per_axis(budget, E.dimension))
+
+
+def _pair_grids(E: Shape, F: Shape, budget: int) -> tuple:
+    """The (fine, coarse) levels of a pair, each a pair of voxel shapes on
+    one grid.  Same-spacing voxel shapes are embedded in their common fine
+    grid, whose levels are those of ``_grids``; any other pair is
+    voxelized on the union of the bounding boxes at the cells per axis of
+    both levels."""
+    N = E.dimension
+    (loE, hiE), (loF, hiF) = E.bounding_box(), F.bounding_box()
+    lo, hi = np.minimum(loE, loF), np.maximum(hiE, hiF)
+    if (
+        isinstance(E, VoxelShape)
+        and isinstance(F, VoxelShape)
+        and abs(E.spacing - F.spacing) <= 1e-12 * E.spacing
+    ):
+        h = E.spacing
+        dims = tuple(int(round(v)) for v in (hi - lo) / h)
+        fine = [VoxelShape(N, lo, h, _embed(v, lo, dims)) for v in (E, F)]
+        return tuple(zip(*(_grids(v, budget) for v in fine)))
+    return tuple(
+        (voxelize(E, n, (lo, hi)), voxelize(F, n, (lo, hi))) for n in _cells_per_axis(budget, N)
     )
-
-
-def _as_grid(shape: Shape, budget: int, coarse: bool = False) -> VoxelShape:
-    """Voxel view of any shape."""
-    if isinstance(shape, VoxelShape):
-        return _coarse_voxel(shape) if coarse else shape
-    return voxelize(shape, cells_per_axis=_cells_per_axis(budget, shape.dimension, coarse))
 
 
 # ---------------------------------------------------------------------------
 # Estimates (see the module docstring)
 
 
-def _tensor_estimate(value_at) -> IntegralEstimate:
-    """Tensor estimate from ``value_at(coarse)`` -> (value, samples): the
-    value and samples of the fine grid, and as error the change from the
-    coarse (half-resolution) grid."""
-    value, samples = value_at(False)
-    coarse, _ = value_at(True)
+def _tensor_estimate(levels, body) -> IntegralEstimate:
+    """Tensor estimate from the (fine, coarse) ``levels`` and ``body(level)``
+    -> (value, samples): the value and samples of the fine level, and as
+    error the change from the coarse one."""
+    value, samples = body(levels[0])
+    coarse, _ = body(levels[1])
     return IntegralEstimate(value, abs(value - coarse), samples, "tensor-midpoint")
 
 
@@ -878,10 +896,7 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
     sing = f if isinstance(f, PointSingularity) else None
     fvec = sing.vec if sing is not None else f
 
-    budget = spec.resolved_budget(N)
-
-    def value_at(coarse: bool):
-        grid = _as_grid(E, budget, coarse)
+    def body(grid):
         if grid.count == 0:
             return 0.0, 0
         h = grid.spacing
@@ -889,7 +904,7 @@ def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
         vals = _singular_cell_means(centers, h, sing) if sing is not None else fvec(centers)
         return float(np.sum(vals)) * h ** N, grid.count
 
-    return _tensor_estimate(value_at)
+    return _tensor_estimate(_grids(E, spec.resolved_budget(N)), body)
 
 
 def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEstimate:
@@ -899,41 +914,22 @@ def double_integral(E: Shape, F: Shape, g, spec: QuadratureSpec) -> IntegralEsti
     ``OffsetIntegrand`` (stationary, evaluated at z = y - x).  It is an
     FFT pair sum on a common grid with near-diagonal cell-pair integrals.
     """
-    N = E.dimension
     if geometry.is_empty(E) or geometry.is_empty(F):
         return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
-    igd = _coerce_integrand(g, N)
-
-    budget = spec.resolved_budget(N)
-
-    def value_at(coarse: bool):
-        gE, gF, _, h = _pair_grids(E, F, budget, coarse)
-        cells = int(np.count_nonzero(gE)) + int(np.count_nonzero(gF))
-        return _fft_pair_sum(gE, gF, _stencil(gE.shape, h, igd)), cells
-
-    return _tensor_estimate(value_at)
+    return _pair_estimate(_pair_grids(E, F, spec.resolved_budget(E.dimension)), g)
 
 
-def _pair_grids(E: Shape, F: Shape, budget: int, coarse: bool):
-    """Occupancies of E and F on one common grid, with its origin and
-    spacing: same-spacing voxel shapes keep their cells, anything else is
-    voxelized on the union of the bounding boxes."""
-    if (
-        isinstance(E, VoxelShape)
-        and isinstance(F, VoxelShape)
-        and abs(E.spacing - F.spacing) <= 1e-12 * E.spacing
-    ):
-        vE = _coarse_voxel(E) if coarse else E
-        vF = _coarse_voxel(F) if coarse else F
-        return _common_grid(vE, vF)
-    loE, hiE = E.bounding_box()
-    loF, hiF = F.bounding_box()
-    lo = np.minimum(loE, loF)
-    hi = np.maximum(hiE, hiF)
-    n = _cells_per_axis(budget, E.dimension, coarse)
-    gE = voxelize(E, cells_per_axis=n, box=(lo, hi))
-    gF = voxelize(F, cells_per_axis=n, box=(lo, hi))
-    return gE.occupancy, gF.occupancy, gE.origin, gE.spacing
+def _pair_estimate(levels, g) -> IntegralEstimate:
+    """The pair integral of g (as in ``double_integral``) over the levels
+    of ``_pair_grids``."""
+    igd = _coerce_integrand(g, levels[0][0].dimension)
+
+    def body(pair):
+        vE, vF = pair
+        T = _stencil(vE.occupancy.shape, vE.spacing, igd)
+        return _fft_pair_sum(vE.occupancy, vF.occupancy, T), vE.count + vF.count
+
+    return _tensor_estimate(levels, body)
 
 
 def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> IntegralEstimate:
@@ -948,14 +944,11 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
     if igd.dimension != N:
         raise ParameterError("kernel dimension does not match the shape")
 
-    budget = spec.resolved_budget(N)
-
-    def value_at(coarse: bool):
-        grid = _as_grid(E, budget, coarse=coarse)
+    def body(grid):
         T, a = _cell_kernel_mass(grid.occupancy.shape, grid.spacing, igd)
         return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
 
-    return _tensor_estimate(value_at)
+    return _tensor_estimate(_grids(E, spec.resolved_budget(N)), body)
 
 
 def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
@@ -969,8 +962,7 @@ def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
         raise ParameterError(f"sphere integrals support N in {{2, 3}}, got {N}")
     count = max(16, min(spec.resolved_budget(N), 1 << 20))
 
-    def value_at(coarse: bool):
-        blocks = _direction_blocks(N, max(8, count // 2) if coarse else count)
-        return sum(float(np.sum(f(dirs) * w)) for dirs, w in blocks), count
+    def body(n):
+        return sum(float(np.sum(f(dirs) * w)) for dirs, w in _direction_blocks(N, n)), n
 
-    return _tensor_estimate(value_at)
+    return _tensor_estimate((count, max(8, count // 2)), body)

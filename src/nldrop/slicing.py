@@ -9,6 +9,14 @@ kernel interaction plus the background mass of the lower part (RHS); a
 negative defect RHS - LHS means separating the two parts strictly lowers
 the energy, the signature used by the nonexistence experiments.
 
+Every cut is taken on two grids: the shape's fine grid (a voxel shape
+itself, a ball voxelized at the budget's cells per axis) and that grid's
+coarsening, from ``quadrature._grids`` of the fine grid.  Each grid is
+cut by its own cell centers, so the two sides of a cut tile each grid and
+no cell is on both sides; a record's values come from the fine grid and
+its errors are the changes from the coarse one.  ``splitting_defect`` is
+one level of ``scan``.
+
 On a tensor grid one sweep serves every level of a direction.  The
 occupied cells are sorted by descending projection on nu
 (``_sweep_order``, which also counts the cells above each level), so the
@@ -42,7 +50,7 @@ from . import energy as energy_mod
 from . import geometry, quadrature
 from .errors import ParameterError
 from .energy import EnergyParams
-from .geometry import Halfspace, Shape, VoxelShape
+from .geometry import Shape, VoxelShape
 from .quadrature import IntegralEstimate, PointSingularity, QuadratureSpec
 
 _DEFAULT_L_COUNT = 64
@@ -92,39 +100,6 @@ def _unit(nu) -> np.ndarray:
     if n == 0:
         raise ParameterError("direction must be nonzero")
     return nu / n
-
-
-def splitting_defect(
-    E: Shape, nu, l: float, params: EnergyParams, spec: QuadratureSpec
-) -> SliceDefectRecord:
-    """Evaluate the cut inequality for one (nu, l).
-
-    LHS is the riesz interaction between the two sides, RHS is twice the
-    kernel interaction plus A times the background mass of the lower side.
-    A negative defect (RHS - LHS) is the nonexistence signature: moving
-    the upper part to infinity lowers the energy.  A cut that leaves a side
-    empty has zero interactions.  The shape is cut on its tensor grid.
-    """
-    nu = _unit(nu)
-    work = quadrature._as_grid(E, spec.resolved_budget(E.dimension))
-    upper, lower = geometry.slice_shape(work, Halfspace(nu=nu, l=float(l)))
-    lhs = crossk = IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
-    if not (geometry.is_empty(upper) or geometry.is_empty(lower)):
-        crossk = quadrature.double_integral(upper, lower, params.kernel, spec)
-        lhs = quadrature.double_integral(upper, lower, params.alpha, spec)
-    bkg = energy_mod.background(lower, params.beta, spec)
-    rhs = 2.0 * crossk.value + params.A * bkg.value
-    return SliceDefectRecord(
-        nu=nu,
-        l=float(l),
-        lhs=lhs.value,
-        cross_kernel=crossk.value,
-        background_minus=bkg.value,
-        rhs=rhs,
-        defect=rhs - lhs.value,
-        lhs_error=lhs.error,
-        rhs_error=2.0 * crossk.error + params.A * bkg.error,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +236,71 @@ def default_level_grid(vox_or_shape: Shape, nu: np.ndarray, count: int = _DEFAUL
     return np.linspace(pmin - pad, pmax + pad, count)
 
 
+def _cut_grids(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> list:
+    """The cut grids of E, fine then coarse (see the module docstring),
+    each with its sweep grid (riesz, then kernel) and its background cell
+    field."""
+    N = E.dimension
+    budget = spec.resolved_budget(N)
+    integrands = (
+        quadrature.riesz_integrand(N, params.alpha),
+        quadrature.kernel_integrand(params.kernel),
+    )
+    return [
+        (v, _sweep_grid(v, integrands), _background_cell_field(v, params.beta))
+        for v in quadrature._grids(quadrature._as_grid(E, budget), budget)
+    ]
+
+
+def _cut_records(grids: list, nu: np.ndarray, levels, A: float) -> tuple:
+    """The records of the cuts (nu, l), l in ``levels``, on the fine grid of
+    ``_cut_grids`` with the change from the coarse grid as their errors,
+    and per cut whether it leaves cells of the fine grid on both sides.
+    A cut that leaves a side empty has zero interactions."""
+    terms = []
+    for v, sweep, bfield in grids:
+        cells, k = _sweep_order(v, nu, levels)
+        lhs, ck = _level_cross(sweep, cells, k)
+        bkg = _prefix_sums(bfield[tuple(cells.T)])
+        bm = bkg[-1] - bkg[k]
+        terms.append((lhs, ck, bm, 2.0 * ck + A * bm, (k > 0) & (k < len(cells))))
+    (lhs, ck, bm, rhs, splits), (lhs_c, _, _, rhs_c, _) = terms
+    records = [
+        SliceDefectRecord(
+            nu=nu,
+            l=float(l),
+            lhs=float(a),
+            cross_kernel=float(b),
+            background_minus=float(c),
+            rhs=float(d),
+            defect=float(d - a),
+            lhs_error=float(ea),
+            rhs_error=float(ed),
+        )
+        for l, a, b, c, d, ea, ed in zip(
+            levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
+        )
+    ]
+    return records, splits
+
+
+def splitting_defect(
+    E: Shape, nu, l: float, params: EnergyParams, spec: QuadratureSpec
+) -> SliceDefectRecord:
+    """Evaluate the cut inequality for one (nu, l).
+
+    LHS is the riesz interaction between the two sides, RHS is twice the
+    kernel interaction plus A times the background mass of the lower side.
+    A negative defect (RHS - LHS) is the nonexistence signature: moving
+    the upper part to infinity lowers the energy.  A cut that leaves a side
+    empty has zero interactions.  This is one level of ``scan``: the same
+    grids, values and errors.
+    """
+    nu = _unit(nu)
+    (rec,), _ = _cut_records(_cut_grids(E, params, spec), nu, [float(l)], params.A)
+    return rec
+
+
 @dataclass(frozen=True)
 class ScanResult:
     records: List[SliceDefectRecord]
@@ -281,10 +321,9 @@ def scan(
     """Defect table over the cuts of a grid that split the shape, with the
     l-integrated defect per direction (trapezoid over the whole level grid,
     where a cut that leaves a side empty has zero interactions).  Every
-    cut is read off one level sweep of the tensor grid per direction, on
-    the fine and on the half-resolution grid for the errors.  A cut is kept
-    when both sides hold cells of the fine grid; ``min_defect`` is the
-    least kept defect."""
+    cut is read off one level sweep per direction of each cut grid (see
+    the module docstring).  A cut is kept when both sides hold cells of
+    the fine grid; ``min_defect`` is the least kept defect."""
     N = E.dimension
     if nu_grid is None:
         if nu_count is not None and nu_count < 0:
@@ -295,52 +334,16 @@ def scan(
     nu_grid = [np.asarray(_unit(nu)) for nu in nu_grid]
     if not nu_grid or (l_grid is not None and len(l_grid) == 0):
         raise ParameterError("scan needs a nonempty nu_grid and l_grid")
-    work = quadrature._as_grid(E, spec.resolved_budget(N))
-    integrands = (
-        quadrature.riesz_integrand(N, params.alpha),
-        quadrature.kernel_integrand(params.kernel),
-    )
-    grids = [
-        (v, _sweep_grid(v, integrands), _background_cell_field(v, params.beta))
-        for v in (work, quadrature._coarse_voxel(work))
-    ]
-
-    def cut_terms(grid, nu, levels):
-        """(lhs, cross kernel, lower background, rhs, splits) at every
-        level; splits marks the cuts with cells on both sides."""
-        v, sweep, bfield = grid
-        cells, k = _sweep_order(v, nu, levels)
-        lhs, ck = _level_cross(sweep, cells, k)
-        bkg = _prefix_sums(bfield[tuple(cells.T)])
-        bm = bkg[-1] - bkg[k]
-        return lhs, ck, bm, 2.0 * ck + params.A * bm, (k > 0) & (k < len(cells))
-
+    grids = _cut_grids(E, params, spec)
     records: List[SliceDefectRecord] = []
     integrated: List[Tuple[np.ndarray, float]] = []
     for nu in nu_grid:
         levels = (
             np.asarray(l_grid, dtype=float)
             if l_grid is not None
-            else default_level_grid(work, nu, l_count)
+            else default_level_grid(grids[0][0], nu, l_count)
         )
-        lhs, ck, bm, rhs, splits = cut_terms(grids[0], nu, levels)
-        lhs_c, _, _, rhs_c, _ = cut_terms(grids[1], nu, levels)
-        row = [
-            SliceDefectRecord(
-                nu=nu,
-                l=float(l),
-                lhs=float(a),
-                cross_kernel=float(b),
-                background_minus=float(c),
-                rhs=float(d),
-                defect=float(d - a),
-                lhs_error=float(ea),
-                rhs_error=float(ed),
-            )
-            for l, a, b, c, d, ea, ed in zip(
-                levels, lhs, ck, bm, rhs, np.abs(lhs - lhs_c), np.abs(rhs - rhs_c)
-            )
-        ]
+        row, splits = _cut_records(grids, nu, levels, params.A)
         records.extend(r for r, keep in zip(row, splits) if keep)
         integrated.append((nu, float(np.trapezoid([r.defect for r in row], levels))))
     if not records:

@@ -7,6 +7,7 @@ radial/polar reductions.
 """
 
 import collections
+import dataclasses
 import math
 
 import mpmath
@@ -15,7 +16,7 @@ import pytest
 import scipy.special
 
 from nldrop import energy as energy_mod
-from nldrop import geometry
+from nldrop import geometry, quadrature
 from nldrop.energy import (
     EnergyParams,
     EnergyReport,
@@ -348,9 +349,48 @@ class TestInteraction:
     def test_slice_halves_pass_the_overlap_check(self, N):
         vox = voxelize(disk(N=N), 16)
         nu = np.ones(N) / math.sqrt(N)
-        upper, lower = geometry.slice_shape(vox, geometry.Halfspace(nu=nu, l=0.1))
-        est = interaction(upper, lower, 1.0, QuadratureSpec())
+        cells = np.argwhere(np.ones_like(vox.occupancy))
+        upper = ((vox.origin + (cells + 0.5) * vox.spacing) @ nu >= 0.1).reshape(vox.occupancy.shape)
+        halves = [dataclasses.replace(vox, occupancy=vox.occupancy & m) for m in (upper, ~upper)]
+        est = interaction(*halves, 1.0, QuadratureSpec())
         assert est.value > 0.0
+
+    def test_same_spacing_shapes_at_an_odd_cell_offset(self):
+        # W starts 5 cells after U: coarsened one at a time, the two shapes
+        # fall on coarse grids half a cell apart; the pair's coarse level is
+        # the coarsening of their common grid, as for the same pair given on
+        # that grid
+        block = np.ones((4, 4), dtype=bool)
+        U = geometry.VoxelShape(2, np.zeros(2), 0.1, block)
+        W = geometry.VoxelShape(2, np.array([0.5, 0.0]), 0.1, block)
+        on_common = []
+        for rows in (slice(0, 4), slice(5, 9)):
+            occ = np.zeros((9, 4), dtype=bool)
+            occ[rows] = True
+            on_common.append(geometry.VoxelShape(2, np.zeros(2), 0.1, occ))
+        spec = QuadratureSpec()
+        for pair_integral, g in ((quadrature.double_integral, 1.0), (interaction, frac())):
+            got = pair_integral(U, W, g, spec)
+            want = pair_integral(*on_common, g, spec)
+            assert got.value > 0.0
+            assert (got.value, got.error) == (want.value, want.error)
+
+    def test_ball_and_blob_are_voxelized_once_per_level(self, monkeypatch):
+        # the overlap check and the pair integral share the pair's levels:
+        # each shape is voxelized once on the fine and once on the coarse one
+        calls = []
+        real = quadrature.voxelize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "voxelize", counted)
+        blob = geometry.random_blob(2, np.random.default_rng(3), grid_n=24)
+        ball = geometry.BallConfig(dimension=2, centers=np.array([[1.0, 0.0]]), radii=np.array([0.3]))
+        est = interaction(ball, blob, 1.0, QuadratureSpec())
+        assert est.value > 0.0
+        assert len(calls) == 4
 
     def test_empty_factor_gives_zero(self):
         U = geometry.empty_ball_config(2)

@@ -7,7 +7,6 @@ from nldrop import geometry
 from nldrop.errors import ParameterError, PreconditionError, ShapeFormatError
 from nldrop.geometry import (
     BallConfig,
-    Halfspace,
     VoxelShape,
     ball_of_volume,
     balls_from_csv,
@@ -18,7 +17,6 @@ from nldrop.geometry import (
     random_blob,
     random_disjoint_pair,
     scale,
-    slice_shape,
     translate,
     unit_ball_volume,
     unit_sphere_area,
@@ -127,22 +125,6 @@ class TestTransforms:
         assert isinstance(w, VoxelShape)
         assert w.count == v.count
         assert w.spacing == pytest.approx(2.0 * v.spacing, rel=1e-15)
-
-
-class TestSlicing:
-    def test_voxel_slice_partitions_volume(self):
-        v = square_voxel(16)
-        nu = np.array([1.0, 0.2])
-        hs = Halfspace(nu=nu / np.linalg.norm(nu), l=0.07)
-        upper, lower = slice_shape(v, hs)
-        assert volume(upper) + volume(lower) == pytest.approx(volume(v), rel=1e-13)
-        assert not np.any(upper.occupancy & lower.occupancy)
-
-    def test_ball_slice_refused(self):
-        b = BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([1.0]))
-        hs = Halfspace(nu=np.array([0.0, 1.0]), l=0.2)
-        with pytest.raises(ParameterError, match="voxelize"):
-            slice_shape(b, hs)
 
 
 class TestRandomShapes:

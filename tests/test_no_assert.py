@@ -5,7 +5,7 @@ standard library, numpy and the package itself: every CLI run is a fresh
 process and pays for every import.  scipy and mpmath are test-only
 references and no package module imports them.  The package's
 ``__all__`` names only what it defines and every public name that
-``__init__.py`` imports."""
+``__init__.py`` imports.  Only ``quadrature`` makes a coarse level."""
 
 import ast
 import sys
@@ -104,3 +104,30 @@ def test_package_never_imports_scipy():
         if name.split(".")[0] in ("scipy", "mpmath")
     ]
     assert not found, f"scipy or mpmath imports in the package: {found}"
+
+
+# The helpers that make a coarse level or put shapes on one grid, including
+# ones since folded into ``quadrature._grids`` and ``_pair_grids``
+_GRID_INTERNALS = ("_coarsen", "_coarse_voxel", "_common_grid", "_embed", "_cells_per_axis")
+
+
+def _referenced_names(tree):
+    """(line, name) of every name and attribute read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_only_quadrature_builds_coarse_levels():
+    # other modules take both levels from quadrature._grids or _pair_grids
+    sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "quadrature.py")
+    assert sources
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in _referenced_names(_parse(path))
+        if name in _GRID_INTERNALS
+    ]
+    assert not found, f"grid internals of quadrature referenced elsewhere: {found}"

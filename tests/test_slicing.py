@@ -1,6 +1,7 @@
 """Tests for cut-defect scans, layer-cake identities, and the averaged
 mass bound."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -115,6 +116,19 @@ class TestSplittingDefect:
         rec = splitting_defect(_TWO_DISKS, np.array([1.0, 0.0]), 0.0, params, QuadratureSpec())
         assert_matches_radial_terms(rec, params)
 
+    def test_off_axis_disk_cut_is_the_scan_record(self):
+        # the unit disk cut through its centre at 0.3 rad: the cut tiles the
+        # fine grid and its coarsening, so the bar is the scan's (0.463), not
+        # that of two halves coarsened apart, which overlap (3.68)
+        params = make_params(A=0.0)
+        spec = QuadratureSpec()
+        nu = np.array([math.cos(0.3), math.sin(0.3)])
+        unit_disk = geometry.BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([1.0]))
+        rec = splitting_defect(unit_disk, nu, 0.0, params, spec)
+        (want,) = scan(unit_disk, params, spec, nu_grid=[nu], l_grid=[0.0]).records
+        assert rec.as_record() == want.as_record()
+        assert rec.rhs_error == pytest.approx(0.463, abs=1e-3)
+
     def test_record_keys(self):
         rec = splitting_defect(
             seeded_blob(), np.array([1.0, 0.0]), 0.0, make_params(), QuadratureSpec()
@@ -145,16 +159,22 @@ class TestScan:
         assert_matches_radial_terms(res.records[0], params)
 
     def test_sweep_matches_direct_evaluation(self):
+        # the two sides built as explicit masks of the grid, and their pair
+        # integrals taken directly, not through the sweep
         blob = seeded_blob()
         params = make_params()
         spec = QuadratureSpec()
         nu = np.array([0.6, 0.8])
-        direct = splitting_defect(blob, nu, 0.013, params, spec)
+        cells = np.argwhere(np.ones_like(blob.occupancy))
+        up = ((blob.origin + (cells + 0.5) * blob.spacing) @ nu >= 0.013).reshape(blob.occupancy.shape)
+        upper, lower = (dataclasses.replace(blob, occupancy=blob.occupancy & m) for m in (up, ~up))
         res = scan(blob, params, spec, nu_grid=[nu], l_grid=[0.013])
         rec = res.records[0]
-        assert rec.lhs == pytest.approx(direct.lhs, rel=1e-10)
-        assert rec.cross_kernel == pytest.approx(direct.cross_kernel, rel=1e-10)
-        assert rec.background_minus == pytest.approx(direct.background_minus, rel=1e-10)
+        lhs = quadrature.double_integral(upper, lower, params.alpha, spec).value
+        cross = quadrature.double_integral(upper, lower, params.kernel, spec).value
+        assert rec.lhs == pytest.approx(lhs, rel=1e-10)
+        assert rec.cross_kernel == pytest.approx(cross, rel=1e-10)
+        assert rec.background_minus == pytest.approx(background(lower, 1.0, spec).value, rel=1e-10)
 
     # (lhs, cross_kernel, background_minus, rhs, lhs_error, rhs_error) of
     # the tensor scan of the seed-8 test blob with A = 1 over 2 directions
