@@ -11,8 +11,9 @@ attractive background R_beta(E) = int_E |x|^{-beta}.
 
 Ball configurations get dedicated radial reductions (single-ball perimeter
 through the ray-exit tail, self-interaction through pair-distance
-densities, pairwise interactions through chord moments) that are much
-faster and more accurate than the generic tensor grid; voxel shapes go
+densities, pairwise interactions through the pair-distance density of two
+balls in 3-D and an inner-potential table in 2-D) that are much faster
+and more accurate than the generic tensor grid; voxel shapes go
 through the quadrature module.  The ball evaluator is one
 function per term (``_balls_perimeter``, ``_balls_riesz``,
 ``_balls_background``, and ``_balls_cross`` for the pairwise
@@ -21,10 +22,10 @@ interactions), shared with the families and slicing modules;
 cross-term pass for the kernel and the riesz exponent.  Its error
 is the sum over parts (single balls and ball pairs) of |v(n) - v(n/2)|,
 the change from halving that part's node count, plus 1e-12 |V| on the
-single-ball riesz terms, which have no node count; the 3-D Coulomb pair
-term is exact.  A voxel perimeter is count(E) a(h) - S(E, E), the kernel
-mass of one cell against all of space per occupied cell minus the kernel
-pair sum over E x E.  Decomposition checks evaluate every term on one
+single-ball riesz terms, which have no node count, and 1e-13 of each 3-D
+pair term for rounding.  A voxel perimeter is count(E) a(h) - S(E, E),
+the kernel mass of one cell against all of space per occupied cell minus
+the kernel pair sum over E x E.  Decomposition checks evaluate every term on one
 shared grid so the identities cancel at machine precision instead of
 quadrature accuracy.
 """
@@ -192,6 +193,7 @@ def _deficit_pair_measure(N: int, tau: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * tau * gap
 
 
+@functools.lru_cache(maxsize=256)
 def _single_ball_perimeter(kernel: KernelSpec, R: float, n: int = 192) -> float:
     """P_K of one ball of radius R through the pair-distance reduction
 
@@ -237,19 +239,6 @@ def _ball_self_riesz(N: int, alpha: float, R: float) -> float:
     return 0.5 * vol ** 2 * moment * R ** (2 * N - alpha)
 
 
-def _radial_moment1(g):
-    """Vectorized antiderivative M(T) = int g(t) t dt for a radial pair
-    integrand g, pinned so only differences are used: for a kernel,
-    ``kernels.radial_antiderivative`` at q = 1, exact on each of its
-    power-law pieces; for a riesz exponent, the power law."""
-    if isinstance(g, KernelSpec):
-        return functools.partial(kernels.radial_antiderivative, g, 1)
-    sig = float(g)
-    if abs(sig - 2.0) < 1e-12:
-        return lambda T: np.log(np.asarray(T, dtype=float))
-    return lambda T: np.asarray(T, dtype=float) ** (2.0 - sig) / (2.0 - sig)
-
-
 def _radial_eval(g):
     if isinstance(g, KernelSpec):
         return lambda t: kernels.eval_kernel_radial(g, t)
@@ -257,70 +246,89 @@ def _radial_eval(g):
     return lambda t: np.asarray(t, dtype=float) ** (-alpha)
 
 
-# Rows of r_grid per block of the 2-D pair table: a (rows, n, 128) distance
-# block stays in cache where the whole (512, n, 128) tensor took 50 MB.  The
+def _ball_pair_density(gs, d: float, R1: float, R2: float, n: int = 64) -> np.ndarray:
+    """int_{B1} int_{B2} g(|x-y|) for 3-D balls at center distance
+    d > R1 + R2, one value per radial integrand g in ``gs``: g(t) against
+    the pair-distance density (pi^2 t / d) q(t - d), with q(tau) the
+    integral of (R1^2 - delta^2) (R2^2 - (delta - tau)^2) over delta in
+    [max(-R1, tau - R2), min(R1, tau + R2)] (a point at distance d + delta
+    from c2 sees B2 across its sphere of radius t in area
+    pi t (R2^2 - (delta - tau)^2) / (d + delta)).  q is a quintic between
+    its breaks tau = +-|R1 - R2|, +-(R1 + R2): an n-point Gauss rule in tau
+    on each piece, split at the kernel's knots in the support.  q at a node
+    is the 3-point Gauss rule in delta, exact for its quartic integrand of
+    nonnegative factors, so nothing cancels at any separation."""
+    S = R1 + R2
+    # Off the support the integrand is singular only at t = 0, a gap d - S
+    # below it: cut where t grows 16-fold from the gap, so no piece is
+    # longer than 15 times its distance to t = 0 however near touching.
+    gap = d - S
+    grades = gap * 16.0 ** np.arange(1, 1 + int(math.log((d + S) / gap, 16.0)))
+    x3, w3 = _legendre_rule(3)
+    rules, out = {}, []
+    for g in gs:
+        knots = kernels._pieces(g)[0] if isinstance(g, KernelSpec) else ()
+        inner = (np.concatenate([grades, knots]) - d).tolist()
+        cuts = tuple(sorted({-S, -abs(R1 - R2), abs(R1 - R2), S, *(x for x in inner if abs(x) < S)}))
+        if cuts not in rules:
+            tau, w = map(np.concatenate, zip(*(_gl(n, a, b) for a, b in zip(cuts, cuts[1:]))))
+            lo, hi = np.maximum(-R1, tau - R2), np.minimum(R1, tau + R2)
+            delta = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x3
+            u = delta - tau[:, None]
+            q = 0.5 * (hi - lo) * (((R1 - delta) * (R1 + delta) * (R2 - u) * (R2 + u)) @ w3)
+            t = d + tau
+            rules[cuts] = t, (math.pi ** 2 / d) * w * t * q
+        t, wt = rules[cuts]
+        out.append(wt @ _radial_eval(g)(t))
+    return np.array(out)
+
+
+# Rows of r_grid per block of the 2-D pair table: a (rows, n, 64) distance
+# block stays in cache where the whole (512, n, 64) tensor took 25 MB.  The
 # result does not depend on it: each row's phi sums are the same products.
 _PAIR_ROW_BLOCK = 8
 
 
-def _ball_pair_interaction(gs, N: int, c1, R1: float, c2, R2: float, n: int = 96) -> np.ndarray:
-    """int_{B1} int_{B2} g(|x-y|) for disjoint balls, one value per radial
-    integrand g in ``gs``.
+def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> np.ndarray:
+    """int_{B1} int_{B2} g(|x-y|) for 2-D balls at center distance
+    d > R1 + R2, one value per radial integrand g in ``gs``.
 
     The inner potential u(r) = int_{B2} g(|x - y|) dy, with r = |x - c2|,
     is tabulated on a 512-point linear grid over [d - R1, d + R1] (an
-    n-point Gauss rule in the B2 radius; in 2-D also 128 Gauss angles) and
-    read back with ``np.interp`` at the nodes of the outer n x n Gauss rule
-    over B1.  In 3-D the shell of radius P about c2 contributes
-    (2 pi P / r) (M(r + P) - M(r - P)), with M the antiderivative of
-    ``_radial_moment1``, exact for every kernel kind.  The integrands
-    share the grid, the distance tables and the outer nodes.  The callers'
-    n against n/2 error does not see the interpolation error of the fixed
-    512-point table."""
-    d = float(np.linalg.norm(np.asarray(c2, float) - np.asarray(c1, float)))
-    if d <= R1 + R2:
-        raise PreconditionError("balls overlap; interaction requires disjoint sets")
-    r_lo, r_hi = d - R1, d + R1
-    r_grid = np.linspace(r_lo * (1 - 1e-12), r_hi * (1 + 1e-12), 512)
+    n-point Gauss rule in the B2 radius and the 128-point Gauss rule on
+    [0, 2 pi] in the angle, folded onto its symmetric half [0, pi]) and
+    read back with ``np.interp`` at the nodes of the outer n x n Gauss
+    rule over B1.  The integrands share the grid, the distance tables and
+    the outer nodes.  The callers' n against n/2 error does not see the
+    interpolation error of the fixed 512-point table."""
+    r_grid = np.linspace((d - R1) * (1 - 1e-12), (d + R1) * (1 + 1e-12), 512)
     rho, wrho = _gl(n, 0.0, R2)
-    if N == 3:
-        RR = r_grid[:, None]
-        PP = rho[None, :]
-        u_grids = []
-        for g in gs:
-            Mfn = _radial_moment1(g)
-            vals = (Mfn(RR + PP) - Mfn(RR - PP)) * PP
-            u_grids.append((2.0 * math.pi / r_grid) * (vals @ wrho))
-    else:
-        gfns = [_radial_eval(g) for g in gs]
-        phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
-        PP = rho[None, :, None]
-        CC = np.cos(phi)[None, None, :]
-        phi_sums = np.empty((len(gs), r_grid.size, n))
-        for i in range(0, r_grid.size, _PAIR_ROW_BLOCK):
-            rows = slice(i, i + _PAIR_ROW_BLOCK)
-            RR = r_grid[rows, None, None]
-            # |x - y| on the (r, rho, phi) block, built in one buffer.
-            t = 2.0 * RR * PP * CC
-            np.subtract(RR ** 2 + PP ** 2, t, out=t)
-            np.maximum(t, 1e-300, out=t)
-            np.sqrt(t, out=t)
-            for k, gfn in enumerate(gfns):
-                phi_sums[k, rows] = gfn(t) @ wphi
-        u_grids = [(sums * rho[None, :]) @ wrho for sums in phi_sums]
+    gfns = [_radial_eval(g) for g in gs]
+    phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
+    # leggauss nodes and weights are symmetric, so the rule on [0, 2 pi]
+    # is the rule on its first half counted twice
+    phi, wphi = phi[:64], 2.0 * wphi[:64]
+    PP = rho[None, :, None]
+    CC = np.cos(phi)[None, None, :]
+    phi_sums = np.empty((len(gs), r_grid.size, n))
+    for i in range(0, r_grid.size, _PAIR_ROW_BLOCK):
+        rows = slice(i, i + _PAIR_ROW_BLOCK)
+        RR = r_grid[rows, None, None]
+        # |x - y| on the (r, rho, phi) block, built in one buffer.
+        t = 2.0 * RR * PP * CC
+        np.subtract(RR ** 2 + PP ** 2, t, out=t)
+        np.maximum(t, 1e-300, out=t)
+        np.sqrt(t, out=t)
+        for k, gfn in enumerate(gfns):
+            phi_sums[k, rows] = gfn(t) @ wphi
+    u_grids = [(sums * rho[None, :]) @ wrho for sums in phi_sums]
 
     a, wa = _gl(n, 0.0, R1)
-    if N == 3:
-        u, wu = _gl(n, -1.0, 1.0)
-        ang_w = 2.0 * math.pi * wu
-    else:
-        th, wth = _gl(n, 0.0, math.pi)
-        u, ang_w = np.cos(th), 2.0 * wth
+    th, wth = _gl(n, 0.0, math.pi)
     AA = a[:, None]
-    UU = u[None, :]
+    UU = np.cos(th)[None, :]
     r = np.sqrt(np.clip(AA ** 2 + d ** 2 - 2.0 * AA * d * UU, 0.0, None))
-    wr = wa * a ** (N - 1)
-    return np.array([float(np.sum(wr * (np.interp(r, r_grid, ug) @ ang_w))) for ug in u_grids])
+    return np.array([float(np.sum(wa * a * (np.interp(r, r_grid, ug) @ (2.0 * wth)))) for ug in u_grids])
 
 
 def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> float:
@@ -366,35 +374,26 @@ def _refined_sum(f, n: int, calls) -> tuple:
 def _balls_cross(gs, U: BallConfig, W: BallConfig | None = None) -> tuple:
     """(values, errors) arrays, in the order of the radial integrands ``gs``,
     of the cross terms int_{B_i} int_{B_j} g(|x-y|) summed over the ball
-    pairs i < j of U, or over every pair (i in U, j in W).  The integrands
-    that need quadrature share one ``_ball_pair_interaction`` pass per pair
-    and node count."""
-    N = U.dimension
+    pairs i < j of U, or over every pair (i in U, j in W), which the
+    callers have checked disjoint.  The integrands share one pass per pair
+    and node count: ``_ball_pair_density`` in 3-D,
+    ``_ball_pair_interaction`` in 2-D."""
     if W is None:
         W = U
         pairs = [(i, j) for i in range(U.count) for j in range(i + 1, U.count)]
     else:
         pairs = [(i, j) for i in range(U.count) for j in range(W.count)]
-    args = [
-        (U.centers[i], float(U.radii[i]), W.centers[j], float(W.radii[j]))
+    calls = [
+        (gs, float(np.linalg.norm(W.centers[j] - U.centers[i])), float(U.radii[i]), float(W.radii[j]))
         for i, j in pairs
     ]
-    values, errors = np.zeros(len(gs)), np.zeros(len(gs))
-    quad = []
-    for k, g in enumerate(gs):
-        if isinstance(g, KernelSpec) or N != 3 or abs(float(g) - 1.0) >= 1e-12:
-            quad.append(k)
-            continue
-        # two disjoint balls with a 1/|x-y| interaction behave as point
-        # masses at their centers (harmonic exterior value)
-        for c1, r1, c2, r2 in args:
-            d = float(np.linalg.norm(c2 - c1))
-            values[k] += geometry.unit_ball_volume(3) ** 2 * (r1 * r2) ** 3 / d
-    if quad:
-        values[quad], errors[quad] = _refined_sum(
-            _ball_pair_interaction, 96, [(tuple(gs[k] for k in quad), N) + a for a in args]
-        )
-    return values, errors
+    f, n = (_ball_pair_density, 64) if U.dimension == 3 else (_ball_pair_interaction, 96)
+    values, errors = _refined_sum(f, n, calls)
+    if U.dimension == 3:
+        # both node counts can be exact to rounding; each value is a dot
+        # product of a few thousand positive terms good to a few ulps
+        errors = errors + 1e-13 * np.abs(values)
+    return np.zeros(len(gs)) + values, np.zeros(len(gs)) + errors
 
 
 def _balls_perimeter(kernel: KernelSpec, E: BallConfig, cross: tuple | None = None) -> tuple:

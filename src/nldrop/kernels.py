@@ -20,8 +20,8 @@ conditions it claims:
 Every kernel is also a table of power-law pieces (``_pieces``): knots and,
 between them, at most two monomials c r^-p.  Every radial integral of
 K(r) r^q derives from one exact antiderivative of that table
-(``radial_antiderivative``): the tail mass ``radial_tail_integral``
-(also the (K2) tail integral) and the ball pair moment at q = 1.  Tabulated
+(``radial_antiderivative``): the tail mass ``radial_tail_integral``,
+also the (K2) tail integral.  Tabulated
 kernels also evaluate through the pieces; the two fractional kinds
 evaluate their closed forms.
 

@@ -845,10 +845,14 @@ def _grids(E: Shape, budget: int) -> Tuple[VoxelShape, VoxelShape]:
 
 def _pair_grids(E: Shape, F: Shape, budget: int) -> tuple:
     """The (fine, coarse) levels of a pair, each a pair of voxel shapes on
-    one grid.  Same-spacing voxel shapes are embedded in their common fine
-    grid, whose levels are those of ``_grids``; any other pair is
-    voxelized on the union of the bounding boxes at the cells per axis of
-    both levels."""
+    one grid.  A shape paired with itself takes each level of ``_grids``
+    twice, the grids its embedding or voxelization below would rebuild.
+    Same-spacing voxel shapes are embedded in their common fine grid,
+    whose levels are those of ``_grids``; any other pair is voxelized on
+    the union of the bounding boxes at the cells per axis of both
+    levels."""
+    if F is E:
+        return tuple((g, g) for g in _grids(E, budget))
     N = E.dimension
     (loE, hiE), (loF, hiF) = E.bounding_box(), F.bounding_box()
     lo, hi = np.minimum(loE, loF), np.maximum(hiE, hiF)

@@ -122,19 +122,21 @@ class TestTwoBallEnergy:
     @pytest.mark.parametrize("N, expected", [(2, 2), (3, 2)])
     def test_pair_integral_evaluations(self, monkeypatch, N, expected):
         # one pass at n and one at n/2 serve the kernel and the riesz cross
-        # terms; in 3-D the alpha = 1 riesz term is the point-mass closed form
-        calls = []
-        real_pair = energy_mod._ball_pair_interaction
+        # terms: the 2-D table or the 3-D pair-distance density, never both
+        calls = {}
+        for name in ("_ball_pair_interaction", "_ball_pair_density"):
+            real = getattr(energy_mod, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real_pair(*args, **kwargs)
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(energy_mod, "_ball_pair_interaction", counted)
+            monkeypatch.setattr(energy_mod, name, counted)
         kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
         two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params)
-        assert len(calls) == expected
+        used = "_ball_pair_density" if N == 3 else "_ball_pair_interaction"
+        assert calls == {used: expected}
 
     # values and errors at m1 = 2, m2 = 1, d = 4 (s = 1/2, epsilon = 3/4,
     # A = 1, beta = 1), pinned bit for bit: perimeter, riesz and background
@@ -149,10 +151,10 @@ class TestTwoBallEnergy:
                 "0x1.1eeb2953923b3p+6", "0x1.43a331ce8443dp-32",
             ]),
             (3, 0.5, [
-                "0x1.2d373b8efba26p+7", "0x1.d9f5ce0000000p-33",
-                "0x1.040c4c1d72d04p+2", "0x1.dbfdfbb5f9d3ap-32",
+                "0x1.2d373b8feb99fp+7", "0x1.5de9e34fa1d78p-45",
+                "0x1.040c4bf5e22cbp+2", "0x1.bd77129f79c2cp-39",
                 "0x1.eb4df536e5a97p+1", "0x0.0p+0",
-                "0x1.2daa661b0ba24p+7", "0x1.647c715afce9dp-31",
+                "0x1.2daa661abf14bp+7", "0x1.c2eeba2cb84a2p-39",
             ]),
         ],
     )
@@ -170,7 +172,7 @@ class TestTwoBallEnergy:
 
     def test_pair_table_memory_is_bounded(self):
         # the 2-D distance table is built in row blocks, not as one
-        # (512, 96, 128) tensor of 50 MB
+        # (512, 96, 64) tensor of 25 MB
         kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
         cfg = TwoBallConfig(dimension=2, m1=2.0, m2=1.0, d=4.0)

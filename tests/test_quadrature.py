@@ -781,6 +781,25 @@ class TestDoubleIntegral:
         with pytest.raises(ParameterError, match="KernelSpec, a riesz exponent or an OffsetIntegrand"):
             pair_integral(a, b, lambda x, y: np.ones(x.shape[0]), QuadratureSpec())
 
+    @pytest.mark.parametrize("shape", ["blob", "ball"])
+    def test_self_pair_takes_the_shape_levels_unchanged(self, shape):
+        # a shape paired with itself reuses its own two levels, which are
+        # the grids the embedding or union-box route builds for a copy
+        if shape == "blob":
+            E = geometry.random_blob(3, np.random.default_rng(0), grid_n=16)
+            twin = dataclasses.replace(E, occupancy=E.occupancy.copy())
+        else:
+            E = geometry.ball_of_volume(3, 2.0)
+            twin = geometry.BallConfig(3, E.centers.copy(), E.radii.copy())
+        budget = QuadratureSpec().resolved_budget(3)
+        for (a, b), (c, d) in zip(
+            quadrature._pair_grids(E, E, budget), quadrature._pair_grids(E, twin, budget)
+        ):
+            assert a is b
+            for g in (c, d):
+                assert np.array_equal(g.origin, a.origin) and g.spacing == a.spacing
+                assert np.array_equal(g.occupancy, a.occupancy)
+
     def test_warm_caches_repeat_the_cold_run_bit_for_bit(self, monkeypatch):
         _fresh_caches(monkeypatch)
         cold = double_integral(_PIN_DISK, _PIN_DISK, 0.6, QuadratureSpec())
