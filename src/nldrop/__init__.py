@@ -6,178 +6,75 @@ beyond which minimizers cannot exist; cut-defect diagnostics that certify
 nonexistence on concrete shapes; and competitor families (ball splittings
 and the weak subadditivity probe) that exhibit the splitting behaviour
 directly.
+
+Every public name is exported lazily: ``import nldrop`` loads no numeric
+module, and the first access to a name imports the module that defines it
+(PEP 562).
 """
 
-from .energy import (
-    DecompositionCheck,
-    EnergyParams,
-    EnergyReport,
-    ScalingReport,
-    background,
-    check_perimeter_decomposition,
-    check_riesz_decomposition,
-    interaction,
-    perimeter,
-    riesz,
-    scaling_report,
-    total_energy,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    NldropError,
-    ParameterError,
-    PreconditionError,
-    ShapeFormatError,
-)
-from .families import (
-    FamilySearchResult,
-    SubadditivityProbe,
-    TwoBallConfig,
-    single_ball_energy,
-    split_advantage,
-    two_ball_energy,
-    weak_subadditivity_probe,
-)
-from .geometry import (
-    BallConfig,
-    VoxelShape,
-    ball_of_volume,
-    indicator,
-    load_balls,
-    load_voxel,
-    random_blob,
-    random_disjoint_pair,
-    save_balls,
-    save_voxel,
-    scale,
-    translate,
-    unit_ball_volume,
-    unit_sphere_area,
-    volume,
-)
-from .isoperimetry import (
-    IsoperimetryCheck,
-    bound_constant,
-    isoperimetric_check,
-    run_suite,
-    volume_cap,
-)
-from .kernels import (
-    KernelConditionReport,
-    KernelSpec,
-    epsilon_min,
-    eval_kernel,
-    eval_kernel_radial,
-    radial_tail_integral,
-    validate_conditions,
-)
-from .quadrature import (
-    IntegralEstimate,
-    PointSingularity,
-    QuadratureSpec,
-    double_integral,
-    complement_double_integral,
-    integral_over,
-    sphere_average,
-    voxelize,
-)
-from .slicing import (
-    AveragedBoundReport,
-    LayerCakeChecks,
-    ScanResult,
-    SliceDefectRecord,
-    averaged_mass_bound,
-    layer_cake_checks,
-    scan,
-    splitting_defect,
-    sphere_positive_integral,
-)
-from .thresholds import (
-    GeneralConstants,
-    ThresholdRecord,
-    critical_mass,
-    general_constants,
-    general_critical_mass,
-    phi,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AveragedBoundReport",
-    "BallConfig",
-    "ConfigError",
-    "DecompositionCheck",
-    "DomainError",
-    "EnergyParams",
-    "EnergyReport",
-    "FamilySearchResult",
-    "GeneralConstants",
-    "IntegralEstimate",
-    "IsoperimetryCheck",
-    "KernelConditionReport",
-    "KernelSpec",
-    "LayerCakeChecks",
-    "NldropError",
-    "ParameterError",
-    "PointSingularity",
-    "PreconditionError",
-    "QuadratureSpec",
-    "ScalingReport",
-    "ScanResult",
-    "ShapeFormatError",
-    "SliceDefectRecord",
-    "SubadditivityProbe",
-    "ThresholdRecord",
-    "TwoBallConfig",
-    "VoxelShape",
-    "averaged_mass_bound",
-    "background",
-    "ball_of_volume",
-    "bound_constant",
-    "check_perimeter_decomposition",
-    "check_riesz_decomposition",
-    "complement_double_integral",
-    "critical_mass",
-    "double_integral",
-    "epsilon_min",
-    "eval_kernel",
-    "eval_kernel_radial",
-    "general_constants",
-    "general_critical_mass",
-    "indicator",
-    "integral_over",
-    "interaction",
-    "isoperimetric_check",
-    "layer_cake_checks",
-    "load_balls",
-    "load_voxel",
-    "perimeter",
-    "phi",
-    "radial_tail_integral",
-    "random_blob",
-    "random_disjoint_pair",
-    "riesz",
-    "run_suite",
-    "save_balls",
-    "save_voxel",
-    "scale",
-    "scaling_report",
-    "scan",
-    "single_ball_energy",
-    "sphere_average",
-    "sphere_positive_integral",
-    "split_advantage",
-    "splitting_defect",
-    "total_energy",
-    "translate",
-    "two_ball_energy",
-    "unit_ball_volume",
-    "unit_sphere_area",
-    "validate_conditions",
-    "volume",
-    "volume_cap",
-    "voxelize",
-    "weak_subadditivity_probe",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "energy": (
+        "DecompositionCheck", "EnergyParams", "EnergyReport", "ScalingReport",
+        "background", "check_perimeter_decomposition",
+        "check_riesz_decomposition", "interaction", "perimeter", "riesz",
+        "scaling_report", "total_energy",
+    ),
+    "errors": (
+        "ConfigError", "DomainError", "NldropError", "ParameterError",
+        "PreconditionError", "ShapeFormatError",
+    ),
+    "families": (
+        "FamilySearchResult", "SubadditivityProbe", "TwoBallConfig",
+        "single_ball_energy", "split_advantage", "two_ball_energy",
+        "weak_subadditivity_probe",
+    ),
+    "geometry": (
+        "BallConfig", "VoxelShape", "ball_of_volume", "indicator",
+        "load_balls", "load_voxel", "random_blob", "random_disjoint_pair",
+        "save_balls", "save_voxel", "scale", "translate", "unit_ball_volume",
+        "unit_sphere_area", "volume",
+    ),
+    "isoperimetry": (
+        "IsoperimetryCheck", "bound_constant", "isoperimetric_check",
+        "run_suite", "volume_cap",
+    ),
+    "kernels": (
+        "KernelConditionReport", "KernelSpec", "eval_kernel",
+        "eval_kernel_radial", "radial_tail_integral", "validate_conditions",
+    ),
+    "quadrature": (
+        "IntegralEstimate", "PointSingularity", "QuadratureSpec",
+        "double_integral", "complement_double_integral", "integral_over",
+        "sphere_average", "voxelize",
+    ),
+    "slicing": (
+        "AveragedBoundReport", "LayerCakeChecks", "ScanResult",
+        "SliceDefectRecord", "averaged_mass_bound", "layer_cake_checks",
+        "scan", "splitting_defect", "sphere_positive_integral",
+    ),
+    "thresholds": (
+        "GeneralConstants", "ThresholdRecord", "critical_mass", "epsilon_min",
+        "general_constants", "general_critical_mass", "phi",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -35,15 +35,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from . import energy as energy_mod
-from . import families, geometry, isoperimetry, kernels, quadrature, slicing, thresholds
-from .energy import EnergyParams
 from .errors import ConfigError, NldropError, ParameterError
-from .geometry import BallConfig
-from .kernels import KernelSpec
-from .quadrature import QuadratureSpec
 
 SCHEMA_VERSION = 1
 
@@ -227,31 +219,26 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _plain(v):
+    """A numpy scalar or array as the Python value or list it holds."""
+    return v.tolist() if hasattr(v, "tolist") else v
+
+
 def _fmt(v) -> str:
+    v = _plain(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     return str(v)
 
 
 def _json_ready(obj):
+    obj = _plain(obj)
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -293,7 +280,13 @@ def write_outputs(
         fh.write("\n")
 
 
-def _build_kernel(config) -> KernelSpec:
+# Each builder and runner imports the modules it runs, so that a run loads
+# only those: ``critical-mass`` needs no numpy at all.
+
+
+def _build_kernel(config):
+    from .kernels import KernelSpec
+
     kind = config["kernel.kind"]
     N = config["kernel.dimension"]
     s = config["kernel.s"]
@@ -345,19 +338,23 @@ def _build_kernel(config) -> KernelSpec:
             epsilon=eps,
             lam=lam,
             kind="tabulated",
-            radii=np.asarray(radii, dtype=float),
-            values=np.asarray(values, dtype=float),
+            radii=radii,
+            values=values,
             tail=tail,
         )
     raise ConfigError(f"unknown kernel.kind {kind!r}")
 
 
-def _build_spec(config) -> QuadratureSpec:
+def _build_spec(config):
+    from .quadrature import QuadratureSpec
+
     budget = int(config["quad.budget"])
     return QuadratureSpec(budget=budget or None)
 
 
-def _build_params(config, kernel: KernelSpec) -> EnergyParams:
+def _build_params(config, kernel):
+    from .energy import EnergyParams
+
     return EnergyParams(
         kernel=kernel,
         A=float(config["energy.A"]),
@@ -367,6 +364,10 @@ def _build_params(config, kernel: KernelSpec) -> EnergyParams:
 
 
 def _build_shape(config, N: int):
+    import numpy as np
+
+    from . import geometry
+
     kind = config["shape.kind"]
     if kind == "ball":
         center = np.zeros(N)
@@ -381,7 +382,7 @@ def _build_shape(config, N: int):
         radii = np.array([float(config["shape.radius"])])
         if config["shape.volume"]:
             radii = geometry.ball_of_volume(N, float(config["shape.volume"])).radii
-        return BallConfig(dimension=N, centers=center[None, :], radii=radii)
+        return geometry.BallConfig(dimension=N, centers=center[None, :], radii=radii)
     if kind == "balls-file":
         path = config["shape.path"]
         if not path or not os.path.exists(path):
@@ -413,6 +414,8 @@ def _build_shape(config, N: int):
 
 
 def _run_energy(config, outdir):
+    from . import energy as energy_mod
+
     kernel = _build_kernel(config)
     spec = _build_spec(config)
     params = _build_params(config, kernel)
@@ -425,6 +428,8 @@ def _run_energy(config, outdir):
 
 
 def _run_critical_mass(config, outdir):
+    from . import thresholds
+
     N = config["kernel.dimension"]
     s = config["kernel.s"]
     eps = config["kernel.epsilon"]
@@ -446,6 +451,8 @@ def _run_critical_mass(config, outdir):
 
 
 def _run_slice_scan(config, outdir):
+    from . import slicing
+
     kernel = _build_kernel(config)
     spec = _build_spec(config)
     params = _build_params(config, kernel)
@@ -474,6 +481,8 @@ def _run_slice_scan(config, outdir):
 
 
 def _run_family(config, outdir):
+    from . import families
+
     kernel = _build_kernel(config)
     params = _build_params(config, kernel)
     mode = config["family.mode"]
@@ -512,6 +521,8 @@ def _run_family(config, outdir):
 
 
 def _run_kernel_check(config, outdir):
+    from . import kernels
+
     kernel = _build_kernel(config)
     report = kernels.validate_conditions(kernel)
     rows = []
@@ -536,6 +547,14 @@ def _run_kernel_check(config, outdir):
 
 
 def _run_verify(config, outdir):
+    import numpy as np
+
+    from . import energy as energy_mod
+    from . import geometry, isoperimetry, kernels, quadrature, slicing, thresholds
+    from .energy import EnergyParams
+    from .kernels import KernelSpec
+    from .quadrature import QuadratureSpec
+
     for key, least in (("verify.pairs", 0), ("verify.blobs", 0), ("verify.grid", 1)):
         if config[key] < least:
             raise ParameterError(f"{key} must be >= {least}, got {config[key]}")

@@ -51,25 +51,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .thresholds import epsilon_min
 
 _EPS_REL = 1e-9  # relative rounding slack of the condition bounds
 # |log r| < 745 for every positive double, so r^e with |e| below this moves
 # by less than _EPS_REL: such an exponent (a log-log slope's rounding) is 0
 _EPS_EXP = _EPS_REL / 745.0
-
-
-def epsilon_min(N: int, s: float) -> float:
-    """Smallest admissible epsilon for dimension N and order s.
-
-    The prefactor 1/2 - (1+eps)^(-(N+s-1)) appearing in the critical-mass
-    formula degenerates when (1+eps)^(N+s-1) = 2; admissibility requires
-    eps > 2^(1/(N+s-1)) - 1.
-    """
-    if not (isinstance(N, (int, np.integer)) and N >= 2):
-        raise ParameterError(f"dimension must be an integer >= 2, got {N!r}")
-    if not (0.0 < s < 1.0):
-        raise ParameterError(f"s must lie in (0, 1), got {s!r}")
-    return 2.0 ** (1.0 / (N + s - 1.0)) - 1.0
 
 
 @dataclass(frozen=True, eq=False)

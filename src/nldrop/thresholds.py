@@ -13,18 +13,37 @@ found by bisection in double precision on a bracket proved to hold it.
 Two exponent conventions are in circulation for the prefactor, N+s-1 and
 N+1-s; they differ for every s in (0, 1), so both are exposed through a
 flag and never silently mixed.
+
+``epsilon_min`` is the epsilon at which the prefactor degenerates.  It
+lives here because it needs only ``math``; ``kernels`` imports it to
+validate a ``KernelSpec``.  Nothing here imports numpy, so a
+``critical-mass`` run never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import DomainError, ParameterError
-from .kernels import epsilon_min
 
 _CONVENTIONS = ("theorem", "appendix")
+
+
+def epsilon_min(N: int, s: float) -> float:
+    """Smallest admissible epsilon for dimension N and order s.
+
+    The prefactor 1/2 - (1+eps)^(-(N+s-1)) appearing in the critical-mass
+    formula degenerates when (1+eps)^(N+s-1) = 2; admissibility requires
+    eps > 2^(1/(N+s-1)) - 1.
+    """
+    if not (isinstance(N, Integral) and N >= 2):
+        raise ParameterError(f"dimension must be an integer >= 2, got {N!r}")
+    if not (0.0 < s < 1.0):
+        raise ParameterError(f"s must lie in (0, 1), got {s!r}")
+    return 2.0 ** (1.0 / (N + s - 1.0)) - 1.0
 
 
 class GeneralConstants(NamedTuple):

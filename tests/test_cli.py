@@ -490,20 +490,27 @@ class TestSubcommandRuns:
 
 class TestImportWeight:
     """Every CLI run is a fresh process, so import cost is paid per run:
-    the package imports only numpy, and no run loads scipy or mpmath."""
+    ``import nldrop`` and ``import nldrop.cli`` load neither numpy nor a
+    numeric module, each subcommand loads only the modules it runs, and
+    no run loads scipy or mpmath."""
+
+    NUMERIC = {
+        f"nldrop.{m}"
+        for m in ("energy", "families", "geometry", "isoperimetry", "kernels",
+                  "quadrature", "slicing", "thresholds")
+    }
 
     @staticmethod
-    def loaded(argv=None):
-        """scipy and mpmath modules in a fresh interpreter after importing
-        ``nldrop.cli`` and, given ``argv``, running ``cli.main(argv)``."""
+    def loaded(argv=None, statement="from nldrop import cli"):
+        """Every module in a fresh interpreter after ``statement`` and,
+        given ``argv``, ``cli.main(argv)``."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         code = (
-            "import sys; from nldrop import cli; "
+            f"import sys; {statement}; "
             f"argv = {argv!r}; "
             "rc = cli.main(argv) if argv else 0; "
-            "print(rc, *sorted(m for m in sys.modules "
-            "if m == 'mpmath' or m.split('.')[0] == 'scipy'))"
+            "print(rc, *sorted(sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
@@ -513,15 +520,27 @@ class TestImportWeight:
         assert rc == "0"
         return set(modules)
 
-    def test_cli_import_loads_no_scipy_or_mpmath(self):
-        assert self.loaded() == set()
+    @staticmethod
+    def scipy_or_mpmath(modules):
+        return {m for m in modules if m == "mpmath" or m.split(".")[0] == "scipy"}
 
-    def test_critical_mass_loads_no_scipy(self, tmp_path):
+    def test_cli_import_loads_no_scipy_or_mpmath(self):
+        assert self.scipy_or_mpmath(self.loaded()) == set()
+
+    @pytest.mark.parametrize("statement", ["import nldrop", "import nldrop.cli"])
+    def test_package_import_loads_no_numpy_or_numeric_module(self, statement):
+        modules = self.loaded(statement=statement)
+        assert "numpy" not in modules
+        assert not modules & self.NUMERIC, sorted(modules & self.NUMERIC)
+
+    def test_critical_mass_loads_thresholds_and_no_numpy(self, tmp_path):
         modules = self.loaded(
             ["critical-mass", "--output-dir", str(tmp_path / "out"),
              "--set", "kernel.dimension=3", "--set", "kernel.epsilon=0.5"]
         )
-        assert modules == set()
+        assert "numpy" not in modules
+        assert self.scipy_or_mpmath(modules) == set()
+        assert modules & self.NUMERIC == {"nldrop.thresholds"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -542,7 +561,11 @@ class TestImportWeight:
         if argv[0] in ("energy", "slice-scan"):
             argv = argv + ["--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
-        assert modules == set(), sorted(modules)[:5]
+        assert self.scipy_or_mpmath(modules) == set(), sorted(modules)[:5]
+        if argv[0] == "energy":
+            assert not modules & {"nldrop.slicing", "nldrop.isoperimetry"}
+        if argv[0] == "kernel-check":
+            assert modules & self.NUMERIC == {"nldrop.kernels", "nldrop.thresholds"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -553,9 +576,43 @@ class TestImportWeight:
         ],
         ids=["disk-energy", "disk-family-split", "ball-energy-3d"],
     )
-    def test_ball_runs_load_no_scipy(self, tmp_path, argv):
+    def test_ball_runs_load_no_scipy_slicing_or_isoperimetry(self, tmp_path, argv):
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
-        assert modules == set(), sorted(modules)[:5]
+        assert self.scipy_or_mpmath(modules) == set(), sorted(modules)[:5]
+        assert not modules & {"nldrop.slicing", "nldrop.isoperimetry"}
+
+
+class TestNumpyValuesInOutputs:
+    """A record may carry numpy scalars and arrays: they are written as the
+    Python values they hold, in the CSV and in the JSON."""
+
+    def test_numpy_row_and_summary_write_as_plain_values(self, tmp_path):
+        config = cli.load_config("kernel-check")
+        numpy_row = {
+            "f64": np.float64(1.5),
+            "f32": np.float32(0.1),
+            "i64": np.int64(7),
+            "flag": np.bool_(True),
+            "arr": np.array([[1.0, 2.5], [3.0, 4.0]]),
+        }
+        plain_row = {
+            "f64": 1.5,
+            "f32": float(np.float32(0.1)),
+            "i64": 7,
+            "flag": True,
+            "arr": [[1.0, 2.5], [3.0, 4.0]],
+        }
+        texts = []
+        for row in (numpy_row, plain_row):
+            out = str(tmp_path / str(len(texts)))
+            cli.write_outputs(out, "kernel-check", config, [row], {"row": row})
+            texts.append(
+                [open(os.path.join(out, f"kernel-check{ext}")).read() for ext in (".csv", ".json")]
+            )
+        assert texts[0] == texts[1]
+        csv_text, json_text = texts[0]
+        assert csv_text.splitlines()[-1] == '1.5,0.10000000149011612,7,true,"[[1.0, 2.5], [3.0, 4.0]]"'
+        assert json.loads(json_text)["summary"]["row"]["flag"] is True
 
 
 class TestDeterminism:

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import nldrop
+from nldrop import thresholds
 from nldrop.errors import DomainError, ParameterError
 from nldrop.kernels import (
     KernelSpec,
@@ -41,6 +43,15 @@ class TestEpsilonMin:
     def test_invalid_dimension(self):
         with pytest.raises(ParameterError):
             epsilon_min(1, 0.5)
+
+    def test_dimension_of_any_integral_type(self):
+        assert epsilon_min(np.int64(3), 0.5) == epsilon_min(3, 0.5)
+        with pytest.raises(ParameterError):
+            epsilon_min(3.0, 0.5)
+
+    def test_one_function_in_thresholds_kernels_and_the_package(self):
+        # thresholds defines it without numpy; kernels and nldrop re-export it
+        assert epsilon_min is thresholds.epsilon_min is nldrop.epsilon_min
 
 
 class TestKernelSpecValidation:

@@ -4,12 +4,18 @@ also import nothing they do not use, and at module level nothing but the
 standard library, numpy and the package itself: every CLI run is a fresh
 process and pays for every import.  scipy and mpmath are test-only
 references and no package module imports them.  The package's
-``__all__`` names only what it defines and every public name that
-``__init__.py`` imports.  Only ``quadrature`` makes a coarse level."""
+``__all__`` is its export table: each name is a public object of the
+module the table names, and nothing else resolves.  Only ``quadrature``
+makes a coarse level."""
 
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nldrop
 
@@ -49,26 +55,37 @@ def _unused_imports(path):
 
 
 def test_package_modules_use_every_import():
-    # __init__.py imports to re-export, so it is exempt
-    sources = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
     found = [entry for path in sources for entry in _unused_imports(path)]
     assert not found, f"unused imports in the package: {found}"
 
 
-def test_exports_resolve_and_list_every_public_import():
-    # __init__.py imports to re-export: a deleted name must leave both lists
-    missing = [name for name in nldrop.__all__ if not hasattr(nldrop, name)]
-    assert not missing, f"__all__ names the package does not define: {missing}"
+def test_exports_resolve_to_public_objects_of_their_modules():
+    # the table is the one list: __all__ derives from it and names nothing twice
     assert len(set(nldrop.__all__)) == len(nldrop.__all__), "__all__ repeats a name"
-    imported = {
-        alias.asname or alias.name
-        for node in ast.walk(_parse(PACKAGE_DIR / "__init__.py"))
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    unlisted = sorted(n for n in imported if not n.startswith("_") and n not in nldrop.__all__)
-    assert not unlisted, f"imported in __init__.py but not in __all__: {unlisted}"
+    assert sorted(nldrop.__all__) == sorted(nldrop._OWNER)
+    wrong = []
+    for name in nldrop.__all__:
+        module = importlib.import_module(f"nldrop.{nldrop._OWNER[name]}")
+        obj = getattr(nldrop, name)
+        defined_there = obj is getattr(module, name) and obj.__module__ == module.__name__
+        if name.startswith("_") or not defined_there:
+            wrong.append(f"{name} -> {module.__name__}")
+    assert not wrong, f"exports that are not public objects defined by their module: {wrong}"
+    assert set(nldrop.__all__) <= set(dir(nldrop))
+    for name in ("no_such_name", "_OWNER_", "__wrapped__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(nldrop, name)
+
+
+def test_star_import_resolves_every_export_in_a_fresh_interpreter():
+    # each name goes through the lazy __getattr__ once, before anything caches it
+    code = "from nldrop import *; import nldrop; print(sum(n in globals() for n in nldrop.__all__))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(nldrop.__all__)
 
 
 def _absolute_imports(nodes):

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from nldrop.errors import DomainError, ParameterError
-from nldrop.kernels import epsilon_min
 from nldrop.thresholds import (
     GeneralConstants,
     ThresholdRecord,
     critical_mass,
+    epsilon_min,
     general_constants,
     general_critical_mass,
     phi,
