@@ -19,10 +19,8 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "energy": (
-        "DecompositionCheck", "EnergyParams", "EnergyReport", "ScalingReport",
-        "background", "check_perimeter_decomposition",
-        "check_riesz_decomposition", "interaction", "perimeter", "riesz",
-        "scaling_report", "total_energy",
+        "EnergyParams", "EnergyReport", "background", "interaction",
+        "perimeter", "riesz", "total_energy",
     ),
     "errors": (
         "ConfigError", "DomainError", "NldropError", "ParameterError",
@@ -50,7 +48,7 @@ _EXPORTS = {
     "quadrature": (
         "IntegralEstimate", "PointSingularity", "QuadratureSpec",
         "double_integral", "complement_double_integral", "integral_over",
-        "sphere_average", "voxelize",
+        "voxelize",
     ),
     "slicing": (
         "AveragedBoundReport", "LayerCakeChecks", "ScanResult",

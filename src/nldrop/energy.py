@@ -1,5 +1,5 @@
-"""Energy functionals: nonlocal perimeter, riesz self-interaction, and the
-attractive background term, plus exact decomposition identities.
+"""Energy functionals: nonlocal perimeter, riesz self-interaction, the
+attractive background term, and the cross term of two disjoint shapes.
 
 The driving functional for a shape E is
 
@@ -25,16 +25,14 @@ the change from halving that part's node count, plus 1e-12 |V| on the
 single-ball riesz terms, which have no node count, and 1e-13 of each 3-D
 pair term for rounding.  A voxel perimeter is count(E) a(h) - S(E, E),
 the kernel mass of one cell against all of space per occupied cell minus
-the kernel pair sum over E x E.  Decomposition checks evaluate every term on one
-shared grid so the identities cancel at machine precision instead of
-quadrature accuracy.
+the kernel pair sum over E x E.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -505,15 +503,13 @@ def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> Energy
 
 
 # ---------------------------------------------------------------------------
-# Interactions and decomposition identities
+# Interactions
 
 
 def _disjoint_levels(U: Shape, W: Shape, spec: QuadratureSpec) -> tuple:
     """The levels of ``quadrature._pair_grids`` for U and W, the grids their
     pair integral runs on.  A cell of the fine level in both shapes is
-    refused.  The decomposition checks evaluate U, W and U u W on that
-    fine level, so the three perimeters share one stencil and one cell
-    kernel mass and the identities cancel at machine precision."""
+    refused."""
     levels = quadrature._pair_grids(U, W, spec.resolved_budget(U.dimension))
     gU, gW = levels[0]
     if np.any(gU.occupancy & gW.occupancy):
@@ -542,126 +538,3 @@ def interaction(U: Shape, W: Shape, g, spec: QuadratureSpec) -> IntegralEstimate
             values, errors = _balls_cross((g,), U, W)
             return IntegralEstimate(float(values[0]), float(errors[0]), 0, "radial-reduction")
     return quadrature._pair_estimate(_disjoint_levels(U, W, spec), g)
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Residual of an exact splitting identity, with the term values used.
-
-    Floats coerce to the residual so the record can be asserted directly.
-    """
-
-    residual: float
-    combined_error: float
-    terms: dict
-
-    def __float__(self) -> float:
-        return self.residual
-
-
-def check_perimeter_decomposition(U: Shape, W: Shape, kernel: KernelSpec, spec: QuadratureSpec) -> DecompositionCheck:
-    """Residual of P_K(U) + P_K(W) - P_K(U u W) - 2 I_K(U, W) for disjoint
-    U, W, all three on the fine level of ``_disjoint_levels``."""
-    if geometry.is_empty(U) or geometry.is_empty(W):
-        return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    (U, W), _ = _disjoint_levels(U, W, spec)
-    union = replace(U, occupancy=U.occupancy | W.occupancy)
-    pU = perimeter(U, kernel, spec)
-    pW = perimeter(W, kernel, spec)
-    pUW = perimeter(union, kernel, spec)
-    cross = interaction(U, W, kernel, spec)
-    residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
-    err = pU.error + pW.error + pUW.error + 2.0 * cross.error
-    return DecompositionCheck(residual, err, {
-        "P_U": pU.value, "P_W": pW.value, "P_union": pUW.value, "cross": cross.value,
-    })
-
-
-def check_riesz_decomposition(U: Shape, W: Shape, spec: QuadratureSpec, alpha: float = 1.0) -> DecompositionCheck:
-    """Residual of V(U u W) - V(U) - V(W) - I(U, W) with the riesz pair
-    integrand, all three on the fine level of ``_disjoint_levels``."""
-    if geometry.is_empty(U) or geometry.is_empty(W):
-        return DecompositionCheck(0.0, 0.0, {"note": "one part empty; identity trivial"})
-    (U, W), _ = _disjoint_levels(U, W, spec)
-    union = replace(U, occupancy=U.occupancy | W.occupancy)
-    vU = riesz(U, alpha, spec)
-    vW = riesz(W, alpha, spec)
-    vUW = riesz(union, alpha, spec)
-    cross = interaction(U, W, alpha, spec)
-    residual = vUW.value - vU.value - vW.value - cross.value
-    err = vU.error + vW.error + vUW.error + cross.error
-    return DecompositionCheck(residual, err, {
-        "V_U": vU.value, "V_W": vW.value, "V_union": vUW.value, "cross": cross.value,
-    })
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    lam: float
-    values_base: dict
-    values_scaled: dict
-    ratios: dict
-    exponents: dict
-    expected: dict
-    exact: dict
-
-    def as_record(self) -> dict:
-        rec = {"lambda": self.lam}
-        for name in ("perimeter", "riesz", "background"):
-            rec[f"{name}_base"] = self.values_base[name]
-            rec[f"{name}_scaled"] = self.values_scaled[name]
-            rec[f"{name}_ratio"] = self.ratios[name]
-            rec[f"{name}_exponent"] = self.exponents[name]
-            rec[f"{name}_expected"] = self.expected[name]
-            rec[f"{name}_exact"] = self.exact[name]
-        return rec
-
-
-def scaling_report(E: Shape, lam: float, params: EnergyParams, spec: QuadratureSpec) -> ScalingReport:
-    """Fitted per-term scaling exponents log(term(lam*E)/term(E))/log(lam).
-
-    Expected exponents are N - s (perimeter, exact only for the homogeneous
-    fractional kernel), 2N - alpha (riesz), and N - beta (background).
-    """
-    if lam <= 0:
-        raise ParameterError(f"scale factor must be positive, got {lam}")
-    N = E.dimension
-    kernel = params.kernel
-    scaled = geometry.scale(E, lam)
-    base = {
-        "perimeter": perimeter(E, kernel, spec).value,
-        "riesz": riesz(E, params.alpha, spec).value,
-        "background": background(E, params.beta, spec).value,
-    }
-    big = {
-        "perimeter": perimeter(scaled, kernel, spec).value,
-        "riesz": riesz(scaled, params.alpha, spec).value,
-        "background": background(scaled, params.beta, spec).value,
-    }
-    ratios = {k: (big[k] / base[k] if base[k] != 0 else float("nan")) for k in base}
-    if lam == 1.0:
-        exponents = {k: float("nan") for k in base}
-    else:
-        exponents = {
-            k: (math.log(ratios[k]) / math.log(lam) if ratios[k] > 0 else float("nan"))
-            for k in base
-        }
-    expected = {
-        "perimeter": N - kernel.s,
-        "riesz": 2 * N - params.alpha,
-        "background": N - params.beta,
-    }
-    exact = {
-        "perimeter": kernel.kind == "fractional",
-        "riesz": True,
-        "background": True,
-    }
-    return ScalingReport(
-        lam=lam,
-        values_base=base,
-        values_scaled=big,
-        ratios=ratios,
-        exponents=exponents,
-        expected=expected,
-        exact=exact,
-    )

@@ -35,10 +35,9 @@ occupied when at least half of its 2^N cells are); two voxel shapes of
 one spacing are embedded in their common grid first.  A ball is
 voxelized at the budget's cells per axis and, for its coarse level, again
 at half as many; a pair with a ball, or of two spacings, is voxelized on
-its union box the same way.  A sphere integral's coarse level is half its
-directions.  Sphere integrals and directional tails stream the midpoint
-direction grid in blocks built from per-axis factors
-(``_direction_blocks``); no cache holds more than those factors.
+its union box the same way.  The directional tail of a complement integral
+sums over one fixed midpoint direction grid per dimension
+(``_tail_directions``).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .geometry import Shape, VoxelShape
 from .kernels import KernelSpec
 
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
-_SPHERE_BLOCK = 1 << 14  # sphere integrals take their directions in blocks this large
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
 # Complement integrals pad a shape's grid with empty cells to at least this
@@ -71,8 +69,7 @@ _MIN_STENCIL_CELLS = 32
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-grid budget: ``budget`` is the target number of cells covering
-    the shape's bounding box (a sphere integral's direction count); ``None``
-    resolves to 64^N.
+    the shape's bounding box; ``None`` resolves to 64^N.
     """
 
     budget: Optional[int] = None
@@ -87,7 +84,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    """A value, its error proxy and the cells (or directions) it took;
+    """A value, its error proxy and the cells it took;
     ``method`` names the route: tensor-midpoint, radial-reduction or
     closed-form."""
 
@@ -681,52 +678,32 @@ def _fft_pair_sum(occ_a: np.ndarray, occ_b: np.ndarray, T: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sphere directions and directional tails for complement integrals
+# Directional tails for complement integrals
 
 
-@functools.lru_cache(maxsize=8)
-def _direction_factors(N: int, count: int):
-    """(w, factors) of the exact-measure midpoint direction grid of about
-    ``count`` directions of weight w each: for N = 3 the polar rows u and
-    sqrt(1 - u^2) and the azimuths' cosines and sines, for N = 2 the
-    cosines and sines of one block's angles and of the block offsets.
-    Read-only, O(sqrt(count)) or one block long."""
+@functools.lru_cache(maxsize=2)
+def _tail_directions(N: int):
+    """(dirs, w): the exact-measure midpoint grid of ``_TAIL_DIRECTIONS[N]``
+    unit directions, shape (k, N), and their weights, read-only.  N = 2
+    takes equal angles; N = 3 takes nu polar rows equally spaced in
+    u = cos(polar angle) times 2 nu azimuths, every cell of one area."""
+    count = _TAIL_DIRECTIONS[N]
     if N == 2:
         w = 2.0 * math.pi / count
-        ang, off = (np.arange(min(count, _SPHERE_BLOCK)) + 0.5) * w, np.arange(0, count, _SPHERE_BLOCK) * w
-        factors = (np.cos(ang), np.sin(ang), np.cos(off), np.sin(off))
+        ang = (np.arange(count) + 0.5) * w
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     else:
-        nu = max(4, int(round(math.sqrt(count / 2.0))))
+        nu = int(round(math.sqrt(count / 2.0)))
         u = -1.0 + (np.arange(nu) + 0.5) * (2.0 / nu)
         phi = (np.arange(2 * nu) + 0.5) * (2.0 * math.pi / (2 * nu))
         w = (2.0 / nu) * (2.0 * math.pi / (2 * nu))
-        factors = (u, np.sqrt(1.0 - u ** 2), np.cos(phi), np.sin(phi))
-    for f in factors:
-        f.setflags(write=False)
-    return w, factors
-
-
-def _direction_blocks(N: int, count: int):
-    """(dirs, w) for consecutive (k, N) blocks, k <= ``_SPHERE_BLOCK``, of
-    the grid of ``_direction_factors(N, count)``, each a view of a fresh
-    (N, k) buffer: whole polar rows for N = 3, runs of angles for N = 2
-    (block offset plus in-block angle, by the angle-addition formula)."""
-    w, (a, b, c, d) = _direction_factors(N, count)
-    if N == 2:
-        for i, (co, so) in enumerate(zip(c, d)):
-            ca, sa = a[: count - i * a.size], b[: count - i * a.size]
-            out = np.empty((2, ca.size))
-            np.subtract(np.multiply(co, ca, out=out[0]), so * sa, out=out[0])
-            np.add(np.multiply(so, ca, out=out[1]), co * sa, out=out[1])
-            yield out.T, w
-        return
-    rows = max(1, _SPHERE_BLOCK // c.size)
-    for i in range(0, a.size, rows):
-        out = np.empty((3, a[i : i + rows].size, c.size))
-        np.multiply(b[i : i + rows, None], c, out=out[0])
-        np.multiply(b[i : i + rows, None], d, out=out[1])
-        out[2] = a[i : i + rows, None]
-        yield out.reshape(3, -1).T, w
+        su = np.sqrt(1.0 - u ** 2)[:, None]
+        rows = np.broadcast_arrays(su * np.cos(phi), su * np.sin(phi), u[:, None])
+        dirs = np.stack(rows, axis=-1).reshape(-1, 3)
+    w = np.full(dirs.shape[0], w)
+    dirs.setflags(write=False)
+    w.setflags(write=False)
+    return dirs, w
 
 
 def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
@@ -753,8 +730,8 @@ def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
     dims = np.maximum(dims, _MIN_STENCIL_CELLS)
     T = _stencil(tuple(int(d) for d in dims), h, igd)
     half = (dims - 0.5) * h
-    ((dirs, w),) = _direction_blocks(N, _TAIL_DIRECTIONS[N])
-    tail = igd.ray_tail(_ray_exit(np.zeros((1, N)), -half, half, dirs)) @ np.full(dirs.shape[0], w)
+    dirs, w = _tail_directions(N)
+    tail = igd.ray_tail(_ray_exit(np.zeros((1, N)), -half, half, dirs)) @ w
     return T, float(np.sum(T)) + float(tail[0]) * h ** N
 
 
@@ -953,20 +930,3 @@ def complement_double_integral(E: Shape, kernel: KernelSpec, spec: QuadratureSpe
         return grid.count * a - _fft_pair_sum(grid.occupancy, grid.occupancy, T), grid.count
 
     return _tensor_estimate(_grids(E, spec.resolved_budget(N)), body)
-
-
-def sphere_average(f, N: int, spec: QuadratureSpec) -> IntegralEstimate:
-    """Integral of f over the unit sphere (surface measure, not the mean).
-
-    ``f`` is vectorized over direction arrays of shape (k, N); it is
-    passed blocks of at most ``_SPHERE_BLOCK`` directions of a
-    midpoint grid of up to 2^20 (``_direction_blocks``).
-    """
-    if N not in (2, 3):
-        raise ParameterError(f"sphere integrals support N in {{2, 3}}, got {N}")
-    count = max(16, min(spec.resolved_budget(N), 1 << 20))
-
-    def body(n):
-        return sum(float(np.sum(f(dirs) * w)) for dirs, w in _direction_blocks(N, n)), n
-
-    return _tensor_estimate((count, max(8, count // 2)), body)

@@ -356,14 +356,10 @@ def scan(
 # Sphere integral and layer-cake identities
 
 
-def sphere_positive_integral(x, corrected: bool = True) -> float:
-    """Closed form of the sphere integral of (x . nu)_+ over directions nu.
-
-    The corrected value is omega_{N-2} |x| / (N - 1) (the polar Jacobian
-    sin^{N-2} integrates to 1/(N-1) against the clipped cosine); the
-    uncorrected variant omits the 1/(N-1) factor.  Both are exposed; the
-    factor cancels from averaged-inequality conclusions because it scales
-    every term identically.
+def sphere_positive_integral(x) -> float:
+    """Closed form of the sphere integral of (x . nu)_+ over directions nu:
+    omega_{N-2} |x| / (N - 1) (the polar Jacobian sin^{N-2} integrates to
+    1/(N-1) against the clipped cosine).
     """
     x = np.asarray(x, dtype=float)
     N = x.shape[-1]
@@ -371,8 +367,7 @@ def sphere_positive_integral(x, corrected: bool = True) -> float:
         raise ParameterError(f"sphere integral supports N in {{2, 3}}, got {N}")
     omega_sub = geometry.unit_sphere_area(N - 1)
     r = float(np.linalg.norm(x))
-    val = omega_sub * r
-    return val / (N - 1) if corrected else val
+    return omega_sub * r / (N - 1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ threshold, and byte-level CLI reproducibility.  Runtime ceilings are
 asserted alongside the numerics.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -117,12 +118,20 @@ class TestDecompositionIdentities:
             if left.count == 0 or right.count == 0:
                 continue
             checked += 1
-            res_p = energy.check_perimeter_decomposition(left, right, kernel, spec)
-            res_r = energy.check_riesz_decomposition(left, right, spec)
-            if abs(res_p.residual) > 3.0 * res_p.combined_error:
-                failures.append(("perimeter", checked, res_p.residual))
-            if abs(res_r.residual) > 3.0 * res_r.combined_error:
-                failures.append(("riesz", checked, res_r.residual))
+            # U, W and U u W on the one grid of the pair's fine level
+            (left, right), _ = energy._disjoint_levels(left, right, spec)
+            union = dataclasses.replace(left, occupancy=left.occupancy | right.occupancy)
+            p = [energy.perimeter(E, kernel, spec) for E in (left, right, union)]
+            v = [energy.riesz(E, 1.0, spec) for E in (left, right, union)]
+            ip = energy.interaction(left, right, kernel, spec)
+            iv = energy.interaction(left, right, 1.0, spec)
+            # P(U) + P(W) - P(U u W) = 2 I_K(U, W), V(U u W) - V(U) - V(W) = I_1(U, W)
+            res_p = p[0].value + p[1].value - p[2].value - 2.0 * ip.value
+            res_r = v[2].value - v[0].value - v[1].value - iv.value
+            if abs(res_p) > 3.0 * (sum(e.error for e in p) + 2.0 * ip.error):
+                failures.append(("perimeter", checked, res_p))
+            if abs(res_r) > 3.0 * (sum(e.error for e in v) + iv.error):
+                failures.append(("riesz", checked, res_r))
         elapsed = time.monotonic() - t0
         assert failures == []
         assert elapsed < 120.0
@@ -130,35 +139,24 @@ class TestDecompositionIdentities:
 
 class TestScalingLaw:
     def test_exponents_at_two_grids(self):
+        # log(term(2 E) / term(E)) / log 2 for the voxel unit disk
         t0 = time.monotonic()
-        params = EnergyParams(kernel=kernel_n2(), A=1.0, alpha=1.0, beta=1.0)
-        expected = {"perimeter": 1.5, "riesz": 3.0, "background": 1.0}
+        spec = QuadratureSpec()
         for grid_n in (64, 128):
             disk = quadrature.voxelize(unit_ball(2), cells_per_axis=grid_n)
-            rep = energy.scaling_report(disk, 2.0, params, QuadratureSpec())
-            for term, target in expected.items():
-                assert rep.expected[term] == pytest.approx(target, rel=1e-13)
-                assert abs(rep.exponents[term] - target) <= 0.02 * abs(target)
+            big = geometry.scale(disk, 2.0)
+            for term, arg, target in (
+                (energy.perimeter, kernel_n2(), 1.5),
+                (energy.riesz, 1.0, 3.0),
+                (energy.background, 1.0, 1.0),
+            ):
+                got = math.log(term(big, arg, spec).value / term(disk, arg, spec).value) / math.log(2.0)
+                assert abs(got - target) <= 0.02 * abs(target)
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
 
 
 class TestSphereIntegral:
-    def test_twenty_random_points(self):
-        t0 = time.monotonic()
-        rng = np.random.default_rng(17)
-        spec = QuadratureSpec(budget=200_000)
-        for N in (2, 3):
-            for _ in range(10):
-                x = rng.standard_normal(N)
-                closed = slicing.sphere_positive_integral(x)
-                est = quadrature.sphere_average(
-                    lambda v: np.clip(v @ x, 0.0, None), N, spec
-                )
-                assert abs(est.value - closed) <= 1e-3 * closed
-        elapsed = time.monotonic() - t0
-        assert elapsed < 10.0
-
     def test_unit_point_values(self):
         assert slicing.sphere_positive_integral(np.array([1.0, 0.0])) == (
             pytest.approx(2.0, rel=1e-13)
@@ -253,8 +251,7 @@ class TestCliReproducibility:
         ],
         "family": ["--set", "family.mass=2.0", "--set", "family.d_count=3"],
         "verify": [
-            "--set", "verify.pairs=1", "--set", "verify.blobs=1",
-            "--set", "verify.grid=24",
+            "--set", "verify.blobs=1", "--set", "verify.grid=24",
         ],
         "kernel-check": [],
     }

@@ -347,7 +347,6 @@ class TestSubcommandRuns:
                 "verify",
                 "--output-dir",
                 out,
-                "--set", "verify.pairs=2",
                 "--set", "verify.blobs=2",
                 "--set", "verify.grid=24",
             ]
@@ -357,12 +356,33 @@ class TestSubcommandRuns:
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] > 0
 
+    def test_verify_fails_when_the_ball_pair_term_is_off(self, tmp_path, monkeypatch):
+        # a 1e-9 relative error in the 3-D ball-pair cross term is far
+        # outside its reported error, so Newton's m1 m2 / d catches it
+        from nldrop import energy
+
+        density = energy._ball_pair_density
+        monkeypatch.setattr(
+            energy, "_ball_pair_density", lambda *a, **k: density(*a, **k) * (1.0 + 1e-9)
+        )
+        out = str(tmp_path / "out")
+        rc = self.run(
+            ["verify", "--output-dir", out, "--set", "verify.blobs=0", "--set", "verify.grid=8"]
+        )
+        assert rc == 1
+        summary = self.check_outputs(out, "verify")["summary"]
+        assert summary["failed_checks"] == [
+            "ball-pair-newton:d=2.05", "ball-pair-newton:d=5", "ball-pair-newton:d=50",
+        ]
+
     @pytest.mark.parametrize(
         "sub, key",
         [
             ("energy", "bogus"),
             # the family search reads no quadrature budget
             ("family", "quad.budget"),
+            # verify builds no random shape pairs
+            ("verify", "verify.pairs"),
         ],
     )
     def test_unknown_key_exits_two(self, tmp_path, capsys, sub, key):
@@ -386,7 +406,6 @@ class TestSubcommandRuns:
             ("energy", ["shape.kind=blob", "shape.grid=-4"], "shape.grid"),
             ("verify", ["verify.grid=0"], "verify.grid"),
             ("verify", ["verify.grid=-4"], "verify.grid"),
-            ("verify", ["verify.pairs=-1"], "verify.pairs"),
         ],
     )
     def test_empty_grids_exit_two(self, tmp_path, capsys, sub, overrides, key):
@@ -547,8 +566,7 @@ class TestImportWeight:
         [
             ["energy"],
             ["slice-scan", "--set", "scan.nu_count=2", "--set", "scan.l_count=4"],
-            ["verify", "--set", "verify.grid=8", "--set", "verify.pairs=1",
-             "--set", "verify.blobs=1"],
+            ["verify", "--set", "verify.grid=8", "--set", "verify.blobs=1"],
             ["kernel-check"],
         ],
         ids=["energy", "slice-scan", "verify", "kernel-check"],

@@ -22,12 +22,9 @@ from nldrop.energy import (
     EnergyParams,
     EnergyReport,
     background,
-    check_perimeter_decomposition,
-    check_riesz_decomposition,
     interaction,
     perimeter,
     riesz,
-    scaling_report,
     total_energy,
 )
 from nldrop.errors import ParameterError, PreconditionError
@@ -619,35 +616,49 @@ class TestTabulatedBallTerms:
         )
 
 
+def split_terms(U, W, g):
+    """The public terms of a disjoint pair on the fine level of
+    ``energy._disjoint_levels``, where U, W and U u W share one grid: with
+    a kernel g, (P(U), P(W), P(U u W), I_K(U, W)); with a riesz exponent,
+    (V(U), V(W), V(U u W), I_alpha(U, W))."""
+    spec = QuadratureSpec()
+    (U, W), _ = energy_mod._disjoint_levels(U, W, spec)
+    union = dataclasses.replace(U, occupancy=U.occupancy | W.occupancy)
+    if isinstance(g, KernelSpec):
+        parts = [perimeter(E, g, spec) for E in (U, W, union)]
+    else:
+        parts = [riesz(E, g, spec) for E in (U, W, union)]
+    return (*parts, interaction(U, W, g, spec))
+
+
 class TestDecompositions:
+    """P(U) + P(W) - P(U u W) = 2 I_K(U, W) and V(U u W) - V(U) - V(W) =
+    I_alpha(U, W) for disjoint U, W: on one shared grid both cancel at
+    machine precision."""
+
     def test_perimeter_identity_cancels_on_shared_grid(self):
         rng = np.random.default_rng(12)
         U, W = geometry.random_disjoint_pair(2, rng, grid_n=48)
-        check = check_perimeter_decomposition(U, W, frac(), QuadratureSpec())
-        scale = abs(check.terms["P_U"]) + abs(check.terms["P_W"])
-        assert abs(check.residual) <= 1e-10 * scale
+        pU, pW, pUW, cross = split_terms(U, W, frac())
+        residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
+        assert abs(residual) <= 1e-10 * (abs(pU.value) + abs(pW.value))
 
     def test_riesz_identity_cancels_on_shared_grid(self):
         rng = np.random.default_rng(12)
         U, W = geometry.random_disjoint_pair(2, rng, grid_n=48)
-        check = check_riesz_decomposition(U, W, QuadratureSpec(), alpha=0.8)
-        scale = abs(check.terms["V_union"]) + 1e-30
-        assert abs(check.residual) <= 1e-8 * scale
+        vU, vW, vUW, cross = split_terms(U, W, 0.8)
+        residual = vUW.value - vU.value - vW.value - cross.value
+        assert abs(residual) <= 1e-8 * (abs(vUW.value) + 1e-30)
 
     def test_ball_pair_identities_cancel_on_shared_grid(self):
         # ball inputs are voxelized onto the grid shared by the pair
         U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.7]))
         W = geometry.BallConfig(dimension=2, centers=np.array([[1.2, 0.1]]), radii=np.array([0.8]))
-        check = check_perimeter_decomposition(U, W, frac(), QuadratureSpec())
-        assert abs(check.residual) <= 1e-10 * (abs(check.terms["P_U"]) + abs(check.terms["P_W"]))
-        check = check_riesz_decomposition(U, W, QuadratureSpec(), alpha=0.6)
-        assert abs(check.residual) <= 1e-8 * abs(check.terms["V_union"])
-
-    def test_residual_coerces_to_float(self):
-        rng = np.random.default_rng(5)
-        U, W = geometry.random_disjoint_pair(2, rng, grid_n=32)
-        check = check_riesz_decomposition(U, W, QuadratureSpec(), alpha=0.8)
-        assert float(check) == check.residual
+        pU, pW, pUW, cross = split_terms(U, W, frac())
+        residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
+        assert abs(residual) <= 1e-10 * (abs(pU.value) + abs(pW.value))
+        vU, vW, vUW, cross = split_terms(U, W, 0.6)
+        assert abs(vUW.value - vU.value - vW.value - cross.value) <= 1e-8 * abs(vUW.value)
 
 
 class TestTranslationInvariance:
@@ -665,36 +676,17 @@ class TestTranslationInvariance:
         )
 
 
-class TestScalingReport:
+class TestScaling:
     def test_fractional_exponents_are_exact_on_voxels(self):
+        # P_K(lam E) = lam^(N - s) P_K(E) for the fractional kernel,
+        # V_alpha(lam E) = lam^(2N - alpha) V_alpha(E) and R_beta(lam E) =
+        # lam^(N - beta) R_beta(E); a voxel grid scales with no resampling
         rng = np.random.default_rng(7)
         blob = geometry.random_blob(2, rng, grid_n=32)
-        params = EnergyParams(kernel=frac(), A=1.0, alpha=1.0, beta=1.0)
-        rep = scaling_report(blob, 2.0, params, QuadratureSpec())
-        assert rep.exponents["perimeter"] == pytest.approx(1.5, rel=1e-12)
-        assert rep.exponents["riesz"] == pytest.approx(3.0, rel=1e-12)
-        assert rep.exponents["background"] == pytest.approx(1.0, rel=1e-12)
-        assert rep.exact == {"perimeter": True, "riesz": True, "background": True}
-
-    def test_truncated_kernel_not_flagged_exact(self):
-        k = KernelSpec(
-            dimension=2, s=0.5, epsilon=0.75, lam=1.0,
-            kind="truncated-fractional", cap=0.3,
-        )
-        params = EnergyParams(kernel=k)
-        rep = scaling_report(disk(), 2.0, params, QuadratureSpec())
-        assert rep.exact["perimeter"] is False
-
-    def test_bad_scale_factor(self):
-        params = EnergyParams(kernel=frac())
-        with pytest.raises(ParameterError):
-            scaling_report(disk(), -1.0, params, QuadratureSpec())
-
-    def test_record_keys(self):
-        params = EnergyParams(kernel=frac())
-        rep = scaling_report(disk(), 2.0, params, QuadratureSpec())
-        rec = rep.as_record()
-        assert rec["lambda"] == 2.0
-        for name in ("perimeter", "riesz", "background"):
-            for suffix in ("base", "scaled", "ratio", "exponent", "expected", "exact"):
-                assert f"{name}_{suffix}" in rec
+        spec = QuadratureSpec()
+        big = geometry.scale(blob, 2.0)
+        for term, arg, expected in (
+            (perimeter, frac(), 1.5), (riesz, 1.0, 3.0), (background, 1.0, 1.0),
+        ):
+            ratio = term(big, arg, spec).value / term(blob, arg, spec).value
+            assert math.log(ratio) / math.log(2.0) == pytest.approx(expected, rel=1e-12)

@@ -118,6 +118,8 @@ class TestTransforms:
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             scale(square_voxel(), 0.0)
+        with pytest.raises(ParameterError):
+            scale(ball_of_volume(2, math.pi), -1.0)
 
     def test_voxel_scale_is_exact_resampling_free(self):
         v = square_voxel(10)

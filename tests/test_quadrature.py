@@ -32,7 +32,6 @@ from nldrop.quadrature import (
     kernel_moment_integrand,
     point_singularity_cell_integral,
     riesz_integrand,
-    sphere_average,
     voxelize,
     _fft_pair_sum,
     _pair_fields,
@@ -847,29 +846,9 @@ class TestComplementIntegral:
             assert abs(est.value - ref) <= ref_err
 
 
-class TestSphereIntegrals:
-    def test_constant_gives_sphere_area(self):
-        spec = QuadratureSpec(budget=20_000)
-        for N, area in ((2, 2.0 * math.pi), (3, 4.0 * math.pi)):
-            est = sphere_average(lambda v: np.ones(v.shape[0]), N, spec)
-            assert est.value == pytest.approx(area, rel=1e-12)
-
-    def test_positive_part_projection(self):
-        # int over the sphere of (e1 . nu)_+ is 2 in the plane and pi in space
-        spec = QuadratureSpec(budget=20_000)
-        est2 = sphere_average(lambda v: np.clip(v[:, 0], 0.0, None), 2, spec)
-        assert est2.value == pytest.approx(2.0, rel=1e-6)
-        est3 = sphere_average(lambda v: np.clip(v[:, 0], 0.0, None), 3, spec)
-        assert est3.value == pytest.approx(math.pi, rel=1e-3)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ParameterError):
-            sphere_average(lambda v: np.ones(v.shape[0]), 4, QuadratureSpec())
-
-
 def _whole_direction_grid(N, count):
-    """The midpoint direction grid and its weights written out whole, as
-    they were built before the directions were streamed in blocks."""
+    """The midpoint direction grid of about ``count`` directions and its
+    weights, written out whole from the angles."""
     if N == 2:
         ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(count, 2.0 * math.pi / count)
@@ -883,64 +862,18 @@ def _whole_direction_grid(N, count):
     return dirs, np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
 
 
-class TestDirectionBlocks:
-    @pytest.mark.parametrize(
-        "N, count",
-        [(3, c) for c in (64, 512, 1024, 100_000, 200_000)]
-        + [(2, c) for c in (64, 256, 1 << 14, (1 << 14) + 5, 100_000, 200_000)],
-    )
-    def test_blocks_match_the_whole_grid(self, N, count):
-        dirs, w = _whole_direction_grid(N, count)
-        blocks, weights = zip(*quadrature._direction_blocks(N, count))
-        assert all(0 < len(b) <= quadrature._SPHERE_BLOCK for b in blocks)
-        assert set(weights) == {w[0]}
-        got = np.concatenate(blocks)
-        assert got.shape == dirs.shape
-        if N == 3 or count <= 1 << 14:
-            # N = 3 and one N = 2 block (every tail direction set) bit for bit
-            assert np.array_equal(got, dirs)
-        else:
-            assert np.max(np.abs(got - dirs)) <= 2e-15
-
-    @pytest.mark.parametrize("N", [2, 3])
-    @pytest.mark.parametrize("count", [8, 1000, 1 << 20])
-    def test_weights_sum_to_the_sphere_area(self, N, count):
-        total = sum(w * len(b) for b, w in quadrature._direction_blocks(N, count))
-        assert total == pytest.approx(geometry.unit_sphere_area(N), rel=1e-14)
-
-    def test_sphere_average_memory_is_bounded(self):
-        # the whole 2^20-direction grid and weights took 67 MB at peak and
-        # stayed cached (50 MB) after the call
-        quadrature._direction_factors.cache_clear()
-        tracemalloc.start()
-        try:
-            est = sphere_average(
-                lambda v: np.clip(v[:, 0], 0.0, None), 3, QuadratureSpec(budget=1 << 20)
-            )
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert est.value == pytest.approx(math.pi, rel=1e-4)
-        assert peak < 8e6
-        assert held < 1e6
-
-
-class TestDirectionGridCache:
-    def test_cache_is_bounded(self):
-        maxsize = quadrature._direction_factors.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
-
-    def test_grids_are_read_only(self):
-        for N in (2, 3):
-            for arr in quadrature._direction_factors(N, 64)[1]:
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
-
-    def test_hit_returns_the_same_arrays(self):
-        quadrature._direction_factors.cache_clear()
-        first = quadrature._direction_factors(3, 200)
-        assert quadrature._direction_factors(3, 200) is first
-        assert quadrature._direction_factors.cache_info().hits == 1
+@pytest.mark.parametrize("N", [2, 3])
+def test_tail_directions_are_the_midpoint_grid(N):
+    dirs, w = quadrature._tail_directions(N)
+    whole_dirs, whole_w = _whole_direction_grid(N, quadrature._TAIL_DIRECTIONS[N])
+    assert np.array_equal(dirs, whole_dirs)
+    assert np.array_equal(w, whole_w)
+    assert np.sum(w) == pytest.approx(geometry.unit_sphere_area(N), rel=1e-14)
+    for arr in (dirs, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert quadrature._tail_directions(N)[0] is dirs
+    assert quadrature._tail_directions.cache_info().maxsize is not None
 
 
 class TestVoxelize:
@@ -979,9 +912,6 @@ _PIN_OPS = {
     ),
     "double_stationary": lambda spec: double_integral(_PIN_U, _PIN_W, 1.0, spec),
     "complement": lambda spec: complement_double_integral(_PIN_DISK, frac_kernel(), spec),
-    "sphere_average": lambda spec: sphere_average(
-        lambda v: np.clip(v[:, 0], 0.0, None) + v[:, 2] ** 2, 3, spec
-    ),
 }
 _PIN_SPECS = {
     "tensor-midpoint": QuadratureSpec(budget=1024),
@@ -990,7 +920,6 @@ PINNED_ESTIMATES = {
     ("integral_over", "tensor-midpoint"): (5.626504759797939, 0.049407088708621316, 812),
     ("double_stationary", "tensor-midpoint"): (0.8444047113279975, 0.0904679684829155, 237),
     ("complement", "tensor-midpoint"): (54.45873405990247, 1.3196129303446469, 812),
-    ("sphere_average", "tensor-midpoint"): (7.326345326665783, 0.00784589714590922, 1024),
 }
 
 

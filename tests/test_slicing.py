@@ -64,15 +64,6 @@ class TestSphereIntegral:
         x = np.array([0.0, 0.0, 2.0])
         assert sphere_positive_integral(x) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
-    def test_uncorrected_variant(self):
-        x = np.array([1.0, 0.0, 0.0])
-        assert sphere_positive_integral(x, corrected=False) == pytest.approx(
-            2.0 * math.pi, rel=1e-14
-        )
-        assert sphere_positive_integral(x, corrected=True) == pytest.approx(
-            math.pi, rel=1e-14
-        )
-
     def test_unsupported_dimension(self):
         with pytest.raises(ParameterError):
             sphere_positive_integral(np.ones(4))
