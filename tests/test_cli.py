@@ -356,6 +356,27 @@ class TestSubcommandRuns:
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] > 0
 
+    def test_verify_rows_are_the_checks_that_can_fail(self, tmp_path):
+        # one isoperimetry row per blob, the two layer-cake rows and the
+        # three Newton rows; no row that holds by construction
+        out = str(tmp_path / "out")
+        rc = self.run(
+            ["verify", "--output-dir", out, "--set", "verify.blobs=2", "--set", "verify.grid=24"]
+        )
+        assert rc == 0
+        with open(os.path.join(out, "verify.csv")) as fh:
+            lines = [line.strip() for line in fh if not line.startswith("#")]
+        assert lines[0] == "check,detail,value,threshold,passed"
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+            ("isoperimetry", "blob-000"),
+            ("isoperimetry", "blob-001"),
+            ("layer-cake-background", "blob"),
+            ("layer-cake-riesz", "blob"),
+            ("ball-pair-newton", "d=2.05"),
+            ("ball-pair-newton", "d=5"),
+            ("ball-pair-newton", "d=50"),
+        ]
+
     def test_verify_fails_when_the_ball_pair_term_is_off(self, tmp_path, monkeypatch):
         # a 1e-9 relative error in the 3-D ball-pair cross term is far
         # outside its reported error, so Newton's m1 m2 / d catches it

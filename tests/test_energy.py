@@ -650,6 +650,22 @@ class TestDecompositions:
         residual = vUW.value - vU.value - vW.value - cross.value
         assert abs(residual) <= 1e-8 * (abs(vUW.value) + 1e-30)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+    def test_riesz_identity_across_exponents(self, alpha):
+        rng = np.random.default_rng(12)
+        U, W = geometry.random_disjoint_pair(2, rng, grid_n=48)
+        vU, vW, vUW, cross = split_terms(U, W, alpha)
+        residual = vUW.value - vU.value - vW.value - cross.value
+        assert abs(residual) <= 1e-8 * abs(vUW.value)
+
+    def test_perimeter_identity_with_a_truncated_kernel(self):
+        rng = np.random.default_rng(12)
+        U, W = geometry.random_disjoint_pair(2, rng, grid_n=48)
+        k = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="truncated-fractional", cap=0.3)
+        pU, pW, pUW, cross = split_terms(U, W, k)
+        residual = pU.value + pW.value - pUW.value - 2.0 * cross.value
+        assert abs(residual) <= 1e-10 * (abs(pU.value) + abs(pW.value))
+
     def test_ball_pair_identities_cancel_on_shared_grid(self):
         # ball inputs are voxelized onto the grid shared by the pair
         U = geometry.BallConfig(dimension=2, centers=np.array([[-1.0, 0.0]]), radii=np.array([0.7]))
@@ -690,3 +706,28 @@ class TestScaling:
         ):
             ratio = term(big, arg, spec).value / term(blob, arg, spec).value
             assert math.log(ratio) / math.log(2.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "term, arg, expected",
+        [
+            (perimeter, KernelSpec(dimension=2, s=0.2, epsilon=0.9, lam=1.0, kind="fractional"), 1.8),
+            (riesz, 0.5, 3.5),
+            (riesz, 1.5, 2.5),
+            (background, 0.5, 1.5),
+            (background, 1.7, 0.3),
+        ],
+        ids=["perimeter-s0.2", "riesz-0.5", "riesz-1.5", "background-0.5", "background-1.7"],
+    )
+    def test_exponents_follow_the_orders(self, term, arg, expected):
+        rng = np.random.default_rng(7)
+        blob = geometry.random_blob(2, rng, grid_n=32)
+        spec = QuadratureSpec()
+        ratio = term(geometry.scale(blob, 2.0), arg, spec).value / term(blob, arg, spec).value
+        assert math.log(ratio) / math.log(2.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_truncated_kernel_is_not_scale_exact(self):
+        # the cap sets a length, so P_K(2 E) / P_K(E) is not 2^(N - s)
+        k = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="truncated-fractional", cap=0.3)
+        spec = QuadratureSpec()
+        ratio = perimeter(geometry.scale(disk(), 2.0), k, spec).value / perimeter(disk(), k, spec).value
+        assert abs(math.log(ratio) / math.log(2.0) - 1.5) > 0.1

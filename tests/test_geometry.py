@@ -121,6 +121,13 @@ class TestTransforms:
         with pytest.raises(ParameterError):
             scale(ball_of_volume(2, math.pi), -1.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["voxel", "ball"])
+    def test_scale_rejects_bad_factor(self, kind, lam):
+        shape = square_voxel() if kind == "voxel" else ball_of_volume(2, math.pi)
+        with pytest.raises(ParameterError, match="scale factor must be positive"):
+            scale(shape, lam)
+
     def test_voxel_scale_is_exact_resampling_free(self):
         v = square_voxel(10)
         w = scale(v, 2.0)

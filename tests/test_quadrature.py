@@ -17,7 +17,7 @@ import pytest
 from scipy import signal
 
 from nldrop.errors import ParameterError
-from nldrop import energy, geometry, quadrature
+from nldrop import energy, geometry, quadrature, slicing
 from nldrop.kernels import KernelSpec
 from nldrop.quadrature import (
     PointSingularity,
@@ -862,18 +862,81 @@ def _whole_direction_grid(N, count):
     return dirs, np.full(dirs.shape[0], (2.0 / nu) * (2.0 * math.pi / nphi))
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_tail_directions_are_the_midpoint_grid(N):
-    dirs, w = quadrature._tail_directions(N)
-    whole_dirs, whole_w = _whole_direction_grid(N, quadrature._TAIL_DIRECTIONS[N])
-    assert np.array_equal(dirs, whole_dirs)
-    assert np.array_equal(w, whole_w)
-    assert np.sum(w) == pytest.approx(geometry.unit_sphere_area(N), rel=1e-14)
-    for arr in (dirs, w):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    assert quadrature._tail_directions(N)[0] is dirs
-    assert quadrature._tail_directions.cache_info().maxsize is not None
+class TestTailDirections:
+    """The fixed midpoint direction grid of the directional tail of a(h)."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_tail_directions_are_the_midpoint_grid(self, N):
+        dirs, w = quadrature._tail_directions(N)
+        whole_dirs, whole_w = _whole_direction_grid(N, quadrature._TAIL_DIRECTIONS[N])
+        assert np.array_equal(dirs, whole_dirs)
+        assert np.array_equal(w, whole_w)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_directions_are_unit_vectors(self, N):
+        dirs, _ = quadrature._tail_directions(N)
+        assert dirs.shape == (quadrature._TAIL_DIRECTIONS[N], N)
+        assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_weights_sum_to_the_sphere_area(self, N):
+        _, w = quadrature._tail_directions(N)
+        assert np.sum(w) == pytest.approx(geometry.unit_sphere_area(N), rel=1e-14)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_grids_are_read_only(self, N):
+        for arr in quadrature._tail_directions(N):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_hit_returns_the_same_arrays(self, N):
+        first = quadrature._tail_directions(N)
+        again = quadrature._tail_directions(N)
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_cache_is_bounded(self):
+        maxsize = quadrature._tail_directions.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    @pytest.mark.parametrize("N, exact, rel", [(2, 2.0, 1e-4), (3, math.pi, 1e-2)])
+    def test_positive_part_projection(self, N, exact, rel):
+        # the sphere integral of (e1 . nu)_+ is 2 in the plane and pi in
+        # space; the 16 x 32 grid of N = 3 misses it by 6.4e-3 relative
+        dirs, w = quadrature._tail_directions(N)
+        assert np.clip(dirs[:, 0], 0.0, None) @ w == pytest.approx(exact, rel=rel)
+
+    @pytest.mark.parametrize("N, rel", [(2, 1e-4), (3, 1e-2)])
+    @pytest.mark.parametrize("k", range(5))
+    def test_random_points_match_the_closed_form(self, N, rel, k):
+        # the sphere integral of (x . nu)_+ over the grid against the
+        # closed form of slicing.sphere_positive_integral
+        x = np.random.default_rng(17 + k).standard_normal(N)
+        dirs, w = quadrature._tail_directions(N)
+        closed = slicing.sphere_positive_integral(x)
+        assert abs(np.clip(dirs @ x, 0.0, None) @ w - closed) <= rel * closed
+
+    # a(h) of a 6^N grid at h = 0.1, frozen from the block-streamed
+    # direction grid that preceded the fixed tail grid
+    PINNED_CELL_MASS = {
+        "fractional-2": (KernelSpec(dimension=2, s=0.5, epsilon=0.7, lam=1.0), 0.8572789968508534),
+        "fractional-3": (KernelSpec(dimension=3, s=0.5, epsilon=0.7, lam=1.0), 0.18213030907484584),
+        "truncated-2": (
+            KernelSpec(dimension=2, s=0.5, epsilon=0.7, lam=1.0, kind="truncated-fractional", cap=50.0),
+            0.3352337122928948,
+        ),
+        "truncated-3": (
+            KernelSpec(dimension=3, s=0.3, epsilon=0.7, lam=1.0, kind="truncated-fractional", cap=50.0),
+            0.06552420221295205,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CELL_MASS))
+    def test_cell_kernel_mass_is_pinned(self, name):
+        kernel, a = self.PINNED_CELL_MASS[name]
+        dims = np.full(kernel.dimension, 6)
+        _, got = quadrature._cell_kernel_mass(dims, 0.1, quadrature.kernel_integrand(kernel))
+        assert got == pytest.approx(a, rel=1e-13)
 
 
 class TestVoxelize:
