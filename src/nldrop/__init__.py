@@ -27,9 +27,8 @@ _EXPORTS = {
         "PreconditionError", "ShapeFormatError",
     ),
     "families": (
-        "FamilySearchResult", "SubadditivityProbe", "TwoBallConfig",
-        "single_ball_energy", "split_advantage", "two_ball_energy",
-        "weak_subadditivity_probe",
+        "FamilySearchResult", "SubadditivityProbe", "layout_energy",
+        "single_ball_energy", "split_advantage", "weak_subadditivity_probe",
     ),
     "geometry": (
         "BallConfig", "VoxelShape", "ball_of_volume", "indicator",
@@ -46,9 +45,8 @@ _EXPORTS = {
         "eval_kernel_radial", "radial_tail_integral", "validate_conditions",
     ),
     "quadrature": (
-        "IntegralEstimate", "PointSingularity", "QuadratureSpec",
-        "double_integral", "complement_double_integral", "integral_over",
-        "voxelize",
+        "IntegralEstimate", "QuadratureSpec", "double_integral",
+        "complement_double_integral", "integral_over", "voxelize",
     ),
     "slicing": (
         "AveragedBoundReport", "LayerCakeChecks", "ScanResult",

@@ -9,8 +9,10 @@ family        split-family search or the subadditivity probe
 verify        isoperimetry, layer-cake and ball-pair ground-truth checks
 kernel-check  kernel admissibility audit
 
-Configuration is flat ``key = value`` text (``#`` starts a comment), with
-per-subcommand key schemas; unknown keys are errors, not warnings.  Every
+Configuration is flat ``key = value`` text (``#`` starts a comment).  One
+table, ``DEFAULTS``, gives every key its default, and a value parses as
+its default's type (int, float or str); ``SCHEMAS`` names the keys each
+subcommand takes, and unknown keys are errors, not warnings.  Every
 run writes, into the output directory: a CSV table, a JSON summary (both
 embedding the seed and the sha256 of the resolved config), and the
 resolved config itself.  Outputs carry no timestamps; a fixed config and
@@ -32,85 +34,14 @@ import io
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, NldropError, ParameterError
 
 SCHEMA_VERSION = 1
 
-_COMMON = {
-    "seed": "int",
-    "output_dir": "str",
-}
-_QUAD = {
-    "quad.budget": "int",
-}
-_KERNEL = {
-    "kernel.kind": "str",
-    "kernel.dimension": "int",
-    "kernel.s": "float",
-    "kernel.epsilon": "float",
-    "kernel.lambda": "float",
-    "kernel.cap": "float",
-    "kernel.table": "str",
-    "kernel.tail": "str",
-}
-_ENERGY = {
-    "energy.A": "float",
-    "energy.alpha": "float",
-    "energy.beta": "float",
-}
-_SHAPE = {
-    "shape.kind": "str",
-    "shape.path": "str",
-    "shape.radius": "float",
-    "shape.volume": "float",
-    "shape.center": "str",
-    "shape.seed": "int",
-    "shape.grid": "int",
-}
-
-SCHEMAS: Dict[str, Dict[str, str]] = {
-    "energy": {**_COMMON, **_QUAD, **_KERNEL, **_ENERGY, **_SHAPE},
-    "critical-mass": {
-        **_COMMON,
-        "kernel.dimension": "int",
-        "kernel.s": "float",
-        "kernel.epsilon": "float",
-        "energy.A": "float",
-        "threshold.beta": "float",
-        "threshold.convention": "str",
-    },
-    "slice-scan": {
-        **_COMMON,
-        **_QUAD,
-        **_KERNEL,
-        **_ENERGY,
-        **_SHAPE,
-        "scan.nu_count": "int",
-        "scan.l_count": "int",
-    },
-    "family": {
-        **_COMMON,
-        **_KERNEL,
-        **_ENERGY,
-        "family.mode": "str",
-        "family.mass": "float",
-        "family.m1": "float",
-        "family.m2": "float",
-        "family.d_count": "int",
-        "family.k": "int",
-        "family.d_max_factor": "float",
-    },
-    "verify": {
-        **_COMMON,
-        "verify.blobs": "int",
-        "verify.grid": "int",
-    },
-    "kernel-check": {**_COMMON, **_KERNEL},
-}
-
-_DEFAULTS: Dict[str, object] = {
+# Every config key and its default; a value parses as its default's type.
+DEFAULTS: Dict[str, object] = {
     "seed": 0,
     "output_dir": "",
     "quad.budget": 0,
@@ -147,17 +78,43 @@ _DEFAULTS: Dict[str, object] = {
     "verify.grid": 32,
 }
 
+_COMMON = ("seed", "output_dir")
+_KERNEL = (
+    "kernel.kind", "kernel.dimension", "kernel.s", "kernel.epsilon",
+    "kernel.lambda", "kernel.cap", "kernel.table", "kernel.tail",
+)
+_ENERGY = ("energy.A", "energy.alpha", "energy.beta")
+_SHAPE = (
+    "shape.kind", "shape.path", "shape.radius", "shape.volume",
+    "shape.center", "shape.seed", "shape.grid",
+)
 
-def _parse_value(key: str, raw: str, kind: str):
+# The keys each subcommand takes.
+SCHEMAS: Dict[str, Tuple[str, ...]] = {
+    "energy": _COMMON + ("quad.budget",) + _KERNEL + _ENERGY + _SHAPE,
+    "critical-mass": _COMMON + (
+        "kernel.dimension", "kernel.s", "kernel.epsilon", "energy.A",
+        "threshold.beta", "threshold.convention",
+    ),
+    "slice-scan": _COMMON + ("quad.budget",) + _KERNEL + _ENERGY + _SHAPE
+    + ("scan.nu_count", "scan.l_count"),
+    "family": _COMMON + _KERNEL + _ENERGY + (
+        "family.mode", "family.mass", "family.m1", "family.m2",
+        "family.d_count", "family.k", "family.d_max_factor",
+    ),
+    "verify": _COMMON + ("verify.blobs", "verify.grid"),
+    "kernel-check": _COMMON + _KERNEL,
+}
+
+
+def _parse_value(key: str, raw: str, kind: type):
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
+        raise ConfigError(
+            f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}"
+        ) from exc
 
 
 def load_config(
@@ -167,8 +124,8 @@ def load_config(
 ) -> Dict[str, object]:
     """Read and validate a flat config for one subcommand.
 
-    Unknown keys are collected and reported together; values are typed
-    per the subcommand schema; omitted keys take documented defaults.
+    Unknown keys are collected and reported together; a value parses as
+    the type of its key's default; omitted keys take that default.
     """
     schema = SCHEMAS[subcommand]
     raw: Dict[str, str] = {}
@@ -196,13 +153,10 @@ def load_config(
         raise ConfigError(
             f"unknown config keys for {subcommand!r}: {', '.join(unknown)}"
         )
-    config: Dict[str, object] = {}
-    for key, kind in schema.items():
-        if key in raw:
-            config[key] = _parse_value(key, raw[key], kind)
-        else:
-            config[key] = _DEFAULTS[key]
-    return config
+    return {
+        key: _parse_value(key, raw[key], type(DEFAULTS[key])) if key in raw else DEFAULTS[key]
+        for key in schema
+    }
 
 
 def resolved_config_text(subcommand: str, config: Dict[str, object]) -> str:
@@ -324,7 +278,7 @@ def _build_kernel(config):
         if tail_raw == "zero":
             tail = ("zero",)
         elif tail_raw.startswith("power:"):
-            tail = ("power", _parse_value("kernel.tail", tail_raw.split(":", 1)[1], "float"))
+            tail = ("power", _parse_value("kernel.tail", tail_raw.split(":", 1)[1], float))
         elif tail_raw:
             raise ConfigError(
                 f"kernel.tail must be 'zero' or 'power:<p>', got {tail_raw!r}"
@@ -370,7 +324,7 @@ def _build_shape(config, N: int):
         center = np.zeros(N)
         if config["shape.center"]:
             parts = [
-                _parse_value("shape.center", p, "float")
+                _parse_value("shape.center", p, float)
                 for p in str(config["shape.center"]).split(",")
             ]
             if len(parts) != N:

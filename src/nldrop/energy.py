@@ -56,8 +56,8 @@ class EnergyParams:
 
     def __post_init__(self):
         N = self.kernel.dimension
-        if self.A < 0:
-            raise ParameterError(f"A must be nonnegative, got {self.A}")
+        if not (0.0 <= self.A < math.inf):
+            raise ParameterError(f"A must be finite and nonnegative, got {self.A}")
         if not (0.0 < self.alpha < N):
             raise ParameterError(f"alpha must lie in (0, {N}), got {self.alpha}")
         if not (0.0 <= self.beta < N + 1):
@@ -488,8 +488,7 @@ def background(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
     if isinstance(E, BallConfig):
         total, err = _balls_background(beta, E)
         return IntegralEstimate(total, err, 0, "radial-reduction")
-    sing = quadrature.PointSingularity(np.zeros(N), beta)
-    return quadrature.integral_over(E, sing, spec)
+    return quadrature.integral_over(E, beta, spec)
 
 
 def total_energy(E: Shape, params: EnergyParams, spec: QuadratureSpec) -> EnergyReport:

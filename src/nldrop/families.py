@@ -1,12 +1,14 @@
 """Parametric competitor search against the single ball.
 
-The single-ball energy is compared with split configurations: two (or a
-chain of k) disjoint balls assembled through the exact decomposition
-identities, so every term reduces to single-ball values plus pairwise
-interactions.  The translated components drop their background attraction
-(the A-term is carried by the component at the origin), mirroring how the
-splitting argument treats the far piece; this only raises the reported
-split energy, so positive margins are conservative evidence.
+The single-ball energy is compared with split layouts.  A layout is a
+``BallConfig`` of disjoint balls on the first axis, the first at the
+origin: two balls of complementary masses, or a chain of k equal balls.
+One scorer, ``layout_energy``, assembles every layout's energy from the
+radial reductions, so every term reduces to single-ball values plus
+pairwise interactions.  The translated balls drop their background
+attraction (the A-term is carried by the ball at the origin), mirroring
+how the splitting argument treats the far piece; this only raises the
+reported split energy, so positive margins are conservative evidence.
 
 Also provided: a weak-subadditivity probe (the far-apart union of two
 family minimizers is itself a family competitor).
@@ -14,8 +16,9 @@ family minimizers is itself a family competitor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,41 +38,12 @@ def _ball_radius(N: int, m: float) -> float:
     return (m / geometry.unit_ball_volume(N)) ** (1.0 / N)
 
 
-@dataclass(frozen=True)
-class TwoBallConfig:
-    """Two disjoint balls of masses m1 (at the origin) and m2 (at distance
-    d along the first axis)."""
-
-    dimension: int
-    m1: float
-    m2: float
-    d: float
-
-    def __post_init__(self):
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ParameterError("masses must be positive")
-        if self.d <= 0:
-            raise ParameterError("separation must be positive")
-        r1 = _ball_radius(self.dimension, self.m1)
-        r2 = _ball_radius(self.dimension, self.m2)
-        if self.d <= r1 + r2:
-            raise PreconditionError(
-                f"balls overlap: d = {self.d} <= r1 + r2 = {r1 + r2}"
-            )
-
-    @property
-    def radii(self) -> Tuple[float, float]:
-        return (
-            _ball_radius(self.dimension, self.m1),
-            _ball_radius(self.dimension, self.m2),
-        )
-
-    def shape(self) -> BallConfig:
-        N = self.dimension
-        r1, r2 = self.radii
-        centers = np.zeros((2, N))
-        centers[1, 0] = self.d
-        return BallConfig(dimension=N, centers=centers, radii=np.array([r1, r2]))
+def _layout(N: int, masses: Sequence[float], d: float) -> BallConfig:
+    """Balls of the given masses on the first axis: the first at the
+    origin, each next one d further along."""
+    centers = np.zeros((len(masses), N))
+    centers[:, 0] = np.arange(len(masses)) * d
+    return BallConfig(N, centers, np.array([_ball_radius(N, m) for m in masses]))
 
 
 def single_ball_energy(m: float, params: EnergyParams) -> EnergyReport:
@@ -80,19 +54,22 @@ def single_ball_energy(m: float, params: EnergyParams) -> EnergyReport:
     return energy_mod._balls_energy(geometry.ball_of_volume(N, m), params)[0]
 
 
-def two_ball_energy(cfg: TwoBallConfig, params: EnergyParams) -> EnergyReport:
-    """Energy of the two-ball configuration; the origin ball carries the
-    background term.  When the set distance is at least d/2 the cross
-    riesz term is checked against the far-separation bound
-    m1 m2 (2 / d)^alpha."""
-    report, cross_r = energy_mod._balls_energy(cfg.shape(), params, charged=1)
-    r1, r2 = cfg.radii
-    if cfg.d - r1 - r2 >= 0.5 * cfg.d:
-        bound = cfg.m1 * cfg.m2 * (2.0 / cfg.d) ** params.alpha
-        if not cross_r <= bound * (1.0 + 1e-9) + 3.0 * report.error:
-            raise PreconditionError(
-                f"cross riesz {cross_r} exceeds the far-separation bound {bound}"
-            )
+def layout_energy(balls: BallConfig, params: EnergyParams) -> EnergyReport:
+    """Energy of a ball layout whose first ball alone carries the
+    background term.  For two balls at centre distance d whose gap is at
+    least d/2, the cross riesz term is checked against the far-separation
+    bound m1 m2 (2 / d)^alpha."""
+    report, cross_r = energy_mod._balls_energy(balls, params, charged=1)
+    if balls.count == 2:
+        d = float(np.linalg.norm(balls.centers[1] - balls.centers[0]))
+        r1, r2 = balls.radii
+        if d - r1 - r2 >= 0.5 * d:
+            m1, m2 = geometry.unit_ball_volume(balls.dimension) * balls.radii ** balls.dimension
+            bound = m1 * m2 * (2.0 / d) ** params.alpha
+            if not cross_r <= bound * (1.0 + 1e-9) + 3.0 * report.error:
+                raise PreconditionError(
+                    f"cross riesz {cross_r} exceeds the far-separation bound {bound}"
+                )
     return report
 
 
@@ -151,43 +128,33 @@ def split_advantage(
     N = params.kernel.dimension
     ref = single_ball_energy(m, params)
     diam = 2.0 * _ball_radius(N, m)
-    trace: List[dict] = []
-    best = best_balls = None
 
     def d_grid(touching):
         near, far = 1.02 * touching, d_max_factor * diam
-        if not far >= near:
+        if not near <= far < math.inf:
             raise ParameterError(
-                f"d_max_factor = {d_max_factor} puts the largest separation {far:.6g} "
-                f"below the smallest, 1.02 x touching = {near:.6g}"
+                f"d_max_factor = {d_max_factor} puts the largest separation at {far:.6g}, "
+                f"outside [1.02 x touching = {near:.6g}, inf)"
             )
         return np.geomspace(near, far, d_count)
 
-    def consider(m1, m2, d, balls, total, err):
-        nonlocal best, best_balls
-        entry = {"m1": m1, "m2": m2, "d": d, "total": total, "error": err}
-        if best is None or total < best["total"]:
-            best, best_balls = entry, balls
-        entry["best_so_far"] = best["total"]
-        trace.append(entry)
-
-    for f in fractions:
-        m1 = f * m
-        m2 = (1.0 - f) * m
-        if m1 <= 0 or m2 <= 0:
-            continue
-        for d in d_grid(_ball_radius(N, m1) + _ball_radius(N, m2)):
-            cfg = TwoBallConfig(dimension=N, m1=m1, m2=m2, d=float(d))
-            rep = two_ball_energy(cfg, params)
-            consider(m1, m2, float(d), cfg.shape(), rep.total, rep.error)
-    for kk in range(3, k + 1):
-        mk = m / kk
-        for d in d_grid(2.0 * _ball_radius(N, mk)):
-            centers = np.zeros((kk, N))
-            centers[:, 0] = np.arange(kk) * float(d)
-            chain = BallConfig(N, centers, np.full(kk, _ball_radius(N, mk)))
-            rep, _ = energy_mod._balls_energy(chain, params, charged=1)
-            consider(mk, m - mk, float(d), chain, rep.total, rep.error)
+    # (m1, m2, ball masses) of each layout: the two-ball splits, then the
+    # chains of kk equal balls (m1 one link, m2 the rest)
+    splits = [(f * m, (1.0 - f) * m) for f in fractions]
+    layouts = [(m1, m2, (m1, m2)) for m1, m2 in splits if m1 > 0 and m2 > 0]
+    layouts += [(m / kk, m - m / kk, (m / kk,) * kk) for kk in range(3, k + 1)]
+    trace: List[dict] = []
+    best = best_balls = None
+    for m1, m2, masses in layouts:
+        # at the closest separation the first two balls nearly touch
+        for d in d_grid(_ball_radius(N, masses[0]) + _ball_radius(N, masses[1])).tolist():
+            balls = _layout(N, masses, d)
+            rep = layout_energy(balls, params)
+            entry = {"m1": m1, "m2": m2, "d": d, "total": rep.total, "error": rep.error}
+            if best is None or rep.total < best["total"]:
+                best, best_balls = entry, balls
+            entry["best_so_far"] = best["total"]
+            trace.append(entry)
     family_min = min(ref.total, best["total"])
     return FamilySearchResult(
         best_m1=best["m1"],
@@ -218,13 +185,6 @@ class SubadditivityProbe:
 
     def __float__(self) -> float:
         return self.residual
-
-
-def _best_balls(m: float, N: int, result: FamilySearchResult) -> BallConfig:
-    """Ball layout realizing a family minimum."""
-    if result.family_min >= result.reference_energy:
-        return geometry.ball_of_volume(N, m)
-    return result.best_balls
 
 
 def weak_subadditivity_probe(
@@ -262,8 +222,12 @@ def weak_subadditivity_probe(
     fractions = tuple(f for f in fractions if 0.0 < f < 1.0)
     res_sum = split_advantage(m1 + m2, params, fractions=fractions, **grid)
 
-    balls1 = _best_balls(m1, N, res1)
-    balls2 = _best_balls(m2, N, res2)
+    # the layout realizing each family minimum: the best split or the ball
+    balls1, balls2 = (
+        res.best_balls if res.family_min < res.reference_energy
+        else geometry.ball_of_volume(N, mass)
+        for mass, res in ((m1, res1), (m2, res2))
+    )
     extent = float(np.max(balls1.centers[:, 0] + balls1.radii)) + float(
         np.max(balls2.centers[:, 0] + balls2.radii)
     )

@@ -69,8 +69,10 @@ class BallConfig:
             c = c.reshape(0, self.dimension)
         if c.shape[0] != r.shape[0] or (c.shape[0] and c.shape[1] != self.dimension):
             raise ParameterError("centers must be (k, N) and radii (k,)")
-        if np.any(r <= 0):
-            raise ParameterError("ball radii must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ParameterError("ball centers must be finite")
+        if not np.all((r > 0) & (r < math.inf)):
+            raise ParameterError("ball radii must be finite and positive")
         meet = _first_meeting((c, r))
         if meet is not None:
             i, j, d, rs = meet
@@ -108,14 +110,16 @@ class VoxelShape:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ParameterError(f"voxel shapes support N in {{2, 3}}, got {self.dimension}")
-        if not (self.spacing > 0):
-            raise ParameterError(f"spacing must be positive, got {self.spacing!r}")
+        if not (0.0 < self.spacing < math.inf):
+            raise ParameterError(f"spacing must be finite and positive, got {self.spacing!r}")
         occ = np.asarray(self.occupancy).astype(bool)
         if occ.ndim != self.dimension:
             raise ParameterError("occupancy array rank must equal the dimension")
         origin = np.asarray(self.origin, dtype=float)
         if origin.shape != (self.dimension,):
             raise ParameterError("origin must be an N-vector")
+        if not np.all(np.isfinite(origin)):
+            raise ParameterError(f"origin must be finite, got {origin.tolist()}")
         occ.setflags(write=False)
         origin.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)

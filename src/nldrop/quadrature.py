@@ -24,7 +24,10 @@ E x E and a(h) is the kernel mass of one cell against all of space, the
 stencil sum plus the exact directional tail beyond the stencil box (the
 closed-form radial tail from the ray-box exit distance, summed over a
 midpoint direction grid).  A grid whose stencil table (2 n - 1 cells per
-axis) would exceed ``_MAX_CONV_CELLS`` cells is refused.
+axis) would exceed ``_MAX_CONV_CELLS`` cells is refused.  The one
+single-point integrand is the background's |x|^-beta (``integral_over``):
+each cell that touches the origin is integrated exactly by dyadic
+refinement, the others take their midpoint value.
 
 Every estimate is built by ``_tensor_estimate``: it evaluates on a fine
 and a coarse level and reports |fine - coarse| as the error, a proxy, not
@@ -94,34 +97,6 @@ class IntegralEstimate:
     method: str
 
 
-@dataclass(frozen=True, eq=False)
-class PointSingularity:
-    """Marker integrand f(x) = |x - center|^(-exponent).
-
-    Exponents below N are integrable; the cell containing the center is
-    integrated by dyadic refinement instead of the midpoint rule.  Negative
-    exponents are allowed (positive powers of the distance).
-    """
-
-    center: np.ndarray
-    exponent: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-
-    def vec(self, pts: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum((pts - self.center) ** 2, axis=-1))
-        if self.exponent > 0:
-            out = np.zeros_like(r)
-            pos = r > 0
-            out[pos] = r[pos] ** (-self.exponent)
-            out[~pos] = np.inf
-            return out
-        return r ** (-self.exponent)
-
-
 # ---------------------------------------------------------------------------
 # Offset integrands (functions of y - x) used by the pair-sum engines
 
@@ -139,8 +114,7 @@ class OffsetIntegrand:
     g(r) r^(N-1) from rho to infinity) to enable complement tails.  A
     radial g made of power-law pieces sets ``pieces`` = (knots, c, p,
     bound) as in ``kernels._pieces``: its core is the first piece, and the
-    cell-pair integrals take its knots near the origin exactly.  Any other
-    g gives its core as ``explicit_core``.
+    cell-pair integrals take its knots near the origin exactly.
 
     Two properties let the stencils share those exact integrals (see
     ``_near_values``).  ``radial``: g depends on |z| alone, so a cell
@@ -154,26 +128,26 @@ class OffsetIntegrand:
     sigma: float
     vec: Callable[[np.ndarray], np.ndarray]
     cache_token: object
+    core: Tuple[float, float]
     ray_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radial: bool = False
     pieces: Optional[tuple] = None
-    explicit_core: Optional[Tuple[float, float]] = None
 
-    @property
-    def core(self) -> Tuple[float, float]:
-        """(r0, p0); for pieces, the first one's upper knot (infinite for a
-        single piece) and the exponent of its first monomial.  For a kernel
-        that is the fractional kind's r^-(N+s) everywhere, the truncated
-        kind's cap (p0 = 0) below cap^(-1/sigma), and a table's power law
-        through its first two samples below its first radius."""
-        if self.pieces is None:
-            return self.explicit_core
-        knots, _, p, _ = self.pieces
-        return (float(knots[0]) if knots.size else math.inf), float(p[0, 0])
+
+def _pieces_core(pieces) -> Tuple[float, float]:
+    """The core (r0, p0) of power-law ``pieces``: the first piece's upper
+    knot (infinite for a single piece) and the exponent of its first
+    monomial.  For a kernel that is the fractional kind's r^-(N+s)
+    everywhere, the truncated kind's cap (p0 = 0) below cap^(-1/sigma),
+    and a table's power law through its first two samples below its first
+    radius."""
+    knots, _, p, _ = pieces
+    return (float(knots[0]) if knots.size else math.inf), float(p[0, 0])
 
 
 def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     N, s = kernel.dimension, kernel.s
+    pieces = kernels._pieces(kernel)
 
     def vec(z):
         return kernels.eval_kernel(kernel, z)
@@ -183,9 +157,10 @@ def kernel_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=N + s,
         vec=vec,
         cache_token=kernel.cache_token,
+        core=_pieces_core(pieces),
         ray_tail=functools.partial(kernels.radial_tail_integral, kernel),
         radial=True,
-        pieces=kernels._pieces(kernel),
+        pieces=pieces,
     )
 
 
@@ -202,8 +177,8 @@ def riesz_integrand(N: int, alpha: float) -> OffsetIntegrand:
         sigma=alpha,
         vec=vec,
         cache_token=("riesz", N, alpha),
+        core=(math.inf, alpha),
         radial=True,
-        explicit_core=(math.inf, alpha),
     )
 
 
@@ -211,6 +186,7 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
     """g(z) = K(z) |z|: the first radial moment of the kernel."""
     N = kernel.dimension
     knots, c, p, bound = kernels._pieces(kernel)
+    pieces = (knots, c, p - 1.0, bound)
 
     def vec(z):
         z = np.asarray(z, dtype=float)
@@ -222,8 +198,9 @@ def kernel_moment_integrand(kernel: KernelSpec) -> OffsetIntegrand:
         sigma=kernel.sigma - 1.0,
         vec=vec,
         cache_token=("moment1",) + (kernel.cache_token,),
+        core=_pieces_core(pieces),
         radial=True,
-        pieces=(knots, c, p - 1.0, bound),
+        pieces=pieces,
     )
 
 
@@ -245,7 +222,7 @@ def directional_positive_integrand(nu: np.ndarray) -> OffsetIntegrand:
         sigma=0.0,
         vec=vec,
         cache_token=("dirpos", N) + tuple(float(v) for v in nu),
-        explicit_core=(math.inf, 0.0),
+        core=(math.inf, 0.0),
     )
 
 
@@ -404,7 +381,8 @@ def _peel_knots(d: np.ndarray, h: float, m_min: int, igd: OffsetIntegrand):
         out[inner] = cJ * r[inner] ** -pJ
         return out
 
-    peeled = dataclasses.replace(igd, vec=vec, pieces=(knots[J:], c[J:], p[J:], bound))
+    pieces = (knots[J:], c[J:], p[J:], bound)
+    peeled = dataclasses.replace(igd, vec=vec, core=_pieces_core(pieces), pieces=pieces)
     return peeled, float(np.sum(coef[m] * orthant * radial))
 
 
@@ -457,21 +435,21 @@ def cell_pair_integral(dvec, h: float, igd: OffsetIntegrand) -> float:
     return _dyadic_integral(*boxes, fvec, p0, (m_min, N), head) + ball
 
 
-def point_singularity_cell_integral(lo, hi, center, exponent: float, N: int) -> float:
-    """Integral of |x - center|^(-exponent) over the box [lo, hi].
+def point_singularity_cell_integral(lo, hi, exponent: float, N: int) -> float:
+    """Integral of |x|^(-exponent) over the box [lo, hi].
 
-    Handles the singular point inside the box by summing the dyadic corner
-    series in closed form (see ``_dyadic_integral``); the exponent must be
-    below N for convergence.  A singular point within rounding (1e-12 of
-    the box side) of a face counts as on that face.
+    Handles the origin inside the box by summing the dyadic corner series
+    in closed form (see ``_dyadic_integral``); the exponent must be below
+    N for convergence.  An origin within rounding (1e-12 of the box side)
+    of a face counts as on that face.
     """
     if exponent >= N:
         raise ParameterError(
             f"exponent {exponent} >= N = {N}: integral over a cell containing "
             "the singular point diverges"
         )
-    lo = np.asarray(lo, dtype=float) - np.asarray(center, dtype=float)
-    hi = np.asarray(hi, dtype=float) - np.asarray(center, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     tol = 1e-12 * (hi - lo)
     lo = np.where(np.abs(lo) <= tol, 0.0, lo)
     hi = np.where(np.abs(hi) <= tol, 0.0, hi)
@@ -484,25 +462,26 @@ def point_singularity_cell_integral(lo, hi, center, exponent: float, N: int) -> 
     return _dyadic_integral(*boxes, fvec, exponent)
 
 
-def _singular_cell_means(centers: np.ndarray, h: float, sing: PointSingularity):
-    """Per-cell mean of |x - center|^(-exponent) over the cubic cells of
-    side h centered at ``centers`` (shape (k, N)).
+def _singular_cell_means(centers: np.ndarray, h: float, exponent: float):
+    """Per-cell mean of |x|^(-exponent) over the cubic cells of side h
+    centered at ``centers`` (shape (k, N)).
 
     Ordinary cells take the midpoint value.  Every cell touching the
-    singular point (a point on a face or corner belongs to each touching
-    cell, so the per-cell integrals add up consistently across any
-    partition of a shape) is integrated by dyadic refinement, which
-    raises ``ParameterError`` when the exponent is at least N: that
-    integral diverges.
+    origin (a point on a face or corner belongs to each touching cell, so
+    the per-cell integrals add up consistently across any partition of a
+    shape) is integrated by dyadic refinement, which raises
+    ``ParameterError`` when the exponent is at least N: that integral
+    diverges.  A negative exponent is a positive power of the distance.
     """
     N = centers.shape[-1]
-    vals = sing.vec(centers)
-    if sing.exponent == 0:  # constant integrand: the midpoint value is exact
+    with np.errstate(divide="ignore"):  # a cell centred at 0 is replaced below
+        vals = np.sqrt(np.sum(centers ** 2, axis=-1)) ** (-exponent)
+    if exponent == 0:  # constant integrand: the midpoint value is exact
         return vals
-    d_inf = np.max(np.abs(centers - sing.center), axis=-1)
+    d_inf = np.max(np.abs(centers), axis=-1)
     for i in np.nonzero(d_inf <= 0.5 * h + 1e-12 * h)[0]:
         vals[i] = point_singularity_cell_integral(
-            centers[i] - 0.5 * h, centers[i] + 0.5 * h, sing.center, sing.exponent, N
+            centers[i] - 0.5 * h, centers[i] + 0.5 * h, exponent, N
         ) / h ** N
     return vals
 
@@ -864,25 +843,21 @@ def _tensor_estimate(levels, body) -> IntegralEstimate:
 # Public operations
 
 
-def integral_over(E: Shape, f, spec: QuadratureSpec) -> IntegralEstimate:
-    """Estimate the integral of f over the shape E.
-
-    ``f`` is either a vectorized callable mapping an array of points with
-    shape (k, N) to (k,) values, or a ``PointSingularity`` marker whose
-    singular cell is integrated by dyadic refinement.
+def integral_over(E: Shape, beta: float, spec: QuadratureSpec) -> IntegralEstimate:
+    """Estimate the integral of |x|^(-beta) over the shape E: the cells
+    touching the origin are integrated by dyadic refinement, the others
+    take the midpoint value (``_singular_cell_means``).  beta = 0 gives
+    the volume of the grid.
     """
     N = E.dimension
     if geometry.is_empty(E):
         return IntegralEstimate(0.0, 0.0, 0, "tensor-midpoint")
-    sing = f if isinstance(f, PointSingularity) else None
-    fvec = sing.vec if sing is not None else f
 
     def body(grid):
         if grid.count == 0:
             return 0.0, 0
         h = grid.spacing
-        centers = grid.cell_centers()
-        vals = _singular_cell_means(centers, h, sing) if sing is not None else fvec(centers)
+        vals = _singular_cell_means(grid.cell_centers(), h, beta)
         return float(np.sum(vals)) * h ** N, grid.count
 
     return _tensor_estimate(_grids(E, spec.resolved_budget(N)), body)

@@ -51,7 +51,7 @@ from . import geometry, quadrature
 from .errors import ParameterError
 from .energy import EnergyParams
 from .geometry import Shape, VoxelShape
-from .quadrature import IntegralEstimate, PointSingularity, QuadratureSpec
+from .quadrature import IntegralEstimate, QuadratureSpec
 
 _DEFAULT_L_COUNT = 64
 _DEFAULT_NU_COUNT = {2: 16, 3: 64}
@@ -201,8 +201,7 @@ def _background_cell_field(vox: VoxelShape, beta: float) -> np.ndarray:
     (zero elsewhere)."""
     fld = np.zeros(vox.occupancy.shape)
     if vox.count:
-        sing = PointSingularity(np.zeros(vox.dimension), beta)
-        means = quadrature._singular_cell_means(vox.cell_centers(), vox.spacing, sing)
+        means = quadrature._singular_cell_means(vox.cell_centers(), vox.spacing, beta)
         fld[vox.occupancy] = means * vox.spacing ** vox.dimension
     return fld
 
@@ -547,7 +546,7 @@ def averaged_mass_bound(E: Shape, params: EnergyParams, spec: QuadratureSpec) ->
         total, err = energy_mod._balls_background(b_exp, E)
         b_est = IntegralEstimate(total, err, 0, "radial-reduction")
     else:
-        b_est = quadrature.integral_over(E, PointSingularity(np.zeros(N), b_exp), spec)
+        b_est = quadrature.integral_over(E, b_exp, spec)
 
     lhs = m * m
     rhs = 2.0 * q_est.value + params.A * b_est.value

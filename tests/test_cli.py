@@ -92,6 +92,29 @@ class TestConfigParsing:
         takers = [sub for sub, schema in cli.SCHEMAS.items() if "quad.budget" in schema]
         assert takers == ["energy", "slice-scan"]
 
+    def test_every_schema_key_is_in_the_one_table(self):
+        keys = set().union(*cli.SCHEMAS.values())
+        assert keys == set(cli.DEFAULTS)
+        for schema in cli.SCHEMAS.values():
+            assert len(set(schema)) == len(schema)
+        assert {type(v) for v in cli.DEFAULTS.values()} == {int, float, str}
+
+    def test_values_parse_as_the_default_type(self):
+        config = cli.load_config("energy", overrides=["kernel.s=1", "seed=3", "shape.kind= blob "])
+        assert config["kernel.s"] == 1.0 and type(config["kernel.s"]) is float
+        assert config["seed"] == 3 and type(config["seed"]) is int
+        assert config["shape.kind"] == "blob"
+        assert "kernel.s = 1.0\n" in cli.resolved_config_text("energy", config)
+
+    def test_int_key_refuses_a_float(self, tmp_path, capsys):
+        args = ["energy", "--output-dir", str(tmp_path), "--set", "quad.budget=1.5"]
+        assert cli.main(args) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": "ConfigError",
+            "message": "config key 'quad.budget': cannot parse '1.5' as int",
+        }
+
 
 class TestReadmeConfigKeys:
     README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -294,6 +317,7 @@ class TestSubcommandRuns:
             (["family.d_count=0"], "family.d_count"),
             (["family.d_count=0", "family.k=3"], "family.d_count"),
             (["family.d_max_factor=0.1"], "family.d_max_factor"),
+            (["family.d_max_factor=inf"], "family.d_max_factor"),
             (["kernel.dimension=4"], "kernel.dimension"),
         ],
     )
@@ -499,6 +523,15 @@ class TestSubcommandRuns:
         ],
     )
     def test_malformed_inputs_exit_two(self, tmp_path, capsys, files, overrides, error, needle):
+        paths = self.run_energy_refused(tmp_path, files, overrides)
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == error
+        assert needle.format(**paths) in record["message"]
+
+    def run_energy_refused(self, tmp_path, files, overrides):
+        """Write ``files``, run ``energy`` with ``overrides`` (which may
+        name the files' paths as {name}) and check that it exits 2 and
+        writes nothing; return the paths."""
         paths = {}
         for name, text in files.items():
             paths[name] = str(tmp_path / name)
@@ -508,9 +541,49 @@ class TestSubcommandRuns:
         for item in overrides:
             args += ["--set", item.format(**paths)]
         assert self.run(args) == 2
+        assert not os.path.exists(tmp_path / "out" / "energy.json")
+        return paths
+
+    _VOX = "nldrop-voxel 1\ndimension 2\ndims 2 2\norigin {origin}\nspacing {spacing}\n11\n11\n"
+
+    @pytest.mark.parametrize(
+        "files, overrides, needle",
+        [
+            ({}, ["shape.radius=inf"], "ball radii must be finite"),
+            ({}, ["shape.radius=nan"], "ball radii must be finite"),
+            ({}, ["shape.volume=inf"], "ball radii must be finite"),
+            ({}, ["energy.A=nan"], "A must be finite"),
+            ({}, ["energy.A=inf"], "A must be finite"),
+            ({}, ["shape.center=nan,0"], "ball centers must be finite"),
+            ({}, ["shape.center=inf,0"], "ball centers must be finite"),
+            (
+                {"vox": _VOX.format(origin="nan 0", spacing="1")},
+                ["shape.kind=voxel-file", "shape.path={vox}"],
+                "origin must be finite",
+            ),
+            (
+                {"vox": _VOX.format(origin="0 0", spacing="inf")},
+                ["shape.kind=voxel-file", "shape.path={vox}"],
+                "spacing must be finite",
+            ),
+            (
+                {"balls": "c0,c1,radius\n0,0,inf\n"},
+                ["shape.kind=balls-file", "shape.path={balls}"],
+                "ball radii must be finite",
+            ),
+        ],
+        ids=[
+            "radius-inf", "radius-nan", "volume-inf", "A-nan", "A-inf", "center-nan",
+            "center-inf", "voxel-origin-nan", "voxel-spacing-inf", "balls-radius-inf",
+        ],
+    )
+    def test_non_finite_inputs_exit_two(self, tmp_path, capsys, files, overrides, needle):
+        # a non-finite input is refused, not carried into a NaN or
+        # infinite total
+        self.run_energy_refused(tmp_path, files, overrides)
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == error
-        assert needle.format(**paths) in record["message"]
+        assert record["error"] == "ParameterError"
+        assert needle in record["message"]
 
     def test_volume_keeps_the_center(self, tmp_path):
         # volume pi is the unit disk: the off-center ball must match the

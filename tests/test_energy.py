@@ -55,6 +55,11 @@ class TestParams:
         with pytest.raises(ParameterError):
             EnergyParams(kernel=frac(), A=-1.0)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_non_finite_background_strength(self, A):
+        with pytest.raises(ParameterError, match="A must be finite"):
+            EnergyParams(kernel=frac(), A=A)
+
     def test_alpha_range(self):
         with pytest.raises(ParameterError):
             EnergyParams(kernel=frac(), alpha=2.0)

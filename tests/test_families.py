@@ -13,10 +13,10 @@ from nldrop.energy import EnergyParams, background, perimeter, riesz
 from nldrop.errors import ParameterError, PreconditionError
 from nldrop.families import (
     FamilySearchResult,
-    TwoBallConfig,
+    _layout,
+    layout_energy,
     single_ball_energy,
     split_advantage,
-    two_ball_energy,
     weak_subadditivity_probe,
 )
 from nldrop.kernels import KernelSpec
@@ -31,43 +31,55 @@ def make_params(A=1.0):
     return EnergyParams(kernel=kernel3(), A=A, alpha=1.0, beta=1.0)
 
 
-class TestTwoBallConfig:
+def pair(N, m1, m2, d):
+    """Balls of masses m1 at the origin and m2 at distance d on the first
+    axis."""
+    return _layout(N, (m1, m2), d)
+
+
+class TestLayout:
     def test_overlap_rejected(self):
         r = (1.0 / geometry.unit_ball_volume(3)) ** (1.0 / 3.0)
-        with pytest.raises(PreconditionError):
-            TwoBallConfig(dimension=3, m1=1.0, m2=1.0, d=1.5 * r)
+        with pytest.raises(PreconditionError, match="not disjoint"):
+            pair(3, 1.0, 1.0, 1.5 * r)
+        with pytest.raises(PreconditionError, match="not disjoint"):
+            _layout(3, (1.0, 1.0, 1.0), 1.5 * r)
 
-    def test_bad_masses_and_distance(self):
-        with pytest.raises(ParameterError):
-            TwoBallConfig(dimension=3, m1=0.0, m2=1.0, d=3.0)
-        with pytest.raises(ParameterError):
-            TwoBallConfig(dimension=3, m1=1.0, m2=1.0, d=-1.0)
+    @pytest.mark.parametrize("m1", [0.0, math.inf, math.nan])
+    def test_bad_masses_rejected(self, m1):
+        with pytest.raises(ParameterError, match="radii"):
+            pair(3, m1, 1.0, 3.0)
 
     def test_shape_and_radii(self):
-        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
-        r1, r2 = cfg.radii
+        balls = pair(3, 2.0, 1.0, 3.0)
+        r1, r2 = balls.radii
         vol = geometry.unit_ball_volume(3)
         assert vol * r1 ** 3 == pytest.approx(2.0, rel=1e-13)
         assert vol * r2 ** 3 == pytest.approx(1.0, rel=1e-13)
-        shape = cfg.shape()
-        assert shape.count == 2
-        assert geometry.volume(shape) == pytest.approx(3.0, rel=1e-13)
+        assert balls.count == 2
+        assert balls.centers.tolist() == [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        assert geometry.volume(balls) == pytest.approx(3.0, rel=1e-13)
+
+    def test_chain_of_equal_balls(self):
+        chain = _layout(2, (1.0,) * 3, 2.5)
+        assert chain.centers.tolist() == [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]]
+        assert np.all(chain.radii == chain.radii[0])
+        assert geometry.volume(chain) == pytest.approx(3.0, rel=1e-13)
 
 
-class TestTwoBallEnergy:
+class TestLayoutEnergy:
     def test_matches_directly_assembled_terms(self):
         # background attraction acts on the origin ball only
-        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
+        balls = pair(3, 2.0, 1.0, 3.0)
         params = make_params()
         spec = QuadratureSpec()
-        rep = two_ball_energy(cfg, params)
-        pair = cfg.shape()
+        rep = layout_energy(balls, params)
         origin_ball = geometry.BallConfig(
-            dimension=3, centers=np.zeros((1, 3)), radii=np.array([cfg.radii[0]])
+            dimension=3, centers=np.zeros((1, 3)), radii=np.array([balls.radii[0]])
         )
         direct = (
-            perimeter(pair, params.kernel, spec).value
-            + riesz(pair, 1.0, spec).value
+            perimeter(balls, params.kernel, spec).value
+            + riesz(balls, 1.0, spec).value
             - params.A * background(origin_ball, 1.0, spec).value
         )
         assert rep.total == pytest.approx(direct, rel=1e-12)
@@ -75,9 +87,7 @@ class TestTwoBallEnergy:
     def test_energy_decreases_with_separation(self):
         params = make_params(A=0.0)
         totals = [
-            two_ball_energy(
-                TwoBallConfig(dimension=3, m1=1.5, m2=1.5, d=d), params
-            ).total
+            layout_energy(pair(3, 1.5, 1.5, d), params).total
             for d in (2.0, 4.0, 8.0, 16.0)
         ]
         assert all(a > b for a, b in zip(totals, totals[1:]))
@@ -85,9 +95,8 @@ class TestTwoBallEnergy:
     def test_newton_cross_term_equals_point_masses(self):
         # with the 1/r interaction the cross term is exactly m1 m2 / d,
         # so it sits well inside the far-separation bound 2 m1 m2 / d
-        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
         params = make_params(A=0.0)
-        rep = two_ball_energy(cfg, params)
+        rep = layout_energy(pair(3, 2.0, 1.0, 10.0), params)
         singles = (
             single_ball_energy(2.0, params).riesz.value
             + single_ball_energy(1.0, params).riesz.value
@@ -95,9 +104,8 @@ class TestTwoBallEnergy:
         assert rep.riesz.value - singles == pytest.approx(2.0 / 10.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        cfg = TwoBallConfig(dimension=2, m1=1.0, m2=1.0, d=3.0)
         with pytest.raises(ParameterError):
-            two_ball_energy(cfg, make_params())
+            layout_energy(pair(2, 1.0, 1.0, 3.0), make_params())
 
     def test_far_separation_bound_violation_raises(self, monkeypatch):
         # an explicit error, not an assert that python -O strips
@@ -108,9 +116,21 @@ class TestTwoBallEnergy:
             return np.where([isinstance(g, KernelSpec) for g in gs], values, 1e6), errs
 
         monkeypatch.setattr(energy_mod, "_balls_cross", inflated_cross)
-        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=10.0)
         with pytest.raises(PreconditionError, match="far-separation bound"):
-            two_ball_energy(cfg, make_params(A=0.0))
+            layout_energy(pair(3, 2.0, 1.0, 10.0), make_params(A=0.0))
+
+    def test_far_separation_guard_checks_two_ball_layouts_only(self, monkeypatch):
+        # a chain's cross term sums several pairs, which one pair's bound
+        # does not cover
+        real_cross = energy_mod._balls_cross
+
+        def inflated_cross(gs, U, W=None):
+            values, errs = real_cross(gs, U, W)
+            return np.where([isinstance(g, KernelSpec) for g in gs], values, 1e6), errs
+
+        monkeypatch.setattr(energy_mod, "_balls_cross", inflated_cross)
+        rep = layout_energy(_layout(3, (1.0, 1.0, 1.0), 10.0), make_params(A=0.0))
+        assert math.isfinite(rep.total)
 
     def test_far_separation_bound_holds_for_alpha_below_one(self):
         # for |x - y| >= d/2 the cross riesz term is at most m1 m2 (2/d)^alpha;
@@ -134,7 +154,7 @@ class TestTwoBallEnergy:
             monkeypatch.setattr(energy_mod, name, counted)
         kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
-        two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params)
+        layout_energy(pair(N, 2.0, 1.0, 4.0), params)
         used = "_ball_pair_density" if N == 3 else "_ball_pair_interaction"
         assert calls == {used: expected}
 
@@ -161,7 +181,7 @@ class TestTwoBallEnergy:
     def test_values_are_pinned(self, N, alpha, expected):
         kernel = KernelSpec(dimension=N, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=alpha, beta=1.0)
-        rep = two_ball_energy(TwoBallConfig(dimension=N, m1=2.0, m2=1.0, d=4.0), params)
+        rep = layout_energy(pair(N, 2.0, 1.0, 4.0), params)
         got = [
             rep.perimeter.value, rep.perimeter.error,
             rep.riesz.value, rep.riesz.error,
@@ -175,19 +195,18 @@ class TestTwoBallEnergy:
         # (512, 96, 64) tensor of 25 MB
         kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
-        cfg = TwoBallConfig(dimension=2, m1=2.0, m2=1.0, d=4.0)
-        two_ball_energy(cfg, params)
+        balls = pair(2, 2.0, 1.0, 4.0)
+        layout_energy(balls, params)
         tracemalloc.start()
         try:
-            two_ball_energy(cfg, params)
+            layout_energy(balls, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
 
     def test_terms_take_the_radial_reduction(self):
-        cfg = TwoBallConfig(dimension=3, m1=2.0, m2=1.0, d=3.0)
-        rep = two_ball_energy(cfg, make_params())
+        rep = layout_energy(pair(3, 2.0, 1.0, 3.0), make_params())
         for est in (rep.perimeter, rep.riesz, rep.background):
             assert est.method == "radial-reduction"
 

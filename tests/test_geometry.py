@@ -101,6 +101,21 @@ class TestShapes:
         assert is_empty(empty_ball_config(3))
         assert not is_empty(square_voxel())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_balls_refused(self, bad):
+        with pytest.raises(ParameterError, match="centers must be finite"):
+            BallConfig(dimension=2, centers=np.array([[bad, 0.0]]), radii=np.array([1.0]))
+        with pytest.raises(ParameterError, match="radii must be finite"):
+            BallConfig(dimension=2, centers=np.zeros((1, 2)), radii=np.array([abs(bad)]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_voxels_refused(self, bad):
+        occ = np.ones((2, 2), dtype=bool)
+        with pytest.raises(ParameterError, match="origin must be finite"):
+            VoxelShape(dimension=2, origin=np.array([0.0, bad]), spacing=1.0, occupancy=occ)
+        with pytest.raises(ParameterError, match="spacing must be finite"):
+            VoxelShape(dimension=2, origin=np.zeros(2), spacing=abs(bad), occupancy=occ)
+
 
 class TestTransforms:
     def test_translate_preserves_volume(self):

@@ -20,7 +20,6 @@ from nldrop.errors import ParameterError
 from nldrop import energy, geometry, quadrature, slicing
 from nldrop.kernels import KernelSpec
 from nldrop.quadrature import (
-    PointSingularity,
     QuadratureSpec,
     OffsetIntegrand,
     cell_pair_integral,
@@ -152,7 +151,7 @@ class TestCellPairIntegral:
             return np.sqrt(np.sum(z ** 2, axis=-1))
 
         def direct(vec, core):
-            return OffsetIntegrand(dimension=N, sigma=1.0, vec=vec, cache_token=None, explicit_core=core)
+            return OffsetIntegrand(dimension=N, sigma=1.0, vec=vec, cache_token=None, core=core)
 
         g = direct(lambda z: (1.0 + norm(z) ** 8) / norm(z), (1e-2, 1.0))
         d = np.eye(N)[-1] if face else np.zeros(N)
@@ -162,28 +161,35 @@ class TestCellPairIntegral:
         assert cell_pair_integral(d, 1.0, g) == pytest.approx(parts, rel=1e-13)
 
 
+def _unit_box_about(center):
+    """The unit box [0, 1]^N seen from ``center``: its corners minus it."""
+    return -np.asarray(center, dtype=float), 1.0 - np.asarray(center, dtype=float)
+
+
 class TestPointSingularityCell:
+    # the frozen values integrate |x - c|^-p over [0, 1]^N; the integrand
+    # is |x|^-p over the box shifted by -c
     def test_interior_singularity(self):
-        got = point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 1.2, 2)
+        got = point_singularity_cell_integral(*_unit_box_about([0.3, 0.4]), 1.2, 2)
         assert got == pytest.approx(POINTSING_BOX_N2, rel=1e-7)
 
     def test_interior_singularity_3d(self):
-        got = point_singularity_cell_integral([0, 0, 0], [1, 1, 1], [0.3, 0.4, 0.2], 1.5, 3)
+        got = point_singularity_cell_integral(*_unit_box_about([0.3, 0.4, 0.2]), 1.5, 3)
         assert got == pytest.approx(POINTSING_BOX_N3, rel=1e-9)
 
     def test_negative_exponent_smooth(self):
-        got = point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], -1.5, 2)
+        got = point_singularity_cell_integral(*_unit_box_about([0.3, 0.4]), -1.5, 2)
         assert got == pytest.approx(POINTSING_SMOOTH_N2, rel=1e-9)
 
     def test_singular_point_within_rounding_of_a_face(self):
         # a face computed as (-h/2) + h/2 can land 1e-17 beside the singular
         # point; the box must still be refined as if the point were on it
-        got = point_singularity_cell_integral([-0.7, -1.0], [0.3, -1e-17], [0, 0], 1.0, 2)
+        got = point_singularity_cell_integral([-0.7, -1.0], [0.3, -1e-17], 1.0, 2)
         assert got == pytest.approx(POINTSING_FACE_N2, rel=1e-5)
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ParameterError):
-            point_singularity_cell_integral([0, 0], [1, 1], [0.3, 0.4], 2.0, 2)
+            point_singularity_cell_integral(*_unit_box_about([0.3, 0.4]), 2.0, 2)
 
 
 def _deep_pair_reference(g, d, h, p0, levels=80):
@@ -327,7 +333,7 @@ class TestClosedFormCornerSeries:
         monkeypatch.setattr(quadrature, "_box_nodes", counted)
         for center in (np.full(N, 0.3), np.zeros(N), np.r_[0.0, np.full(N - 1, 0.4)]):
             del calls[:]
-            point_singularity_cell_integral(np.zeros(N), np.ones(N), center, N - 0.5, N)
+            point_singularity_cell_integral(*_unit_box_about(center), N - 0.5, N)
             assert 1 <= len(calls) <= 2
 
     def test_divergent_pairs_are_rejected(self):
@@ -537,7 +543,7 @@ NEAR_CASES = {
             sigma=0.0,
             vec=lambda z: 1.0 / (1.0 + np.sum(z ** 2, axis=-1)),
             cache_token=("test-lorentz", N),
-            explicit_core=(1e-8, 0.0),
+            core=(1e-8, 0.0),
         ),
         False,
         (1e-8, 0.0),
@@ -745,21 +751,18 @@ class TestIntegralOver:
     def test_singular_integrand_on_disk(self):
         # int over B_R of |x|^-beta = area(S^{N-1}) R^(N-beta) / (N-beta)
         ball = geometry.ball_of_volume(2, math.pi)
-        ps = PointSingularity(center=np.zeros(2), exponent=1.2)
-        est = integral_over(ball, ps, QuadratureSpec(budget=40_000))
+        est = integral_over(ball, 1.2, QuadratureSpec(budget=40_000))
         oracle = 2.0 * math.pi / 0.8
         assert abs(est.value - oracle) <= 4.0 * est.error
         assert abs(est.value - oracle) <= 0.02 * oracle
 
-    def test_volume_via_constant(self):
+    def test_volume_at_exponent_zero(self):
         v = voxelize(geometry.ball_of_volume(2, 2.0), cells_per_axis=64)
-        est = integral_over(v, lambda p: np.ones(p.shape[0]), QuadratureSpec())
+        est = integral_over(v, 0.0, QuadratureSpec())
         assert est.value == pytest.approx(geometry.volume(v), rel=1e-12)
 
     def test_empty_shape(self):
-        est = integral_over(
-            geometry.empty_ball_config(2), lambda p: np.ones(p.shape[0]), QuadratureSpec()
-        )
+        est = integral_over(geometry.empty_ball_config(2), 1.0, QuadratureSpec())
         assert est.value == 0.0 and est.error == 0.0
 
 
@@ -970,9 +973,7 @@ _TOUCHING = (
     geometry.BallConfig(dimension=2, centers=np.array([[1.0, 0.5]]), radii=np.array([1.0])),
 )
 _PIN_OPS = {
-    "integral_over": lambda spec: integral_over(
-        _PIN_DISK, PointSingularity(center=np.zeros(2), exponent=1.0), spec
-    ),
+    "integral_over": lambda spec: integral_over(_PIN_DISK, 1.0, spec),
     "double_stationary": lambda spec: double_integral(_PIN_U, _PIN_W, 1.0, spec),
     "complement": lambda spec: complement_double_integral(_PIN_DISK, frac_kernel(), spec),
 }
@@ -1044,7 +1045,6 @@ class TestTensorAgainstRadial:
         ids=["inside-disk", "outside-disk", "inside-ball-3d"],
     )
     def test_point_singularity_at_the_origin(self, ball, exponent):
-        sing = PointSingularity(center=np.zeros(ball.dimension), exponent=exponent)
-        tensor = integral_over(ball, sing, QuadratureSpec())
+        tensor = integral_over(ball, exponent, QuadratureSpec())
         radial = energy.background(ball, exponent, QuadratureSpec())
         assert abs(tensor.value - radial.value) <= tensor.error
