@@ -217,19 +217,32 @@ def empty_ball_config(N: int) -> BallConfig:
 # Random test shapes
 
 
-def _unit_box_cells(N: int, grid_n: int):
-    """(origin, spacing, centers) of the grid_n^N cells over the unit box
-    [-1/2, 1/2]^N, centers as a (grid_n^N, N) array in grid scan order.
-    Bad arguments are refused before any array is built."""
+def _unit_box_axes(N: int, grid_n: int):
+    """(origin, spacing, axes) of the grid_n^N cells over the unit box
+    [-1/2, 1/2]^N: axes[i] holds the cell centres along axis i, shaped to
+    broadcast along that axis of the grid.  Bad arguments are refused
+    before any array is built."""
     if N not in (2, 3):
         raise ParameterError(f"random shapes need dimension 2 or 3, got {N}")
     if grid_n < 1:
         raise ParameterError(f"grid_n must be >= 1, got {grid_n}")
     h = 1.0 / grid_n
     origin = np.full(N, -0.5)
-    axes = [origin[i] + (np.arange(grid_n) + 0.5) * h for i in range(N)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return origin, h, np.stack([g.ravel() for g in grids], axis=-1)
+    return origin, h, [
+        (origin[i] + (np.arange(grid_n) + 0.5) * h).reshape([-1 if j == i else 1 for j in range(N)])
+        for i in range(N)
+    ]
+
+
+def _grid_in_balls(axes, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Occupancy of the grid with per-axis cell centres ``axes`` (as from
+    ``_unit_box_axes``) by the union of the closed balls, one ball at a
+    time: its squared distance is the per-axis squares added in axis
+    order, so no (cells, k, N) array is built."""
+    occ = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
+    for c, r in zip(centers, radii):
+        occ |= sum((a - ci) ** 2 for a, ci in zip(axes, c)) <= r ** 2
+    return occ
 
 
 def random_blob(
@@ -244,11 +257,11 @@ def random_blob(
     When ``volume_cap`` is given the grid spacing is rescaled (exactly, see
     ``scale``) so the voxel volume lands at 90% of the cap or below.
     """
-    origin, h, pts = _unit_box_cells(N, grid_n)
+    origin, h, axes = _unit_box_axes(N, grid_n)
     k = int(rng.integers(1, 6))
     centers = rng.uniform(-0.28, 0.28, size=(k, N))
     radii = rng.uniform(0.10, 0.22, size=k)
-    occ = _in_balls(pts, centers, radii).reshape((grid_n,) * N)
+    occ = _grid_in_balls(axes, centers, radii)
     shape = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ)
     if volume_cap is not None and shape.count > 0:
         v = volume(shape)
@@ -264,7 +277,7 @@ def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
     The left blob is clipped to x_0 < -0.06 and the right blob to
     x_0 >= 0.06, so a gap of at least 0.12 separates them.
     """
-    origin, h, pts = _unit_box_cells(N, grid_n)
+    origin, h, axes = _unit_box_axes(N, grid_n)
 
     def blob(x_lo, x_hi):
         k = int(rng.integers(1, 4))
@@ -272,8 +285,8 @@ def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
         centers[:, 0] = rng.uniform(x_lo + 0.12, x_hi - 0.12, size=k)
         radii = rng.uniform(0.06, 0.115, size=k)
         # clip to the allotted slab so the pair is disjoint with a gap
-        occ = _in_balls(pts, centers, radii) & (pts[:, 0] >= x_lo) & (pts[:, 0] < x_hi)
-        return VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ.reshape((grid_n,) * N))
+        occ = _grid_in_balls(axes, centers, radii) & (axes[0] >= x_lo) & (axes[0] < x_hi)
+        return VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ)
 
     return blob(-0.5, -0.06), blob(0.06, 0.5)
 

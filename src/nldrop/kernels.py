@@ -105,6 +105,9 @@ class KernelSpec:
     def __post_init__(self):
         N = self.dimension
         emin = epsilon_min(N, self.s)  # also validates N and s
+        for name in ("epsilon", "lam") + (("cap",) if self.cap is not None else ()):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.epsilon > emin):
             raise ParameterError(
                 f"epsilon must exceed {emin:.6g} for N={N}, s={self.s}; "
@@ -127,14 +130,17 @@ class KernelSpec:
             v = np.asarray(self.values, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or r.size < 2:
                 raise ParameterError("sample table must be two 1-d arrays, length >= 2")
+            for name, arr in (("radii", r), ("values", v)):
+                if not np.all(np.isfinite(arr)):
+                    raise ParameterError(f"sample {name} must be finite")
             if not (np.all(r > 0) and np.all(np.diff(r) > 0)):
                 raise ParameterError("sample radii must be positive and strictly increasing")
             if not np.all(v >= 0):
                 raise ParameterError("sample values must be nonnegative")
             if self.tail is not None:
                 if self.tail[0] == "power":
-                    if len(self.tail) != 2 or not (self.tail[1] > 0):
-                        raise ParameterError("power tail rule is ('power', p) with p > 0")
+                    if len(self.tail) != 2 or not (0 < self.tail[1] < math.inf):
+                        raise ParameterError("power tail rule is ('power', p) with finite p > 0")
                 elif self.tail != ("zero",):
                     raise ParameterError(f"unknown tail rule {self.tail!r}")
             r.setflags(write=False)

@@ -63,9 +63,10 @@ from .kernels import KernelSpec
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
-# Complement integrals pad a shape's grid with empty cells to at least this
-# many cells per axis: the stencil then holds every near offset, and the
-# directional tail starts well away from the centre cell.
+# The kernel mass a(h) of a complement integral sums the stencil of a grid
+# padded with empty cells to at least this many cells per axis: the sum
+# then holds every near offset, and the directional tail starts well away
+# from the centre cell.  The padding is summed, not stored.
 _MIN_STENCIL_CELLS = 32
 
 
@@ -493,7 +494,11 @@ def _singular_cell_means(centers: np.ndarray, h: float, exponent: float):
 # than this; the largest table (_MAX_CONV_CELLS doubles) always fits.
 _STENCIL_CACHE_BYTES = 512 << 20
 _STENCIL_CACHE: OrderedDict = OrderedDict()
-_STENCIL_SLAB = 1 << 18  # offsets per slab of a stencil's offset table
+_STENCIL_SLAB = 1 << 12  # offsets per slab of a stencil's offset table
+# Cell kernel masses a(h), keyed like the stencils; least recently used ones
+# are evicted beyond this many (integrand, grid, spacing) tables.
+_MASS_CACHE_TABLES = 64
+_MASS_CACHE: OrderedDict = OrderedDict()
 # Near tables (at most 5^N exact cell-pair integrals each, keyed by
 # integrand and spacing); least recently used ones are evicted beyond this
 # many tables.
@@ -535,37 +540,25 @@ def _near_values(offsets: np.ndarray, h: float, igd: OffsetIntegrand) -> np.ndar
     return out * (h / base) ** (2 * N - p0)
 
 
-def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
-    """Pair-sum table T indexed by cell offset (shifted by dims - 1):
-    T[off] = integral of g(y - x) over an ordered pair of cells with center
-    offset off * h.  Far offsets use the midpoint value g(off*h) h^(2N);
-    near offsets (inf-norm <= 2 for strongly singular g, <= 1 otherwise)
-    and, for sigma < N, the zero offset use exact cell-pair integrals from
-    the near tables of ``_near_values``: one integral per symmetry orbit
-    when g is radial, computed once at spacing 1 for every h when g is
-    homogeneous (r0 infinite), with its corner series summed in closed
-    form.  A cold 3-D fractional kernel stencil thus costs 9 integrals of
-    at most N + 2 levels each, and its fine and coarse grids share them.
-    A radial g is even in every axis: its offsets 0 .. d - 1 per axis are
-    evaluated and one index of |off| mirrors them, bit for bit, into the
-    full table."""
+def _stencil_slabs(axes, h: float, igd: OffsetIntegrand):
+    """Yield (i, v): g's stencil values at the offsets (cell units) of the
+    product of ``axes``, in slabs of whole rows of ``axes[0]`` of about
+    ``_STENCIL_SLAB`` offsets; row j of v, in C order, holds the offsets
+    whose first component is ``axes[0][i + j]``.  Far offsets take the
+    midpoint value g(off*h) h^(2N); near offsets (inf-norm <= 2 for
+    strongly singular g, <= 1 otherwise) and, for sigma < N, the zero
+    offset take exact cell-pair integrals from the near tables of
+    ``_near_values``: one integral per symmetry orbit when g is radial,
+    computed once at spacing 1 for every h when g is homogeneous (r0
+    infinite), with its corner series summed in closed form.  A cold 3-D
+    fractional kernel stencil thus costs 9 integrals of at most N + 2
+    levels each, and its fine and coarse grids share them.  Each value
+    depends on its offset alone, not on the slab it falls in."""
     N = igd.dimension
-    key = (igd.cache_token, tuple(dims), float(h))
-    hit = _STENCIL_CACHE.get(key)
-    if hit is not None:
-        _STENCIL_CACHE.move_to_end(key)
-        return hit
-    shape = tuple(2 * d - 1 for d in dims)
-    if np.prod(shape) > _MAX_CONV_CELLS:
-        raise ParameterError(
-            "tensor grid too large for the FFT pair sum; reduce the quadrature "
-            "budget"
-        )
-    axes = [np.arange(0 if igd.radial else 1 - d, d) for d in dims]
     near_width = 2 if igd.sigma >= N - 0.5 else 1
-    rows = max(1, _STENCIL_SLAB * len(axes[0]) // math.prod(len(a) for a in axes))
-    slabs = []
-    for i in range(0, len(axes[0]), rows):  # slabs of about _STENCIL_SLAB offsets
+    rest = math.prod(len(a) for a in axes[1:])
+    rows = max(1, _STENCIL_SLAB // rest)
+    for i in range(0, len(axes[0]), rows):
         grids = np.meshgrid(axes[0][i : i + rows], *axes[1:], indexing="ij")
         offsets = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
         r0 = np.max(np.abs(offsets), axis=-1)  # inf-norm in cell units
@@ -574,10 +567,64 @@ def _stencil(dims, h: float, igd: OffsetIntegrand) -> np.ndarray:
         slab[far] = igd.vec(offsets[far] * h) * h ** (2 * N)
         near = (r0 <= near_width) & (far | (igd.sigma < N))
         slab[near] = _near_values(offsets[near], h, igd)
-        slabs.append(slab)
-    T = np.concatenate(slabs).reshape([len(a) for a in axes])
+        yield i, slab.reshape(-1, rest)
+
+
+def _orthant(dims, pad, h: float, igd: OffsetIntegrand):
+    """(O, m) for a radial g from one slab pass over the offsets 0 .. p - 1
+    per axis of ``pad`` >= ``dims``: O, g's stencil values at the offsets
+    0 .. d - 1 per axis, and m, the sum of the full stencil of the grid
+    ``pad`` (offsets -(p - 1) .. p - 1 per axis), each orthant offset
+    standing for its 2^(number of nonzero components) mirror images."""
+    O = np.empty(dims)
+    inner = tuple(map(slice, dims[1:]))
+    row_w = np.r_[1.0, np.full(pad[0] - 1, 2.0)]
+    rest_w = np.ones(1)
+    for p in pad[1:]:
+        rest_w = np.multiply.outer(rest_w, np.r_[1.0, np.full(p - 1, 2.0)]).ravel()
+    m = 0.0
+    for i, v in _stencil_slabs([np.arange(p) for p in pad], h, igd):
+        m += float(np.sum((v * rest_w) * row_w[i : i + len(v), None]))
+        if i < dims[0]:
+            O[i : i + len(v)] = v[: dims[0] - i].reshape((-1,) + tuple(pad[1:]))[(slice(None),) + inner]
+    return O, m
+
+
+def _table_shape(dims) -> tuple:
+    """The stencil shape 2 d - 1 per axis of the grid ``dims``, refused
+    beyond ``_MAX_CONV_CELLS`` cells."""
+    shape = tuple(2 * d - 1 for d in dims)
+    if math.prod(shape) > _MAX_CONV_CELLS:
+        raise ParameterError(
+            "tensor grid too large for the FFT pair sum; reduce the quadrature "
+            "budget"
+        )
+    return shape
+
+
+def _stencil(dims, h: float, igd: OffsetIntegrand, orthant=None) -> np.ndarray:
+    """Pair-sum table T indexed by cell offset (shifted by dims - 1):
+    T[off] = integral of g(y - x) over an ordered pair of cells with center
+    offset off * h, with the far and near rules of ``_stencil_slabs``.
+    A radial g is even in every axis: its offsets 0 .. d - 1 per axis
+    (``_orthant``, or ``orthant`` when the caller has them) are evaluated
+    and one index of |off| mirrors them, bit for bit, into the full
+    table."""
+    key = (igd.cache_token, tuple(dims), float(h))
+    hit = _STENCIL_CACHE.get(key)
+    if hit is not None:
+        _STENCIL_CACHE.move_to_end(key)
+        return hit
+    shape = _table_shape(dims)
     if igd.radial:
-        T = T[np.ix_(*(np.abs(np.arange(1 - d, d)) for d in dims))]
+        if orthant is None:
+            orthant = _orthant(tuple(dims), tuple(dims), h, igd)[0]
+        T = orthant[np.ix_(*(np.abs(np.arange(1 - d, d)) for d in dims))]
+    else:
+        T = np.empty(shape)
+        rows = T.reshape(shape[0], -1)
+        for i, v in _stencil_slabs([np.arange(1 - d, d) for d in dims], h, igd):
+            rows[i : i + len(v)] = v
     T.setflags(write=False)
     _STENCIL_CACHE[key] = T
     while sum(t.nbytes for t in _STENCIL_CACHE.values()) > _STENCIL_CACHE_BYTES:
@@ -698,20 +745,33 @@ def _ray_exit(pts: np.ndarray, lo, hi, dirs: np.ndarray) -> np.ndarray:
 
 
 def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
-    """Stencil T of the grid ``dims`` padded with empty cells to at least
-    ``_MIN_STENCIL_CELLS`` per axis, and a(h), the pair integral of g over
-    one cell times all of space: the sum of T plus h^N times the
-    directional tail beyond T's box, seen from the centre cell (the radial
-    tail from the ray-box exit distance, over the midpoint direction
-    grid).  For a shape E on the grid, the complement integral is count(E)
-    a(h) minus the pair sum of T over E x E.  Returns (T, a)."""
+    """Stencil T of the grid ``dims`` and a(h), the pair integral of a
+    radial g over one cell times all of space: the sum of the stencil of
+    the grid padded with empty cells to at least ``_MIN_STENCIL_CELLS``
+    per axis, plus h^N times the directional tail beyond that stencil's
+    box, seen from the centre cell (the radial tail from the ray-box exit
+    distance, over the midpoint direction grid).  The padded sum comes
+    from one ``_orthant`` pass that also yields T's orthant, so nothing
+    padded is stored; a(h) is cached by T's key.  For a shape E on the
+    grid, the complement integral is count(E) a(h) minus the pair sum of T
+    over E x E.  Returns (T, a)."""
     N = igd.dimension
-    dims = np.maximum(dims, _MIN_STENCIL_CELLS)
-    T = _stencil(tuple(int(d) for d in dims), h, igd)
-    half = (dims - 0.5) * h
+    dims = tuple(int(d) for d in dims)
+    key = (igd.cache_token, dims, float(h))
+    a = _MASS_CACHE.get(key)
+    if a is not None:
+        _MASS_CACHE.move_to_end(key)
+        return _stencil(dims, h, igd), a
+    _table_shape(dims)
+    pad = tuple(max(d, _MIN_STENCIL_CELLS) for d in dims)
+    O, m = _orthant(dims, pad, h, igd)
+    half = (np.array(pad) - 0.5) * h
     dirs, w = _tail_directions(N)
     tail = igd.ray_tail(_ray_exit(np.zeros((1, N)), -half, half, dirs)) @ w
-    return T, float(np.sum(T)) + float(tail[0]) * h ** N
+    a = _MASS_CACHE[key] = m + float(tail[0]) * h ** N
+    while len(_MASS_CACHE) > _MASS_CACHE_TABLES:
+        _MASS_CACHE.popitem(last=False)
+    return _stencil(dims, h, igd, orthant=O), a
 
 
 # ---------------------------------------------------------------------------

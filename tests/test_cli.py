@@ -556,6 +556,9 @@ class TestSubcommandRuns:
             ({}, ["energy.A=inf"], "A must be finite"),
             ({}, ["shape.center=nan,0"], "ball centers must be finite"),
             ({}, ["shape.center=inf,0"], "ball centers must be finite"),
+            ({}, ["kernel.epsilon=inf"], "epsilon must be finite"),
+            ({}, ["kernel.lambda=inf"], "lam must be finite"),
+            ({}, ["kernel.kind=truncated-fractional", "kernel.cap=inf"], "cap must be finite"),
             (
                 {"vox": _VOX.format(origin="nan 0", spacing="1")},
                 ["shape.kind=voxel-file", "shape.path={vox}"],
@@ -574,7 +577,7 @@ class TestSubcommandRuns:
         ],
         ids=[
             "radius-inf", "radius-nan", "volume-inf", "A-nan", "A-inf", "center-nan",
-            "center-inf", "voxel-origin-nan", "voxel-spacing-inf", "balls-radius-inf",
+            "center-inf", "epsilon-inf", "lambda-inf", "cap-inf", "voxel-origin-nan", "voxel-spacing-inf", "balls-radius-inf",
         ],
     )
     def test_non_finite_inputs_exit_two(self, tmp_path, capsys, files, overrides, needle):

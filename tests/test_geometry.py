@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,58 @@ class TestRandomShapes:
                 rx = right.cell_centers()[:, 0].min()
                 assert rx - lx > 0.05  # slab gap
 
+
+    @staticmethod
+    def _cell_centers(N, grid_n):
+        """Every cell centre of the grid over the unit box, (grid_n^N, N)."""
+        c = -0.5 + (np.arange(grid_n) + 0.5) / grid_n
+        return np.stack([g.ravel() for g in np.meshgrid(*[c] * N, indexing="ij")], axis=-1)
+
+    @staticmethod
+    def _in_balls_tensor(pts, centers, radii):
+        """The union of the closed balls at ``pts`` through the whole
+        (cells, k, N) offset tensor."""
+        d2 = np.sum((pts[:, None, :] - centers) ** 2, axis=-1)
+        return np.any(d2 <= radii ** 2, axis=-1)
+
+    @pytest.mark.parametrize("N, grid_n", [(2, 64), (2, 97), (3, 32), (3, 41)])
+    def test_blob_matches_the_offset_tensor(self, N, grid_n):
+        pts = self._cell_centers(N, grid_n)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 6))
+            centers = rng.uniform(-0.28, 0.28, size=(k, N))
+            radii = rng.uniform(0.10, 0.22, size=k)
+            old = self._in_balls_tensor(pts, centers, radii).reshape((grid_n,) * N)
+            new = random_blob(N, np.random.default_rng(seed), grid_n=grid_n).occupancy
+            assert np.array_equal(new, old), seed
+
+    @pytest.mark.parametrize("N, grid_n", [(2, 64), (3, 32)])
+    def test_disjoint_pair_matches_the_offset_tensor(self, N, grid_n):
+        pts = self._cell_centers(N, grid_n)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            old = []
+            for x_lo, x_hi in ((-0.5, -0.06), (0.06, 0.5)):
+                k = int(rng.integers(1, 4))
+                centers = rng.uniform(-0.30, 0.30, size=(k, N))
+                centers[:, 0] = rng.uniform(x_lo + 0.12, x_hi - 0.12, size=k)
+                radii = rng.uniform(0.06, 0.115, size=k)
+                occ = self._in_balls_tensor(pts, centers, radii) & (pts[:, 0] >= x_lo) & (pts[:, 0] < x_hi)
+                old.append(occ.reshape((grid_n,) * N))
+            new = random_disjoint_pair(N, np.random.default_rng(seed), grid_n=grid_n)
+            assert [np.array_equal(b.occupancy, o) for b, o in zip(new, old)] == [True, True], seed
+
+    def test_blob_memory_is_bounded(self):
+        # one ball at a time: the (64^3, 5, 3) offset tensor peaked at 40 MB
+        assert int(np.random.default_rng(0).integers(1, 6)) == 5  # seed 0 draws 5 balls
+        tracemalloc.start()
+        try:
+            random_blob(3, np.random.default_rng(0), grid_n=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("grid_n", [0, -4])
     def test_empty_grids_refused(self, grid_n):

@@ -24,6 +24,13 @@ def frac(N=2, s=0.5, eps=0.75, **kw):
     return KernelSpec(dimension=N, s=s, epsilon=eps, **kw)
 
 
+def table(**kw):
+    """An r^-2.5 sample table on [0.1, 10] with its power tail; ``kw``
+    replaces any field."""
+    r = np.geomspace(0.1, 10.0, 8)
+    return frac(**{"kind": "tabulated", "radii": r, "values": r ** -2.5, "tail": ("power", 2.5), **kw})
+
+
 class TestEpsilonMin:
     def test_values(self):
         # 2^{1/(N+s-1)} - 1
@@ -85,6 +92,27 @@ class TestKernelSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             frac(kind="gaussian")
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: frac(eps=math.inf), "epsilon"),
+            (lambda: frac(lam=math.inf), "lam"),
+            (lambda: frac(kind="truncated-fractional", cap=math.inf), "cap"),
+            (lambda: table(radii=np.r_[np.geomspace(0.1, 10.0, 7), math.inf]), "radii"),
+            (lambda: table(values=np.r_[math.inf, np.ones(7)]), "values"),
+            (lambda: table(tail=("power", math.inf)), "power tail"),
+        ],
+        ids=["epsilon", "lam", "cap", "radii", "values", "tail"],
+    )
+    def test_non_finite_parameters_are_refused(self, make, field):
+        # each was accepted and the fractional kinds' energies do not read
+        # epsilon or lam, so an infinite one went unseen
+        with pytest.raises(ParameterError, match=field):
+            make()
+
+    def test_finite_table_is_accepted(self):
+        assert table().kind == "tabulated"
 
     def test_sigma(self):
         assert frac(N=3, s=0.25).sigma == 3.25

@@ -486,6 +486,7 @@ class TestStencilAndPairSum:
 
 def _fresh_caches(monkeypatch):
     monkeypatch.setattr(quadrature, "_STENCIL_CACHE", OrderedDict())
+    monkeypatch.setattr(quadrature, "_MASS_CACHE", OrderedDict())
     monkeypatch.setattr(quadrature, "_NEAR_CACHE", OrderedDict())
 
 
@@ -746,6 +747,79 @@ class TestOrthantStencil:
         assert est.value > 0
         assert peak < 16e6
 
+
+
+KERNEL_CASES = {"fractional": frac_kernel, "truncated": trunc_kernel, "tabulated": tab_kernel}
+
+
+class TestCellKernelMass:
+    """a(h) is summed over the orthant of the padded grid in slabs; only
+    the grid's own stencil is stored."""
+
+    @staticmethod
+    def _padded_mass(dims, h, igd):
+        """np.sum of the explicit stencil of the grid padded to
+        _MIN_STENCIL_CELLS per axis, plus h^N times the directional tail
+        beyond its box."""
+        N = igd.dimension
+        pad = np.maximum(dims, quadrature._MIN_STENCIL_CELLS)
+        half = (pad - 0.5) * h
+        dirs, w = quadrature._tail_directions(N)
+        tail = igd.ray_tail(quadrature._ray_exit(np.zeros((1, N)), -half, half, dirs)) @ w
+        return float(np.sum(_full_offset_table(tuple(pad), h, igd))) + float(tail[0]) * h ** N
+
+    @pytest.mark.parametrize(
+        "dims", [(6, 6), (2, 16), (33, 40), (6, 6, 6), (40, 8, 8), (32, 32, 32)], ids=str
+    )
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_streamed_mass_equals_the_padded_table(self, monkeypatch, dims, case):
+        # cubic and non-cubic grids, padded on every axis, on some or on none
+        _fresh_caches(monkeypatch)
+        igd = kernel_integrand(KERNEL_CASES[case](len(dims)))
+        T, a = quadrature._cell_kernel_mass(dims, 0.2, igd)
+        assert a == pytest.approx(self._padded_mass(dims, 0.2, igd), rel=1e-14)
+        assert np.array_equal(T, _full_offset_table(dims, 0.2, igd))
+
+    @pytest.mark.parametrize("slab", [1, 7, 40])
+    def test_mass_does_not_depend_on_the_slabs(self, monkeypatch, slab):
+        _fresh_caches(monkeypatch)
+        igd = kernel_integrand(frac_kernel(N=3))
+        T, a = quadrature._cell_kernel_mass((5, 3, 4), 0.2, igd)
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(quadrature, "_STENCIL_SLAB", slab)
+        T_slab, a_slab = quadrature._cell_kernel_mass((5, 3, 4), 0.2, igd)
+        assert np.array_equal(T_slab, T)
+        assert a_slab == pytest.approx(a, rel=1e-14)
+
+    def test_hits_and_the_mass_cache_bound(self, monkeypatch):
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(quadrature, "_MASS_CACHE_TABLES", 2)
+        igd = kernel_integrand(frac_kernel())
+        first = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
+        again = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
+        assert again[0] is first[0] and again[1] == first[1]
+        # a stencil evicted on its own is rebuilt, bit for bit
+        quadrature._STENCIL_CACHE.clear()
+        rebuilt = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
+        assert np.array_equal(rebuilt[0], first[0]) and rebuilt[1] == first[1]
+        for h in (0.2, 0.3):
+            quadrature._cell_kernel_mass((4, 4), h, igd)
+        assert list(quadrature._MASS_CACHE) == [(igd.cache_token, (4, 4), h) for h in (0.2, 0.3)]
+
+    def test_nothing_padded_is_stored(self, monkeypatch):
+        # the 8^3 voxel ball at h = 1/4: each level cached a padded 63^3
+        # table of 1.9 MB and the call peaked at 6.65 MB traced
+        _fresh_caches(monkeypatch)
+        vox = voxelize(geometry.ball_of_volume(3, 4.0 * math.pi / 3.0), cells_per_axis=8)
+        tracemalloc.start()
+        try:
+            complement_double_integral(vox, frac_kernel(N=3), QuadratureSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shapes = [T.shape for T in quadrature._STENCIL_CACHE.values()]
+        assert sorted(shapes) == [(7, 7, 7), (15, 15, 15)]
+        assert peak < 1.5e6
 
 class TestIntegralOver:
     def test_singular_integrand_on_disk(self):
