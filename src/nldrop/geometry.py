@@ -143,18 +143,24 @@ class VoxelShape:
 Shape = Union[BallConfig, VoxelShape]
 
 
-def _in_balls(x: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Membership of the points x (..., N) in the union of the closed balls
-    (centers (k, N), radii (k,)), which may overlap."""
-    d2 = np.sum((x[..., None, :] - centers) ** 2, axis=-1)  # (..., k)
-    return np.any(d2 <= radii ** 2, axis=-1)
+def _in_balls(axes, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Membership in the union of the closed balls (centers (k, N), radii
+    (k,)), which may overlap, of the points whose i-th coordinates are
+    ``axes[i]``, arrays that broadcast together (the coordinate planes of a
+    point array, or per-axis cell centres as from ``_unit_box_axes``).  One
+    ball at a time: its squared distance is the per-axis squares added in
+    axis order, so no (points, k, N) array is built."""
+    occ = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in axes)), dtype=bool)
+    for c, r in zip(centers, radii):
+        occ |= sum((a - ci) ** 2 for a, ci in zip(axes, c)) <= r ** 2
+    return occ
 
 
 def indicator(shape: Shape, x) -> np.ndarray:
     """Vectorized membership test; x has shape (..., N)."""
     x = np.asarray(x, dtype=float)
     if isinstance(shape, BallConfig):
-        return _in_balls(x, shape.centers, shape.radii)
+        return _in_balls(np.moveaxis(x, -1, 0), shape.centers, shape.radii)
     if isinstance(shape, VoxelShape):
         idx = np.floor((x - shape.origin) / shape.spacing).astype(int)
         dims = shape.occupancy.shape
@@ -234,17 +240,6 @@ def _unit_box_axes(N: int, grid_n: int):
     ]
 
 
-def _grid_in_balls(axes, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Occupancy of the grid with per-axis cell centres ``axes`` (as from
-    ``_unit_box_axes``) by the union of the closed balls, one ball at a
-    time: its squared distance is the per-axis squares added in axis
-    order, so no (cells, k, N) array is built."""
-    occ = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
-    for c, r in zip(centers, radii):
-        occ |= sum((a - ci) ** 2 for a, ci in zip(axes, c)) <= r ** 2
-    return occ
-
-
 def random_blob(
     N: int,
     rng: np.random.Generator,
@@ -261,7 +256,7 @@ def random_blob(
     k = int(rng.integers(1, 6))
     centers = rng.uniform(-0.28, 0.28, size=(k, N))
     radii = rng.uniform(0.10, 0.22, size=k)
-    occ = _grid_in_balls(axes, centers, radii)
+    occ = _in_balls(axes, centers, radii)
     shape = VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ)
     if volume_cap is not None and shape.count > 0:
         v = volume(shape)
@@ -285,7 +280,7 @@ def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
         centers[:, 0] = rng.uniform(x_lo + 0.12, x_hi - 0.12, size=k)
         radii = rng.uniform(0.06, 0.115, size=k)
         # clip to the allotted slab so the pair is disjoint with a gap
-        occ = _grid_in_balls(axes, centers, radii) & (axes[0] >= x_lo) & (axes[0] < x_hi)
+        occ = _in_balls(axes, centers, radii) & (axes[0] >= x_lo) & (axes[0] < x_hi)
         return VoxelShape(dimension=N, origin=origin, spacing=h, occupancy=occ)
 
     return blob(-0.5, -0.06), blob(0.06, 0.5)

@@ -490,15 +490,13 @@ def _singular_cell_means(centers: np.ndarray, h: float, exponent: float):
 # ---------------------------------------------------------------------------
 # Stencils and FFT pair sums
 
-# Least recently used tables are evicted once the cache holds more bytes
-# than this; the largest table (_MAX_CONV_CELLS doubles) always fits.
+# Stencils, and the cell kernel masses a(h) as 8-byte np.float64 values
+# under the stencil's key plus "mass"; least recently used entries are
+# evicted once the cache holds more bytes than this; the largest table
+# (_MAX_CONV_CELLS doubles) always fits.
 _STENCIL_CACHE_BYTES = 512 << 20
 _STENCIL_CACHE: OrderedDict = OrderedDict()
 _STENCIL_SLAB = 1 << 12  # offsets per slab of a stencil's offset table
-# Cell kernel masses a(h), keyed like the stencils; least recently used ones
-# are evicted beyond this many (integrand, grid, spacing) tables.
-_MASS_CACHE_TABLES = 64
-_MASS_CACHE: OrderedDict = OrderedDict()
 # Near tables (at most 5^N exact cell-pair integrals each, keyed by
 # integrand and spacing); least recently used ones are evicted beyond this
 # many tables.
@@ -570,23 +568,28 @@ def _stencil_slabs(axes, h: float, igd: OffsetIntegrand):
         yield i, slab.reshape(-1, rest)
 
 
-def _orthant(dims, pad, h: float, igd: OffsetIntegrand):
+def _orthant(dims, h: float, igd: OffsetIntegrand, pad=None):
     """(O, m) for a radial g from one slab pass over the offsets 0 .. p - 1
-    per axis of ``pad`` >= ``dims``: O, g's stencil values at the offsets
-    0 .. d - 1 per axis, and m, the sum of the full stencil of the grid
-    ``pad`` (offsets -(p - 1) .. p - 1 per axis), each orthant offset
-    standing for its 2^(number of nonzero components) mirror images."""
+    per axis of ``pad`` >= ``dims`` (default ``dims``): O, g's stencil
+    values at the offsets 0 .. d - 1 per axis, and m, the sum of the full
+    stencil of the grid ``pad`` (offsets -(p - 1) .. p - 1 per axis), each
+    orthant offset standing for its 2^(number of nonzero components) mirror
+    images; m is None, and not summed, when no ``pad`` is given."""
+    walk = dims if pad is None else pad
     O = np.empty(dims)
     inner = tuple(map(slice, dims[1:]))
-    row_w = np.r_[1.0, np.full(pad[0] - 1, 2.0)]
-    rest_w = np.ones(1)
-    for p in pad[1:]:
-        rest_w = np.multiply.outer(rest_w, np.r_[1.0, np.full(p - 1, 2.0)]).ravel()
-    m = 0.0
-    for i, v in _stencil_slabs([np.arange(p) for p in pad], h, igd):
-        m += float(np.sum((v * rest_w) * row_w[i : i + len(v), None]))
+    m = None
+    if pad is not None:
+        row_w = np.r_[1.0, np.full(pad[0] - 1, 2.0)]
+        rest_w = np.ones(1)
+        for p in pad[1:]:
+            rest_w = np.multiply.outer(rest_w, np.r_[1.0, np.full(p - 1, 2.0)]).ravel()
+        m = 0.0
+    for i, v in _stencil_slabs([np.arange(p) for p in walk], h, igd):
+        if pad is not None:
+            m += float(np.sum((v * rest_w) * row_w[i : i + len(v), None]))
         if i < dims[0]:
-            O[i : i + len(v)] = v[: dims[0] - i].reshape((-1,) + tuple(pad[1:]))[(slice(None),) + inner]
+            O[i : i + len(v)] = v[: dims[0] - i].reshape((-1,) + tuple(walk[1:]))[(slice(None),) + inner]
     return O, m
 
 
@@ -618,7 +621,7 @@ def _stencil(dims, h: float, igd: OffsetIntegrand, orthant=None) -> np.ndarray:
     shape = _table_shape(dims)
     if igd.radial:
         if orthant is None:
-            orthant = _orthant(tuple(dims), tuple(dims), h, igd)[0]
+            orthant = _orthant(tuple(dims), h, igd)[0]
         T = orthant[np.ix_(*(np.abs(np.arange(1 - d, d)) for d in dims))]
     else:
         T = np.empty(shape)
@@ -626,10 +629,16 @@ def _stencil(dims, h: float, igd: OffsetIntegrand, orthant=None) -> np.ndarray:
         for i, v in _stencil_slabs([np.arange(1 - d, d) for d in dims], h, igd):
             rows[i : i + len(v)] = v
     T.setflags(write=False)
-    _STENCIL_CACHE[key] = T
+    return _cache_stencil(key, T)
+
+
+def _cache_stencil(key, value):
+    """Store ``value`` in ``_STENCIL_CACHE`` under ``key``, evicting the
+    least recently used entries beyond ``_STENCIL_CACHE_BYTES``."""
+    _STENCIL_CACHE[key] = value
     while sum(t.nbytes for t in _STENCIL_CACHE.values()) > _STENCIL_CACHE_BYTES:
         _STENCIL_CACHE.popitem(last=False)
-    return T
+    return value
 
 
 def _fast_len(n: int) -> int:
@@ -752,26 +761,24 @@ def _cell_kernel_mass(dims, h: float, igd: OffsetIntegrand):
     box, seen from the centre cell (the radial tail from the ray-box exit
     distance, over the midpoint direction grid).  The padded sum comes
     from one ``_orthant`` pass that also yields T's orthant, so nothing
-    padded is stored; a(h) is cached by T's key.  For a shape E on the
-    grid, the complement integral is count(E) a(h) minus the pair sum of T
-    over E x E.  Returns (T, a)."""
+    padded is stored; a(h) is cached next to T, under T's key plus
+    "mass".  For a shape E on the grid, the complement integral is
+    count(E) a(h) minus the pair sum of T over E x E.  Returns (T, a)."""
     N = igd.dimension
     dims = tuple(int(d) for d in dims)
-    key = (igd.cache_token, dims, float(h))
-    a = _MASS_CACHE.get(key)
+    key = (igd.cache_token, dims, float(h), "mass")
+    a = _STENCIL_CACHE.get(key)
     if a is not None:
-        _MASS_CACHE.move_to_end(key)
-        return _stencil(dims, h, igd), a
+        _STENCIL_CACHE.move_to_end(key)
+        return _stencil(dims, h, igd), float(a)
     _table_shape(dims)
     pad = tuple(max(d, _MIN_STENCIL_CELLS) for d in dims)
-    O, m = _orthant(dims, pad, h, igd)
+    O, m = _orthant(dims, h, igd, pad)
     half = (np.array(pad) - 0.5) * h
     dirs, w = _tail_directions(N)
     tail = igd.ray_tail(_ray_exit(np.zeros((1, N)), -half, half, dirs)) @ w
-    a = _MASS_CACHE[key] = m + float(tail[0]) * h ** N
-    while len(_MASS_CACHE) > _MASS_CACHE_TABLES:
-        _MASS_CACHE.popitem(last=False)
-    return _stencil(dims, h, igd, orthant=O), a
+    a = _cache_stencil(key, np.float64(m + float(tail[0]) * h ** N))
+    return _stencil(dims, h, igd, orthant=O), float(a)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,35 @@ class TestRandomShapes:
             tracemalloc.stop()
         assert peak < 4e6
 
+    # five disjoint unit balls whose bounding box is the cube [-1, 3.5]^3
+    FIVE_BALLS = np.array([[0, 0, 0], [2.5, 2.5, 0], [2.5, 0, 2.5], [0, 2.5, 2.5], [2.5, 2.5, 2.5]], float)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_indicator_matches_the_offset_tensor(self, N):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 6))
+            balls = BallConfig(dimension=N, centers=3.0 * np.arange(k)[:, None] * np.eye(N)[0], radii=rng.uniform(0.5, 1.4, k))
+            pts = rng.uniform(-1.5, 3.0 * k, size=(7, 300, N))
+            old = self._in_balls_tensor(pts.reshape(-1, N), balls.centers, balls.radii).reshape(7, 300)
+            assert np.array_equal(indicator(balls, pts), old), seed
+        assert indicator(balls, np.zeros(N))[()]  # one point
+        assert not np.any(indicator(empty_ball_config(N), np.zeros((4, N))))
+
+    def test_voxelize_memory_is_bounded(self):
+        # one ball at a time: the (64^3, 5, 3) offset tensor peaked at 54.5 MB
+        from nldrop.quadrature import voxelize
+
+        balls = BallConfig(dimension=3, centers=self.FIVE_BALLS, radii=np.ones(5))
+        tracemalloc.start()
+        try:
+            vox = voxelize(balls, cells_per_axis=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vox.occupancy.shape == (64, 64, 64)
+        assert peak < 25e6
+
     @pytest.mark.parametrize("grid_n", [0, -4])
     def test_empty_grids_refused(self, grid_n):
         for make in (random_blob, random_disjoint_pair):

@@ -486,7 +486,6 @@ class TestStencilAndPairSum:
 
 def _fresh_caches(monkeypatch):
     monkeypatch.setattr(quadrature, "_STENCIL_CACHE", OrderedDict())
-    monkeypatch.setattr(quadrature, "_MASS_CACHE", OrderedDict())
     monkeypatch.setattr(quadrature, "_NEAR_CACHE", OrderedDict())
 
 
@@ -791,20 +790,29 @@ class TestCellKernelMass:
         assert np.array_equal(T_slab, T)
         assert a_slab == pytest.approx(a, rel=1e-14)
 
-    def test_hits_and_the_mass_cache_bound(self, monkeypatch):
+    def test_hits_and_the_byte_bound(self, monkeypatch):
         _fresh_caches(monkeypatch)
-        monkeypatch.setattr(quadrature, "_MASS_CACHE_TABLES", 2)
         igd = kernel_integrand(frac_kernel())
+        key = (igd.cache_token, (4, 4), 0.1)
         first = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
+        assert list(quadrature._STENCIL_CACHE) == [key + ("mass",), key]
+        assert quadrature._STENCIL_CACHE[key + ("mass",)].nbytes == 8
         again = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
         assert again[0] is first[0] and again[1] == first[1]
         # a stencil evicted on its own is rebuilt, bit for bit
-        quadrature._STENCIL_CACHE.clear()
+        del quadrature._STENCIL_CACHE[key]
         rebuilt = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
         assert np.array_equal(rebuilt[0], first[0]) and rebuilt[1] == first[1]
+        # a mass evicted on its own is summed again, bit for bit
+        del quadrature._STENCIL_CACHE[key + ("mass",)]
+        resummed = quadrature._cell_kernel_mass((4, 4), 0.1, igd)
+        assert resummed[0] is rebuilt[0] and resummed[1] == first[1]
+        # room for one 7^2 table and its mass
+        monkeypatch.setattr(quadrature, "_STENCIL_CACHE_BYTES", 7 * 7 * 8 + 8)
         for h in (0.2, 0.3):
             quadrature._cell_kernel_mass((4, 4), h, igd)
-        assert list(quadrature._MASS_CACHE) == [(igd.cache_token, (4, 4), h) for h in (0.2, 0.3)]
+        key = (igd.cache_token, (4, 4), 0.3)
+        assert list(quadrature._STENCIL_CACHE) == [key + ("mass",), key]
 
     def test_nothing_padded_is_stored(self, monkeypatch):
         # the 8^3 voxel ball at h = 1/4: each level cached a padded 63^3
@@ -818,7 +826,7 @@ class TestCellKernelMass:
         finally:
             tracemalloc.stop()
         shapes = [T.shape for T in quadrature._STENCIL_CACHE.values()]
-        assert sorted(shapes) == [(7, 7, 7), (15, 15, 15)]
+        assert sorted(shapes) == [(), (), (7, 7, 7), (15, 15, 15)]  # two a(h), two tables
         assert peak < 1.5e6
 
 class TestIntegralOver:
