@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -167,7 +166,17 @@ def resolved_config_text(subcommand: str, config: Dict[str, object]) -> str:
 
 
 def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of ``text``, from CPython's builtin SHA-256
+    module where there is one: ``hashlib`` loads OpenSSL, about 3.5 MB of
+    memory in a run that makes one digest."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.11 and earlier
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _plain(v):

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import geometry, kernels, quadrature
 from .errors import ParameterError, PreconditionError
@@ -117,58 +116,8 @@ def _params_kernel(params_or_kernel) -> KernelSpec:
 # Radial reductions for ball configurations
 
 
-@functools.lru_cache(maxsize=64)
-def _legendre_rule(n: int):
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _gauss_jacobi(n: int, s: float):
-    """n-point Gauss-Jacobi nodes and weights for the weight (1 + x)^{-s} on
-    [-1, 1], 0 < s < 1, by Golub-Welsch: the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix (a = 0, b = -s), one Newton step on the
-    orthonormal three-term recurrence, and Christoffel weights
-    1 / sum_j p_j(x)^2 rescaled to the weight's mass 2^{1-s} / (1 - s)."""
-    b = -s
-    c = 2.0 * np.arange(n + 1) + b
-    k = np.arange(1, n + 1)
-    # x p_j = off[j] p_{j+1} + diag[j] p_j + off[j-1] p_{j-1}
-    diag = b * b / (c[:-1] * (c[:-1] + 2.0))
-    off = 2.0 * k * (k + b) / (c[1:] * np.sqrt(c[1:] ** 2 - 1.0))
-
-    def recurrence(x):
-        """(p_n, p_n', sum_{j<n} p_j^2) at x, from p_0 = 1."""
-        p_prev, p, dp_prev, dp, norm2 = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
-        for j in range(n):
-            norm2 += p * p
-            back = off[j - 1] if j else 0.0
-            p_prev, p, dp_prev, dp = (
-                p, ((x - diag[j]) * p - back * p_prev) / off[j],
-                dp, (p + (x - diag[j]) * dp - back * dp_prev) / off[j],
-            )
-        return p, dp, norm2
-
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1), UPLO="U")
-    p, dp, _ = recurrence(x)
-    x -= p / dp
-    w = 1.0 / recurrence(x)[2]
-    return x, w * (2.0 ** (1.0 - s) / (1.0 - s) / w.sum())
-
-
-@functools.lru_cache(maxsize=64)
-def _jacobi_rule(n: int, s: float):
-    """Read-only n-point Gauss-Jacobi rule with weight (1 + x)^{-s} on [-1, 1]."""
-    x, w = _gauss_jacobi(n, s)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _gl(n: int, lo: float, hi: float):
-    x, w = _legendre_rule(n)
+    x, w = quadrature._gauss_rule(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -206,7 +155,7 @@ def _single_ball_perimeter(kernel: KernelSpec, R: float, n: int = 192) -> float:
     omega = geometry.unit_sphere_area(N)
     vol_r = geometry.unit_ball_volume(N) * R ** N
     s = kernel.s
-    x, w = _jacobi_rule(n, s)
+    x, w = quadrature._gauss_rule(n, s)
     t = R * (1.0 + x)
     deficit = R ** (2 * N - 1) * _deficit_pair_measure(N, t / R)
     f = kernels.eval_kernel_radial(kernel, t) * t ** s * deficit
@@ -262,7 +211,7 @@ def _ball_pair_density(gs, d: float, R1: float, R2: float, n: int = 64) -> np.nd
     # longer than 15 times its distance to t = 0 however near touching.
     gap = d - S
     grades = gap * 16.0 ** np.arange(1, 1 + int(math.log((d + S) / gap, 16.0)))
-    x3, w3 = _legendre_rule(3)
+    x3, w3 = quadrature._gauss_rule(3)
     rules, out = {}, []
     for g in gs:
         knots = kernels._pieces(g)[0] if isinstance(g, KernelSpec) else ()
@@ -303,8 +252,8 @@ def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> n
     rho, wrho = _gl(n, 0.0, R2)
     gfns = [_radial_eval(g) for g in gs]
     phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
-    # leggauss nodes and weights are symmetric, so the rule on [0, 2 pi]
-    # is the rule on its first half counted twice
+    # Gauss-Legendre nodes and weights are mirror-symmetric bit for bit,
+    # so the rule on [0, 2 pi] is the rule on its first half counted twice
     phi, wphi = phi[:64], 2.0 * wphi[:64]
     PP = rho[None, :, None]
     CC = np.cos(phi)[None, None, :]

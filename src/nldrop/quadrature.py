@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import geometry, kernels
 from .errors import ParameterError
@@ -63,6 +62,9 @@ from .kernels import KernelSpec
 _TAIL_DIRECTIONS = {2: 256, 3: 512}
 _MAX_CONV_CELLS = 3.3e7
 _GL_ORDER = 6
+# Newton sweeps a Gauss rule may take; four suffice for n <= 1024 and
+# s <= 0.999
+_GAUSS_SWEEPS = 16
 # The kernel mass a(h) of a complement integral sums the stencil of a grid
 # padded with empty cells to at least this many cells per axis: the sum
 # then holds every near offset, and the directional tail starts well away
@@ -243,9 +245,99 @@ def _coerce_integrand(g, N: int) -> OffsetIntegrand:
 
 
 # ---------------------------------------------------------------------------
+# Gauss rules
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(n: int, s: float = 0.0):
+    """Read-only n-point Gauss nodes (increasing) and weights for the weight
+    (1 + x)^-s on [-1, 1], 0 <= s < 1; s = 0 is Gauss-Legendre.
+
+    The nodes are the roots of the Jacobi polynomial P_n^(0, -s), found by
+    Newton's method from x_k = cos(theta_k), theta_k = phi_k + (cot(phi_k/2)
+    / 4 - (1/4 - s^2) tan(phi_k/2)) / (2n + 1 - s)^2 with phi_k = (k - 1/4)
+    pi / (n + (1 - s) / 2), Gatteschi and Pittaluga's estimate.  One pass
+    of the three-term recurrence of the orthonormal polynomials (from
+    p_0 = 1, so up to one constant factor) gives p_n and p_{n-1} at every
+    node; the derivative is
+
+        (2n - s)(1 - x^2) P_n' = n (s - (2n - s) x) P_n + 2n (n - s) P_{n-1}
+
+    with P_{n-1} / P_n = sqrt(h_{n-1} / h_n) p_{n-1} / p_n, h_n = 2^(1-s) /
+    (2n + 1 - s).  The weights are the Christoffel numbers 1 / sum_{j<n}
+    p_j^2 at the converged nodes, scaled to the mass 2^(1-s) / (1 - s).  A
+    Legendre rule is built on its nonnegative half and mirrored, so
+    x == -x[::-1] and w == w[::-1] hold exactly.  O(n^2) operations and no
+    matrix (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).  A rule
+    whose Newton steps have not fallen below 1e-13 after ``_GAUSS_SWEEPS``
+    sweeps, or whose nodes are not strictly increasing inside (-1, 1),
+    raises ParameterError."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ParameterError(f"Gauss rule order must be a positive integer, got {n!r}")
+    if not (0.0 <= s < 1.0):
+        raise ParameterError(f"Gauss rule exponent must lie in [0, 1), got {s!r}")
+    b = -s
+    c = 2.0 * np.arange(n + 1) + b
+    k = np.arange(1.0, n + 1)
+    # x p_j = off[j] p_{j+1} + diag[j] p_j + off[j-1] p_{j-1}
+    diag = [b / (b + 2.0)] + (b * b / (c[1:n] * (c[1:n] + 2.0))).tolist()
+    off = (2.0 * k * (k + b) / (c[1:] * np.sqrt(c[1:] ** 2 - 1.0))).tolist()
+
+    def recurrence(x, christoffel=False):
+        """(p_n, p_{n-1}, sum_{j<n} p_j^2 or 0) at x, from p_0 = 1."""
+        p_prev, p, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+        norm2 = np.zeros_like(x)
+        for j in range(n):
+            if christoffel:
+                norm2 += p * p
+            np.subtract(x, diag[j], out=nxt)
+            nxt *= p
+            if j:
+                nxt -= off[j - 1] * p_prev
+            nxt /= off[j]
+            p_prev, p, nxt = p, nxt, p_prev
+        return p, p_prev, norm2
+
+    legendre = s == 0.0
+    # increasing; a Legendre rule holds its nonnegative nodes only
+    phi = k[: n // 2 if legendre else n][::-1] - 0.25
+    phi *= math.pi / (n + 0.5 * (1.0 - s))
+    phi += (0.25 / np.tan(0.5 * phi) - (0.25 - s * s) * np.tan(0.5 * phi)) / (c[n] + 1.0) ** 2
+    x = np.cos(phi)
+    if legendre and n % 2:
+        x = np.concatenate([[0.0], x])
+    # 2n (n - s) sqrt(h_{n-1} / h_n), so that P_n' / P_n above is in p
+    ratio = 2.0 * n * (n + b) * math.sqrt((c[n] + 1.0) / (c[n] - 1.0))
+    for _ in range(_GAUSS_SWEEPS):
+        p, p_prev, _ = recurrence(x)
+        step = c[n] * (1.0 - x) * (1.0 + x) * p / (n * (-b - c[n] * x) * p + ratio * p_prev)
+        x = x - step
+        if not np.max(np.abs(step), initial=0.0) > 1e-13:
+            break
+    else:
+        raise ParameterError(
+            f"the {n}-point Gauss rule for (1 + x)^-{s} did not converge in "
+            f"{_GAUSS_SWEEPS} Newton sweeps"
+        )
+    w = 1.0 / recurrence(x, christoffel=True)[2]
+    if legendre:
+        x = np.concatenate([-x[::-1][: n // 2], x])
+        w = np.concatenate([w[::-1][: n // 2], w])
+    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)):
+        raise ParameterError(
+            f"the {n}-point Gauss rule for (1 + x)^-{s} has nodes that are not "
+            "strictly increasing inside (-1, 1)"
+        )
+    w = w * (2.0 ** (1.0 - s) / (1.0 - s) / w.sum())
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+# ---------------------------------------------------------------------------
 # Exact cell-pair and point-singularity integrals (dyadic Gauss-Legendre)
 
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = _gauss_rule(_GL_ORDER)
 
 
 def _box_nodes(lo: np.ndarray, hi: np.ndarray):

@@ -43,7 +43,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
                         maxsize = _literal_maxsize(dec)
                         if not (isinstance(maxsize, int) and maxsize > 0):
                             unbounded.append(f"{name}.{node.name}")
-    assert found >= 5  # two Gauss rules in energy, the direction factors, the kernel pieces
+    assert found >= 5  # Gauss rules, ball perimeters, tail directions, kernel pieces and primitives
     assert not unbounded, f"unbounded lru caches: {unbounded}"
     # the module-level wrappers, whatever their decorator's arguments
     for name in MODULE_NAMES:

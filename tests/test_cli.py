@@ -2,6 +2,7 @@
 determinism, and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -640,6 +641,15 @@ class TestImportWeight:
     def scipy_or_mpmath(modules):
         return {m for m in modules if m == "mpmath" or m.split(".")[0] == "scipy"}
 
+    @staticmethod
+    def disk_file(tmp_path):
+        """Path of a 12 x 12 voxel disk written under ``tmp_path``."""
+        ii, jj = np.indices((12, 12))
+        occ = (ii - 5.5) ** 2 + (jj - 5.5) ** 2 < 20.0
+        path = str(tmp_path / "disk.vox")
+        save_voxel(VoxelShape(2, np.array([-1.0, -1.0]), 2.0 / 12, occ), path)
+        return path
+
     def test_cli_import_loads_no_scipy_or_mpmath(self):
         assert self.scipy_or_mpmath(self.loaded()) == set()
 
@@ -669,10 +679,7 @@ class TestImportWeight:
         ids=["energy", "slice-scan", "verify", "kernel-check"],
     )
     def test_voxel_and_audit_runs_load_no_scipy(self, tmp_path, argv):
-        ii, jj = np.indices((12, 12))
-        occ = (ii - 5.5) ** 2 + (jj - 5.5) ** 2 < 20.0
-        path = str(tmp_path / "disk.vox")
-        save_voxel(VoxelShape(2, np.array([-1.0, -1.0]), 2.0 / 12, occ), path)
+        path = self.disk_file(tmp_path)
         if argv[0] in ("energy", "slice-scan"):
             argv = argv + ["--set", "shape.kind=voxel-file", "--set", f"shape.path={path}"]
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
@@ -695,6 +702,33 @@ class TestImportWeight:
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
         assert self.scipy_or_mpmath(modules) == set(), sorted(modules)[:5]
         assert not modules & {"nldrop.slicing", "nldrop.isoperimetry"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--set", "family.d_count=1"],
+            ["family", "--set", "kernel.dimension=3", "--set", "family.mode=probe",
+             "--set", "family.m1=200.0", "--set", "family.m2=100.0"],
+            ["energy", "--set", "shape.kind=voxel-file"],
+        ],
+        ids=["disk-family-split", "ball-probe-3d", "voxel-energy"],
+    )
+    def test_gauss_rule_runs_load_no_numpy_polynomial(self, tmp_path, argv):
+        # every Gauss rule comes from quadrature._gauss_rule, not leggauss
+        if argv[0] == "energy":
+            argv = argv + ["--set", f"shape.path={self.disk_file(tmp_path)}"]
+        modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
+        assert "nldrop.quadrature" in modules
+        assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+    def test_config_digest_loads_no_openssl(self, tmp_path):
+        # the digest comes from the builtin SHA-256 module, not hashlib
+        if importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None:
+            pytest.skip("this Python has no builtin SHA-256 module")
+        modules = self.loaded(["energy", "--output-dir", str(tmp_path / "out")])
+        assert not modules & {"hashlib", "_hashlib"}
+        text = cli.resolved_config_text("energy", cli.load_config("energy"))
+        assert cli.config_hash(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestNumpyValuesInOutputs:

@@ -6,7 +6,6 @@ reference numbers computed independently with scipy.integrate on the
 radial/polar reductions.
 """
 
-import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -71,55 +70,49 @@ class TestParams:
 
 class TestGaussRuleCaches:
     def test_caches_are_bounded(self):
-        for rule in (energy_mod._legendre_rule, energy_mod._jacobi_rule):
-            maxsize = rule.cache_info().maxsize
-            assert maxsize is not None and maxsize > 0
+        maxsize = quadrature._gauss_rule.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
     def test_rules_are_read_only(self):
-        for x, w in (energy_mod._legendre_rule(8), energy_mod._jacobi_rule(8, 0.5)):
+        for x, w in (quadrature._gauss_rule(8), quadrature._gauss_rule(8, 0.5)):
             for arr in (x, w):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
     def test_each_rule_is_built_once_per_search(self, monkeypatch):
-        built = collections.Counter()
-        real_leggauss = energy_mod.leggauss
-        real_jacobi = energy_mod._gauss_jacobi
+        # every cache miss is a build; a call that spells one (n, s) two
+        # ways, such as (n,) and (n, 0.0), would build it twice
+        real = quadrature._gauss_rule
+        asked = set()
 
-        def leggauss(n):
-            built["legendre", n] += 1
-            return real_leggauss(n)
+        def gauss_rule(*args, **kwargs):
+            n, s = (list(args) + [kwargs.get("s", 0.0)])[:2]
+            asked.add((n, float(s)))
+            return real(*args, **kwargs)
 
-        def gauss_jacobi(n, s):
-            built["jacobi", n, s] += 1
-            return real_jacobi(n, s)
-
-        monkeypatch.setattr(energy_mod, "leggauss", leggauss)
-        monkeypatch.setattr(energy_mod, "_gauss_jacobi", gauss_jacobi)
-        energy_mod._legendre_rule.cache_clear()
-        energy_mod._jacobi_rule.cache_clear()
-        try:
-            params = EnergyParams(kernel=frac(N=3), A=1.0, alpha=0.5, beta=1.0)
-            split_advantage(2.0, params, d_count=3)
-        finally:
-            energy_mod._legendre_rule.cache_clear()
-            energy_mod._jacobi_rule.cache_clear()
-        assert any(key[0] == "legendre" for key in built)
-        assert any(key[0] == "jacobi" for key in built)
-        assert set(built.values()) == {1}
+        monkeypatch.setattr(quadrature, "_gauss_rule", gauss_rule)
+        real.cache_clear()
+        params = EnergyParams(kernel=frac(N=3), A=1.0, alpha=0.5, beta=1.0)
+        split_advantage(2.0, params, d_count=3)
+        assert any(s == 0.0 for _, s in asked)
+        assert any(s > 0.0 for _, s in asked)
+        assert real.cache_info().misses == len(asked)
 
 
 def test_gauss_jacobi_rule_matches_scipy_and_is_exact():
-    # the Golub-Welsch rule for (1 + x)^{-s} against scipy's, and exact on
+    # the Newton rule for (1 + x)^{-s} against scipy's, and exact on
     # x^k, k <= 2n - 1, against the Beta-function moments at 30 digits
-    for n in (8, 96, 192):
-        for s in (0.1, 0.5, 0.9):
-            x, w = energy_mod._jacobi_rule(n, s)
+    for n in (1, 2, 3, 6, 8, 32, 48, 64, 96, 128, 192, 256, 512):
+        for s in (0.0, 0.1, 0.5, 0.9, 0.99):
+            x, w = quadrature._gauss_rule(n, s)
             x_ref, _ = scipy.special.roots_jacobi(n, 0.0, -s)
+            assert x.shape == w.shape == (n,)
             assert np.max(np.abs(x - x_ref)) <= 1e-14
             assert w.sum() == pytest.approx(2.0 ** (1.0 - s) / (1.0 - s), rel=1e-14)
-    for s in (0.1, 0.5, 0.9):
-        x, w = energy_mod._jacobi_rule(8, s)
+            assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+            assert np.all(w > 0.0)
+    for s in (0.0, 0.1, 0.5, 0.9):
+        x, w = quadrature._gauss_rule(8, s)
         for k in range(16):
             # int (1 + x)^{-s} x^k = sum_j C(k, j) (-1)^{k-j} 2^{j+1-s} B(j+1-s, 1)
             with mpmath.workdps(30):

@@ -165,16 +165,16 @@ class TestLayoutEnergy:
         "N, alpha, expected",
         [
             (2, 1.0, [
-                "0x1.19eaae11b238dp+6", "0x1.e486ac0000000p-33",
-                "0x1.90e0e61d62966p+2", "0x1.457f6f3a110f4p-34",
+                "0x1.19eaae11b238bp+6", "0x1.e496a00000000p-33",
+                "0x1.90e0e61d62966p+2", "0x1.457f4f3a110f4p-34",
                 "0x1.40d931ff62706p+2", "0x0.0p+0",
-                "0x1.1eeb2953923b3p+6", "0x1.43a331ce8443dp-32",
+                "0x1.1eeb2953923b1p+6", "0x1.43ab23ce8443dp-32",
             ]),
             (3, 0.5, [
-                "0x1.2d373b8feb99fp+7", "0x1.5de9e34fa1d78p-45",
-                "0x1.040c4bf5e22cbp+2", "0x1.bd77129f79c2cp-39",
+                "0x1.2d373b8feb99dp+7", "0x1.5dc9e34fa1d78p-45",
+                "0x1.040c4bf5e22cbp+2", "0x1.bd67129f79c2cp-39",
                 "0x1.eb4df536e5a97p+1", "0x0.0p+0",
-                "0x1.2daa661abf14bp+7", "0x1.c2eeba2cb84a2p-39",
+                "0x1.2daa661abf149p+7", "0x1.c2de3a2cb84a2p-39",
             ]),
         ],
     )

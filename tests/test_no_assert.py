@@ -3,7 +3,8 @@
 also import nothing they do not use, and at module level nothing but the
 standard library, numpy and the package itself: every CLI run is a fresh
 process and pays for every import.  scipy and mpmath are test-only
-references and no package module imports them.  The package's
+references and no package module imports them; nor does any import
+``numpy.polynomial`` or call a numpy.linalg eigensolver.  The package's
 ``__all__`` is its export table: each name is a public object of the
 module the table names, and nothing else resolves.  Only ``quadrature``
 makes a coarse level."""
@@ -121,6 +122,42 @@ def test_package_never_imports_scipy():
         if name.split(".")[0] in ("scipy", "mpmath")
     ]
     assert not found, f"scipy or mpmath imports in the package: {found}"
+
+
+def _lapack_uses(tree):
+    """(line, name) of each import from ``numpy.polynomial`` and each import
+    or attribute use of a numpy.linalg eigensolver (``eig``, ``eigh``,
+    ``eigvals``, ``eigvalsh``) in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            names = [f"numpy.linalg.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            if name.startswith(("numpy.polynomial", "numpy.linalg.eig")):
+                yield node.lineno, name
+
+
+def test_package_builds_gauss_rules_without_lapack():
+    # every Gauss rule is quadrature._gauss_rule's Newton iteration: no
+    # leggauss and no dense eigensolve, at any nesting level
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in _lapack_uses(_parse(path))
+    ]
+    assert not found, f"numpy.polynomial or numpy.linalg eigensolvers in the package: {found}"
+    probe = ast.parse(
+        "import numpy.polynomial.legendre\nfrom numpy import polynomial\n"
+        "from numpy.linalg import eigvalsh\nx = np.linalg.eigh(a)\n"
+    )
+    assert [line for line, _ in _lapack_uses(probe)] == [1, 2, 3, 4]
 
 
 # The helpers that make a coarse level or put shapes on one grid, including

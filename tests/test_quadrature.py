@@ -84,6 +84,48 @@ class TestSpecValidation:
             riesz_integrand(2, 0.0)
 
 
+class TestGaussRule:
+    """``quadrature._gauss_rule``, the one builder of every Gauss rule:
+    Newton's method on the three-term recurrence of P_n^(0, -s).  Its nodes
+    against scipy, its mass, moments, cache and read-only arrays are
+    checked in test_energy.py beside the rules' callers."""
+
+    def test_legendre_rules_are_mirror_symmetric(self):
+        for n in (1, 2, 3, 6, 8, 32, 48, 64, 96, 128, 192, 256, 512):
+            x, w = quadrature._gauss_rule(n)
+            assert np.array_equal(x, -x[::-1]), n
+            assert np.array_equal(w, w[::-1]), n
+            if n % 2:
+                assert x[n // 2] == 0.0
+
+    def test_weights_match_the_closed_form_at_40_digits(self):
+        # w_k = 2 / ((1 - x_k^2) P_n'(x_k)^2) at the mpmath root nearest each node
+        n = 64
+        x, w = quadrature._gauss_rule(n)
+        with mpmath.workdps(40):
+            for k in (0, 1, 7, 31):
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(x[k]))
+                slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
+                exact = 2 / ((1 - root ** 2) * slope ** 2)
+                assert abs(x[k] - float(root)) <= 2e-16
+                assert float(abs(w[k] - exact) / exact) <= 1e-13
+
+    @pytest.mark.parametrize("n, s", [(0, 0.0), (-3, 0.5), (2.5, 0.0), (8, -0.1), (8, 1.0), (8, math.nan)])
+    def test_bad_orders_and_exponents_are_refused(self, n, s):
+        with pytest.raises(ParameterError):
+            quadrature._gauss_rule.__wrapped__(n, s)
+
+    def test_a_rule_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_GAUSS_SWEEPS", 1)
+        with pytest.raises(ParameterError, match="did not converge"):
+            quadrature._gauss_rule.__wrapped__(64, 0.5)
+
+    def test_nodes_that_reach_the_endpoint_raise(self):
+        # at s = 1 - 1e-12 the first node of 512 rounds to -1
+        with pytest.raises(ParameterError, match="strictly increasing inside"):
+            quadrature._gauss_rule.__wrapped__(512, 1.0 - 1e-12)
+
+
 class TestCellPairIntegral:
     def test_same_cell_riesz_scaled(self):
         # the unit-cell value scales by h^(2N - sigma)
