@@ -12,9 +12,10 @@ attractive background R_beta(E) = int_E |x|^{-beta}.
 Ball configurations get dedicated radial reductions (single-ball perimeter
 through the ray-exit tail, self-interaction through pair-distance
 densities, pairwise interactions through the pair-distance density of two
-balls in 3-D and an inner-potential table in 2-D) that are much faster
-and more accurate than the generic tensor grid; voxel shapes go
-through the quadrature module.  The ball evaluator is one
+balls in 3-D and in 2-D an inner-potential table whose rows are ray
+integrals, ``_disk_ray_integral``, which also gives the 2-D background)
+that are much faster and more accurate than the generic tensor grid; voxel
+shapes go through the quadrature module.  The ball evaluator is one
 function per term (``_balls_perimeter``, ``_balls_riesz``,
 ``_balls_background``, and ``_balls_cross`` for the pairwise
 interactions), shared with the families and slicing modules;
@@ -230,10 +231,50 @@ def _ball_pair_density(gs, d: float, R1: float, R2: float, n: int = 64) -> np.nd
     return np.array(out)
 
 
-# Rows of r_grid per block of the 2-D pair table: a (rows, n, 64) distance
-# block stays in cache where the whole (512, n, 64) tensor took 25 MB.  The
-# result does not depend on it: each row's phi sums are the same products.
-_PAIR_ROW_BLOCK = 8
+def _radial_primitive(g):
+    """G with G'(t) = g(t) t for a radial integrand g: the kernel's
+    ``kernels.radial_antiderivative`` at q = 1, exact on every power-law
+    piece, or t^e / e (log t at e = 0) for the exponent g = 2 - e."""
+    if isinstance(g, KernelSpec):
+        return functools.partial(kernels.radial_antiderivative, g, 1)
+    e = 2.0 - float(g)
+    return np.log if e == 0.0 else lambda t: t ** e / e
+
+
+# Rows per block of ``_disk_ray_integral``: the (rows, n) ray arrays stay
+# small, where whole (512, n) temporaries raised a 2-D split's peak memory
+# by about 2 MB.  The result does not depend on it.
+_RAY_ROWS = 32
+
+
+def _disk_ray_integral(prims, r, R: float, n: int) -> np.ndarray:
+    """int_{B(c, R)} g(|x - y|) dy over a 2-D disk, at the points x at the
+    distances r >= R from c, one row per antiderivative G in ``prims``
+    (G'(t) = g(t) t, ``_radial_primitive``).
+
+    The ray from x at angle theta off the direction of c meets the disk for
+    |theta| < theta_max = arcsin(R / r), between the distances rho_-+ =
+    r cos(theta) -+ sqrt(R^2 - r^2 sin(theta)^2), so the integral is
+
+        2 int_0^theta_max [G(rho_+) - G(rho_-)] dtheta.
+
+    theta = theta_max sin(phi) removes the square-root end at theta_max;
+    the smooth integrand in phi takes an n-point Gauss rule on [0, pi/2].
+    rho_- is (r - R)(r + R) / rho_+, which does not cancel near touching."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    x, w = _gl(n, 0.0, 0.5 * math.pi)
+    sx, wx = np.sin(x), w * np.cos(x)
+    out = np.empty((len(prims), r.size))
+    for i in range(0, r.size, _RAY_ROWS):
+        rr = r[i:i + _RAY_ROWS, None]
+        tmax = np.arcsin(np.minimum(R / rr, 1.0))
+        theta = tmax * sx
+        rs = rr * np.sin(theta)
+        rho_p = rr * np.cos(theta) + np.sqrt(np.maximum((R - rs) * (R + rs), 0.0))
+        rho_m = np.maximum((rr - R) * (rr + R), 0.0) / rho_p
+        for k, G in enumerate(prims):
+            out[k, i:i + _RAY_ROWS] = 2.0 * tmax[:, 0] * ((G(rho_p) - G(rho_m)) @ wx)
+    return out
 
 
 def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> np.ndarray:
@@ -241,34 +282,14 @@ def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> n
     d > R1 + R2, one value per radial integrand g in ``gs``.
 
     The inner potential u(r) = int_{B2} g(|x - y|) dy, with r = |x - c2|,
-    is tabulated on a 512-point linear grid over [d - R1, d + R1] (an
-    n-point Gauss rule in the B2 radius and the 128-point Gauss rule on
-    [0, 2 pi] in the angle, folded onto its symmetric half [0, pi]) and
-    read back with ``np.interp`` at the nodes of the outer n x n Gauss
-    rule over B1.  The integrands share the grid, the distance tables and
-    the outer nodes.  The callers' n against n/2 error does not see the
+    is tabulated on a 512-point linear grid over [d - R1, d + R1], each row
+    by the ray formula of ``_disk_ray_integral`` on an n-point angle rule,
+    and read back with ``np.interp`` at the nodes of the outer n x n Gauss
+    rule over B1.  The integrands share the grid, the rays and the outer
+    nodes.  The callers' n against n/2 error does not see the
     interpolation error of the fixed 512-point table."""
     r_grid = np.linspace((d - R1) * (1 - 1e-12), (d + R1) * (1 + 1e-12), 512)
-    rho, wrho = _gl(n, 0.0, R2)
-    gfns = [_radial_eval(g) for g in gs]
-    phi, wphi = _gl(128, 0.0, 2.0 * math.pi)
-    # Gauss-Legendre nodes and weights are mirror-symmetric bit for bit,
-    # so the rule on [0, 2 pi] is the rule on its first half counted twice
-    phi, wphi = phi[:64], 2.0 * wphi[:64]
-    PP = rho[None, :, None]
-    CC = np.cos(phi)[None, None, :]
-    phi_sums = np.empty((len(gs), r_grid.size, n))
-    for i in range(0, r_grid.size, _PAIR_ROW_BLOCK):
-        rows = slice(i, i + _PAIR_ROW_BLOCK)
-        RR = r_grid[rows, None, None]
-        # |x - y| on the (r, rho, phi) block, built in one buffer.
-        t = 2.0 * RR * PP * CC
-        np.subtract(RR ** 2 + PP ** 2, t, out=t)
-        np.maximum(t, 1e-300, out=t)
-        np.sqrt(t, out=t)
-        for k, gfn in enumerate(gfns):
-            phi_sums[k, rows] = gfn(t) @ wphi
-    u_grids = [(sums * rho[None, :]) @ wrho for sums in phi_sums]
+    u_grids = _disk_ray_integral([_radial_primitive(g) for g in gs], r_grid, R2, n)
 
     a, wa = _gl(n, 0.0, R1)
     th, wth = _gl(n, 0.0, math.pi)
@@ -279,8 +300,13 @@ def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> n
 
 
 def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> float:
-    """int over one ball of |x|^{-beta}: radial shells about the origin
-    weighted by the in-ball cap area."""
+    """int over one ball of |x|^{-beta}.  In 2-D by rays from the origin:
+    ``_disk_ray_integral`` with the origin outside the disk, and with it
+    inside the periodic int_0^{2 pi} G(rho(theta)) dtheta, rho(theta) =
+    d cos(theta) + sqrt(R^2 - d^2 sin(theta)^2) the exit distance and
+    G(t) = t^(2 - beta) / (2 - beta), by the n-point trapezoid rule, which
+    converges geometrically on a smooth periodic integrand.  In 3-D by
+    radial shells about the origin weighted by the in-ball cap area."""
     d = float(np.linalg.norm(np.asarray(center, dtype=float)))
     if d < 1e-14:
         if beta >= N:
@@ -294,14 +320,19 @@ def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> flo
             f"background exponent {beta} >= N with the singular point inside "
             "the shape: integral diverges"
         )
+    if N == 2:
+        G = _radial_primitive(beta)
+        if d >= R:
+            return float(_disk_ray_integral([G], d, R, n)[0, 0])
+        theta = np.arange(n) * (2.0 * math.pi / n)
+        ds = d * np.sin(theta)
+        rho = d * np.cos(theta) + np.sqrt((R - ds) * (R + ds))
+        return float(np.sum(G(rho))) * (2.0 * math.pi / n)
     lo = max(0.0, d - R)
     hi = d + R
     r, w = _gl(n, lo, hi)
     cosg = np.clip((r ** 2 + d ** 2 - R ** 2) / (2.0 * r * d), -1.0, 1.0)
-    if N == 3:
-        area = 2.0 * math.pi * r ** 2 * (1.0 - cosg)
-    else:
-        area = 2.0 * r * np.arccos(cosg)
+    area = 2.0 * math.pi * r ** 2 * (1.0 - cosg)
     return float(np.sum(w * r ** (-beta) * area))
 
 
@@ -323,8 +354,9 @@ def _balls_cross(gs, U: BallConfig, W: BallConfig | None = None) -> tuple:
     of the cross terms int_{B_i} int_{B_j} g(|x-y|) summed over the ball
     pairs i < j of U, or over every pair (i in U, j in W), which the
     callers have checked disjoint.  The integrands share one pass per pair
-    and node count: ``_ball_pair_density`` in 3-D,
-    ``_ball_pair_interaction`` in 2-D."""
+    and node count: ``_ball_pair_density`` in 3-D, and in 2-D
+    ``_ball_pair_interaction``, whose table rows evaluate each integrand's
+    antiderivative at two distances per node of an n-point angle rule."""
     if W is None:
         W = U
         pairs = [(i, j) for i in range(U.count) for j in range(i + 1, U.count)]

@@ -13,10 +13,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from nldrop import energy as energy_mod
-from nldrop import geometry, quadrature
+from nldrop import geometry, kernels, quadrature
 from nldrop.energy import (
     EnergyParams,
     EnergyReport,
@@ -261,10 +262,40 @@ class TestBackground:
         expected = geometry.unit_ball_volume(3) * 1.2 ** 3 / 3.0
         assert est.value == pytest.approx(expected, rel=1e-12)
 
-    def test_beta_zero_is_volume(self):
-        b = geometry.BallConfig(dimension=2, centers=np.array([[0.5, 0.0]]), radii=np.array([1.0]))
+    @pytest.mark.parametrize("d, R", [(0.5, 1.0), (0.999, 1.0), (3.0, 1.2)])
+    def test_beta_zero_is_volume(self, d, R):
+        # origin inside (trapezoid rule) and outside (ray rule) alike
+        b = geometry.BallConfig(dimension=2, centers=np.array([[d, 0.0]]), radii=np.array([R]))
         est = background(b, 0.0, QuadratureSpec())
-        assert est.value == pytest.approx(math.pi, rel=1e-3)
+        assert est.value == pytest.approx(math.pi * R ** 2, rel=1e-14)
+        assert est.error <= 1e-14 * est.value
+
+    @pytest.mark.parametrize("d, truth", [(0.5, 5.8698488), (0.999, 4.0159776)])
+    def test_off_center_disk_is_elliptic(self, d, truth):
+        # the unit disk with the origin inside at distance d weighs
+        # 4 E(d^2) under 1/|x| (E the complete elliptic integral of the
+        # second kind); at d = 0.999 the shell rule was 8.8 bars off
+        exact = 4.0 * scipy.special.ellipe(d * d)
+        assert exact == pytest.approx(truth, abs=1e-7)
+        b = geometry.BallConfig(dimension=2, centers=np.array([[d, 0.0]]), radii=np.array([1.0]))
+        est = background(b, 1.0, QuadratureSpec())
+        assert abs(est.value - exact) <= est.error + 1e-14 * exact
+        assert est.value == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
+    def test_origin_outside_matches_polar_quadrature(self, beta):
+        # rays from the origin against scipy's polar integral about it
+        d, R = 1.5, 1.0
+        b = geometry.BallConfig(dimension=2, centers=np.array([[d, 0.0]]), radii=np.array([R]))
+        est = background(b, beta, QuadratureSpec())
+        tmax = math.asin(R / d)
+
+        def ray(theta):
+            c, root = d * math.cos(theta), math.sqrt(max(R * R - (d * math.sin(theta)) ** 2, 0.0))
+            return scipy.integrate.quad(lambda t: t ** (1.0 - beta), c - root, c + root, epsrel=1e-13)[0]
+
+        truth = 2.0 * scipy.integrate.quad(ray, 0.0, tmax, epsrel=1e-12)[0]
+        assert est.value == pytest.approx(truth, rel=1e-11)
 
     def test_radial_and_grid_routes_agree(self):
         b = geometry.BallConfig(dimension=2, centers=np.array([[0.5, 0.0]]), radii=np.array([1.0]))
@@ -395,9 +426,23 @@ class TestInteraction:
         assert est.value == 0.0
 
 
+def _table_pair_value(u_grid, d, R1, n):
+    """The outer n x n Gauss rule over B1 of the inner-potential table
+    ``u_grid`` on the 512-point grid of ``energy._ball_pair_interaction``."""
+    r_grid = np.linspace((d - R1) * (1 - 1e-12), (d + R1) * (1 + 1e-12), 512)
+    a, wa = energy_mod._gl(n, 0.0, R1)
+    th, wth = energy_mod._gl(n, 0.0, math.pi)
+    AA, UU = a[:, None], np.cos(th)[None, :]
+    r = np.sqrt(np.clip(AA ** 2 + d ** 2 - 2.0 * AA * d * UU, 0.0, None))
+    inner = np.interp(r, r_grid, u_grid) @ (2.0 * wth)
+    return float(np.sum(wa * a * inner))
+
+
 def _unblocked_pair_interaction(g, d, R1, R2, n):
-    """The 2-D pair term with the whole (512, n, 64) distance tensor built
-    at once: the reference the row-blocked pass must match bit for bit."""
+    """The 2-D pair term with each table row summed over the whole
+    (512, n, 64) distance tensor: an n-point rule in the B2 radius and the
+    symmetric half of a 128-point angle rule, g evaluated at every distance.
+    An independent route to the rows the ray formula gives."""
     gfn = energy_mod._radial_eval(g)
     r_grid = np.linspace((d - R1) * (1 - 1e-12), (d + R1) * (1 + 1e-12), 512)
     rho, wrho = energy_mod._gl(n, 0.0, R2)
@@ -411,17 +456,41 @@ def _unblocked_pair_interaction(g, d, R1, R2, n):
     np.maximum(t, 1e-300, out=t)
     np.sqrt(t, out=t)
     u_grid = ((gfn(t) @ wphi) * rho[None, :]) @ wrho
-    a, wa = energy_mod._gl(n, 0.0, R1)
-    th, wth = energy_mod._gl(n, 0.0, math.pi)
-    AA, UU = a[:, None], np.cos(th)[None, :]
-    r = np.sqrt(np.clip(AA ** 2 + d ** 2 - 2.0 * AA * d * UU, 0.0, None))
-    inner = np.interp(r, r_grid, u_grid) @ (2.0 * wth)
-    return float(np.sum(wa * a * inner))
+    return _table_pair_value(u_grid, d, R1, n)
+
+
+def _ray_row_reference(kernel, r, R2, order=64):
+    """u(r) = int_{B2} K(|x - y|) dy at |x - c2| = r by the ray formula
+    on an order-point Gauss-Legendre rule (numpy's) per piece of
+    phi in [0, pi/2], split where rho_- or rho_+ crosses a knot of K, so
+    every piece is smooth."""
+    knots = kernels._pieces(kernel)[0]
+    x, w = np.polynomial.legendre.leggauss(order)
+    tmax = math.asin(R2 / r)
+    cuts = {0.0, 0.5 * math.pi}
+    for rc in knots:
+        # the ray at angle theta meets the circle |y - c2| = R2 at distance
+        # rc where cos(theta) = (rc^2 + r^2 - R2^2) / (2 r rc)
+        c = (rc * rc + r * r - R2 * R2) / (2.0 * r * rc)
+        if -1.0 < c < 1.0 and math.acos(c) < tmax:
+            cuts.add(math.asin(math.acos(c) / tmax))
+    cuts = sorted(cuts)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        phi = 0.5 * (a + b) + 0.5 * (b - a) * x
+        th = tmax * np.sin(phi)
+        root = np.sqrt(np.maximum(R2 ** 2 - (r * np.sin(th)) ** 2, 0.0))
+        G = kernels.radial_antiderivative(kernel, 1, np.concatenate([r * np.cos(th) + root, r * np.cos(th) - root]))
+        total += 0.5 * (b - a) * float((w * np.cos(phi)) @ (G[:order] - G[order:]))
+    return 2.0 * tmax * total
 
 
 class TestBallPairPass:
     """The riesz and kernel cross terms of a ball pair share one pass; the
-    numbers must be those of one pass per integrand, bit for bit."""
+    numbers must be those of one pass per integrand, bit for bit.  Each
+    row of the 2-D inner-potential table comes from the ray formula."""
+
+    R1, R2 = 0.8, 1.2
 
     @staticmethod
     def balls(N):
@@ -439,11 +508,46 @@ class TestBallPairPass:
 
     @pytest.mark.parametrize("n", [96, 48])
     def test_blocked_table_matches_full_tensor(self, n):
+        # the ray rows, in blocks, against rows summed over the whole
+        # (r, rho, phi) distance tensor, through the same interpolation
+        # and outer rule
         kernel = frac()
-        args = (float(np.hypot(1.3, 1.6)), 0.8, 1.2)
+        args = (float(np.hypot(1.3, 1.6)), self.R1, self.R2)
         got = energy_mod._ball_pair_interaction((0.6, kernel), *args, n=n)
         want = [_unblocked_pair_interaction(g, *args, n) for g in (0.6, kernel)]
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2.05, 5.0])
+    def test_coulomb_rows_are_elliptic(self, d):
+        # the potential of the unit-density disk of radius R under 1/|x - y|
+        # at distance r > R: 4 r [E(k^2) - (1 - k^2) K(k^2)], k = R / r
+        r = np.linspace(d - self.R1, d + self.R1, 512)
+        u = energy_mod._disk_ray_integral([energy_mod._radial_primitive(1.0)], r, self.R2, 96)[0]
+        k2 = (self.R2 / r) ** 2
+        exact = 4.0 * r * (scipy.special.ellipe(k2) - (1.0 - k2) * scipy.special.ellipk(k2))
+        np.testing.assert_allclose(u, exact, rtol=5e-14, atol=0.0)
+
+    def test_truncated_near_touching_within_the_bar(self):
+        # cap 50 at 1.02 times touching: the truncation radius r_cap lies
+        # inside the gap's range of distances, so rho_-+ cross the kink.
+        # The reference takes the same 512-point table and outer rule with
+        # rows split at the kink; the (r, rho, phi) table was 2.3 bars off
+        # it (3.05847154144 +- 1.9e-7 against 3.05847109746).  The fixed
+        # table's interpolation error is not in the bar: an adaptive
+        # integral of the rows without the table gives 3.0584464546
+        cap, n = 50.0, 96
+        kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.7, kind="truncated-fractional", cap=cap)
+        d = 1.02 * (self.R1 + self.R2)
+        r_grid = np.linspace((d - self.R1) * (1 - 1e-12), (d + self.R1) * (1 + 1e-12), 512)
+        u_ref = np.array([_ray_row_reference(kernel, r, self.R2) for r in r_grid])
+        u = energy_mod._disk_ray_integral([energy_mod._radial_primitive(kernel)], r_grid, self.R2, n)[0]
+        assert np.max(np.abs(u / u_ref - 1.0)) < 1e-6
+        truth = _table_pair_value(u_ref, d, self.R1, n)
+        assert truth == pytest.approx(3.05847109746, rel=1e-11)
+        U = geometry.BallConfig(2, np.zeros((1, 2)), np.array([self.R1]))
+        W = geometry.BallConfig(2, np.array([[d, 0.0]]), np.array([self.R2]))
+        est = interaction(U, W, kernel, QuadratureSpec())
+        assert abs(est.value - truth) <= est.error
 
     def test_coulomb_closed_form_beside_quadrature(self):
         # 3-D alpha = 1 takes the same pair-distance route as the kernel and
@@ -601,7 +705,8 @@ class TestTabulatedBallTerms:
         tab = interaction(U, W, self.table(N), QuadratureSpec())
         ref = interaction(U, W, frac(N=N), QuadratureSpec())
         assert abs(tab.value - ref.value) <= tab.error
-        assert tab.value == pytest.approx(ref.value, rel=1e-12)
+        # both take the exact antiderivative of K's power-law pieces
+        assert tab.value == pytest.approx(ref.value, rel=1e-13)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_single_ball_perimeter_matches_fractional(self, N):

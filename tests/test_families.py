@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nldrop import energy as energy_mod
-from nldrop import geometry
+from nldrop import geometry, kernels
 from nldrop.energy import EnergyParams, background, perimeter, riesz
 from nldrop.errors import ParameterError, PreconditionError
 from nldrop.families import (
@@ -158,6 +158,27 @@ class TestLayoutEnergy:
         used = "_ball_pair_density" if N == 3 else "_ball_pair_interaction"
         assert calls == {used: expected}
 
+    def test_kernel_radii_of_a_2d_pair(self, monkeypatch):
+        # each row of the 512-point inner-potential table takes the kernel's
+        # antiderivative at rho_- and rho_+ on an n-point angle rule, n = 96
+        # and 48: at most 2 * 512 * (96 + 48) radii for the pair, plus the
+        # two single-ball perimeters (192 + 96 nodes and a tail at each).  The
+        # (r, rho, phi) table evaluated K at 64 times as many per pass.
+        seen = []
+        for name in ("eval_kernel_radial", "radial_antiderivative"):
+            real = getattr(kernels, name)
+
+            def counted(kernel, *args, _real=real):
+                seen.append(np.size(args[-1]))
+                return _real(kernel, *args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        energy_mod._single_ball_perimeter.cache_clear()
+        kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
+        params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
+        layout_energy(pair(2, 2.0, 1.0, 4.0), params)
+        assert 0 < sum(seen) <= 2 * 512 * (96 + 48) + 2 * (192 + 96 + 2)
+
     # values and errors at m1 = 2, m2 = 1, d = 4 (s = 1/2, epsilon = 3/4,
     # A = 1, beta = 1), pinned bit for bit: perimeter, riesz and background
     # (value, error) each, then total and error
@@ -191,8 +212,8 @@ class TestLayoutEnergy:
         assert got == [float.fromhex(v) for v in expected]
 
     def test_pair_table_memory_is_bounded(self):
-        # the 2-D distance table is built in row blocks, not as one
-        # (512, 96, 64) tensor of 25 MB
+        # the 2-D table's rays are built in row blocks, not as whole
+        # (512, 96) arrays per integrand
         kernel = KernelSpec(dimension=2, s=0.5, epsilon=0.75, lam=1.0, kind="fractional")
         params = EnergyParams(kernel=kernel, A=1.0, alpha=1.0, beta=1.0)
         balls = pair(2, 2.0, 1.0, 4.0)
