@@ -364,7 +364,9 @@ def _build_shape(config, N: int):
             )
         return vox
     if kind == "blob":
-        rng = np.random.default_rng(int(config["shape.seed"]))
+        from ._pcg64 import Stream
+
+        rng = Stream(int(config["shape.seed"]))
         return geometry.random_blob(N, rng, grid_n=int(config["shape.grid"]))
     raise ConfigError(f"unknown shape.kind {kind!r}")
 
@@ -511,6 +513,7 @@ def _run_verify(config, outdir):
 
     from . import energy as energy_mod
     from . import geometry, isoperimetry, slicing
+    from ._pcg64 import Stream
     from .kernels import KernelSpec
     from .quadrature import QuadratureSpec
 
@@ -544,7 +547,7 @@ def _run_verify(config, outdir):
             chk.slack >= -3.0 * chk.error,
         )
 
-    blob = geometry.random_blob(2, np.random.default_rng(seed + 2), grid_n=grid_n)
+    blob = geometry.random_blob(2, Stream(seed + 2), grid_n=grid_n)
     lc = slicing.layer_cake_checks(blob, np.array([1.0, 0.0]), spec)
     check(
         "layer-cake-background",

@@ -299,14 +299,21 @@ def _ball_pair_interaction(gs, d: float, R1: float, R2: float, n: int = 96) -> n
     return np.array([float(np.sum(wa * a * (np.interp(r, r_grid, ug) @ (2.0 * wth)))) for ug in u_grids])
 
 
-def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> float:
+def _ball_background(N: int, beta: float, center, R: float, n: int) -> float:
     """int over one ball of |x|^{-beta}.  In 2-D by rays from the origin:
     ``_disk_ray_integral`` with the origin outside the disk, and with it
     inside the periodic int_0^{2 pi} G(rho(theta)) dtheta, rho(theta) =
     d cos(theta) + sqrt(R^2 - d^2 sin(theta)^2) the exit distance and
     G(t) = t^(2 - beta) / (2 - beta), by the n-point trapezoid rule, which
-    converges geometrically on a smooth periodic integrand.  In 3-D by
-    radial shells about the origin weighted by the in-ball cap area."""
+    converges geometrically on a smooth periodic integrand.
+
+    In 3-D by spheres of radius r about the origin: the ball holds all of
+    the sphere, area 4 pi r^2, for r < R - d, which integrates exactly, and
+    the cap (pi r / d)(R^2 - (r - d)^2) on the shell [|R - d|, R + d].  The
+    shell integrand is r^(1 - beta) times a quadratic, singular only at
+    r = 0, a gap |R - d| below the shell: n-point Gauss rules on pieces cut
+    where r grows 16-fold from the gap, as in ``_ball_pair_density``.  With
+    the origin on the sphere (no gap) the shell integral is closed."""
     d = float(np.linalg.norm(np.asarray(center, dtype=float)))
     if d < 1e-14:
         if beta >= N:
@@ -328,12 +335,17 @@ def _ball_background(N: int, beta: float, center, R: float, n: int = 512) -> flo
         ds = d * np.sin(theta)
         rho = d * np.cos(theta) + np.sqrt((R - ds) * (R + ds))
         return float(np.sum(G(rho))) * (2.0 * math.pi / n)
-    lo = max(0.0, d - R)
-    hi = d + R
-    r, w = _gl(n, lo, hi)
-    cosg = np.clip((r ** 2 + d ** 2 - R ** 2) / (2.0 * r * d), -1.0, 1.0)
-    area = 2.0 * math.pi * r ** 2 * (1.0 - cosg)
-    return float(np.sum(w * r ** (-beta) * area))
+    gap, top = abs(R - d), R + d
+    if gap == 0.0:
+        # int_0^{2R} pi r^(2 - beta) (2R - r) / R dr
+        return 2.0 * math.pi * top ** (3.0 - beta) / ((3.0 - beta) * (4.0 - beta))
+    inner = 4.0 * math.pi * gap ** (3.0 - beta) / (3.0 - beta) if d < R else 0.0
+    cuts = gap * 16.0 ** np.arange(1 + int(math.log(top / gap, 16.0)))
+    cuts = [*cuts[cuts < top], top]
+    r, w = map(np.concatenate, zip(*(_gl(n, a, b) for a, b in zip(cuts, cuts[1:]))))
+    # R^2 - (r - d)^2 as (top - r)(r - (d - R)): R + r - d cancels near the gap
+    cap = (math.pi / d) * r * (top - r) * (r - (d - R))
+    return inner + float(w @ (r ** -beta * cap))
 
 
 def _refined_sum(f, n: int, calls) -> tuple:
@@ -405,7 +417,8 @@ def _balls_riesz(alpha: float, E: BallConfig, cross: tuple | None = None) -> tup
 def _balls_background(beta: float, E: BallConfig) -> tuple:
     """(value, error) of int_E |x|^{-beta} over a union of balls."""
     calls = [(E.dimension, beta, c, float(r)) for c, r in zip(E.centers, E.radii)]
-    return _refined_sum(_ball_background, 512, calls)
+    # 512 trapezoid or ray nodes in 2-D, 64 per shell piece in 3-D
+    return _refined_sum(_ball_background, 512 if E.dimension == 2 else 64, calls)
 
 
 def _balls_energy(E: BallConfig, params: EnergyParams, charged: int | None = None) -> tuple:

@@ -242,12 +242,17 @@ def _unit_box_axes(N: int, grid_n: int):
 
 def random_blob(
     N: int,
-    rng: np.random.Generator,
+    rng,
     grid_n: int = 64,
     volume_cap: Optional[float] = None,
 ) -> VoxelShape:
     """Seeded random blob: the union of 1-5 random, possibly overlapping
     balls on a voxel grid over the unit box [-1/2, 1/2]^N.
+
+    ``rng`` is any source with ``integers(low, high)`` (one int in
+    [low, high)) and ``uniform(low, high, size)`` (an array of that shape):
+    a ``numpy.random.Generator``, or the CLI's ``_pcg64.Stream``, which
+    draws the same numbers for the same seed.
 
     When ``volume_cap`` is given the grid spacing is rescaled (exactly, see
     ``scale``) so the voxel volume lands at 90% of the cap or below.
@@ -265,9 +270,10 @@ def random_blob(
     return shape
 
 
-def random_disjoint_pair(N: int, rng: np.random.Generator, grid_n: int = 64):
+def random_disjoint_pair(N: int, rng, grid_n: int = 64):
     """Two disjoint random blobs on one shared grid over the unit box
-    [-1/2, 1/2]^N, separated along axis 0.
+    [-1/2, 1/2]^N, separated along axis 0.  ``rng`` is as for
+    ``random_blob``; the left blob's draws come first.
 
     The left blob is clipped to x_0 < -0.06 and the right blob to
     x_0 >= 0.06, so a gap of at least 0.12 separates them.

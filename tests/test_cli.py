@@ -521,6 +521,9 @@ class TestSubcommandRuns:
                 "ParameterError",
                 "diverges",
             ),
+            # seeds are >= 0: a blob's and verify's
+            ({}, ["shape.kind=blob", "shape.seed=-1"], "ParameterError", "seed must be >= 0"),
+            ({}, ["verify", "seed=-3"], "ParameterError", "seed must be >= 0"),
         ],
     )
     def test_malformed_inputs_exit_two(self, tmp_path, capsys, files, overrides, error, needle):
@@ -531,18 +534,22 @@ class TestSubcommandRuns:
 
     def run_energy_refused(self, tmp_path, files, overrides):
         """Write ``files``, run ``energy`` with ``overrides`` (which may
-        name the files' paths as {name}) and check that it exits 2 and
-        writes nothing; return the paths."""
+        name the files' paths as {name}; a first item without "=" names
+        another subcommand) and check that it exits 2 and writes nothing;
+        return the paths."""
         paths = {}
         for name, text in files.items():
             paths[name] = str(tmp_path / name)
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
-        args = ["energy", "--output-dir", str(tmp_path / "out")]
+        sub = "energy"
+        if overrides and "=" not in overrides[0]:
+            sub, *overrides = overrides
+        args = [sub, "--output-dir", str(tmp_path / "out")]
         for item in overrides:
             args += ["--set", item.format(**paths)]
         assert self.run(args) == 2
-        assert not os.path.exists(tmp_path / "out" / "energy.json")
+        assert not os.path.exists(tmp_path / "out" / f"{sub}.json")
         return paths
 
     _VOX = "nldrop-voxel 1\ndimension 2\ndims 2 2\norigin {origin}\nspacing {spacing}\n11\n11\n"
@@ -613,7 +620,7 @@ class TestImportWeight:
 
     NUMERIC = {
         f"nldrop.{m}"
-        for m in ("energy", "families", "geometry", "isoperimetry", "kernels",
+        for m in ("_pcg64", "energy", "families", "geometry", "isoperimetry", "kernels",
                   "quadrature", "slicing", "thresholds")
     }
 
@@ -720,6 +727,35 @@ class TestImportWeight:
         modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
         assert "nldrop.quadrature" in modules
         assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--set", "shape.kind=blob", "--set", "shape.grid=16"],
+            ["slice-scan", "--set", "shape.kind=blob", "--set", "shape.grid=16",
+             "--set", "scan.nu_count=2", "--set", "scan.l_count=4"],
+            ["verify"],
+        ],
+        ids=["blob-energy", "blob-slice-scan", "verify"],
+    )
+    def test_blob_runs_load_no_numpy_random_or_openssl(self, tmp_path, argv):
+        # the blobs come from _pcg64.Stream, numpy.random's stream without
+        # its extension modules or the OpenSSL that secrets loads
+        modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
+        assert "nldrop._pcg64" in modules
+        assert not {m for m in modules if m.startswith("numpy.random")}
+        assert not modules & {"secrets", "hmac", "_hashlib"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["family", "--set", "family.d_count=1"], ["energy", "--set", "shape.kind=voxel-file"]],
+        ids=["disk-family-split", "voxel-energy"],
+    )
+    def test_runs_without_a_blob_load_no_stream(self, tmp_path, argv):
+        if argv[0] == "energy":
+            argv = argv + ["--set", f"shape.path={self.disk_file(tmp_path)}"]
+        modules = self.loaded(argv + ["--output-dir", str(tmp_path / "out")])
+        assert "nldrop._pcg64" not in modules
 
     def test_config_digest_loads_no_openssl(self, tmp_path):
         # the digest comes from the builtin SHA-256 module, not hashlib

@@ -297,6 +297,66 @@ class TestBackground:
         truth = 2.0 * scipy.integrate.quad(ray, 0.0, tmax, epsrel=1e-12)[0]
         assert est.value == pytest.approx(truth, rel=1e-11)
 
+    @staticmethod
+    def ball_truth(beta, d, R=1.0):
+        """int over the 3-D ball B((d, 0, 0), R) of |x|^-beta at 40 digits,
+        as monomials r^(k - beta): the sphere of radius r about the origin
+        lies in the ball, area 4 pi r^2, up to R - d, and meets it in the cap
+        (pi r / d)(R^2 - (r - d)^2) on [|R - d|, R + d]."""
+        with mpmath.workdps(40):
+            b, d, R = (mpmath.mpf(v) for v in (beta, d, R))
+            lo, hi = abs(R - d), R + d
+
+            def moment(e):  # int_lo^hi r^(e - 1) dr
+                return mpmath.log(hi / lo) if e == 0 else (hi ** e - lo ** e) / e
+
+            inner = 4 * mpmath.pi * lo ** (3 - b) / (3 - b) if d < R else 0
+            shell = 2 * d * moment(3 - b) - moment(4 - b)
+            if lo > 0:
+                shell += (R - d) * (R + d) * moment(2 - b)
+            return float(inner + mpmath.pi / d * shell)
+
+    @pytest.mark.parametrize(
+        "beta, d, truth",
+        [
+            (0.0, 0.5, 4.0 * math.pi / 3.0),
+            (0.0, 1.5, 4.0 * math.pi / 3.0),
+            (1.0, 0.5, 5.759586531581287),  # Newton: 2 pi (R^2 - d^2 / 3)
+            (2.9, 0.5, 123.93382369256052),
+            (2.99, 0.5, 1254.837358343915),
+        ],
+    )
+    def test_ball_truth_pins(self, beta, d, truth):
+        # the monomial sum against Newton's shell rule, the volume and the
+        # boundary identity int_E |x|^-beta = (1/(3 - beta)) int_dE |x|^-beta x.nu
+        assert self.ball_truth(beta, d) == pytest.approx(truth, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 2.9, 2.99])
+    def test_off_center_ball_is_exact(self, beta):
+        # the origin inside, on the sphere and outside: the one 512-point
+        # rule over [max(0, d - R), d + R] was 33 bars low at beta = 2.9,
+        # d = 1/2, and 1/8 of the value at beta = 2.99
+        for d in (0.5, 0.999, 0.999999, 1.0 - 1e-10, 1.0, 1.000001, 1.5, 10.0):
+            b = geometry.BallConfig(dimension=3, centers=np.array([[0.0, d, 0.0]]), radii=np.array([1.0]))
+            est = background(b, beta, QuadratureSpec())
+            truth = self.ball_truth(beta, d)
+            assert est.value == pytest.approx(truth, rel=2e-15), d
+            assert abs(est.value - truth) <= est.error + 2e-15 * truth, d
+            assert est.error <= 1e-13 * truth, d
+
+    def test_off_center_ball_builds_small_rules(self, monkeypatch):
+        sizes = set()
+
+        def spy(n, s=0.0):
+            sizes.add(n)
+            return gauss_rule(n, s)
+
+        gauss_rule = quadrature._gauss_rule
+        monkeypatch.setattr(quadrature, "_gauss_rule", spy)
+        b = geometry.BallConfig(dimension=3, centers=np.array([[0.3, 0.4, 0.0]]), radii=np.array([1.0]))
+        background(b, 2.5, QuadratureSpec())
+        assert sizes == {64, 32}
+
     def test_radial_and_grid_routes_agree(self):
         b = geometry.BallConfig(dimension=2, centers=np.array([[0.5, 0.0]]), radii=np.array([1.0]))
         r1 = background(b, 0.7, QuadratureSpec())
